@@ -3,7 +3,8 @@
 Configuration is flat ``key = value`` text; ``#`` starts a comment and
 ``[section]`` headers are tolerated and ignored.  Resolution order is
 preset < config file < command-line flags.  Exit codes: 0 success,
-2 configuration problem, 3 solver non-convergence, 4 numeric blow-up.
+2 configuration problem, 3 solver non-convergence or a singular linear
+system, 4 numeric blow-up.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ _CONFIG_KEYS = {
 }
 
 _MODEL_KINDS = ("burgers", "kdv", "nls")
+
+# solver failure -> (compare row status, exit code)
+_SOLVER_FAILURES = {
+    NonConvergenceError: ("nonconvergence", 3),
+    SingularMatrixError: ("singular", 3),
+    BlowUpError: ("blowup", 4),
+}
 
 
 @dataclass
@@ -120,8 +128,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"missing required setting {name!r}")
     if cfg.model not in _MODEL_KINDS:
         raise ConfigError(f"unknown model {cfg.model!r} (known: {', '.join(_MODEL_KINDS)})")
-    if cfg.scheme not in integrators.SCHEME_KINDS:
-        known = ", ".join(integrators.SCHEME_KINDS)
+    if cfg.scheme not in integrators.SCHEMES:
+        known = ", ".join(integrators.SCHEMES)
         raise ConfigError(f"unknown scheme {cfg.scheme!r} (known: {known})")
     if cfg.scheme_variant not in ("canonical", "printed"):
         raise ConfigError(f"unknown scheme_variant {cfg.scheme_variant!r}")
@@ -230,15 +238,18 @@ def _realized_horizon(cfg: RunConfig):
     return n, n * cfg.dt
 
 
+def _config_file_values(args) -> dict:
+    if not args.config:
+        return {}
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+
+
 def cmd_run(args) -> int:
-    file_values = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = parse_config(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
-    cfg = resolve_config(args.preset, file_values, _flag_values(args))
+    cfg = resolve_config(args.preset, _config_file_values(args), _flag_values(args))
     model, u0, spec = build_problem(cfg)
     n_steps, realized = _realized_horizon(cfg)
     print(f"model={cfg.model} scheme={cfg.scheme} dt={cfg.dt!r} n_steps={n_steps}", file=sys.stderr)
@@ -260,13 +271,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    file_values = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = parse_config(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+    file_values = _config_file_values(args)
     schemes = [s.strip() for s in (args.schemes or "").split(",") if s.strip()]
     if not schemes:
         raise ConfigError("compare needs at least one scheme (--schemes a,b,...)")
@@ -280,16 +285,13 @@ def cmd_compare(args) -> int:
         model, u0, spec = build_problem(cfg)
         if inv_names is None:
             inv_names = [inv.name for inv in model.invariants]
-        n_steps, realized = _realized_horizon(cfg)
+        realized = _realized_horizon(cfg)[1]
         try:
             record = integrators.integrate(model, spec, u0, realized, record_every=cfg.record_every)
-        except NonConvergenceError:
-            rows.append([scheme, "nonconvergence"] + [""] * (len(inv_names) + 4))
-            failures.append(3)
-            continue
-        except (BlowUpError,):
-            rows.append([scheme, "blowup"] + [""] * (len(inv_names) + 4))
-            failures.append(4)
+        except tuple(_SOLVER_FAILURES) as exc:
+            status, code = _SOLVER_FAILURES[type(exc)]
+            rows.append([scheme, status] + [""] * (len(inv_names) + 4))
+            failures.append(code)
             continue
         residuals = _residual_columns(model, record)
         cells = [scheme, "ok"]
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="integrate one model/scheme and write a CSV time series")
     _add_common(p_run)
-    p_run.add_argument("--scheme", choices=integrators.SCHEME_KINDS)
+    p_run.add_argument("--scheme", choices=tuple(integrators.SCHEMES))
     p_run.set_defaults(func=cmd_run)
     p_cmp = sub.add_parser("compare", help="run several schemes on one problem, one CSV row each")
     _add_common(p_cmp)
@@ -366,18 +368,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnsupportedModelError as exc:
+    except tuple(_SOLVER_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonConvergenceError, SingularMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _SOLVER_FAILURES[type(exc)][1]
 
 
 if __name__ == "__main__":

@@ -33,6 +33,10 @@ class BlowUpError(ExpdgError):
 class SingularMatrixError(ExpdgError):
     """Linear system matrix is singular to working precision."""
 
+    def __init__(self, message, partial=None):
+        super().__init__(message)
+        self.partial = partial
+
 
 class UnsupportedModelError(ExpdgError):
     """Requested scheme/model combination is not defined."""

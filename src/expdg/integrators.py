@@ -9,6 +9,10 @@ vector field.  Two-step kinds advance a sliding overlapping window
 Exponent magnitudes follow from requiring exactness on grad_H = 0:
 one-step (X0, X1) = (-g dt/2, +g dt/2), two-step (X0, X1, X2) =
 (-g dt, 0, +g dt) with g the effective damping rate.
+
+Every kind is one row of the SCHEMES table (exponential or plain, one- or
+two-step, step kernel, bootstrap companion); `step` takes one step of any
+kind and `integrate` marches with it.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, NonConvergenceError, UnsupportedModelError
+from .errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from .linalg import (
     NonlinearSolveSettings,
     PeriodicBandedMatrix,
@@ -32,13 +37,6 @@ from .linalg import (
 from .spatial import apply_stencil
 from .system import ConformalModel
 
-EXPONENTIAL_ONE_STEP = ("cimp", "eavf", "ek1")
-EXPONENTIAL_TWO_STEP = ("ek2", "lie")
-PLAIN_ONE_STEP = ("imidpoint_plain", "avf_plain")
-PLAIN_TWO_STEP = ("kahan2_plain",)
-SCHEME_KINDS = EXPONENTIAL_ONE_STEP + EXPONENTIAL_TWO_STEP + PLAIN_ONE_STEP + PLAIN_TWO_STEP
-TWO_STEP_KINDS = EXPONENTIAL_TWO_STEP + PLAIN_TWO_STEP
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
@@ -48,7 +46,7 @@ class SchemeSpec:
     scheme_variant: str = "canonical"
 
     def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
@@ -70,18 +68,6 @@ class StepResult:
     linear_solves: int
 
 
-def exponents(kind: str, gamma_eff: float, dt: float) -> Exponents:
-    if kind not in SCHEME_KINDS:
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    if kind in PLAIN_ONE_STEP:
-        return Exponents(0.0, 0.0)
-    if kind in PLAIN_TWO_STEP:
-        return Exponents(0.0, 0.0, 0.0)
-    if kind in EXPONENTIAL_ONE_STEP:
-        return Exponents(-gamma_eff * dt / 2.0, gamma_eff * dt / 2.0)
-    return Exponents(-gamma_eff * dt, 0.0, gamma_eff * dt)
-
-
 def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> NonlinearSolveSettings:
     # tolerance follows the state scale: Burgers states decay below 1e-11
     # over the preset horizon and an absolute tolerance would stall there
@@ -89,25 +75,32 @@ def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> Nonline
     return replace(settings, tolerance=settings.tolerance * scale)
 
 
-def _newton_counts(settings: NonlinearSolveSettings, iterations: int):
-    solves = iterations if settings.method == "newton" else 0
-    return iterations, solves
-
-
 def _merge(mat: PeriodicBandedMatrix, other: PeriodicBandedMatrix, scale: float) -> None:
     for d, vals in other.diags.items():
         mat.add_diagonal(d, scale * vals)
 
 
-def _midpoint_step(model, u_n, dt, exps, settings, damp_in_field, variant="canonical"):
+# quadrature rules (nodes, weights) on [0, 1] for the chord average of the
+# field: the midpoint is the one-node Gauss rule, AVF uses two nodes, which
+# is exact for the cubic fields of the models
+_MIDPOINT = ((0.5,), (1.0,))
+_AVF = gauss_legendre_2()
+
+
+def _implicit_step(model, u_n, dt, exps, gamma, spec, rule):
+    """Newton solve of y = a + dt * sum_k w_k f(xi_k y + (1 - xi_k) a).
+
+    The midpoint rule in the printed variant uses the model's as-printed
+    nonlinearity instead of f at the midpoint.
+    """
     at = math.exp(exps.x0) * u_n
     back = math.exp(-exps.x1)
-    gamma = model.gamma_eff if damp_in_field else 0.0
-    printed = variant == "printed"
+    printed = rule is _MIDPOINT and spec.scheme_variant == "printed"
     if printed and model.printed_midpoint_field is None:
         raise UnsupportedModelError(
             f"model {model.name} has no as-printed midpoint nonlinearity"
         )
+    nodes, weights = rule
     at_packed = model.pack(at)
 
     def residual(y_packed):
@@ -115,8 +108,9 @@ def _midpoint_step(model, u_n, dt, exps, settings, damp_in_field, variant="canon
         if printed:
             rhs = model.printed_midpoint_field(at, y)
         else:
-            mid = 0.5 * (y + at)
-            rhs = model.conservative_field(mid)
+            rhs = np.zeros_like(y)
+            for xi, w in zip(nodes, weights):
+                rhs += w * model.conservative_field(xi * y + (1.0 - xi) * at)
         if gamma:
             rhs = rhs - gamma * 0.5 * (y + at)
         return y_packed - at_packed - dt * model.pack(rhs)
@@ -126,47 +120,15 @@ def _midpoint_step(model, u_n, dt, exps, settings, damp_in_field, variant="canon
         mat = PeriodicBandedMatrix(model.dim)
         mat.add_diagonal(0, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
         if printed:
-            inner = model.printed_midpoint_jacobian(at, y)
-            _merge(mat, inner, -dt)
+            _merge(mat, model.printed_midpoint_jacobian(at, y), -dt)
         else:
-            inner = model.jacobian_conservative(0.5 * (y + at))
-            _merge(mat, inner, -dt / 2.0)
+            for xi, w in zip(nodes, weights):
+                _merge(mat, model.jacobian_conservative(xi * y + (1.0 - xi) * at), -dt * w * xi)
         return mat
 
-    y, iters = newton_solve(residual, jacobian, at_packed, _scaled_solver(settings, at))
-    n_it, n_solve = _newton_counts(settings, iters)
-    return StepResult(back * model.unpack(y), n_it, n_solve)
-
-
-def _avf_step(model, u_n, dt, exps, settings, damp_in_field):
-    at = math.exp(exps.x0) * u_n
-    back = math.exp(-exps.x1)
-    gamma = model.gamma_eff if damp_in_field else 0.0
-    nodes, weights = gauss_legendre_2()
-    at_packed = model.pack(at)
-
-    def residual(y_packed):
-        y = model.unpack(y_packed)
-        rhs = np.zeros_like(y)
-        for xi, w in zip(nodes, weights):
-            p = xi * y + (1.0 - xi) * at
-            rhs += w * model.conservative_field(p)
-        if gamma:
-            rhs = rhs - gamma * 0.5 * (y + at)
-        return y_packed - at_packed - dt * model.pack(rhs)
-
-    def jacobian(y_packed):
-        y = model.unpack(y_packed)
-        mat = PeriodicBandedMatrix(model.dim)
-        mat.add_diagonal(0, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
-        for xi, w in zip(nodes, weights):
-            p = xi * y + (1.0 - xi) * at
-            _merge(mat, model.jacobian_conservative(p), -dt * w * xi)
-        return mat
-
-    y, iters = newton_solve(residual, jacobian, at_packed, _scaled_solver(settings, at))
-    n_it, n_solve = _newton_counts(settings, iters)
-    return StepResult(back * model.unpack(y), n_it, n_solve)
+    solver = spec.solver
+    y, iters = newton_solve(residual, jacobian, at_packed, _scaled_solver(solver, at))
+    return StepResult(back * model.unpack(y), iters, iters if solver.method == "newton" else 0)
 
 
 def _require_bilinear(model):
@@ -176,11 +138,10 @@ def _require_bilinear(model):
         )
 
 
-def _kahan1_step(model, u_n, dt, exps, damp_in_field):
+def _kahan1_step(model, u_n, dt, exps, gamma, spec=None):
     _require_bilinear(model)
     at = math.exp(exps.x0) * u_n
     back = math.exp(-exps.x1)
-    gamma = model.gamma_eff if damp_in_field else 0.0
     mat = identity_matrix(model.dim, 1.0 / dt)
     _merge(mat, model.quadratic_matrix(at), -1.0)
     if model.linear_stencil:
@@ -195,12 +156,11 @@ def _kahan1_step(model, u_n, dt, exps, damp_in_field):
     return StepResult(back * bt, 0, 1)
 
 
-def _kahan2_step(model, u_n, u_np1, dt, exps, damp_in_field):
+def _kahan2_step(model, u_n, u_np1, dt, exps, gamma, spec=None):
     _require_bilinear(model)
     at = math.exp(exps.x0) * u_n
     bt = math.exp(exps.x1) * u_np1
     back = math.exp(-exps.x2)
-    gamma = model.gamma_eff if damp_in_field else 0.0
     mat = identity_matrix(model.dim, 1.0 / (2.0 * dt))
     _merge(mat, model.quadratic_matrix(bt), -0.5)
     if model.linear_stencil:
@@ -215,66 +175,83 @@ def _kahan2_step(model, u_n, u_np1, dt, exps, damp_in_field):
     return StepResult(back * ct, 0, 1)
 
 
-def cimp_step(model, u_n, spec: SchemeSpec, exps: Optional[Exponents] = None) -> StepResult:
-    exps = exps or exponents("cimp", model.gamma_eff, spec.dt)
-    return _midpoint_step(model, u_n, spec.dt, exps, spec.solver, False, spec.scheme_variant)
-
-
-def eavf_step(model, u_n, spec: SchemeSpec, exps: Optional[Exponents] = None) -> StepResult:
-    exps = exps or exponents("eavf", model.gamma_eff, spec.dt)
-    return _avf_step(model, u_n, spec.dt, exps, spec.solver, False)
-
-
-def ek1_step(model, u_n, spec: SchemeSpec, exps: Optional[Exponents] = None) -> StepResult:
-    exps = exps or exponents("ek1", model.gamma_eff, spec.dt)
-    return _kahan1_step(model, u_n, spec.dt, exps, False)
-
-
-def ek2_step(model, u_n, u_np1, spec: SchemeSpec, exps: Optional[Exponents] = None) -> StepResult:
-    exps = exps or exponents("ek2", model.gamma_eff, spec.dt)
-    return _kahan2_step(model, u_n, u_np1, spec.dt, exps, False)
-
-
-def lie_step(model, u_n, u_np1, spec: SchemeSpec, exps: Optional[Exponents] = None) -> StepResult:
+def _lie_step(model, u_n, u_np1, dt, exps, gamma, spec=None):
     if model.lie_system_builder is None:
         raise UnsupportedModelError(f"model {model.name} has no polarized linear system")
-    exps = exps or exponents("lie", model.gamma_eff, spec.dt)
-    mat, rhs, decode = model.lie_system_builder(u_n, u_np1, spec.dt, exps)
-    sol = solve_periodic_banded(mat, rhs)
-    return StepResult(decode(sol), 0, 1)
+    mat, rhs, decode = model.lie_system_builder(u_n, u_np1, dt, exps)
+    return StepResult(decode(solve_periodic_banded(mat, rhs)), 0, 1)
 
 
-def _one_step(model, u_n, spec, kind, exps):
-    if kind == "cimp":
-        return _midpoint_step(model, u_n, spec.dt, exps, spec.solver, False, spec.scheme_variant)
-    if kind == "imidpoint_plain":
-        return _midpoint_step(model, u_n, spec.dt, exps, spec.solver, True, spec.scheme_variant)
-    if kind == "eavf":
-        return _avf_step(model, u_n, spec.dt, exps, spec.solver, False)
-    if kind == "avf_plain":
-        return _avf_step(model, u_n, spec.dt, exps, spec.solver, True)
-    if kind == "ek1":
-        return _kahan1_step(model, u_n, spec.dt, exps, False)
-    raise ValueError(f"{kind!r} is not a one-step kind")
+@dataclass(frozen=True)
+class Scheme:
+    """One row of the scheme table.
+
+    exponential: the damping goes into the prefactors e^{X}, else it stays
+    in the field.  two_step: the kernel maps (u^{n-1}, u^n) to u^{n+1}.
+    kernel(model, *window, dt, exps, gamma, spec) takes one step, with gamma
+    the damping rate left in the field.  bootstrap: the one-step companion
+    that produces u^1 for a two-step scheme.
+    """
+
+    exponential: bool
+    two_step: bool
+    kernel: Callable
+    bootstrap: Optional["Scheme"] = None
+
+    def exponents(self, gamma_eff: float, dt: float) -> Exponents:
+        if not self.exponential:
+            return Exponents(0.0, 0.0, 0.0 if self.two_step else None)
+        if self.two_step:
+            return Exponents(-gamma_eff * dt, 0.0, gamma_eff * dt)
+        return Exponents(-gamma_eff * dt / 2.0, gamma_eff * dt / 2.0)
+
+    def advance(self, model, spec, window, exps=None) -> StepResult:
+        if len(window) != 1 + self.two_step:
+            raise ValueError(f"{spec.kind!r} steps from {1 + self.two_step} states, got {len(window)}")
+        exps = exps or self.exponents(model.gamma_eff, spec.dt)
+        gamma = 0.0 if self.exponential else model.gamma_eff
+        return self.kernel(model, *window, spec.dt, exps, gamma, spec)
+
+
+_midpoint = partial(_implicit_step, rule=_MIDPOINT)
+_avf = partial(_implicit_step, rule=_AVF)
+_CIMP = Scheme(True, False, _midpoint)
+_EK1 = Scheme(True, False, _kahan1_step)
+# kind -> Scheme(exponential, two_step, kernel, bootstrap)
+SCHEMES = {
+    "cimp": _CIMP,
+    "eavf": Scheme(True, False, _avf),
+    "ek1": _EK1,
+    "ek2": Scheme(True, True, _kahan2_step, bootstrap=_EK1),
+    "lie": Scheme(True, True, _lie_step, bootstrap=_CIMP),
+    "imidpoint_plain": Scheme(False, False, _midpoint),
+    "avf_plain": Scheme(False, False, _avf),
+    "kahan2_plain": Scheme(False, True, _kahan2_step, bootstrap=Scheme(False, False, _kahan1_step)),
+}
+
+
+def exponents(kind: str, gamma_eff: float, dt: float) -> Exponents:
+    if kind not in SCHEMES:
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    return SCHEMES[kind].exponents(gamma_eff, dt)
+
+
+def step(model, spec: SchemeSpec, *window, exps: Optional[Exponents] = None) -> StepResult:
+    """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds."""
+    return SCHEMES[spec.kind].advance(model, spec, window, exps)
 
 
 def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
-    """Produce u^1 for a two-step scheme from its one-step companion."""
-    if spec.kind == "ek2":
-        return ek1_step(model, u0, spec)
-    if spec.kind == "kahan2_plain":
-        return _kahan1_step(model, u0, spec.dt, exponents("imidpoint_plain", 0.0, spec.dt), True)
-    if spec.kind == "lie":
-        settings = replace(spec.solver, tolerance=min(spec.solver.tolerance, 1e-13))
-        return _midpoint_step(
-            model, u0, spec.dt, exponents("cimp", model.gamma_eff, spec.dt), settings, False
-        )
-    raise ValueError(f"{spec.kind!r} is not a two-step kind")
+    """Produce u^1 for a two-step scheme from its one-step companion.
 
-
-def _check_finite(u, step, t, partial):
-    if not np.all(np.isfinite(u)):
-        raise BlowUpError(f"state became non-finite at step {step}", step=step, time=t, partial=partial)
+    The companion solves in the canonical variant, to a Newton tolerance of
+    at most 1e-13 (the start of a two-step march must be accurate).
+    """
+    companion = SCHEMES[spec.kind].bootstrap
+    if companion is None:
+        raise ValueError(f"{spec.kind!r} is not a two-step kind")
+    solver = replace(spec.solver, tolerance=min(spec.solver.tolerance, 1e-13))
+    return companion.advance(model, replace(spec, solver=solver, scheme_variant="canonical"), (u0,))
 
 
 def integrate(
@@ -290,14 +267,13 @@ def integrate(
 
     T must be an integer multiple of spec.dt to within 1e-9 relative.  The
     initial state, every record_every-th step, and the final step are
-    recorded.  Solver failures and blow-ups raise with the partial record
-    attached to the exception.
+    recorded.  Solver failures, singular systems and blow-ups raise with the
+    partial record up to the last finite state attached to the exception.
     """
     from .diagnostics import RunRecord  # deferred: diagnostics imports this module
 
     dt = spec.dt
-    n_float = T / dt
-    n_steps = int(round(n_float))
+    n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(abs(T), dt):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     if record_every < 1:
@@ -307,8 +283,8 @@ def integrate(
     if u.shape != (model.dim,):
         raise ValueError(f"initial state has shape {u.shape}, expected ({model.dim},)")
 
-    two_step = spec.kind in TWO_STEP_KINDS
-    exps = exponents(spec.kind, model.gamma_eff, dt)
+    two_step = SCHEMES[spec.kind].two_step
+    exps = SCHEMES[spec.kind].exponents(model.gamma_eff, dt)
     track_polarized = two_step and model.polarized is not None
     e_x0 = math.exp(exps.x0) if track_polarized else None
     e_x1 = math.exp(exps.x1) if track_polarized else None
@@ -325,12 +301,9 @@ def integrate(
     solves_total = 0
     wall = 0.0
 
-    def is_recorded(step):
-        return step == n_steps or step % record_every == 0
-
-    def record(step, state):
-        steps_rec.append(step)
-        times_rec.append(step * dt)
+    def record(n, state):
+        steps_rec.append(n)
+        times_rec.append(n * dt)
         for inv in model.invariants:
             inv_rec[inv.name].append(inv.evaluate(state))
         ham_rec.append(model.hamiltonian_paper(state))
@@ -341,12 +314,9 @@ def integrate(
         if store_states:
             states_rec.append(state.copy())
         if observer is not None:
-            observer(step, step * dt, state)
+            observer(n, n * dt, state)
 
-    def partial_record(final_state):
-        return _build_record(final_state)
-
-    def _build_record(final_state):
+    def build_record(final_state):
         return RunRecord(
             scheme_kind=spec.kind,
             dt=dt,
@@ -365,56 +335,33 @@ def integrate(
         )
 
     record(0, u)
-    if n_steps == 0:
-        return _build_record(u)
-
-    prev = None  # u^{n-1} for two-step kinds
+    prev = None  # u^{n-1}; a two-step kind bootstraps while it is None
     step_index = 0
     try:
-        if two_step:
-            tic = time.perf_counter()
-            res = bootstrap(model, u, spec)
-            wall += time.perf_counter() - tic
-            # counters attribute solver work to the scheme kind itself; the
-            # one-off bootstrap cost stays in the wall clock but not here,
-            # so a linearly implicit run reports zero Newton iterations
-            prev, u = u, res.state
-            step_index = 1
-            _check_finite(u, 1, dt, partial_record(prev))
-            if track_polarized and is_recorded(0):
-                pol_rec[-1] = model.polarized.evaluate(e_x0 * prev, e_x1 * u)
-            if is_recorded(1):
-                record(1, u)
-
         while step_index < n_steps:
-            step_index += 1
             tic = time.perf_counter()
-            if two_step:
-                if spec.kind == "ek2":
-                    res = ek2_step(model, prev, u, spec, exps)
-                elif spec.kind == "lie":
-                    res = lie_step(model, prev, u, spec, exps)
-                else:
-                    res = _kahan2_step(model, prev, u, dt, exps, True)
-                prev, new = u, res.state
+            if two_step and prev is None:
+                res = bootstrap(model, u, spec)
             else:
-                res = _one_step(model, u, spec, spec.kind, exps)
-                new = res.state
+                res = step(model, spec, *((prev, u) if two_step else (u,)), exps=exps)
+                # counters attribute solver work to the scheme kind itself; the
+                # one-off bootstrap cost stays in the wall clock but not here,
+                # so a linearly implicit run reports zero Newton iterations
+                newton_total += res.newton_iterations
+                solves_total += res.linear_solves
             wall += time.perf_counter() - tic
-            newton_total += res.newton_iterations
-            solves_total += res.linear_solves
-            u = new
-            _check_finite(u, step_index, step_index * dt, partial_record(prev if two_step else u))
-            if track_polarized and steps_rec and steps_rec[-1] == step_index - 1:
+            step_index += 1
+            if not np.all(np.isfinite(res.state)):
+                t = step_index * dt
+                raise BlowUpError(f"state became non-finite at step {step_index}", step=step_index, time=t)
+            prev, u = u, res.state
+            if track_polarized and steps_rec[-1] == step_index - 1:
                 pol_rec[-1] = model.polarized.evaluate(e_x0 * prev, e_x1 * u)
-            if is_recorded(step_index):
+            if step_index == n_steps or step_index % record_every == 0:
                 record(step_index, u)
-    except NonConvergenceError as exc:
-        exc.partial = partial_record(u)
-        raise
-    except BlowUpError as exc:
+    except (NonConvergenceError, BlowUpError, SingularMatrixError) as exc:
         if exc.partial is None:
-            exc.partial = partial_record(u)
+            exc.partial = build_record(u)
         raise
 
-    return _build_record(u)
+    return build_record(u)

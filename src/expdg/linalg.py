@@ -136,7 +136,6 @@ class NonlinearSolveSettings:
     tolerance: float = 1e-12
     max_iterations: int = 50
     method: str = "newton"  # newton | fixed_point
-    jacobian: str = "analytic"  # analytic | finite_difference
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -145,40 +144,22 @@ class NonlinearSolveSettings:
             raise ValueError("max_iterations must be >= 1")
         if self.method not in ("newton", "fixed_point"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.jacobian not in ("analytic", "finite_difference"):
-            raise ValueError(f"unknown jacobian mode {self.jacobian!r}")
-
-
-def _fd_jacobian(residual_fn, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    n = x.size
-    jac = np.zeros((n, n))
-    for j in range(n):
-        h = 1e-7 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        jac[:, j] = (residual_fn(xp) - r0) / h
-    return jac
 
 
 def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: NonlinearSolveSettings):
     """Drive residual_fn to zero; returns (solution, iterations).
 
-    jacobian_fn(x) may return a dense array or a PeriodicBandedMatrix; pass
-    None (or jacobian='finite_difference') for a finite-difference fallback.
+    jacobian_fn(x) may return a dense array or a PeriodicBandedMatrix.
     """
     x = np.array(guess, dtype=float)
     r = residual_fn(x)
     if np.max(np.abs(r)) <= settings.tolerance:
         return x, 0
-    use_fd = jacobian_fn is None or settings.jacobian == "finite_difference"
     for it in range(1, settings.max_iterations + 1):
         if settings.method == "fixed_point":
             x = x - r
         else:
-            if use_fd:
-                jac = _fd_jacobian(residual_fn, x, r)
-            else:
-                jac = jacobian_fn(x)
+            jac = jacobian_fn(x)
             if isinstance(jac, PeriodicBandedMatrix):
                 delta = solve_periodic_banded(jac, r)
             else:

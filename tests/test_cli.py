@@ -12,7 +12,7 @@ from expdg.cli import (
     parse_config,
     resolve_config,
 )
-from expdg.errors import BlowUpError, ConfigError
+from expdg.errors import BlowUpError, ConfigError, SingularMatrixError
 from expdg.models import PRESETS
 
 PI = repr(math.pi)
@@ -261,6 +261,20 @@ def test_exit_4_blow_up(monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def singular_kahan_solves(monkeypatch):
+    # Kahan and lie steps solve through integrators; Newton steps do not
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("singular to working precision")
+
+    monkeypatch.setattr(integrators, "solve_periodic_banded", singular)
+
+
+def test_exit_3_singular_system(monkeypatch, capsys):
+    singular_kahan_solves(monkeypatch)
+    assert main(SMALL_RUN) == 3
+    assert "singular" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- compare
 
 
@@ -317,6 +331,23 @@ def test_compare_all_failures_exit_3(capsys):
     argv = ["compare", "--schemes", "cimp"] + STARVED_PROBLEM
     assert main(argv) == 3
     assert "cimp,nonconvergence" in capsys.readouterr().out
+
+
+def test_compare_keeps_going_after_a_singular_system(monkeypatch, capsys):
+    singular_kahan_solves(monkeypatch)
+    argv = ["compare", "--preset", "burgers-paper", "--T", "0.09", "--schemes", "ek1,cimp,ek2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "ek1,singular,,,,,"
+    assert lines[2].startswith("cimp,ok,")
+    assert lines[3] == "ek2,singular,,,,,"
+
+
+def test_compare_all_singular_exit_3(monkeypatch, capsys):
+    singular_kahan_solves(monkeypatch)
+    argv = ["compare", "--preset", "burgers-paper", "--T", "0.09", "--schemes", "ek1"]
+    assert main(argv) == 3
+    assert "ek1,singular" in capsys.readouterr().out
 
 
 def test_compare_requires_schemes(capsys):

@@ -2,25 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import expdg.integrators as integrators
-from expdg.errors import NonConvergenceError, UnsupportedModelError
+from expdg.errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from expdg.integrators import (
-    EXPONENTIAL_ONE_STEP,
-    EXPONENTIAL_TWO_STEP,
     Exponents,
     SchemeSpec,
     bootstrap,
-    cimp_step,
-    eavf_step,
-    ek1_step,
-    ek2_step,
     exponents,
     integrate,
-    lie_step,
+    step,
     _kahan1_step,
     _kahan2_step,
-    _midpoint_step,
 )
 from expdg.linalg import NonlinearSolveSettings, solve_periodic_banded
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
@@ -28,7 +24,7 @@ from expdg.spatial import apply_stencil, build_grid
 
 from conftest import toy_cubic_model
 
-EXPONENTIAL_KINDS = EXPONENTIAL_ONE_STEP + EXPONENTIAL_TWO_STEP
+EXPONENTIAL_KINDS = ("cimp", "eavf", "ek1", "ek2", "lie")
 PLAIN_KINDS = ("imidpoint_plain", "avf_plain", "kahan2_plain")
 
 
@@ -41,7 +37,7 @@ def burgers(gamma=0.25):
 
 
 def test_exponents_vanish_without_damping():
-    for kind in integrators.SCHEME_KINDS:
+    for kind in integrators.SCHEMES:
         e = exponents(kind, 0.0, 0.009)
         assert e.x0 == 0.0 and e.x1 == 0.0
         assert e.x2 in (None, 0.0)
@@ -140,28 +136,23 @@ def test_plain_kinds_exact_when_undamped(kind):
 def test_cimp_matches_tight_fixed_point_oracle():
     model, u0 = burgers()
     spec = SchemeSpec("cimp", 0.009)
-    newton = cimp_step(model, u0, spec).state
-    settings = NonlinearSolveSettings(tolerance=1e-14, max_iterations=500, method="fixed_point")
-    oracle = _midpoint_step(
-        model, u0, spec.dt, exponents("cimp", model.gamma_eff, spec.dt), settings, False
-    ).state
+    newton = step(model, spec, u0).state
+    solver = NonlinearSolveSettings(tolerance=1e-14, max_iterations=500, method="fixed_point")
+    oracle = step(model, SchemeSpec("cimp", spec.dt, solver=solver), u0).state
     assert np.max(np.abs(newton - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
 def test_cimp_reduces_to_plain_midpoint_without_damping():
     model, u0 = burgers(gamma=0.0)
-    a = cimp_step(model, u0, SchemeSpec("cimp", 0.009)).state
-    b = _midpoint_step(
-        model, u0, 0.009, exponents("imidpoint_plain", 0.0, 0.009),
-        NonlinearSolveSettings(), True,
-    ).state
+    a = step(model, SchemeSpec("cimp", 0.009), u0).state
+    b = step(model, SchemeSpec("imidpoint_plain", 0.009), u0).state
     assert np.array_equal(a, b)
 
 
 def test_printed_midpoint_variant_differs_but_stays_close():
     model, u0 = burgers()
-    canonical = cimp_step(model, u0, SchemeSpec("cimp", 0.009)).state
-    printed = cimp_step(model, u0, SchemeSpec("cimp", 0.009, scheme_variant="printed")).state
+    canonical = step(model, SchemeSpec("cimp", 0.009), u0).state
+    printed = step(model, SchemeSpec("cimp", 0.009, scheme_variant="printed"), u0).state
     gap = np.max(np.abs(printed - canonical))
     assert 1e-12 < gap < 1e-4  # same order of accuracy, different scheme
     assert np.all(np.isfinite(printed))
@@ -172,7 +163,7 @@ def test_printed_variant_rejected_for_kdv():
     model = make_model("kdv", g, gamma=1e-2)
     u0 = initial_condition("kdv", g)
     with pytest.raises(UnsupportedModelError):
-        cimp_step(model, u0, SchemeSpec("cimp", 0.009, scheme_variant="printed"))
+        step(model, SchemeSpec("cimp", 0.009, scheme_variant="printed"), u0)
 
 
 def test_eavf_step_satisfies_chord_average_equation():
@@ -182,7 +173,7 @@ def test_eavf_step_satisfies_chord_average_equation():
     u0 = initial_condition("nls", g)
     dt = 0.001
     exps = exponents("eavf", model.gamma_eff, dt)
-    u1 = eavf_step(model, u0, SchemeSpec("eavf", dt)).state
+    u1 = step(model, SchemeSpec("eavf", dt), u0).state
     at, yt = math.exp(exps.x0) * u0, math.exp(exps.x1) * u1
     xs = np.linspace(0.0, 1.0, 10001)
     avg = np.zeros(model.dim)
@@ -198,7 +189,7 @@ def test_eavf_preserves_transformed_energy_per_step():
     model, u0 = burgers()
     dt = 0.009
     exps = exponents("eavf", model.gamma_eff, dt)
-    u1 = eavf_step(model, u0, SchemeSpec("eavf", dt)).state
+    u1 = step(model, SchemeSpec("eavf", dt), u0).state
     gap = abs(
         model.hamiltonian(math.exp(exps.x1) * u1) - model.hamiltonian(math.exp(exps.x0) * u0)
     )
@@ -216,7 +207,7 @@ def test_ek1_matches_dense_assembly_oracle():
     dense = np.eye(n) / dt - model.quadratic_matrix(at).to_dense() - 0.5 * L
     bt = np.linalg.solve(dense, at / dt + 0.5 * (L @ at))
     expected = math.exp(-exps.x1) * bt
-    result = ek1_step(model, u0, SchemeSpec("ek1", dt)).state
+    result = step(model, SchemeSpec("ek1", dt), u0).state
     assert np.max(np.abs(result - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -234,30 +225,31 @@ def test_ek1_on_linear_kdv_is_transformed_trapezoid():
     at = math.exp(exps.x0) * u0
     bt = np.linalg.solve(np.eye(64) - 0.5 * dt * L, (np.eye(64) + 0.5 * dt * L) @ at)
     expected = math.exp(-exps.x1) * bt
-    result = ek1_step(model, u0, SchemeSpec("ek1", dt)).state
+    result = step(model, SchemeSpec("ek1", dt), u0).state
     assert np.max(np.abs(result - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_ek1_step_is_self_adjoint():
     model, u0 = burgers()
     dt = 0.009
-    forward = ek1_step(model, u0, SchemeSpec("ek1", dt)).state
-    back = _kahan1_step(model, forward, -dt, exponents("ek1", model.gamma_eff, -dt), False).state
+    forward = step(model, SchemeSpec("ek1", dt), u0).state
+    # SchemeSpec rejects dt <= 0, so the reverse step calls the kernel
+    back = _kahan1_step(model, forward, -dt, exponents("ek1", model.gamma_eff, -dt), 0.0).state
     assert np.max(np.abs(back - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 
-def test_ek1_composition_matches_ek2_without_damping():
-    g = build_grid(math.pi, 8)
-    model = make_model("burgers", g, gamma=0.0)
-    rng = np.random.default_rng(21)
-    dt = 0.01
-    spec1, spec2 = SchemeSpec("ek1", dt), SchemeSpec("ek2", dt)
-    for _ in range(20):
-        u0 = rng.standard_normal(8)
-        u1 = ek1_step(model, u0, spec1).state
-        composed = ek1_step(model, u1, spec1).state
-        two_step = ek2_step(model, u0, u1, spec2).state
-        assert np.max(np.abs(composed - two_step)) <= 1e-11 * max(np.max(np.abs(composed)), 1.0)
+UNDAMPED_BURGERS_8 = make_model("burgers", build_grid(math.pi, 8), gamma=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.float64, 8, elements=st.floats(-4.0, 4.0)))
+def test_ek1_composition_matches_ek2_without_damping(u0):
+    model = UNDAMPED_BURGERS_8
+    spec1, spec2 = SchemeSpec("ek1", 0.01), SchemeSpec("ek2", 0.01)
+    u1 = step(model, spec1, u0).state
+    composed = step(model, spec1, u1).state
+    two_step = step(model, spec2, u0, u1).state
+    assert np.max(np.abs(composed - two_step)) <= 1e-11 * max(np.max(np.abs(composed)), 1.0)
 
 
 def test_ek2_step_is_self_adjoint():
@@ -265,8 +257,8 @@ def test_ek2_step_is_self_adjoint():
     dt = 0.009
     spec = SchemeSpec("ek2", dt)
     u1 = bootstrap(model, u0, spec).state
-    u2 = ek2_step(model, u0, u1, spec).state
-    back = _kahan2_step(model, u2, u1, -dt, exponents("ek2", model.gamma_eff, -dt), False).state
+    u2 = step(model, spec, u0, u1).state
+    back = _kahan2_step(model, u2, u1, -dt, exponents("ek2", model.gamma_eff, -dt), 0.0).state
     assert np.max(np.abs(back - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 
@@ -288,7 +280,7 @@ def test_lie_marching_is_reversible_through_the_builder():
     dt = 0.001
     spec = SchemeSpec("lie", dt)
     u1 = bootstrap(model, u0, spec).state
-    u2 = lie_step(model, u0, u1, spec).state
+    u2 = step(model, spec, u0, u1).state
     mat, rhs, decode = model.lie_system_builder(
         u2, u1, -dt, exponents("lie", model.gamma_eff, -dt)
     )
@@ -299,7 +291,7 @@ def test_lie_marching_is_reversible_through_the_builder():
 def test_lie_requires_a_system_builder():
     toy = toy_cubic_model()
     with pytest.raises(UnsupportedModelError):
-        lie_step(toy, np.ones(2), np.ones(2), SchemeSpec("lie", 0.01))
+        step(toy, SchemeSpec("lie", 0.01), np.ones(2), np.ones(2))
 
 
 def test_kahan_steps_reject_cubic_fields():
@@ -307,7 +299,7 @@ def test_kahan_steps_reject_cubic_fields():
     model = make_model("nls", g, gamma=0.0)
     u0 = initial_condition("nls", g)
     with pytest.raises(UnsupportedModelError):
-        ek1_step(model, u0, SchemeSpec("ek1", 0.001))
+        step(model, SchemeSpec("ek1", 0.001), u0)
 
 
 # ---------------------------------------------------------------- bootstrap
@@ -366,12 +358,12 @@ def test_halved_exponents_break_the_mass_rate():
     u1 = bootstrap(model, u0, spec).state
     rate = 2.0 * model.gamma_eff * dt
 
-    good = ek2_step(model, u0, u1, spec, exponents("ek2", model.gamma_eff, dt)).state
+    good = step(model, spec, u0, u1, exps=exponents("ek2", model.gamma_eff, dt)).state
     residual = math.log(np.sum(good) / np.sum(u0)) + rate
     assert abs(residual) <= 1e-12
 
     halved = Exponents(-model.gamma_eff * dt / 2.0, 0.0, model.gamma_eff * dt / 2.0)
-    bad = ek2_step(model, u0, u1, spec, halved).state
+    bad = step(model, spec, u0, u1, exps=halved).state
     residual_bad = math.log(np.sum(bad) / np.sum(u0)) + rate
     assert abs(residual_bad) > 1e-6
 
@@ -465,8 +457,8 @@ def test_linearly_implicit_marching_never_enters_newton(monkeypatch):
     nls = make_model("nls", g, gamma=5e-4)
     psi0 = initial_condition("nls", g)
     psi1 = math.exp(-nls.gamma_eff * 0.001) * psi0
-    lie_step(nls, psi0, psi1, SchemeSpec("lie", 0.001))
-    ek1_step(model, u0, SchemeSpec("ek1", 0.009))
+    step(nls, SchemeSpec("lie", 0.001), psi0, psi1)
+    step(model, SchemeSpec("ek1", 0.009), u0)
 
 
 @pytest.mark.parametrize("kind", ["cimp", "eavf", "ek1", "ek2", "lie"])
@@ -496,6 +488,55 @@ def test_nonconvergence_carries_partial_record():
     assert partial.n_steps == 10
     assert list(partial.steps) == [0]  # failed during the first step
     assert np.all(np.isfinite(partial.final_state))
+
+
+def fail_on_solve(monkeypatch, n, failure):
+    """Make the n-th linear solve inside integrators return failure(x)."""
+    calls = []
+    real = integrators.solve_periodic_banded
+
+    def solve(mat, rhs):
+        calls.append(None)
+        x = real(mat, rhs)
+        return failure(x) if len(calls) == n else x
+
+    monkeypatch.setattr(integrators, "solve_periodic_banded", solve)
+
+
+def test_singular_system_carries_partial_record(monkeypatch):
+    def singular(x):
+        raise SingularMatrixError("singular to working precision")
+
+    fail_on_solve(monkeypatch, 4, singular)
+    model, u0 = burgers()
+    with pytest.raises(SingularMatrixError) as info:
+        integrate(model, SchemeSpec("ek1", 0.009), u0, 0.09, record_every=1, store_states=True)
+    partial = info.value.partial
+    assert partial.n_steps == 10
+    assert list(partial.steps) == [0, 1, 2, 3]  # failed during the fourth step
+    assert np.array_equal(partial.final_state, partial.states[-1])
+    assert list(partial.linear_solves) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("kind", ["ek1", "ek2"])
+def test_blow_up_carries_partial_record(monkeypatch, kind):
+    fail_on_solve(monkeypatch, 4, lambda x: np.full_like(x, np.nan))
+    model, u0 = burgers()
+    with pytest.raises(BlowUpError) as info:
+        integrate(model, SchemeSpec(kind, 0.009), u0, 0.09, record_every=1, store_states=True)
+    exc = info.value
+    assert (exc.step, exc.time) == (4, pytest.approx(4 * 0.009))
+    assert list(exc.partial.steps) == [0, 1, 2, 3]
+    # the record ends at the last finite state, not the blown-up one
+    assert np.array_equal(exc.partial.final_state, exc.partial.states[-1])
+
+
+def test_step_takes_one_state_per_level_of_the_window():
+    model, u0 = burgers()
+    with pytest.raises(ValueError):
+        step(model, SchemeSpec("ek2", 0.009), u0)
+    with pytest.raises(ValueError):
+        step(model, SchemeSpec("ek1", 0.009), u0, u0)
 
 
 def test_final_profile_steepens_while_decaying(burgers_ek2_run):

@@ -116,8 +116,7 @@ def test_newton_linear_system_converges_in_one_iteration():
     assert np.max(np.abs(a @ x - b)) <= 1e-12
 
 
-@pytest.mark.parametrize("jacobian", ["analytic", "finite_difference"])
-def test_newton_scalar_quadratic(jacobian):
+def test_newton_scalar_quadratic():
     norms = []
 
     def residual(x):
@@ -125,7 +124,7 @@ def test_newton_scalar_quadratic(jacobian):
         norms.append(float(np.max(np.abs(r))))
         return r
 
-    settings = NonlinearSolveSettings(tolerance=1e-12, jacobian=jacobian)
+    settings = NonlinearSolveSettings(tolerance=1e-12)
     x, iterations = newton_solve(
         residual,
         lambda x: np.diag(2.0 * x),
@@ -134,10 +133,7 @@ def test_newton_scalar_quadratic(jacobian):
     )
     assert abs(x[0] - 2.0) <= 1e-12
     assert iterations <= 6
-    if jacobian == "analytic":
-        # FD probing interleaves offset evaluations, so only the analytic
-        # path sees the accepted iterates alone
-        assert norms == sorted(norms, reverse=True)
+    assert norms == sorted(norms, reverse=True)
     assert norms[-1] <= 1e-12
 
 
@@ -199,7 +195,6 @@ def test_fixed_point_iteration_contracts():
         {"tolerance": -1e-3},
         {"max_iterations": 0},
         {"method": "secant"},
-        {"jacobian": "symbolic"},
     ],
 )
 def test_solver_settings_validation(kwargs):
