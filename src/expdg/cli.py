@@ -162,16 +162,16 @@ def build_problem(cfg: RunConfig):
         model = models.make_model(cfg.model, grid, cfg.gamma, cfg.alpha, cfg.rho, cfg.nu, cfg.theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.scheme_variant == "printed" and cfg.model == "nls":
+    variant = cfg.scheme_variant
+    if variant == "printed" and cfg.model == "nls":
         # scheme unchanged; the pairwise energy column switches to the
         # as-printed polarization
         pol = dataclasses.replace(model.polarized, evaluate=model.polarized.evaluate_printed)
         model = dataclasses.replace(model, polarized=pol)
+        variant = "canonical"
     u0 = models.initial_condition(cfg.model, grid)
     solver = NonlinearSolveSettings(tolerance=cfg.newton_tol, max_iterations=cfg.newton_max_iter)
-    spec = integrators.SchemeSpec(
-        kind=cfg.scheme, dt=cfg.dt, solver=solver, scheme_variant=cfg.scheme_variant
-    )
+    spec = integrators.SchemeSpec(kind=cfg.scheme, dt=cfg.dt, solver=solver, scheme_variant=variant)
     return model, u0, spec
 
 

@@ -52,6 +52,8 @@ class SchemeSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.scheme_variant not in ("canonical", "printed"):
             raise ValueError(f"unknown scheme_variant {self.scheme_variant!r}")
+        if self.scheme_variant == "printed" and SCHEMES[self.kind].kernel is not _midpoint:
+            raise ValueError(f"scheme_variant 'printed' is for the midpoint kinds, not {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def _implicit_step(model, u_n, dt, exps, gamma, spec, rule):
     """
     at = math.exp(exps.x0) * u_n
     back = math.exp(-exps.x1)
-    printed = rule is _MIDPOINT and spec.scheme_variant == "printed"
+    printed = spec.scheme_variant == "printed"  # midpoint kinds only
     if printed and model.printed_midpoint_field is None:
         raise UnsupportedModelError(
             f"model {model.name} has no as-printed midpoint nonlinearity"

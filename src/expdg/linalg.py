@@ -2,8 +2,11 @@
 
 The linear systems produced by the schemes are circulant stencils plus
 diagonal scalings, i.e. banded matrices with two wrap-around corner blocks.
-They are solved by a banded factorization of the core band plus a low-rank
-Woodbury correction for the corners; small systems just use a dense solve.
+Every size is solved the same way: a LAPACK banded factorization of the
+core band (the entries that do not wrap around) plus a low-rank Woodbury
+correction for the corners.  A dense LU is used only when the core band has
+a zero pivot, which a nonsingular periodic matrix (a cyclic shift, say) can
+have.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonConvergenceError, SingularMatrixError
-
-# below this size a dense solve is at least as fast as the banded path
-DENSE_CUTOFF = 512
 
 
 class PeriodicBandedMatrix:
@@ -55,12 +55,6 @@ class PeriodicBandedMatrix:
     def half_bandwidth(self) -> int:
         return max(abs(d) for d in self.diags) if self.diags else 0
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.result_type(self.dtype, x.dtype))
-        for d, vals in self.diags.items():
-            out += vals * np.roll(x, -d)
-        return out
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.size, self.size), dtype=self.dtype)
         idx = np.arange(self.size)
@@ -85,17 +79,15 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray, method: str = "auto") -> np.ndarray:
-    """Solve A x = rhs.  method: auto | dense | woodbury."""
+def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs: banded LU of the core band, Woodbury for the corners."""
     n = a.size
     rhs = np.asarray(rhs)
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
     b = a.half_bandwidth
-    if method == "dense" or (method == "auto" and (n <= DENSE_CUTOFF or n <= 4 * b + 2)):
-        return _solve_dense(a.to_dense(), rhs)
-    if method not in ("auto", "woodbury"):
-        raise ValueError(f"unknown method {method!r}")
+    if b >= n:
+        raise ValueError(f"half-bandwidth {b} must be below the size {n}")
 
     dtype = np.result_type(a.dtype, rhs.dtype)
     # core band: entries that do not wrap, in LAPACK banded storage
@@ -119,9 +111,14 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray, method: str 
 
     stacked = np.concatenate([rhs[:, None], u], axis=1)
     try:
-        sol = scipy.linalg.solve_banded((b, b), ab, stacked)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularMatrixError(str(exc)) from exc
+        # unchecked: non-finite entries end in SingularMatrixError below
+        sol = scipy.linalg.solve_banded(
+            (b, b), ab, stacked, overwrite_ab=True, overwrite_b=True, check_finite=False
+        )
+    except np.linalg.LinAlgError:
+        # zero pivot in the core band; the corners may still make A
+        # nonsingular, and a dense LU tells the two apart
+        return _solve_dense(a.to_dense(), rhs)
     y, z = sol[:, 0], sol[:, 1:]
     cap = np.eye(len(cols), dtype=dtype) + z[cols, :]
     t = _solve_dense(cap, y[cols])

@@ -55,13 +55,6 @@ class PeriodicStencilOperator:
     def bandwidth(self) -> int:
         return max(abs(d) for d, _ in self.stencil)
 
-    @property
-    def first_row(self) -> np.ndarray:
-        row = np.zeros(self.size)
-        for d, c in self.stencil:
-            row[d % self.size] += c
-        return row
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u)
         if u.shape != (self.size,):
@@ -72,7 +65,7 @@ class PeriodicStencilOperator:
         return out
 
     def dense(self) -> np.ndarray:
-        """Full matrix; for tests and small-n fallbacks only."""
+        """Full matrix; for verification only."""
         a = np.zeros((self.size, self.size))
         idx = np.arange(self.size)
         for d, c in self.stencil:

@@ -123,9 +123,10 @@ def test_build_problem_wraps_model_errors():
 
 def test_build_problem_printed_nls_swaps_polarization():
     canonical, _, _ = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
-    printed, _, _ = build_problem(
+    printed, _, spec = build_problem(
         resolve_config("nls-paper", {"M": 64, "scheme_variant": "printed"}, {})
     )
+    assert spec.scheme_variant == "canonical"  # the lie scheme itself is unchanged
     rng = np.random.default_rng(3)
     v, w = rng.standard_normal(128), rng.standard_normal(128)
     assert printed.polarized.evaluate(v, w) == canonical.polarized.evaluate_printed(v, w)

@@ -80,6 +80,11 @@ def test_exponents_unknown_kind():
         {"kind": "cimp", "dt": 0.0},
         {"kind": "cimp", "dt": -0.1},
         {"kind": "cimp", "dt": 0.01, "scheme_variant": "fancy"},
+        # only the midpoint kinds have an as-printed variant
+        *(
+            {"kind": kind, "dt": 0.01, "scheme_variant": "printed"}
+            for kind in ("eavf", "ek1", "ek2", "lie", "avf_plain", "kahan2_plain")
+        ),
     ],
 )
 def test_scheme_spec_validation(kwargs):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expdg.errors import NonConvergenceError, SingularMatrixError
 from expdg.linalg import (
-    DENSE_CUTOFF,
     NonlinearSolveSettings,
     PeriodicBandedMatrix,
     gauss_legendre_2,
@@ -14,17 +15,19 @@ from expdg.linalg import (
     solve_periodic_banded,
 )
 from expdg.models import make_model
-from expdg.spatial import build_grid, derivative_operator
+from expdg.spatial import build_grid
 
 
-def random_banded(rng, n, bandwidth):
+def random_banded(rng, n, bandwidth, dtype=float):
     """Diagonally dominant periodic banded matrix plus its dense twin."""
-    mat = PeriodicBandedMatrix(n)
+    mat = PeriodicBandedMatrix(n, dtype=dtype)
     dominance = np.full(n, 1.0)
     for offset in range(-bandwidth, bandwidth + 1):
         if offset == 0:
             continue
         values = rng.uniform(-1.0, 1.0, n)
+        if dtype is complex:
+            values = values + 1j * rng.uniform(-1.0, 1.0, n)
         mat.add_diagonal(offset, values)
         dominance += np.abs(values)
     mat.add_diagonal(0, dominance + rng.uniform(0.5, 1.5, n))
@@ -43,16 +46,6 @@ def test_scaled_identity():
     assert np.allclose(x, 0.25 * np.ones(6), rtol=1e-15)
 
 
-@pytest.mark.parametrize("method", ["auto", "dense", "woodbury"])
-def test_periodic_tridiagonal_matches_dense_oracle(method):
-    rng = np.random.default_rng(42)
-    mat, dense = random_banded(rng, 64, 1)
-    rhs = rng.standard_normal(64)
-    x = solve_periodic_banded(mat, rhs, method=method)
-    expected = np.linalg.solve(dense, rhs)
-    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
 def test_kahan_step_matrix_matches_dense_oracle():
     # the matrix a linearly implicit Burgers step actually assembles:
     # I/dt + advection-weighted first-difference stencil
@@ -68,37 +61,55 @@ def test_kahan_step_matrix_matches_dense_oracle():
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_random_systems_woodbury_matches_dense():
-    rng = np.random.default_rng(2024)
-    for _ in range(50):
-        n = int(rng.choice([16, 64, 256]))
-        bandwidth = int(rng.integers(1, 4))
-        mat, dense = random_banded(rng, n, bandwidth)
-        rhs = rng.standard_normal(n)
-        expected = np.linalg.solve(dense, rhs)
-        scale = np.max(np.abs(expected))
-        # these sizes all sit below the dense cutoff, so ask for the
-        # corner-corrected banded path explicitly
-        assert n <= DENSE_CUTOFF
-        x = solve_periodic_banded(mat, rhs, method="woodbury")
-        assert np.max(np.abs(x - expected)) <= 1e-11 * scale
-        x_dense = solve_periodic_banded(mat, rhs, method="dense")
-        assert np.max(np.abs(x_dense - expected)) <= 1e-11 * scale
-
-
-def test_auto_method_uses_banded_path_above_cutoff():
-    rng = np.random.default_rng(7)
-    n = DENSE_CUTOFF + 88
-    mat, dense = random_banded(rng, n, 1)
-    rhs = rng.standard_normal(n)
-    x = solve_periodic_banded(mat, rhs)
+@settings(max_examples=60, deadline=None)
+@given(
+    # small sizes (down to n < 2b, where the corner columns repeat) and
+    # sizes on both sides of 512, where the solver used to switch to dense LU
+    n=st.one_of(st.integers(4, 40), st.integers(480, 600)),
+    bandwidth=st.integers(1, 3),
+    dtype=st.sampled_from([float, complex]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_systems_woodbury_matches_dense(n, bandwidth, dtype, seed):
+    rng = np.random.default_rng(seed)
+    mat, dense = random_banded(rng, n, bandwidth, dtype)
+    rhs = rng.standard_normal(n).astype(dtype)
     expected = np.linalg.solve(dense, rhs)
+    x = solve_periodic_banded(mat, rhs)
+    assert x.dtype == np.result_type(dtype, float)
     assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         solve_periodic_banded(PeriodicBandedMatrix(8), np.ones(8))
+
+
+@pytest.mark.parametrize("n", [8, 600])
+def test_singular_core_band_still_solves(n):
+    # the cyclic shift A[i, (i+1) % n] = 1 is a permutation, but its core
+    # band (without the wrap-around corner) is strictly upper triangular
+    shift = PeriodicBandedMatrix(n)
+    shift.add_diagonal(1, np.ones(n))
+    rhs = np.arange(1.0, n + 1.0)
+    assert np.array_equal(solve_periodic_banded(shift, rhs), np.roll(rhs, 1))
+    with pytest.raises(SingularMatrixError):
+        solve_periodic_banded(PeriodicBandedMatrix(n), rhs)
+
+
+@pytest.mark.parametrize("n", [8, 600])
+def test_non_finite_entry_raises_singular(n):
+    mat = identity_matrix(n)
+    mat.add_diagonal(1, np.where(np.arange(n) == 3, np.nan, 0.0))
+    with pytest.raises(SingularMatrixError):
+        solve_periodic_banded(mat, np.ones(n))
+
+
+def test_bandwidth_must_be_below_size():
+    mat = PeriodicBandedMatrix(4)
+    mat.add_diagonal(0, np.ones(4)).add_diagonal(4, np.ones(4))
+    with pytest.raises(ValueError, match="half-bandwidth"):
+        solve_periodic_banded(mat, np.ones(4))
 
 
 def test_newton_linear_system_converges_in_one_iteration():
