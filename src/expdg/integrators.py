@@ -77,11 +77,6 @@ def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> Nonline
     return replace(settings, tolerance=settings.tolerance * scale)
 
 
-def _merge(mat: PeriodicBandedMatrix, other: PeriodicBandedMatrix, scale: float) -> None:
-    for d, vals in other.diags.items():
-        mat.add_diagonal(d, scale * vals)
-
-
 # quadrature rules (nodes, weights) on [0, 1] for the chord average of the
 # field: the midpoint is the one-node Gauss rule, AVF uses two nodes, which
 # is exact for the cubic fields of the models
@@ -122,10 +117,11 @@ def _implicit_step(model, u_n, dt, exps, gamma, spec, rule):
         mat = PeriodicBandedMatrix(model.dim)
         mat.add_diagonal(0, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
         if printed:
-            _merge(mat, model.printed_midpoint_jacobian(at, y), -dt)
+            mat.add_stencil(model.printed_midpoint_jacobian(at, y).diags.items(), -dt)
         else:
             for xi, w in zip(nodes, weights):
-                _merge(mat, model.jacobian_conservative(xi * y + (1.0 - xi) * at), -dt * w * xi)
+                jac = model.jacobian_conservative(xi * y + (1.0 - xi) * at)
+                mat.add_stencil(jac.diags.items(), -dt * w * xi)
         return mat
 
     solver = spec.solver
@@ -145,7 +141,7 @@ def _kahan1_step(model, u_n, dt, exps, gamma, spec=None):
     at = math.exp(exps.x0) * u_n
     back = math.exp(-exps.x1)
     mat = identity_matrix(model.dim, 1.0 / dt)
-    _merge(mat, model.quadratic_matrix(at), -1.0)
+    mat.add_stencil(model.quadratic_matrix(at).diags.items(), -1.0)
     if model.linear_stencil:
         mat.add_stencil(model.linear_stencil, scale=-0.5)
     rhs = at / dt
@@ -164,7 +160,7 @@ def _kahan2_step(model, u_n, u_np1, dt, exps, gamma, spec=None):
     bt = math.exp(exps.x1) * u_np1
     back = math.exp(-exps.x2)
     mat = identity_matrix(model.dim, 1.0 / (2.0 * dt))
-    _merge(mat, model.quadratic_matrix(bt), -0.5)
+    mat.add_stencil(model.quadratic_matrix(bt).diags.items(), -0.5)
     if model.linear_stencil:
         mat.add_stencil(model.linear_stencil, scale=-0.25)
     rhs = at / (2.0 * dt) + 0.5 * model.quadratic_bilinear(bt, at)

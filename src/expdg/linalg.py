@@ -2,21 +2,21 @@
 
 The linear systems produced by the schemes are circulant stencils plus
 diagonal scalings, i.e. banded matrices with two wrap-around corner blocks.
-Every size is solved the same way: a LAPACK banded factorization of the
-core band (the entries that do not wrap around) plus a low-rank Woodbury
-correction for the corners.  A dense LU is used only when the core band has
-a zero pivot, which a nonsingular periodic matrix (a cyclic shift, say) can
-have.
+Every size is solved the same way: renumbered in fold order, the matrix is an
+ordinary band matrix of twice the half-bandwidth, and one pivoted LAPACK band
+LU solves it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NonConvergenceError, SingularMatrixError
+from .spatial import shifted
 
 
 class PeriodicBandedMatrix:
@@ -31,24 +31,20 @@ class PeriodicBandedMatrix:
         self.dtype = np.dtype(dtype)
         self.diags: dict[int, np.ndarray] = {}
 
-    def _row(self, offset: int) -> np.ndarray:
-        if offset not in self.diags:
-            self.diags[offset] = np.zeros(self.size, dtype=self.dtype)
-        return self.diags[offset]
-
     def add_diagonal(self, offset: int, values) -> "PeriodicBandedMatrix":
-        self._row(offset)
-        self.diags[offset] = self.diags[offset] + np.asarray(values)
+        row = self.diags[offset] if offset in self.diags else np.zeros(self.size, self.dtype)
+        self.diags[offset] = row + np.asarray(values)
+        self.dtype = np.result_type(self.dtype, self.diags[offset])
         return self
 
     def add_stencil(self, stencil, scale=1.0, col_weights=None) -> "PeriodicBandedMatrix":
-        """Add scale * C or scale * C @ diag(col_weights) for stencil C."""
+        """Add scale * C or scale * C @ diag(col_weights); C's coefficients may be rows."""
         for d, c in stencil:
             if col_weights is None:
                 self.add_diagonal(d, scale * c)
             else:
                 # entry A[i, j] = scale * c * col_weights[j] with j = (i+d) % n
-                self.add_diagonal(d, scale * c * np.roll(col_weights, -d))
+                self.add_diagonal(d, scale * c * shifted(col_weights, d))
         return self
 
     @property
@@ -79,8 +75,34 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=16)
+def _fold_position(n: int) -> np.ndarray:
+    """Position of each unknown in the fold order 0, n-1, 1, n-2, ..."""
+    i = np.arange(n)
+    return np.minimum(2 * i, 2 * n - 1 - 2 * i)
+
+
+@functools.lru_cache(maxsize=256)
+def _band_index(n: int, w: int, offset: int) -> np.ndarray:
+    """Flat index of A[i, (i+offset) % n], i = 0..n-1, in folded gbsv storage.
+
+    gbsv keeps entry (r, c) of a matrix with w sub- and superdiagonals at
+    row 2w + r - c, column c of a (3w + 1, n) array.
+    """
+    position = _fold_position(n)
+    cols = position[(np.arange(n) + offset) % n]
+    index = (2 * w + position - cols) * n + cols
+    index.flags.writeable = False
+    return index
+
+
 def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs: banded LU of the core band, Woodbury for the corners."""
+    """Solve A x = rhs with one pivoted band LU of A in fold order.
+
+    Numbering the unknowns 0, n-1, 1, n-2, ... puts every entry within
+    circular distance b of the diagonal within 2b of it, so the periodic
+    matrix becomes an ordinary band matrix without wrap-around corners.
+    """
     n = a.size
     rhs = np.asarray(rhs)
     if rhs.shape != (n,):
@@ -89,43 +111,20 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarra
     if b >= n:
         raise ValueError(f"half-bandwidth {b} must be below the size {n}")
 
-    dtype = np.result_type(a.dtype, rhs.dtype)
-    # core band: entries that do not wrap, in LAPACK banded storage
-    ab = np.zeros((2 * b + 1, n), dtype=dtype)
+    w = min(2 * b, n - 1)
+    ab = np.zeros((3 * w + 1, n), dtype=np.result_type(a.dtype, rhs.dtype, float))
+    flat = ab.reshape(-1)
     for d, vals in a.diags.items():
-        lo = max(0, -d)
-        hi = n - max(0, d)
-        ab[b - d, lo + d : hi + d] = vals[lo:hi]
-
-    # wrap-around entries as a rank-2b correction U e_cols^T
-    cols = list(range(b)) + list(range(n - b, n))
-    col_pos = {j: m for m, j in enumerate(cols)}
-    u = np.zeros((n, len(cols)), dtype=dtype)
-    for d, vals in a.diags.items():
-        if d > 0:
-            for i in range(n - d, n):
-                u[i, col_pos[i + d - n]] += vals[i]
-        elif d < 0:
-            for i in range(0, -d):
-                u[i, col_pos[i + d + n]] += vals[i]
-
-    stacked = np.concatenate([rhs[:, None], u], axis=1)
-    try:
-        # unchecked: non-finite entries end in SingularMatrixError below
-        sol = scipy.linalg.solve_banded(
-            (b, b), ab, stacked, overwrite_ab=True, overwrite_b=True, check_finite=False
-        )
-    except np.linalg.LinAlgError:
-        # zero pivot in the core band; the corners may still make A
-        # nonsingular, and a dense LU tells the two apart
-        return _solve_dense(a.to_dense(), rhs)
-    y, z = sol[:, 0], sol[:, 1:]
-    cap = np.eye(len(cols), dtype=dtype) + z[cols, :]
-    t = _solve_dense(cap, y[cols])
-    x = y - z @ t
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("non-finite solution from banded factorization")
-    return x
+        # += so that offsets equal modulo n (possible when 2b >= n) add up
+        flat[_band_index(n, w, d)] += vals
+    position = _fold_position(n)
+    rhs_folded = np.empty(n, dtype=ab.dtype)
+    rhs_folded[position] = rhs
+    gbsv = scipy.linalg.get_lapack_funcs("gbsv", (ab, rhs_folded))
+    _, _, y, info = gbsv(w, w, ab, rhs_folded, overwrite_ab=True, overwrite_b=True)
+    if info > 0 or not np.all(np.isfinite(y)):
+        raise SingularMatrixError(f"zero pivot or non-finite solution in the band LU (info {info})")
+    return y[position]
 
 
 @dataclass(frozen=True)

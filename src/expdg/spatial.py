@@ -51,18 +51,11 @@ class PeriodicStencilOperator:
     size: int
     stencil: tuple  # ((offset, coefficient), ...), offsets distinct
 
-    @property
-    def bandwidth(self) -> int:
-        return max(abs(d) for d, _ in self.stencil)
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u)
         if u.shape != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {u.shape}")
-        out = np.zeros_like(u)
-        for d, c in self.stencil:
-            out += c * np.roll(u, -d)
-        return out
+        return _stencil_sum(self.stencil, u)
 
     def dense(self) -> np.ndarray:
         """Full matrix; for verification only."""
@@ -75,9 +68,21 @@ class PeriodicStencilOperator:
 
 def apply_stencil(stencil, u: np.ndarray) -> np.ndarray:
     """Apply a raw (offset, coefficient) stencil tuple circulantly."""
-    out = np.zeros_like(np.asarray(u))
+    return _stencil_sum(stencil, np.asarray(u))
+
+
+def shifted(u: np.ndarray, offset: int) -> np.ndarray:
+    """The vector u[(i + offset) % n], i = 0..n-1, joined from two slices."""
+    offset %= u.shape[0]
+    return np.concatenate((u[offset:], u[:offset]))
+
+
+def _stencil_sum(stencil, u: np.ndarray) -> np.ndarray:
+    # the one loop behind apply and apply_stencil, so that a wrapper around
+    # either of them sees only the calls made to it
+    out = np.zeros(u.shape, dtype=np.result_type(u, *(c for _, c in stencil)))
     for d, c in stencil:
-        out = out + c * np.roll(u, -d)
+        out += c * shifted(u, d)
     return out
 
 

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from expdg import integrators, linalg
+from expdg.cli import build_problem, resolve_config
 from expdg.errors import NonConvergenceError, SingularMatrixError
 from expdg.linalg import (
     NonlinearSolveSettings,
@@ -34,6 +37,15 @@ def random_banded(rng, n, bandwidth, dtype=float):
     return mat, mat.to_dense()
 
 
+def without_dense():
+    """Context in which PeriodicBandedMatrix.to_dense raises: the solve must not use it."""
+
+    def refuse(self):
+        raise AssertionError("solve_periodic_banded built the dense matrix")
+
+    return mock.patch.object(PeriodicBandedMatrix, "to_dense", refuse)
+
+
 def test_identity_solve_returns_rhs():
     rhs = np.arange(1.0, 9.0)
     x = solve_periodic_banded(identity_matrix(8), rhs)
@@ -61,11 +73,15 @@ def test_kahan_step_matrix_matches_dense_oracle():
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+# small sizes (down to n < 2b, where two offsets can name the same entry and
+# the folded band is the whole matrix) and sizes on both sides of 512, where
+# the solver used to switch to dense LU
+SIZES = st.one_of(st.integers(4, 40), st.integers(480, 600))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    # small sizes (down to n < 2b, where the corner columns repeat) and
-    # sizes on both sides of 512, where the solver used to switch to dense LU
-    n=st.one_of(st.integers(4, 40), st.integers(480, 600)),
+    n=SIZES,
     bandwidth=st.integers(1, 3),
     dtype=st.sampled_from([float, complex]),
     seed=st.integers(0, 2**32 - 1),
@@ -80,6 +96,73 @@ def test_random_systems_woodbury_matches_dense(n, bandwidth, dtype, seed):
     assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=SIZES,
+    bandwidth=st.integers(1, 3),
+    dtype=st.sampled_from([float, complex]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pivoting_solves_systems_without_diagonal_dominance(n, bandwidth, dtype, seed):
+    # entries of one size on every diagonal, so the LU must pivot to stay stable
+    rng = np.random.default_rng(seed)
+    mat = PeriodicBandedMatrix(n, dtype=dtype)
+    for offset in range(-bandwidth, bandwidth + 1):
+        values = rng.standard_normal(n)
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal(n)
+        mat.add_diagonal(offset, values)
+    dense = mat.to_dense()
+    singular_values = np.linalg.svd(dense, compute_uv=False)
+    assume(singular_values[0] < 1e8 * singular_values[-1])
+    rhs = rng.standard_normal(n).astype(dtype)
+    with without_dense():
+        x = solve_periodic_banded(mat, rhs)
+    backward = np.linalg.norm(dense @ x - rhs)
+    assert backward <= 1e-12 * singular_values[0] * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize(
+    "preset, kind, size, bandwidth, dtype",
+    [
+        ("nls-paper", "cimp", 2048, 3, np.float64),  # Newton Jacobian
+        ("nls-paper", "lie", 1024, 1, np.complex128),
+        ("kdv-paper", "lie", 248, 2, np.float64),
+    ],
+)
+def test_preset_systems_match_dense_oracle(preset, kind, size, bandwidth, dtype):
+    # the last system the first two steps of a full-size preset march solve
+    systems = []
+
+    def record(mat, rhs):
+        systems.append((mat, rhs))
+        return solve_periodic_banded(mat, rhs)
+
+    cfg = resolve_config(preset, {}, {"scheme": kind})
+    model, u0, spec = build_problem(cfg)
+    with mock.patch.object(linalg, "solve_periodic_banded", record), mock.patch.object(
+        integrators, "solve_periodic_banded", record
+    ):
+        integrators.integrate(model, spec, u0, 2 * cfg.dt)
+    mat, rhs = systems[-1]
+    assert (mat.size, mat.half_bandwidth, mat.dtype) == (size, bandwidth, dtype)
+    expected = np.linalg.solve(mat.to_dense(), rhs)
+    with without_dense():
+        x = solve_periodic_banded(mat, rhs)
+    assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def test_complex_entries_promote_a_real_matrix():
+    mat = identity_matrix(8)
+    mat.add_diagonal(1, np.full(8, 0.5j))
+    assert mat.dtype == np.complex128
+    rhs = np.ones(8)
+    expected = np.linalg.solve(mat.to_dense(), rhs)
+    assert np.allclose(expected, 0.8 - 0.4j, rtol=0, atol=1e-15)
+    x = solve_periodic_banded(mat, rhs)
+    assert np.max(np.abs(x - expected)) <= 1e-15
+
+
 def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         solve_periodic_banded(PeriodicBandedMatrix(8), np.ones(8))
@@ -88,7 +171,8 @@ def test_singular_matrix_raises():
 @pytest.mark.parametrize("n", [8, 600])
 def test_singular_core_band_still_solves(n):
     # the cyclic shift A[i, (i+1) % n] = 1 is a permutation, but its core
-    # band (without the wrap-around corner) is strictly upper triangular
+    # band (without the wrap-around corner) is strictly upper triangular, so
+    # an LU without pivoting breaks down on it
     shift = PeriodicBandedMatrix(n)
     shift.add_diagonal(1, np.ones(n))
     rhs = np.arange(1.0, n + 1.0)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expdg.linalg import PeriodicBandedMatrix
 from expdg.spatial import (
+    PeriodicStencilOperator,
     apply_stencil,
     build_grid,
     derivative_operator,
@@ -168,6 +172,55 @@ def test_apply_stencil_free_function():
     d1 = derivative_operator(g, 1)
     u = np.cos(g.nodes)
     assert np.array_equal(apply_stencil(d1.stencil, u), d1.apply(u))
+
+
+def test_apply_on_integer_input_matches_apply_stencil():
+    d2 = derivative_operator(build_grid(1.0, 8), 2)
+    u = np.arange(8)
+    expected = apply_stencil(d2.stencil, u)
+    assert expected.dtype == np.float64
+    out = d2.apply(u)
+    assert out.dtype == expected.dtype
+    assert np.array_equal(out, expected)
+
+
+def roll_sum(stencil, u):
+    """Reference apply: sum_d c_d u[(i+d) % n], spelled with np.roll."""
+    out = np.zeros_like(u)
+    for d, c in stencil:
+        out = out + c * np.roll(u, -d)
+    return out
+
+
+@st.composite
+def stencils_and_vectors(draw):
+    n = draw(st.integers(3, 64))
+    reach = (n - 1) // 2  # |d| < n/2
+    offsets = draw(st.lists(st.integers(-reach, reach), min_size=1, max_size=5, unique=True))
+    coefficients = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    stencil = tuple((d, draw(coefficients)) for d in offsets)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(n)
+    if draw(st.booleans()):
+        u = u + 1j * rng.standard_normal(n)
+    return stencil, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stencils_and_vectors(), scale=st.floats(-10.0, 10.0))
+def test_stencil_slicing_is_bitwise_equal_to_roll(case, scale):
+    stencil, u = case
+    n = u.size
+    expected = roll_sum(stencil, u)
+    op = PeriodicStencilOperator(order=1, size=n, stencil=stencil)
+    for out in (op.apply(u), apply_stencil(stencil, u)):
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+    mat = PeriodicBandedMatrix(n).add_stencil(stencil, scale=scale, col_weights=u)
+    for d, c in stencil:
+        row = np.zeros(n) + scale * c * np.roll(u, -d)
+        assert mat.diags[d].dtype == row.dtype
+        assert mat.diags[d].tobytes() == row.tobytes()
 
 
 def test_derivative_operator_rejects_bad_order_and_tiny_grid():
