@@ -233,9 +233,11 @@ def write_run_csv(handle, model, record) -> None:
 
 
 def _realized_horizon(cfg: RunConfig):
-    """Nearest multiple of dt to the requested horizon."""
-    n = max(int(round(cfg.T / cfg.dt)), 1)
-    return n, n * cfg.dt
+    """Steps, horizon and exactness of the nearest nonzero multiple of dt to T."""
+    n, exact = integrators.step_count(cfg.T, cfg.dt)
+    if n == 0:
+        return 1, cfg.dt, False
+    return n, n * cfg.dt, exact
 
 
 def _config_file_values(args) -> dict:
@@ -251,12 +253,12 @@ def _config_file_values(args) -> dict:
 def cmd_run(args) -> int:
     cfg = resolve_config(args.preset, _config_file_values(args), _flag_values(args))
     model, u0, spec = build_problem(cfg)
-    n_steps, realized = _realized_horizon(cfg)
+    n_steps, realized, exact = _realized_horizon(cfg)
     print(f"model={cfg.model} scheme={cfg.scheme} dt={cfg.dt!r} n_steps={n_steps}", file=sys.stderr)
-    if abs(realized - cfg.T) > 1e-9 * cfg.T:
-        print(f"realized_T={realized!r} (requested T={cfg.T!r})", file=sys.stderr)
-    else:
+    if exact:
         print(f"realized_T={realized!r}", file=sys.stderr)
+    else:
+        print(f"realized_T={realized!r} (requested T={cfg.T!r})", file=sys.stderr)
     record = integrators.integrate(
         model, spec, u0, realized, record_every=cfg.record_every
     )

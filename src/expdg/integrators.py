@@ -26,15 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
-from .linalg import (
-    NonlinearSolveSettings,
-    PeriodicBandedMatrix,
-    gauss_legendre_2,
-    identity_matrix,
-    newton_solve,
-    solve_periodic_banded,
-)
-from .spatial import apply_stencil
+from .linalg import NonlinearSolveSettings, gauss_legendre_2, newton_solve, solve_periodic_banded
+from .spatial import diagonal
 from .system import ConformalModel
 
 
@@ -114,19 +107,15 @@ def _implicit_step(model, u_n, dt, exps, gamma, spec, rule):
 
     def jacobian(y_packed):
         y = model.unpack(y_packed)
-        mat = PeriodicBandedMatrix(model.dim)
-        mat.add_diagonal(0, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
+        mat = diagonal(model.dim, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
         if printed:
-            mat.add_stencil(model.printed_midpoint_jacobian(at, y).diags.items(), -dt)
-        else:
-            for xi, w in zip(nodes, weights):
-                jac = model.jacobian_conservative(xi * y + (1.0 - xi) * at)
-                mat.add_stencil(jac.diags.items(), -dt * w * xi)
+            return mat + (-dt) * model.printed_midpoint_jacobian(at, y)
+        for xi, w in zip(nodes, weights):
+            mat = mat + (-dt * w * xi) * model.jacobian_conservative(xi * y + (1.0 - xi) * at)
         return mat
 
-    solver = spec.solver
-    y, iters = newton_solve(residual, jacobian, at_packed, _scaled_solver(solver, at))
-    return StepResult(back * model.unpack(y), iters, iters if solver.method == "newton" else 0)
+    y, iters = newton_solve(residual, jacobian, at_packed, _scaled_solver(spec.solver, at))
+    return StepResult(back * model.unpack(y), iters, iters)
 
 
 def _require_bilinear(model):
@@ -140,15 +129,13 @@ def _kahan1_step(model, u_n, dt, exps, gamma, spec=None):
     _require_bilinear(model)
     at = math.exp(exps.x0) * u_n
     back = math.exp(-exps.x1)
-    mat = identity_matrix(model.dim, 1.0 / dt)
-    mat.add_stencil(model.quadratic_matrix(at).diags.items(), -1.0)
-    if model.linear_stencil:
-        mat.add_stencil(model.linear_stencil, scale=-0.5)
+    mat = diagonal(model.dim, 1.0 / dt + gamma / 2.0) + (-1.0) * model.quadratic_matrix(at)
     rhs = at / dt
-    if model.linear_stencil:
-        rhs = rhs + 0.5 * apply_stencil(model.linear_stencil, at)
+    linear = model.linear_operator
+    if linear is not None:
+        mat = mat + (-0.5) * linear
+        rhs = rhs + 0.5 * linear.apply(at)
     if gamma:
-        mat.add_diagonal(0, gamma / 2.0)
         rhs = rhs - gamma / 2.0 * at
     bt = solve_periodic_banded(mat, rhs)
     return StepResult(back * bt, 0, 1)
@@ -159,15 +146,13 @@ def _kahan2_step(model, u_n, u_np1, dt, exps, gamma, spec=None):
     at = math.exp(exps.x0) * u_n
     bt = math.exp(exps.x1) * u_np1
     back = math.exp(-exps.x2)
-    mat = identity_matrix(model.dim, 1.0 / (2.0 * dt))
-    mat.add_stencil(model.quadratic_matrix(bt).diags.items(), -0.5)
-    if model.linear_stencil:
-        mat.add_stencil(model.linear_stencil, scale=-0.25)
+    mat = diagonal(model.dim, 1.0 / (2.0 * dt) + gamma / 4.0) + (-0.5) * model.quadratic_matrix(bt)
     rhs = at / (2.0 * dt) + 0.5 * model.quadratic_bilinear(bt, at)
-    if model.linear_stencil:
-        rhs = rhs + 0.25 * apply_stencil(model.linear_stencil, at + 2.0 * bt)
+    linear = model.linear_operator
+    if linear is not None:
+        mat = mat + (-0.25) * linear
+        rhs = rhs + 0.25 * linear.apply(at + 2.0 * bt)
     if gamma:
-        mat.add_diagonal(0, gamma / 4.0)
         rhs = rhs - gamma / 4.0 * (at + 2.0 * bt)
     ct = solve_periodic_banded(mat, rhs)
     return StepResult(back * ct, 0, 1)
@@ -252,6 +237,12 @@ def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
     return companion.advance(model, replace(spec, solver=solver, scheme_variant="canonical"), (u0,))
 
 
+def step_count(T: float, dt: float) -> tuple[int, bool]:
+    """The number n of steps dt nearest to the horizon T, and whether n*dt is T to 1e-9 relative."""
+    n = int(round(T / dt))
+    return n, abs(n * dt - T) <= 1e-9 * max(abs(T), dt)
+
+
 def integrate(
     model: ConformalModel,
     spec: SchemeSpec,
@@ -271,8 +262,8 @@ def integrate(
     from .diagnostics import RunRecord  # deferred: diagnostics imports this module
 
     dt = spec.dt
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(abs(T), dt):
+    n_steps, exact = step_count(T, dt)
+    if not exact:
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")

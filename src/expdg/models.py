@@ -14,8 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import PeriodicBandedMatrix, identity_matrix
-from .spatial import Grid, apply_stencil, build_grid, derivative_operator, quadrature
+from .spatial import (
+    Grid,
+    PeriodicBandedMatrix,
+    build_grid,
+    derivative_operator,
+    diagonal,
+    quadrature,
+)
 from .system import (
     ConformalModel,
     Invariant,
@@ -74,6 +80,7 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     grid = p.grid
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
+    neg_d1, half_neg_d1, sixth_d1 = -1.0 * d1, -0.5 * d1, (1.0 / 6.0) * d1
     ghat = 2.0 * p.gamma
 
     def conservative_field(u):
@@ -86,17 +93,13 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
         return -d1.apply(w) / dx
 
     def jacobian_conservative(u):
-        mat = PeriodicBandedMatrix(m)
-        mat.add_stencil(d1.stencil, scale=-1.0, col_weights=u)
-        return mat
+        return neg_d1 @ diagonal(m, u)
 
     def quadratic_bilinear(x, y):
         return -0.5 * d1.apply(x * y)
 
     def quadratic_matrix(x):
-        mat = PeriodicBandedMatrix(m)
-        mat.add_stencil(d1.stencil, scale=-0.5, col_weights=x)
-        return mat
+        return half_neg_d1 @ diagonal(m, x)
 
     nodal3 = polarize_monomial(3)
 
@@ -109,8 +112,7 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     def lie_builder(u_n, u_np1, dt, exps):
         at = math.exp(exps.x0) * u_n
         bt = math.exp(exps.x1) * u_np1
-        mat = identity_matrix(m, 1.0 / (2.0 * dt))
-        mat.add_stencil(d1.stencil, scale=1.0 / 6.0, col_weights=bt)
+        mat = diagonal(m, 1.0 / (2.0 * dt)) + sixth_d1 @ diagonal(m, bt)
         rhs = at / (2.0 * dt) - d1.apply(bt * (at + bt)) / 6.0
         back = math.exp(-exps.x2)
         return mat, rhs, lambda c: back * c
@@ -118,11 +120,6 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     def printed_midpoint_field(a, b):
         # the as-printed average: mean of squares instead of squared mean
         return -0.25 * d1.apply(a * a + b * b)
-
-    def printed_midpoint_jacobian(a, b):
-        mat = PeriodicBandedMatrix(m)
-        mat.add_stencil(d1.stencil, scale=-0.5, col_weights=b)
-        return mat
 
     invariants = (
         Invariant("mass", lambda u: quadrature(grid, u), exact_rate=ghat, degree=1),
@@ -143,21 +140,12 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
         invariants=invariants,
         quadratic_bilinear=quadratic_bilinear,
         quadratic_matrix=quadratic_matrix,
-        linear_stencil=(),
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg),
         polarized_degree=3,
         lie_system_builder=lie_builder,
         printed_midpoint_field=printed_midpoint_field,
-        printed_midpoint_jacobian=printed_midpoint_jacobian,
+        printed_midpoint_jacobian=lambda a, b: quadratic_matrix(b),
     )
-
-
-def _merge_stencils(parts):
-    acc = {}
-    for scale, stencil in parts:
-        for d, c in stencil:
-            acc[d] = acc.get(d, 0.0) + scale * c
-    return tuple(sorted(acc.items()))
 
 
 def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
@@ -174,10 +162,14 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
     d3 = derivative_operator(grid, 3)
     alpha, rho, nu = p.alpha, p.rho, p.nu
     ghat = 2.0 * p.gamma
-    lin_stencil = _merge_stencils([(rho, d1.stencil), (nu, d3.stencil)])
+    linear = rho * d1 + nu * d3
+    alpha_d1, two_alpha_d1 = alpha * d1, (2.0 * alpha) * d1
+    # the constant stencils of the lie system
+    lie_d1 = (-alpha / 3.0) * d1
+    lie_linear_d1, lie_d3 = (-rho * theta / 2.0) * d1, (-nu * theta / 2.0) * d3
 
     def conservative_field(u):
-        return alpha * d1.apply(u * u) + apply_stencil(lin_stencil, u)
+        return alpha * d1.apply(u * u) + linear.apply(u)
 
     def grad_h(u):
         return dx * (alpha * u * u + rho * u + nu * d2.apply(u))
@@ -192,18 +184,13 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
         return dx * (cubic + quad + deriv)
 
     def jacobian_conservative(u):
-        mat = PeriodicBandedMatrix(m)
-        mat.add_stencil(d1.stencil, scale=2.0 * alpha, col_weights=u)
-        mat.add_stencil(lin_stencil)
-        return mat
+        return two_alpha_d1 @ diagonal(m, u) + linear
 
     def quadratic_bilinear(x, y):
         return alpha * d1.apply(x * y)
 
     def quadratic_matrix(x):
-        mat = PeriodicBandedMatrix(m)
-        mat.add_stencil(d1.stencil, scale=alpha, col_weights=x)
-        return mat
+        return alpha_d1 @ diagonal(m, x)
 
     nodal3 = polarize_monomial(3)
     nodal2 = polarize_monomial(2, theta)
@@ -221,10 +208,7 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
     def lie_builder(u_n, u_np1, dt, exps):
         at = math.exp(exps.x0) * u_n
         bt = math.exp(exps.x1) * u_np1
-        mat = identity_matrix(m, 1.0 / (2.0 * dt))
-        mat.add_stencil(d1.stencil, scale=-alpha / 3.0, col_weights=bt)
-        mat.add_stencil(d1.stencil, scale=-rho * theta / 2.0)
-        mat.add_stencil(d3.stencil, scale=-nu * theta / 2.0)
+        mat = diagonal(m, 1.0 / (2.0 * dt)) + lie_d1 @ diagonal(m, bt) + lie_linear_d1 + lie_d3
         rhs = (
             at / (2.0 * dt)
             + alpha / 3.0 * d1.apply(bt * (at + bt))
@@ -254,7 +238,7 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
         invariants=invariants,
         quadratic_bilinear=quadratic_bilinear,
         quadratic_matrix=quadratic_matrix,
-        linear_stencil=lin_stencil,
+        linear_operator=linear,
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg, theta=theta),
         polarized_degree=None,
         lie_system_builder=lie_builder,
@@ -273,6 +257,7 @@ def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
     d2 = derivative_operator(grid, 2)
+    lie_d2 = -0.5j * d2
     alpha = p.alpha
     ghat = 0.5 * p.gamma
     dim = 2 * m
@@ -307,31 +292,25 @@ def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
     unpack_order = np.argsort(pack_order)
 
     inv_dx2 = 1.0 / dx**2
+    # Jacobian rows at offsets -3, -1, 0, 1, 3 in interleaved ordering (even
+    # = du/dt equation, odd = dv/dt equation); the D2 entries are constant
+    jac_offsets = (-3, -1, 0, 1, 3)
+    jac_constant = np.zeros((5, dim))
+    jac_constant[0, 1::2] = inv_dx2
+    jac_constant[1, 0::2] = -inv_dx2
+    jac_constant[3, 1::2] = inv_dx2
+    jac_constant[4, 0::2] = -inv_dx2
 
     def jacobian_conservative(x):
-        # interleaved rows: even = du/dt equation, odd = dv/dt equation
         u, v = split(x)
         mod = u * u + v * v
-        mat = PeriodicBandedMatrix(dim)
-        diag = np.empty(dim)
-        diag[0::2] = -2.0 * alpha * u * v
-        diag[1::2] = 2.0 * alpha * u * v
-        mat.add_diagonal(0, diag)
-        up1 = np.empty(dim)
-        up1[0::2] = 2.0 * inv_dx2 - alpha * (mod + 2.0 * v * v)
-        up1[1::2] = inv_dx2
-        mat.add_diagonal(1, up1)
-        dn1 = np.empty(dim)
-        dn1[0::2] = -inv_dx2
-        dn1[1::2] = -2.0 * inv_dx2 + alpha * (mod + 2.0 * u * u)
-        mat.add_diagonal(-1, dn1)
-        up3 = np.zeros(dim)
-        up3[0::2] = -inv_dx2
-        mat.add_diagonal(3, up3)
-        dn3 = np.zeros(dim)
-        dn3[1::2] = inv_dx2
-        mat.add_diagonal(-3, dn3)
-        return mat
+        rows = jac_constant.copy()
+        two_auv = 2.0 * alpha * u * v
+        rows[2, 0::2] = -two_auv
+        rows[2, 1::2] = two_auv
+        rows[3, 0::2] = 2.0 * inv_dx2 - alpha * (mod + 2.0 * v * v)
+        rows[1, 1::2] = -2.0 * inv_dx2 + alpha * (mod + 2.0 * u * u)
+        return PeriodicBandedMatrix(dim, jac_offsets, rows)
 
     form = polarize_quadratic_form(
         lambda z: dx * np.concatenate([d2.apply(z[:m]), d2.apply(z[m:])]), theta
@@ -365,9 +344,7 @@ def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
         ub, vb = e1 * u_np1[:m], e1 * u_np1[m:]
         mod_b = ub * ub + vb * vb
         za = ua + 1j * va
-        mat = PeriodicBandedMatrix(m, dtype=complex)
-        mat.add_diagonal(0, 1.0 / (2.0 * dt) - 0.5j * alpha * mod_b)
-        mat.add_stencil(d2.stencil, scale=-0.5j)
+        mat = diagonal(m, 1.0 / (2.0 * dt) - 0.5j * alpha * mod_b) + lie_d2
         rhs = za / (2.0 * dt) + 1j * (0.5 * d2.apply(za) + 0.5 * alpha * mod_b * za)
         back = math.exp(-exps.x2)
 
@@ -419,7 +396,7 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
 
     def lie_builder(u_n, u_np1, dt, exps):
         at = math.exp(exps.x0) * u_n
-        mat = identity_matrix(dim, 1.0 / (2.0 * dt))
+        mat = diagonal(dim, 1.0 / (2.0 * dt))
         back = math.exp(-exps.x2)
         return mat, at / (2.0 * dt), lambda c: back * c
 
@@ -439,7 +416,6 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
         invariants=(),
         quadratic_bilinear=lambda x, y: np.zeros_like(x),
         quadratic_matrix=lambda x: PeriodicBandedMatrix(dim),
-        linear_stencil=(),
         polarized=None,
         polarized_degree=None,
         lie_system_builder=lie_builder,

@@ -1,13 +1,18 @@
-"""Uniform periodic grids, circulant difference operators, discrete quadrature.
+"""Uniform periodic grids, the periodic banded operator type, discrete quadrature.
 
 The mesh is the set of M equispaced nodes on [-L, L) with the right endpoint
-identified with the left one.  Difference operators are circulant and stored
-as stencils (offset -> coefficient); a dense materialization exists only for
-verification on small problems.
+identified with the left one.  Every linear operator in the package is one
+`PeriodicBandedMatrix`: a list of offsets with one coefficient each, a scalar
+(a circulant stencil such as a difference operator) or a row of n entries (a
+variable-coefficient matrix such as a Kahan system or a Newton Jacobian).  It
+applies by one gather of shifted copies of the vector, combines by row
+arithmetic (scale, sum, product), and `linalg.solve_periodic_banded` writes
+its rows straight into band storage.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,71 +48,131 @@ def quadrature(grid: Grid, values: np.ndarray) -> float:
     return grid.spacing * float(np.sum(values))
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicStencilOperator:
-    """Circulant operator acting by (A u)_i = sum_d c_d u_{(i+d) mod M}."""
+@functools.lru_cache(maxsize=256)
+def shift_index(n: int, offsets: tuple) -> np.ndarray:
+    """index[k, i] = (i + offsets[k]) % n: row k of u[index] is u shifted by offsets[k]."""
+    index = (np.arange(n) + np.array(offsets, dtype=np.intp)[:, None]) % n
+    index.flags.writeable = False
+    return index
 
-    order: int
-    size: int
-    stencil: tuple  # ((offset, coefficient), ...), offsets distinct
+
+@functools.lru_cache(maxsize=256)
+def _union(a: tuple, b: tuple) -> tuple:
+    """The sorted union of two offset tuples, and where the offsets of each sit in it."""
+    union = tuple(sorted(set(a).union(b)))
+    return union, tuple(map(union.index, a)), tuple(map(union.index, b))
+
+
+class PeriodicBandedMatrix:
+    """Square matrix with A[i, (i + d_k) % n] = c_k[i]: (A u)_i = sum_k c_k[i] u_{(i+d_k) % n}.
+
+    `offsets` are the integers d_k. Two that name the same entry (equal, or
+    equal modulo n on sizes below twice the half-bandwidth) add up.
+    `coeffs` holds one coefficient per offset, either a (k,) array of
+    scalars (a circulant stencil) or a (k, n) array of rows read along the
+    matrix rows.
+    """
+
+    __slots__ = ("size", "offsets", "coeffs")
+
+    def __init__(self, size: int, offsets=(), coeffs=()):
+        self.size = size
+        self.offsets = tuple(offsets)
+        self.coeffs = np.asarray(coeffs)
+        if self.coeffs.shape not in ((len(self.offsets),), (len(self.offsets), size)):
+            raise ValueError(
+                f"{len(self.offsets)} offsets need coefficients of shape ({len(self.offsets)},) "
+                f"or ({len(self.offsets)}, {size}), got {self.coeffs.shape}"
+            )
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.coeffs.dtype
+
+    @property
+    def half_bandwidth(self) -> int:
+        return max(map(abs, self.offsets), default=0)
+
+    @property
+    def coeff_rows(self) -> np.ndarray:
+        """The coefficients shaped to broadcast against a (k, n) array."""
+        return self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u)
         if u.shape != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {u.shape}")
-        return _stencil_sum(self.stencil, u)
+        terms = self.coeff_rows * u[shift_index(self.size, self.offsets)]
+        # summed from zero in offset order: the arithmetic of a loop over the offsets
+        return np.add.reduce(terms, axis=0, initial=0)
 
-    def dense(self) -> np.ndarray:
-        """Full matrix; for verification only."""
-        a = np.zeros((self.size, self.size))
-        idx = np.arange(self.size)
-        for d, c in self.stencil:
-            a[idx, (idx + d) % self.size] += c
+    def __mul__(self, scale) -> "PeriodicBandedMatrix":
+        return PeriodicBandedMatrix(self.size, self.offsets, scale * self.coeffs)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "PeriodicBandedMatrix") -> "PeriodicBandedMatrix":
+        self._check_size(other)
+        offsets, *where = _union(self.offsets, other.offsets)
+        stencil = self.coeffs.ndim == other.coeffs.ndim == 1
+        shape = (len(offsets),) if stencil else (len(offsets), self.size)
+        coeffs = np.zeros(shape, dtype=np.promote_types(self.dtype, other.dtype))
+        for term, positions in zip((self, other), where):
+            for i, c in zip(positions, term.coeffs):
+                coeffs[i] += c
+        return PeriodicBandedMatrix(self.size, offsets, coeffs)
+
+    def __matmul__(self, other: "PeriodicBandedMatrix") -> "PeriodicBandedMatrix":
+        """Product: entry (i, i + d + e) gathers a_d[i] * b_e[(i + d) % n]."""
+        self._check_size(other)
+        n = self.size
+        if other.offsets == (0,) and other.coeffs.ndim == 2:  # A diag(w): column j times w[j]
+            w_shifted = other.coeffs[0][shift_index(n, self.offsets)]
+            return PeriodicBandedMatrix(n, self.offsets, self.coeff_rows * w_shifted)
+        acc: dict = {}
+        for d, a in zip(self.offsets, self.coeffs):
+            for e, b in zip(other.offsets, other.coeffs):
+                term = a * (b[shift_index(n, (d,))[0]] if np.ndim(b) else b)
+                acc[d + e] = acc.get(d + e, 0.0) + term
+        # a stencil coefficient that cancels exactly (D1 D2 at offset 0) is no entry
+        offsets = [d for d in sorted(acc) if np.ndim(acc[d]) or acc[d] != 0.0]
+        return PeriodicBandedMatrix(n, offsets, [acc[d] for d in offsets])
+
+    def _check_size(self, other: "PeriodicBandedMatrix") -> None:
+        if other.size != self.size:
+            raise ValueError(f"sizes {self.size} and {other.size} differ")
+
+    def to_dense(self) -> np.ndarray:
+        """The full matrix: the oracle the band solve is checked against."""
+        a = np.zeros((self.size, self.size), dtype=self.dtype)
+        rows = np.arange(self.size)
+        for index, c in zip(shift_index(self.size, self.offsets), self.coeffs):
+            a[rows, index] += c
         return a
 
 
-def apply_stencil(stencil, u: np.ndarray) -> np.ndarray:
-    """Apply a raw (offset, coefficient) stencil tuple circulantly."""
-    return _stencil_sum(stencil, np.asarray(u))
+# the same type and its apply under their stencil names, which
+# perfbench/spans.py wraps alongside PeriodicBandedMatrix.to_dense
+PeriodicStencilOperator = PeriodicBandedMatrix
+apply_stencil = PeriodicBandedMatrix.apply
 
 
-def shifted(u: np.ndarray, offset: int) -> np.ndarray:
-    """The vector u[(i + offset) % n], i = 0..n-1, joined from two slices."""
-    offset %= u.shape[0]
-    return np.concatenate((u[offset:], u[:offset]))
+def diagonal(size: int, values) -> PeriodicBandedMatrix:
+    """diag(values); a scalar gives that multiple of the identity."""
+    return PeriodicBandedMatrix(size, (0,), [values])
 
 
-def _stencil_sum(stencil, u: np.ndarray) -> np.ndarray:
-    # the one loop behind apply and apply_stencil, so that a wrapper around
-    # either of them sees only the calls made to it
-    out = np.zeros(u.shape, dtype=np.result_type(u, *(c for _, c in stencil)))
-    for d, c in stencil:
-        out += c * shifted(u, d)
-    return out
-
-
-def _convolve_stencils(s1, s2):
-    # circulant algebra: product operator has coefficients sum_{d1+d2=d} c1*c2
-    acc: dict[int, float] = {}
-    for d1, c1 in s1:
-        for d2, c2 in s2:
-            acc[d1 + d2] = acc.get(d1 + d2, 0.0) + c1 * c2
-    return tuple(sorted((d, c) for d, c in acc.items() if c != 0.0))
-
-
-def derivative_operator(grid: Grid, order: int) -> PeriodicStencilOperator:
+def derivative_operator(grid: Grid, order: int) -> PeriodicBandedMatrix:
     """Centered difference operator D1, D2 or their product D3 = D1 D2."""
     dx = grid.spacing
     if order == 1:
-        stencil = ((-1, -1.0 / (2.0 * dx)), (1, 1.0 / (2.0 * dx)))
+        op = PeriodicBandedMatrix(grid.size, (-1, 1), (-1.0 / (2.0 * dx), 1.0 / (2.0 * dx)))
     elif order == 2:
-        stencil = ((-1, 1.0 / dx**2), (0, -2.0 / dx**2), (1, 1.0 / dx**2))
+        op = PeriodicBandedMatrix(grid.size, (-1, 0, 1), (1.0 / dx**2, -2.0 / dx**2, 1.0 / dx**2))
     elif order == 3:
-        d1 = derivative_operator(grid, 1)
-        d2 = derivative_operator(grid, 2)
-        stencil = _convolve_stencils(d1.stencil, d2.stencil)
+        op = derivative_operator(grid, 1) @ derivative_operator(grid, 2)
     else:
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    if 2 * max(abs(d) for d, _ in stencil) >= grid.size:
+    if 2 * op.half_bandwidth >= grid.size:
         raise ValueError("grid too small for the stencil width")
-    return PeriodicStencilOperator(order=order, size=grid.size, stencil=stencil)
+    return op

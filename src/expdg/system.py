@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, UnsupportedModelError
+from .spatial import PeriodicBandedMatrix
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,12 @@ class ConformalModel:
     hamiltonian_paper: Callable  # the reported energy (may differ by scaling)
     hamiltonian_rate: Optional[float]  # exact decay rate of the reported energy
     conservative_field: Callable
-    jacobian_conservative: Callable  # packed coordinates, PeriodicBandedMatrix
+    # the banded operators below are spatial.PeriodicBandedMatrix instances
+    jacobian_conservative: Callable  # u -> Jacobian of the field, packed coordinates
     invariants: tuple
     quadratic_bilinear: Optional[Callable] = None  # Qb(x, y), bilinear part
-    quadratic_matrix: Optional[Callable] = None  # Qb(x, .) as a banded matrix
-    linear_stencil: tuple = ()  # conservative linear part of the field
+    quadratic_matrix: Optional[Callable] = None  # x -> the operator Qb(x, .)
+    linear_operator: Optional[PeriodicBandedMatrix] = None  # conservative linear part L
     polarized: Optional[PolarizedEnergy] = None
     polarized_degree: Optional[int] = None  # homogeneity degree of H~, if any
     lie_system_builder: Optional[Callable] = None
@@ -109,10 +111,8 @@ def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.nd
             f"model {model.name} has no quadratic conservative field"
         )
     out = model.quadratic_bilinear(a, b)
-    if model.linear_stencil:
-        from .spatial import apply_stencil
-
-        out = out + 0.5 * apply_stencil(model.linear_stencil, a + b)
+    if model.linear_operator is not None:
+        out = out + 0.5 * model.linear_operator.apply(a + b)
     return out
 
 
@@ -171,8 +171,3 @@ def polarize_quadratic_form(apply_a: Callable, theta: float) -> PolarizedEnergy:
         return apply_a(theta * (u + w) / 2.0 + (1.0 - theta) * v)
 
     return PolarizedEnergy(evaluate=evaluate, pdg=pdg, theta=theta)
-
-
-def evaluate_invariants(model: ConformalModel, u: np.ndarray):
-    """Evaluate every registered invariant; returns [(name, value), ...]."""
-    return [(inv.name, inv.evaluate(u)) for inv in model.invariants]

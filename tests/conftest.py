@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from expdg.integrators import SchemeSpec, exponents, integrate
-from expdg.linalg import PeriodicBandedMatrix
+from expdg.spatial import PeriodicBandedMatrix
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
 from expdg.system import ConformalModel, PolarizedEnergy, polarize_monomial
 
@@ -23,6 +23,11 @@ def preset_model(name):
         cfg.get("alpha"), cfg.get("rho"), cfg.get("nu"),
     )
     return model, initial_condition(cfg["model"], grid), cfg
+
+
+def evaluate_invariants(model, u):
+    """Every registered invariant of the model at u, as [(name, value), ...]."""
+    return [(inv.name, inv.evaluate(u)) for inv in model.invariants]
 
 
 def realized_horizon(cfg):
@@ -156,16 +161,12 @@ def toy_cubic_model():
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     # At n=2 the +1 offset wraps, covering both off-diagonal entries:
-    # entry (0,1) = values[0] and entry (1,0) = values[1].
+    # entry (0,1) = row[0] and entry (1,0) = row[1].
     def quad_matrix(x):
-        mat = PeriodicBandedMatrix(2)
-        mat.add_diagonal(1, np.array([x[1], -x[0]]))
-        return mat
+        return PeriodicBandedMatrix(2, (1,), [[x[1], -x[0]]])
 
     def jac(u):
-        mat = PeriodicBandedMatrix(2)
-        mat.add_diagonal(1, np.array([2.0 * u[1], -2.0 * u[0]]))
-        return mat
+        return PeriodicBandedMatrix(2, (1,), [[2.0 * u[1], -2.0 * u[0]]])
 
     return ConformalModel(
         name="toy",

@@ -354,3 +354,22 @@ def test_compare_all_singular_exit_3(monkeypatch, capsys):
 def test_compare_requires_schemes(capsys):
     assert main(["compare", "--preset", "burgers-paper"]) == 2
     assert "at least one scheme" in capsys.readouterr().err
+
+
+def test_run_rounds_the_horizon_to_whole_steps(tmp_path, capsys):
+    # T = 0.1 is 11.1 steps of 0.009: the run takes 11 and says so, while
+    # integrate, which counts steps the same way, refuses the horizon itself
+    argv = ["run", "--preset", "burgers-paper", "--scheme", "ek1", "-o", str(tmp_path / "a.csv")]
+    assert main(argv + ["--T", "0.1"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].endswith("n_steps=11")
+    assert lines[1] == f"realized_T={11 * 0.009!r} (requested T=0.1)"
+    assert integrators.step_count(0.1, 0.009) == (11, False)
+    model = build_problem(resolve_config("burgers-paper", {}, {"scheme": "ek1"}))[0]
+    with pytest.raises(ValueError, match="not an integer multiple"):
+        integrators.integrate(model, integrators.SchemeSpec("ek1", 0.009), np.zeros(model.dim), 0.1)
+    # a horizon below half a step still takes one step
+    assert main(argv + ["--T", "0.004"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].endswith("n_steps=1")
+    assert lines[1] == "realized_T=0.009 (requested T=0.004)"

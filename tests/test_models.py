@@ -12,7 +12,9 @@ from expdg.models import (
     pure_decay_model,
 )
 from expdg.spatial import build_grid, derivative_operator
-from expdg.system import evaluate_invariants, vector_field
+from expdg.system import vector_field
+
+from conftest import evaluate_invariants
 
 
 def test_initial_profiles_at_origin():
@@ -72,7 +74,7 @@ def test_nls_frozen_invariant_values():
     assert values["momentum"] == pytest.approx(3.9920587114625885, rel=1e-13)
 
     # momentum realized through the centered first difference
-    d1 = derivative_operator(g, 1).dense()
+    d1 = derivative_operator(g, 1).to_dense()
     u, v = psi0[:1024], psi0[1024:]
     direct = g.spacing * float((d1 @ v) @ u - (d1 @ u) @ v)
     assert values["momentum"] == pytest.approx(direct, rel=1e-13)
@@ -124,7 +126,7 @@ def test_nls_zero_imaginary_block_substitution():
     # u-block: only the damping survives; v-block: dispersion plus the cubic
     # term alpha*u^3, which is present whenever u is nonzero
     assert np.max(np.abs(field[:128] + model.gamma_eff * u)) <= 1e-15
-    d2 = derivative_operator(g, 2).dense()
+    d2 = derivative_operator(g, 2).to_dense()
     expected_v = d2 @ u + alpha * u**3
     assert np.max(np.abs(field[128:] - expected_v)) <= 1e-13 * np.max(np.abs(expected_v))
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expdg.linalg import PeriodicBandedMatrix
 from expdg.spatial import (
     PeriodicStencilOperator,
     apply_stencil,
     build_grid,
     derivative_operator,
+    diagonal,
     quadrature,
 )
 
@@ -75,7 +75,7 @@ def test_first_derivative_of_constant_vanishes():
 def test_row_sums_vanish(order):
     g = build_grid(math.pi, 64)
     op = derivative_operator(g, order)
-    row_sums = op.dense().sum(axis=1)
+    row_sums = op.to_dense().sum(axis=1)
     assert np.max(np.abs(row_sums)) <= 1e-13 / g.spacing**order
 
 
@@ -118,9 +118,9 @@ def test_third_derivative_stencil_is_d1_of_d2():
         1: -1.0 / dx**3,
         2: 0.5 / dx**3,
     }
-    assert dict(d3.stencil) == pytest.approx(expected, rel=1e-13)
-    product = derivative_operator(g, 1).dense() @ derivative_operator(g, 2).dense()
-    assert np.allclose(d3.dense(), product, rtol=1e-12, atol=1e-12 / dx**3)
+    assert dict(zip(d3.offsets, d3.coeffs)) == pytest.approx(expected, rel=1e-13)
+    product = derivative_operator(g, 1).to_dense() @ derivative_operator(g, 2).to_dense()
+    assert np.allclose(d3.to_dense(), product, rtol=1e-12, atol=1e-12 / dx**3)
 
 
 def test_apply_matches_dense_columns():
@@ -128,7 +128,7 @@ def test_apply_matches_dense_columns():
     d2 = derivative_operator(g, 2)
     e1 = np.zeros(g.size)
     e1[1] = 1.0
-    assert np.array_equal(d2.apply(e1), d2.dense()[:, 1])
+    assert np.array_equal(d2.apply(e1), d2.to_dense()[:, 1])
 
 
 def test_apply_matches_dense_on_gaussian():
@@ -136,7 +136,7 @@ def test_apply_matches_dense_on_gaussian():
     d1 = derivative_operator(g, 1)
     u = np.exp(-g.nodes**2 / 2.0)
     direct = d1.apply(u)
-    dense = d1.dense() @ u
+    dense = d1.to_dense() @ u
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(direct - dense)) <= 1e-14 * scale
 
@@ -145,7 +145,7 @@ def test_first_and_third_derivatives_are_skew():
     rng = np.random.default_rng(3)
     g = build_grid(math.pi, 64)
     for order in (1, 3):
-        a = derivative_operator(g, order).dense()
+        a = derivative_operator(g, order).to_dense()
         assert np.max(np.abs(a + a.T)) <= 1e-12 * np.max(np.abs(a))
     u, v = rng.standard_normal(g.size), rng.standard_normal(g.size)
     d1 = derivative_operator(g, 1)
@@ -154,7 +154,7 @@ def test_first_and_third_derivatives_are_skew():
 
 def test_second_derivative_is_symmetric():
     g = build_grid(math.pi, 64)
-    a = derivative_operator(g, 2).dense()
+    a = derivative_operator(g, 2).to_dense()
     assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
 
 
@@ -168,16 +168,20 @@ def test_integration_by_parts_identity():
 
 
 def test_apply_stencil_free_function():
+    # the free function on an operator built from raw (offset, coefficient)
+    # pairs matches the difference operator's apply
     g = build_grid(math.pi, 32)
     d1 = derivative_operator(g, 1)
     u = np.cos(g.nodes)
-    assert np.array_equal(apply_stencil(d1.stencil, u), d1.apply(u))
+    c = 1.0 / (2.0 * g.spacing)
+    raw = PeriodicStencilOperator(g.size, (-1, 1), (-c, c))
+    assert np.array_equal(apply_stencil(raw, u), d1.apply(u))
 
 
 def test_apply_on_integer_input_matches_apply_stencil():
     d2 = derivative_operator(build_grid(1.0, 8), 2)
     u = np.arange(8)
-    expected = apply_stencil(d2.stencil, u)
+    expected = apply_stencil(d2, u.astype(float))
     assert expected.dtype == np.float64
     out = d2.apply(u)
     assert out.dtype == expected.dtype
@@ -212,15 +216,17 @@ def test_stencil_slicing_is_bitwise_equal_to_roll(case, scale):
     stencil, u = case
     n = u.size
     expected = roll_sum(stencil, u)
-    op = PeriodicStencilOperator(order=1, size=n, stencil=stencil)
-    for out in (op.apply(u), apply_stencil(stencil, u)):
+    op = PeriodicStencilOperator(n, *zip(*stencil))
+    for out in (op.apply(u), apply_stencil(op, u)):
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
-    mat = PeriodicBandedMatrix(n).add_stencil(stencil, scale=scale, col_weights=u)
-    for d, c in stencil:
-        row = np.zeros(n) + scale * c * np.roll(u, -d)
-        assert mat.diags[d].dtype == row.dtype
-        assert mat.diags[d].tobytes() == row.tobytes()
+    # scale * C @ diag(u): entry (i, i + d) is scale * c * u[(i + d) % n]
+    mat = (scale * op) @ diagonal(n, u)
+    assert mat.offsets == op.offsets
+    for (d, c), row in zip(stencil, mat.coeffs):
+        expected_row = scale * c * np.roll(u, -d)
+        assert row.dtype == expected_row.dtype
+        assert row.tobytes() == expected_row.tobytes()
 
 
 def test_derivative_operator_rejects_bad_order_and_tiny_grid():
