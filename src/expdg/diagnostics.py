@@ -128,8 +128,8 @@ def reference_solve(model: ConformalModel, u0, T: float, dt_ref: float) -> np.nd
     """Endpoint of a classical fourth-order Runge-Kutta march of the full field."""
     if not (np.isfinite(dt_ref) and dt_ref > 0):
         raise ValueError(f"dt_ref must be positive, got {dt_ref}")
-    n = int(round(T / dt_ref))
-    if abs(n * dt_ref - T) > 1e-9 * max(abs(T), dt_ref):
+    n, exact = integrators.step_count(T, dt_ref)
+    if not exact:
         n = max(int(math.ceil(T / dt_ref)), 1)
     h = T / n
     u = np.array(u0, dtype=float)
@@ -200,4 +200,4 @@ def observed_order(
 
 def rec_every(T: float, dt: float) -> int:
     # recording cadence only affects memory here; keep roughly 50 rows
-    return max(int(round(T / dt)) // 50, 1)
+    return max(integrators.step_count(T, dt)[0] // 50, 1)

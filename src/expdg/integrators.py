@@ -12,7 +12,9 @@ one-step (X0, X1) = (-g dt/2, +g dt/2), two-step (X0, X1, X2) =
 
 Every kind is one row of the SCHEMES table (exponential or plain, one- or
 two-step, step kernel, bootstrap companion); `step` takes one step of any
-kind and `integrate` marches with it.
+kind and `integrate` marches with it.  Only `Scheme.advance` applies the
+prefactors: kernels step the rescaled states e^{X_k} u^k.  Every Kahan and
+quadratic-field `lie` system is built by `system.kahan_system`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from .linalg import NonlinearSolveSettings, gauss_legendre_2, newton_solve, solve_periodic_banded
 from .spatial import diagonal
-from .system import ConformalModel
+from .system import ConformalModel, kahan_system
 
 
 @dataclass(frozen=True)
@@ -70,99 +72,65 @@ def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> Nonline
     return replace(settings, tolerance=settings.tolerance * scale)
 
 
-# quadrature rules (nodes, weights) on [0, 1] for the chord average of the
-# field: the midpoint is the one-node Gauss rule, AVF uses two nodes, which
-# is exact for the cubic fields of the models
-_MIDPOINT = ((0.5,), (1.0,))
-_AVF = gauss_legendre_2()
+# equally weighted quadrature nodes on [0, 1] for the chord average of the
+# field: the midpoint is the one-node Gauss rule, AVF uses the two Gauss
+# nodes, which integrate the cubic fields of the models exactly
+_MIDPOINT = (0.5,)
+_AVF = tuple(gauss_legendre_2()[0])
 
 
-def _implicit_step(model, u_n, dt, exps, gamma, spec, rule):
-    """Newton solve of y = a + dt * sum_k w_k f(xi_k y + (1 - xi_k) a).
+def _implicit_step(model, a, dt, gamma, spec, nodes):
+    """Newton solve of y = a + dt * mean_k f(xi_k y + (1 - xi_k) a).
 
     The midpoint rule in the printed variant uses the model's as-printed
     nonlinearity instead of f at the midpoint.
     """
-    at = math.exp(exps.x0) * u_n
-    back = math.exp(-exps.x1)
     printed = spec.scheme_variant == "printed"  # midpoint kinds only
     if printed and model.printed_midpoint_field is None:
         raise UnsupportedModelError(
             f"model {model.name} has no as-printed midpoint nonlinearity"
         )
-    nodes, weights = rule
-    at_packed = model.pack(at)
+    a_packed = model.pack(a)
 
     def residual(y_packed):
         y = model.unpack(y_packed)
         if printed:
-            rhs = model.printed_midpoint_field(at, y)
+            rhs = model.printed_midpoint_field(a, y)
         else:
-            rhs = np.zeros_like(y)
-            for xi, w in zip(nodes, weights):
-                rhs += w * model.conservative_field(xi * y + (1.0 - xi) * at)
+            values = [model.conservative_field(xi * y + (1.0 - xi) * a) for xi in nodes]
+            rhs = values[0] if len(nodes) == 1 else sum(values[1:], values[0]) / len(nodes)
         if gamma:
-            rhs = rhs - gamma * 0.5 * (y + at)
-        return y_packed - at_packed - dt * model.pack(rhs)
+            rhs = rhs - gamma * 0.5 * (y + a)
+        return y_packed - a_packed - dt * model.pack(rhs)
 
     def jacobian(y_packed):
         y = model.unpack(y_packed)
         mat = diagonal(model.dim, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
         if printed:
-            return mat + (-dt) * model.printed_midpoint_jacobian(at, y)
-        for xi, w in zip(nodes, weights):
-            mat = mat + (-dt * w * xi) * model.jacobian_conservative(xi * y + (1.0 - xi) * at)
+            return mat + (-dt) * model.printed_midpoint_jacobian(a, y)
+        for xi in nodes:
+            mat = mat + (-dt * xi / len(nodes)) * model.jacobian_conservative(xi * y + (1.0 - xi) * a)
         return mat
 
-    y, iters = newton_solve(residual, jacobian, at_packed, _scaled_solver(spec.solver, at))
-    return StepResult(back * model.unpack(y), iters, iters)
+    y, iters = newton_solve(residual, jacobian, a_packed, _scaled_solver(spec.solver, a))
+    return model.unpack(y), iters, iters
 
 
-def _require_bilinear(model):
-    if model.quadratic_bilinear is None or model.quadratic_matrix is None:
-        raise UnsupportedModelError(
-            f"model {model.name} has no quadratic conservative field for Kahan steps"
-        )
+def _kahan1_step(model, a, dt, gamma, spec=None):
+    mat, rhs = kahan_system(model, a, a, dt, (0.0, 0.0, 1.0), (0.5, 0.0, 0.5), gamma)
+    return solve_periodic_banded(mat, rhs), 0, 1
 
 
-def _kahan1_step(model, u_n, dt, exps, gamma, spec=None):
-    _require_bilinear(model)
-    at = math.exp(exps.x0) * u_n
-    back = math.exp(-exps.x1)
-    mat = diagonal(model.dim, 1.0 / dt + gamma / 2.0) + (-1.0) * model.quadratic_matrix(at)
-    rhs = at / dt
-    linear = model.linear_operator
-    if linear is not None:
-        mat = mat + (-0.5) * linear
-        rhs = rhs + 0.5 * linear.apply(at)
-    if gamma:
-        rhs = rhs - gamma / 2.0 * at
-    bt = solve_periodic_banded(mat, rhs)
-    return StepResult(back * bt, 0, 1)
+def _kahan2_step(model, a, b, dt, gamma, spec=None):
+    mat, rhs = kahan_system(model, a, b, 2.0 * dt, (0.5, 0.0, 0.5), (0.25, 0.5, 0.25), gamma)
+    return solve_periodic_banded(mat, rhs), 0, 1
 
 
-def _kahan2_step(model, u_n, u_np1, dt, exps, gamma, spec=None):
-    _require_bilinear(model)
-    at = math.exp(exps.x0) * u_n
-    bt = math.exp(exps.x1) * u_np1
-    back = math.exp(-exps.x2)
-    mat = diagonal(model.dim, 1.0 / (2.0 * dt) + gamma / 4.0) + (-0.5) * model.quadratic_matrix(bt)
-    rhs = at / (2.0 * dt) + 0.5 * model.quadratic_bilinear(bt, at)
-    linear = model.linear_operator
-    if linear is not None:
-        mat = mat + (-0.25) * linear
-        rhs = rhs + 0.25 * linear.apply(at + 2.0 * bt)
-    if gamma:
-        rhs = rhs - gamma / 4.0 * (at + 2.0 * bt)
-    ct = solve_periodic_banded(mat, rhs)
-    return StepResult(back * ct, 0, 1)
-
-
-def _lie_step(model, u_n, u_np1, dt, exps, gamma, spec=None):
+def _lie_step(model, a, b, dt, gamma, spec=None):
     if model.lie_system_builder is None:
         raise UnsupportedModelError(f"model {model.name} has no polarized linear system")
-    mat, rhs, decode = model.lie_system_builder(u_n, u_np1, dt, exps)
-    return StepResult(decode(solve_periodic_banded(mat, rhs)), 0, 1)
+    mat, rhs, decode = model.lie_system_builder(a, b, dt)
+    return decode(solve_periodic_banded(mat, rhs)), 0, 1
 
 
 @dataclass(frozen=True)
@@ -171,9 +139,11 @@ class Scheme:
 
     exponential: the damping goes into the prefactors e^{X}, else it stays
     in the field.  two_step: the kernel maps (u^{n-1}, u^n) to u^{n+1}.
-    kernel(model, *window, dt, exps, gamma, spec) takes one step, with gamma
-    the damping rate left in the field.  bootstrap: the one-step companion
-    that produces u^1 for a two-step scheme.
+    kernel(model, *window, dt, gamma, spec) takes one step on the rescaled
+    window e^{X_k} u^k and returns (rescaled next state, Newton iterations,
+    linear solves), with gamma the damping rate left in the field; `advance`
+    applies the prefactors, so no kernel sees them.  bootstrap: the one-step
+    companion that produces u^1 for a two-step scheme.
     """
 
     exponential: bool
@@ -193,11 +163,14 @@ class Scheme:
             raise ValueError(f"{spec.kind!r} steps from {1 + self.two_step} states, got {len(window)}")
         exps = exps or self.exponents(model.gamma_eff, spec.dt)
         gamma = 0.0 if self.exponential else model.gamma_eff
-        return self.kernel(model, *window, spec.dt, exps, gamma, spec)
+        xs = (exps.x0, exps.x1, exps.x2)
+        scaled = [math.exp(x) * u for x, u in zip(xs, window)]
+        state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec)
+        return StepResult(math.exp(-xs[len(window)]) * state, newton_iterations, linear_solves)
 
 
-_midpoint = partial(_implicit_step, rule=_MIDPOINT)
-_avf = partial(_implicit_step, rule=_AVF)
+_midpoint = partial(_implicit_step, nodes=_MIDPOINT)
+_avf = partial(_implicit_step, nodes=_AVF)
 _CIMP = Scheme(True, False, _midpoint)
 _EK1 = Scheme(True, False, _kahan1_step)
 # kind -> Scheme(exponential, two_step, kernel, bootstrap)

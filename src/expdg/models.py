@@ -28,6 +28,7 @@ from .system import (
     PolarizedEnergy,
     polarize_monomial,
     polarize_quadratic_form,
+    polarized_kahan_system,
 )
 
 
@@ -80,7 +81,7 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     grid = p.grid
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
-    neg_d1, half_neg_d1, sixth_d1 = -1.0 * d1, -0.5 * d1, (1.0 / 6.0) * d1
+    neg_d1, half_neg_d1 = -1.0 * d1, -0.5 * d1
     ghat = 2.0 * p.gamma
 
     def conservative_field(u):
@@ -109,14 +110,6 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     def pol_pdg(u, v, w):
         return dx / 6.0 * nodal3.pdg(u, v, w)
 
-    def lie_builder(u_n, u_np1, dt, exps):
-        at = math.exp(exps.x0) * u_n
-        bt = math.exp(exps.x1) * u_np1
-        mat = diagonal(m, 1.0 / (2.0 * dt)) + sixth_d1 @ diagonal(m, bt)
-        rhs = at / (2.0 * dt) - d1.apply(bt * (at + bt)) / 6.0
-        back = math.exp(-exps.x2)
-        return mat, rhs, lambda c: back * c
-
     def printed_midpoint_field(a, b):
         # the as-printed average: mean of squares instead of squared mean
         return -0.25 * d1.apply(a * a + b * b)
@@ -124,7 +117,7 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     invariants = (
         Invariant("mass", lambda u: quadrature(grid, u), exact_rate=ghat, degree=1),
     )
-    return ConformalModel(
+    model = ConformalModel(
         name="burgers",
         dim=m,
         grid=grid,
@@ -142,10 +135,11 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
         quadratic_matrix=quadratic_matrix,
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg),
         polarized_degree=3,
-        lie_system_builder=lie_builder,
+        lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
         printed_midpoint_field=printed_midpoint_field,
         printed_midpoint_jacobian=lambda a, b: quadratic_matrix(b),
     )
+    return model
 
 
 def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
@@ -164,9 +158,6 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
     ghat = 2.0 * p.gamma
     linear = rho * d1 + nu * d3
     alpha_d1, two_alpha_d1 = alpha * d1, (2.0 * alpha) * d1
-    # the constant stencils of the lie system
-    lie_d1 = (-alpha / 3.0) * d1
-    lie_linear_d1, lie_d3 = (-rho * theta / 2.0) * d1, (-nu * theta / 2.0) * d3
 
     def conservative_field(u):
         return alpha * d1.apply(u * u) + linear.apply(u)
@@ -205,24 +196,11 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
         poly = alpha / 3.0 * nodal3.pdg(u, v, w) + rho / 2.0 * nodal2.pdg(u, v, w)
         return dx * poly + form.pdg(u, v, w)
 
-    def lie_builder(u_n, u_np1, dt, exps):
-        at = math.exp(exps.x0) * u_n
-        bt = math.exp(exps.x1) * u_np1
-        mat = diagonal(m, 1.0 / (2.0 * dt)) + lie_d1 @ diagonal(m, bt) + lie_linear_d1 + lie_d3
-        rhs = (
-            at / (2.0 * dt)
-            + alpha / 3.0 * d1.apply(bt * (at + bt))
-            + rho / 2.0 * d1.apply(theta * at + 2.0 * (1.0 - theta) * bt)
-            + nu * d3.apply(theta * at / 2.0 + (1.0 - theta) * bt)
-        )
-        back = math.exp(-exps.x2)
-        return mat, rhs, lambda c: back * c
-
     invariants = (
         Invariant("I1", lambda u: quadrature(grid, u), exact_rate=ghat, degree=1),
         Invariant("I2", lambda u: quadrature(grid, u * u), exact_rate=2.0 * ghat, degree=2),
     )
-    return ConformalModel(
+    model = ConformalModel(
         name="kdv",
         dim=m,
         grid=grid,
@@ -241,17 +219,19 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
         linear_operator=linear,
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg, theta=theta),
         polarized_degree=None,
-        lie_system_builder=lie_builder,
+        lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt, theta),
     )
+    return model
 
 
-def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
+def nls_model(p: NlsParams) -> ConformalModel:
     """i psi_t = -psi_xx - alpha |psi|^2 psi - i (gamma/2) psi, psi = u + i v.
 
     State is the stacked real pair (u; v) of length 2M.  The effective
     damping rate is gamma/2.  Newton systems are assembled in interleaved
     ordering (u_0, v_0, u_1, v_1, ...) where the Jacobian is banded with
-    half-bandwidth 3.
+    half-bandwidth 3.  The polarized energy has theta = 1: the lie system
+    below is the discrete gradient of that polarization only.
     """
     grid = p.grid
     m, dx = grid.size, grid.spacing
@@ -313,7 +293,7 @@ def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
         return PeriodicBandedMatrix(dim, jac_offsets, rows)
 
     form = polarize_quadratic_form(
-        lambda z: dx * np.concatenate([d2.apply(z[:m]), d2.apply(z[m:])]), theta
+        lambda z: dx * np.concatenate([d2.apply(z[:m]), d2.apply(z[m:])]), 1.0
     )
 
     def pol_eval(a, b):
@@ -337,21 +317,14 @@ def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
         deriv = -0.5 * d1.apply(ua * ua + ub * ub) - 0.5 * d1.apply(va * va + vb * vb)
         return dx * float(np.sum(poly + deriv))
 
-    def lie_builder(u_n, u_np1, dt, exps):
+    def lie_builder(a, b, dt):
         # reduce the 2M real system to one complex M-dim periodic-banded solve
-        e0, e1 = math.exp(exps.x0), math.exp(exps.x1)
-        ua, va = e0 * u_n[:m], e0 * u_n[m:]
-        ub, vb = e1 * u_np1[:m], e1 * u_np1[m:]
+        ub, vb = split(b)
         mod_b = ub * ub + vb * vb
-        za = ua + 1j * va
+        za = a[:m] + 1j * a[m:]
         mat = diagonal(m, 1.0 / (2.0 * dt) - 0.5j * alpha * mod_b) + lie_d2
         rhs = za / (2.0 * dt) + 1j * (0.5 * d2.apply(za) + 0.5 * alpha * mod_b * za)
-        back = math.exp(-exps.x2)
-
-        def decode(z):
-            return back * np.concatenate([z.real, z.imag])
-
-        return mat, rhs, decode
+        return mat, rhs, lambda z: np.concatenate([z.real, z.imag])
 
     def mass(x):
         u, v = split(x)
@@ -381,7 +354,7 @@ def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
         jacobian_conservative=jacobian_conservative,
         invariants=invariants,
         polarized=PolarizedEnergy(
-            evaluate=pol_eval, pdg=pol_pdg, theta=theta, evaluate_printed=pol_eval_printed
+            evaluate=pol_eval, pdg=pol_pdg, theta=1.0, evaluate_printed=pol_eval_printed
         ),
         polarized_degree=None,
         lie_system_builder=lie_builder,
@@ -393,14 +366,7 @@ def nls_model(p: NlsParams, theta: float = 1.0) -> ConformalModel:
 def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) -> ConformalModel:
     """grad_H = 0: the flow is exact exponential decay.  Test fixture."""
     zeros = lambda u: np.zeros_like(u)
-
-    def lie_builder(u_n, u_np1, dt, exps):
-        at = math.exp(exps.x0) * u_n
-        mat = diagonal(dim, 1.0 / (2.0 * dt))
-        back = math.exp(-exps.x2)
-        return mat, at / (2.0 * dt), lambda c: back * c
-
-    return ConformalModel(
+    model = ConformalModel(
         name="pure-decay",
         dim=dim,
         grid=grid,
@@ -418,8 +384,9 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
         quadratic_matrix=lambda x: PeriodicBandedMatrix(dim),
         polarized=None,
         polarized_degree=None,
-        lie_system_builder=lie_builder,
+        lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
     )
+    return model
 
 
 def initial_condition(model_kind: str, grid: Grid) -> np.ndarray:
@@ -443,7 +410,9 @@ def make_model(
     nu: Optional[float] = None,
     theta: Optional[float] = None,
 ) -> ConformalModel:
-    """Dispatch a model by name with per-model default theta."""
+    """Dispatch a model by name; theta (default 0.5) parametrizes the kdv model only."""
+    if theta is not None and model_kind in ("burgers", "nls"):
+        raise ValueError(f"theta applies to the kdv model only, not {model_kind!r}")
     if model_kind == "burgers":
         return burgers_model(BurgersParams(gamma=gamma, grid=grid))
     if model_kind == "kdv":
@@ -457,7 +426,7 @@ def make_model(
         return kdv_model(params, theta=0.5 if theta is None else theta)
     if model_kind == "nls":
         params = NlsParams(alpha=2.0 if alpha is None else alpha, gamma=gamma, grid=grid)
-        return nls_model(params, theta=1.0 if theta is None else theta)
+        return nls_model(params)
     raise ValueError(f"unknown model kind {model_kind!r}")
 
 

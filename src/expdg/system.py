@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, UnsupportedModelError
-from .spatial import PeriodicBandedMatrix
+from .spatial import PeriodicBandedMatrix, diagonal
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class ConformalModel:
     linear_operator: Optional[PeriodicBandedMatrix] = None  # conservative linear part L
     polarized: Optional[PolarizedEnergy] = None
     polarized_degree: Optional[int] = None  # homogeneity degree of H~, if any
+    # (a, b, dt) -> (mat, rhs, decode): the lie step on rescaled states a, b
+    # solves mat x = rhs, and decode(x) is the rescaled next state
     lie_system_builder: Optional[Callable] = None
     pack_order: Optional[np.ndarray] = None  # state -> banded solver ordering
     unpack_order: Optional[np.ndarray] = None
@@ -114,6 +116,56 @@ def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.nd
     if model.linear_operator is not None:
         out = out + 0.5 * model.linear_operator.apply(a + b)
     return out
+
+
+def _combine(wa: float, a: np.ndarray, wb: float, b: np.ndarray) -> Optional[np.ndarray]:
+    """wa a + wb b without its zero terms; None when both weights are zero."""
+    if not wb:
+        return wa * a if wa else None
+    return wa * a + wb * b if wa else wb * b
+
+
+def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0):
+    """Matrix and right-hand side of the Kahan-family step (a, b) -> c:
+
+        (c - a)/h = Qb(b, q0 a + q1 b + q2 c) + (L - gamma)(l0 a + l1 b + l2 c)
+
+    for a quadratic field Qb(u, u) + L u.  One-step schemes pass b = a.  The
+    system is linear in c; terms with a zero weight are not formed.
+    """
+    if model.quadratic_bilinear is None or model.quadratic_matrix is None:
+        raise UnsupportedModelError(
+            f"model {model.name} has no quadratic conservative field for Kahan steps"
+        )
+    # Qb(b, .) is linear in b, so the weight scales b rather than the matrix
+    mat = diagonal(model.dim, 1.0 / h + l[2] * gamma) + model.quadratic_matrix(-q[2] * b)
+    rhs = a / h
+    qb_arg = _combine(q[0], a, q[1], b)
+    if qb_arg is not None:
+        rhs = rhs + model.quadratic_bilinear(b, qb_arg)
+    linear = model.linear_operator
+    if linear is not None:
+        if l[2]:
+            mat = mat + (-l[2]) * linear
+        rhs = rhs + linear.apply(_combine(l[0], a, l[1], b))
+    if gamma:
+        rhs = rhs - gamma * _combine(l[0], a, l[1], b)
+    return mat, rhs
+
+
+def _unchanged(x):
+    return x
+
+
+def polarized_kahan_system(model: ConformalModel, a, b, dt: float, theta: float = 1.0):
+    """The lie_system_builder of a quadratic field.
+
+    The discrete gradient of the theta-polarized energy is the kahan_system
+    with h = 2 dt and the weights below; the solution needs no decoding.
+    """
+    third = 1.0 / 3.0
+    weights = (third, third, third), (theta / 2.0, 1.0 - theta, theta / 2.0)
+    return (*kahan_system(model, a, b, 2.0 * dt, *weights), _unchanged)
 
 
 def polarize_monomial(degree: int, theta: Optional[float] = None) -> PolarizedEnergy:

@@ -248,6 +248,18 @@ def test_exit_2_scheme_needs_quadratic_field(capsys):
     assert "no quadratic conservative field" in capsys.readouterr().err
 
 
+def test_exit_2_theta_outside_kdv(capsys):
+    assert main(["run", "--preset", "nls-paper", "--theta", "0.5", "--T", "0.002"]) == 2
+    assert "theta applies to the kdv model only" in capsys.readouterr().err
+
+
+def test_run_kdv_accepts_theta(tmp_path):
+    argv = ["run", "--preset", "kdv-paper", "--scheme", "lie", "--T", "0.018", "--output"]
+    assert main(argv + [str(tmp_path / "default.csv")]) == 0
+    assert main(argv + [str(tmp_path / "quarter.csv"), "--theta", "0.25"]) == 0
+    assert (tmp_path / "default.csv").read_text() != (tmp_path / "quarter.csv").read_text()
+
+
 def test_exit_3_nonconvergence(capsys):
     assert main(["run"] + STARVED) == 3
     assert "error:" in capsys.readouterr().err

@@ -135,6 +135,19 @@ def test_window_defect_on_nls_lie_march():
     assert np.max(defects) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75, 1.0])
+def test_window_defect_on_kdv_lie_march(theta):
+    # the lie system is the discrete gradient of the theta-polarized energy
+    g = preset_grid("kdv-paper")
+    model = make_model("kdv", g, gamma=1e-2, theta=theta)
+    u0 = initial_condition("kdv", g)
+    rec = integrate(model, SchemeSpec("lie", 0.009), u0, 0.18, record_every=1, store_states=True)
+    assert len(rec.states) == 21
+    defects = polarized_window_defect(model, rec.states, exponents("lie", model.gamma_eff, 0.009))
+    scale = abs(model.polarized.evaluate(u0, rec.states[1]))
+    assert np.max(defects) <= 1e-14 * scale
+
+
 def test_window_defect_needs_two_step_exponents():
     toy = toy_cubic_model()
     with pytest.raises(ValueError):

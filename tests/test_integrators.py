@@ -247,10 +247,12 @@ def test_ek1_on_linear_kdv_is_transformed_trapezoid():
 def test_ek1_step_is_self_adjoint():
     model, u0 = burgers()
     dt = 0.009
+    exps = exponents("ek1", model.gamma_eff, dt)
     forward = step(model, SchemeSpec("ek1", dt), u0).state
-    # SchemeSpec rejects dt <= 0, so the reverse step calls the kernel
-    back = _kahan1_step(model, forward, -dt, exponents("ek1", model.gamma_eff, -dt), 0.0).state
-    assert np.max(np.abs(back - u0)) <= 1e-12 * np.max(np.abs(u0))
+    # SchemeSpec rejects dt <= 0, so the reverse step calls the kernel, which
+    # maps the rescaled e^{x1} u^1 back to e^{x0} u^0
+    back, _, _ = _kahan1_step(model, math.exp(exps.x1) * forward, -dt, 0.0)
+    assert np.max(np.abs(math.exp(-exps.x0) * back - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 
 UNDAMPED_BURGERS_8 = make_model("burgers", build_grid(math.pi, 8), gamma=0.0)
@@ -273,8 +275,10 @@ def test_ek2_step_is_self_adjoint():
     spec = SchemeSpec("ek2", dt)
     u1 = bootstrap(model, u0, spec).state
     u2 = step(model, spec, u0, u1).state
-    back = _kahan2_step(model, u2, u1, -dt, exponents("ek2", model.gamma_eff, -dt), 0.0).state
-    assert np.max(np.abs(back - u0)) <= 1e-12 * np.max(np.abs(u0))
+    exps = exponents("ek2", model.gamma_eff, dt)
+    # on rescaled states the reverse step maps (e^{x2} u^2, e^{x1} u^1) to e^{x0} u^0
+    back, _, _ = _kahan2_step(model, math.exp(exps.x2) * u2, math.exp(exps.x1) * u1, -dt, 0.0)
+    assert np.max(np.abs(math.exp(-exps.x0) * back - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 
 def test_lie_double_step_contracts_mass_exactly():
@@ -296,10 +300,10 @@ def test_lie_marching_is_reversible_through_the_builder():
     spec = SchemeSpec("lie", dt)
     u1 = bootstrap(model, u0, spec).state
     u2 = step(model, spec, u0, u1).state
-    mat, rhs, decode = model.lie_system_builder(
-        u2, u1, -dt, exponents("lie", model.gamma_eff, -dt)
-    )
-    back = decode(solve_periodic_banded(mat, rhs))
+    exps = exponents("lie", model.gamma_eff, dt)
+    # the builder takes rescaled states: (e^{x2} u^2, e^{x1} u^1) -> e^{x0} u^0
+    mat, rhs, decode = model.lie_system_builder(math.exp(exps.x2) * u2, math.exp(exps.x1) * u1, -dt)
+    back = math.exp(-exps.x0) * decode(solve_periodic_banded(mat, rhs))
     assert np.max(np.abs(back - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 

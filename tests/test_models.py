@@ -138,6 +138,16 @@ def test_theta_defaults():
     assert nls.polarized.theta == 1.0
 
 
+def test_theta_is_refused_where_it_has_no_effect():
+    # the burgers and nls lie systems are the theta = 1 discrete gradients
+    with pytest.raises(ValueError, match="theta applies to the kdv model only"):
+        make_model("nls", build_grid(25.0, 64), gamma=0.0, theta=0.5)
+    with pytest.raises(ValueError, match="theta applies to the kdv model only"):
+        make_model("burgers", build_grid(math.pi, 16), gamma=0.0, theta=0.5)
+    kdv = make_model("kdv", build_grid(10.0, 64), gamma=0.0, theta=0.25)
+    assert kdv.polarized.theta == 0.25
+
+
 def test_preset_tables():
     bp = PRESETS["burgers-paper"]
     assert (bp["model"], bp["scheme"]) == ("burgers", "ek2")

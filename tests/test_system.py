@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expdg.errors import BlowUpError, UnsupportedModelError
+from expdg.linalg import solve_periodic_banded
 from expdg.models import make_model
 from expdg.spatial import build_grid, derivative_operator
-from expdg.system import kahan_bilinear, polarize_monomial, vector_field
+from expdg.system import kahan_bilinear, kahan_system, polarize_monomial, vector_field
 
 from conftest import evaluate_invariants
 
@@ -89,6 +92,46 @@ def test_kahan_bilinear_rejects_cubic_field():
     model = build("nls")
     with pytest.raises(UnsupportedModelError):
         kahan_bilinear(model, np.zeros(model.dim), np.zeros(model.dim))
+
+
+SMALL_QUADRATIC = {
+    "burgers": make_model("burgers", build_grid(math.pi, 12), gamma=0.0),
+    "kdv": make_model("kdv", build_grid(10.0, 12), gamma=0.0, nu=-0.5),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SMALL_QUADRATIC)),
+    row=st.sampled_from(["ek1", "ek2", "lie"]),
+    theta=st.floats(0.0, 1.0),
+    dt=st.floats(1e-3, 0.05),
+    gamma=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kahan_system_solves_its_defining_equation(kind, row, theta, dt, gamma, seed):
+    # (c - a)/h = Qb(b, q0 a + q1 b + q2 c) + (L - gamma)(l0 a + l1 b + l2 c),
+    # rebuilt from the dense Qb(b, .) and L, for every weight row in use
+    model = SMALL_QUADRATIC[kind]
+    h, q, l = {
+        "ek1": (dt, (0.0, 0.0, 1.0), (0.5, 0.0, 0.5)),
+        "ek2": (2.0 * dt, (0.5, 0.0, 0.5), (0.25, 0.5, 0.25)),
+        "lie": (2.0 * dt, (1.0 / 3.0,) * 3, (theta / 2.0, 1.0 - theta, theta / 2.0)),
+    }[row]
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, model.dim)
+    b = a if row == "ek1" else rng.uniform(-2.0, 2.0, model.dim)
+    c = solve_periodic_banded(*kahan_system(model, a, b, h, q, l, gamma))
+    qb = model.quadratic_matrix(b).to_dense()
+    lin = model.linear_operator.to_dense() if model.linear_operator is not None else 0.0
+    lin = lin - gamma * np.eye(model.dim)
+    terms = [
+        (c - a) / h,
+        qb @ (q[0] * a + q[1] * b + q[2] * c),
+        lin @ (l[0] * a + l[1] * b + l[2] * c),
+    ]
+    scale = max(np.max(np.abs(t)) for t in terms)
+    assert np.max(np.abs(terms[0] - terms[1] - terms[2])) <= 1e-12 * scale
 
 
 def test_polarize_monomial_worked_values():
