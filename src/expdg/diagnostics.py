@@ -79,12 +79,8 @@ def transformed_polarized_series(model, states, exps) -> np.ndarray:
     """H~(e^{x0} u^n, e^{x1} u^{n+1}) over consecutive pairs of states."""
     if model.polarized is None:
         raise ValueError(f"model {model.name} has no polarized energy")
-    e0, e1 = math.exp(exps.x0), math.exp(exps.x1)
-    vals = [
-        model.polarized.evaluate(e0 * states[n], e1 * states[n + 1])
-        for n in range(len(states) - 1)
-    ]
-    return np.asarray(vals)
+    e0, e1 = exps.factors[:2]
+    return np.asarray([model.polarized.evaluate(e0 * a, e1 * b) for a, b in zip(states, states[1:])])
 
 
 def polarized_window_defect(model, states, exps) -> np.ndarray:
@@ -97,14 +93,9 @@ def polarized_window_defect(model, states, exps) -> np.ndarray:
         raise ValueError(f"model {model.name} has no polarized energy")
     if exps.x2 is None:
         raise ValueError("window defect needs two-step exponents")
-    e0, e1, e2 = math.exp(exps.x0), math.exp(exps.x1), math.exp(exps.x2)
-    out = np.empty(max(len(states) - 2, 0))
-    for n in range(out.size):
-        a_t = e0 * states[n]
-        b_t = e1 * states[n + 1]
-        c_t = e2 * states[n + 2]
-        out[n] = abs(model.polarized.evaluate(b_t, c_t) - model.polarized.evaluate(a_t, b_t))
-    return out
+    (e0, e1, e2), h = exps.factors, model.polarized.evaluate
+    windows = zip(states, states[1:], states[2:])
+    return np.array([abs(h(e1 * b, e2 * c) - h(e0 * a, e1 * b)) for a, b, c in windows], dtype=float)
 
 
 def compensated_polarized_deviation(model, series, dt) -> float:
@@ -128,10 +119,12 @@ def reference_solve(model: ConformalModel, u0, T: float, dt_ref: float) -> np.nd
     """Endpoint of a classical fourth-order Runge-Kutta march of the full field."""
     if not (np.isfinite(dt_ref) and dt_ref > 0):
         raise ValueError(f"dt_ref must be positive, got {dt_ref}")
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {T}")
     n, exact = integrators.step_count(T, dt_ref)
     if not exact:
         n = max(int(math.ceil(T / dt_ref)), 1)
-    h = T / n
+    h = T / max(n, 1)  # T = 0 takes no step
     u = np.array(u0, dtype=float)
 
     def f(state):

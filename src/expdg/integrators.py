@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,6 +57,16 @@ class Exponents:
     x1: float
     x2: Optional[float] = None
 
+    @cached_property
+    def factors(self) -> tuple:
+        """The prefactors e^{x_k}, one per exponent that is set; cached, as every step applies them."""
+        return tuple(math.exp(x) for x in (self.x0, self.x1, self.x2) if x is not None)
+
+    @cached_property
+    def inverse_factors(self) -> tuple:
+        """e^{-x_k} for the same exponents; `advance` scales a step's result by the last one it uses."""
+        return tuple(math.exp(-x) for x in (self.x0, self.x1, self.x2) if x is not None)
+
 
 @dataclass(frozen=True)
 class StepResult:
@@ -90,10 +100,8 @@ def _implicit_step(model, a, dt, gamma, spec, nodes):
         raise UnsupportedModelError(
             f"model {model.name} has no as-printed midpoint nonlinearity"
         )
-    a_packed = model.pack(a)
 
-    def residual(y_packed):
-        y = model.unpack(y_packed)
+    def residual(y):
         if printed:
             rhs = model.printed_midpoint_field(a, y)
         else:
@@ -101,10 +109,9 @@ def _implicit_step(model, a, dt, gamma, spec, nodes):
             rhs = values[0] if len(nodes) == 1 else sum(values[1:], values[0]) / len(nodes)
         if gamma:
             rhs = rhs - gamma * 0.5 * (y + a)
-        return y_packed - a_packed - dt * model.pack(rhs)
+        return y - a - dt * rhs
 
-    def jacobian(y_packed):
-        y = model.unpack(y_packed)
+    def jacobian(y):
         mat = diagonal(model.dim, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
         if printed:
             return mat + (-dt) * model.printed_midpoint_jacobian(a, y)
@@ -112,8 +119,8 @@ def _implicit_step(model, a, dt, gamma, spec, nodes):
             mat = mat + (-dt * xi / len(nodes)) * model.jacobian_conservative(xi * y + (1.0 - xi) * a)
         return mat
 
-    y, iters = newton_solve(residual, jacobian, a_packed, _scaled_solver(spec.solver, a))
-    return model.unpack(y), iters, iters
+    y, iters = newton_solve(residual, jacobian, a, _scaled_solver(spec.solver, a))
+    return y, iters, iters
 
 
 def _kahan1_step(model, a, dt, gamma, spec=None):
@@ -163,10 +170,9 @@ class Scheme:
             raise ValueError(f"{spec.kind!r} steps from {1 + self.two_step} states, got {len(window)}")
         exps = exps or self.exponents(model.gamma_eff, spec.dt)
         gamma = 0.0 if self.exponential else model.gamma_eff
-        xs = (exps.x0, exps.x1, exps.x2)
-        scaled = [math.exp(x) * u for x, u in zip(xs, window)]
+        scaled = [e * u for e, u in zip(exps.factors, window)]
         state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec)
-        return StepResult(math.exp(-xs[len(window)]) * state, newton_iterations, linear_solves)
+        return StepResult(exps.inverse_factors[len(window)] * state, newton_iterations, linear_solves)
 
 
 _midpoint = partial(_implicit_step, nodes=_MIDPOINT)
@@ -248,8 +254,6 @@ def integrate(
     two_step = SCHEMES[spec.kind].two_step
     exps = SCHEMES[spec.kind].exponents(model.gamma_eff, dt)
     track_polarized = two_step and model.polarized is not None
-    e_x0 = math.exp(exps.x0) if track_polarized else None
-    e_x1 = math.exp(exps.x1) if track_polarized else None
 
     steps_rec: list = []
     times_rec: list = []
@@ -318,7 +322,7 @@ def integrate(
                 raise BlowUpError(f"state became non-finite at step {step_index}", step=step_index, time=t)
             prev, u = u, res.state
             if track_polarized and steps_rec[-1] == step_index - 1:
-                pol_rec[-1] = model.polarized.evaluate(e_x0 * prev, e_x1 * u)
+                pol_rec[-1] = model.polarized.evaluate(exps.factors[0] * prev, exps.factors[1] * u)
             if step_index == n_steps or step_index % record_every == 0:
                 record(step_index, u)
     except (NonConvergenceError, BlowUpError, SingularMatrixError) as exc:

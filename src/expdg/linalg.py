@@ -1,16 +1,16 @@
 """Linear and nonlinear solves backing the implicit time steps.
 
 Every linear system a step assembles is a `PeriodicBandedMatrix` of
-half-bandwidth b: stencil and coefficient rows with wrap-around corners.
-Renumbered in fold order it is an ordinary band matrix of half-bandwidth 2b;
-its rows are written into LAPACK band storage in one scatter, and one pivoted
-band LU solves it at every size.
+half-bandwidth b, or a `TwoFieldMatrix` whose diagonal u-block is eliminated
+first.  Renumbered in fold order a periodic matrix is an ordinary band matrix
+of half-bandwidth 2b; its rows are written into LAPACK band storage in one
+scatter, and one pivoted band LU solves it at every size.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -77,6 +77,60 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarra
     return y[position]
 
 
+@dataclass(frozen=True, eq=False)
+class TwoFieldMatrix:
+    """c I + [[-diag t, -(D + diag q)], [D + diag p, diag t]] on (u; v), D the stencil (off, mid, off).
+
+    `rows` holds t, p, q.  The NLS Jacobian has this shape, and so does every Newton matrix built from it.
+    """
+
+    rows: np.ndarray
+    off: float
+    mid: float
+    c: float = 0.0
+
+    def __mul__(self, scale) -> "TwoFieldMatrix":
+        return TwoFieldMatrix(scale * self.rows, scale * self.off, scale * self.mid, scale * self.c)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other) -> "TwoFieldMatrix":
+        if isinstance(other, TwoFieldMatrix):
+            fields = (self.off + other.off, self.mid + other.mid, self.c + other.c)
+            return TwoFieldMatrix(self.rows + other.rows, *fields)
+        if other.offsets != (0,) or other.coeffs.ndim != 1:
+            raise ValueError("only a multiple of the identity, diagonal(n, c), adds to a TwoFieldMatrix")
+        return replace(self, c=self.c + other.coeffs[0])
+
+    __radd__ = __add__
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Eliminate u, solve (diag(c + t) + A W B) v = r_v - A W r_u by one band LU, u = W (r_u + B v),
+        with W = diag(1 / (c - t)), A = D + diag p and B = D + diag q."""
+        (t, p, q), m, off = self.rows, self.rows.shape[1], self.off
+        a = self.c - t
+        if not (np.isfinite(a).all() and a.all()):
+            raise SingularMatrixError("zero or non-finite entry on the eliminated diagonal")
+        w = 1.0 / a
+        diag_p, diag_q = self.mid + p, self.mid + q
+        # row j of W B is off w_j at offsets -1, +1 and z_j = w_j diag_q[j] at 0, so
+        # row i of A W B is off (W B)_{i-1} + diag_p[i] (W B)_i + off (W B)_{i+1}
+        z, p_off_w, ss = w * diag_q, (off * w) * diag_p, off * off
+        (w_prev, w_next), (z_prev, z_next) = _shifts(w), _shifts(z)
+        rows = (ss * w_prev, off * z_prev + p_off_w, self.c + t + ss * (w_prev + w_next) + diag_p * z,
+                p_off_w + off * z_next, ss * w_next)
+        wr_u = w * rhs[:m]
+        rhs_v = rhs[m:] - (off * np.add(*_shifts(wr_u)) + diag_p * wr_u)
+        v = solve_periodic_banded(PeriodicBandedMatrix(m, (-2, -1, 0, 1, 2), rows), rhs_v)
+        return np.concatenate([w * (rhs[:m] + off * np.add(*_shifts(v)) + diag_q * v), v])
+
+
+def _shifts(x: np.ndarray) -> tuple:
+    """(x_{i-1}, x_{i+1}) on the periodic index i: two views of one padded copy."""
+    padded = np.concatenate((x[-1:], x, x[:1]))
+    return padded[:-2], padded[2:]
+
+
 @dataclass(frozen=True)
 class NonlinearSolveSettings:
     tolerance: float = 1e-12
@@ -92,14 +146,15 @@ class NonlinearSolveSettings:
 def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: NonlinearSolveSettings):
     """Drive residual_fn to zero by Newton steps; returns (solution, iterations).
 
-    jacobian_fn(x) returns the Jacobian at x as a PeriodicBandedMatrix.
+    jacobian_fn(x) returns the Jacobian at x, a PeriodicBandedMatrix or a TwoFieldMatrix.
     """
     x = np.array(guess, dtype=float)
     r = residual_fn(x)
     if np.max(np.abs(r)) <= settings.tolerance:
         return x, 0
     for it in range(1, settings.max_iterations + 1):
-        x = x - solve_periodic_banded(jacobian_fn(x), r)
+        mat = jacobian_fn(x)
+        x = x - (mat.solve(r) if isinstance(mat, TwoFieldMatrix) else solve_periodic_banded(mat, r))
         r = residual_fn(x)
         res_norm = np.max(np.abs(r))
         if not np.isfinite(res_norm):

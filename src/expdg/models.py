@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import TwoFieldMatrix
 from .spatial import (
     Grid,
     PeriodicBandedMatrix,
@@ -228,10 +229,11 @@ def nls_model(p: NlsParams) -> ConformalModel:
     """i psi_t = -psi_xx - alpha |psi|^2 psi - i (gamma/2) psi, psi = u + i v.
 
     State is the stacked real pair (u; v) of length 2M.  The effective
-    damping rate is gamma/2.  Newton systems are assembled in interleaved
-    ordering (u_0, v_0, u_1, v_1, ...) where the Jacobian is banded with
-    half-bandwidth 3.  The polarized energy has theta = 1: the lie system
-    below is the discrete gradient of that polarization only.
+    damping rate is gamma/2.  The Jacobian is a TwoFieldMatrix: its u-block
+    is diagonal, so a Newton system is solved by eliminating u and solving
+    one M x M periodic pentadiagonal Schur complement for v.  The polarized
+    energy has theta = 1: the lie system below is the discrete gradient of
+    that polarization only.
     """
     grid = p.grid
     m, dx = grid.size, grid.spacing
@@ -240,7 +242,6 @@ def nls_model(p: NlsParams) -> ConformalModel:
     lie_d2 = -0.5j * d2
     alpha = p.alpha
     ghat = 0.5 * p.gamma
-    dim = 2 * m
 
     def split(x):
         return x[:m], x[m:]
@@ -266,31 +267,11 @@ def nls_model(p: NlsParams) -> ConformalModel:
         deriv = 0.5 * (float(u @ d2.apply(u)) + float(v @ d2.apply(v)))
         return dx * (quart + deriv)
 
-    pack_order = np.empty(dim, dtype=np.intp)
-    pack_order[0::2] = np.arange(m)
-    pack_order[1::2] = m + np.arange(m)
-    unpack_order = np.argsort(pack_order)
-
-    inv_dx2 = 1.0 / dx**2
-    # Jacobian rows at offsets -3, -1, 0, 1, 3 in interleaved ordering (even
-    # = du/dt equation, odd = dv/dt equation); the D2 entries are constant
-    jac_offsets = (-3, -1, 0, 1, 3)
-    jac_constant = np.zeros((5, dim))
-    jac_constant[0, 1::2] = inv_dx2
-    jac_constant[1, 0::2] = -inv_dx2
-    jac_constant[3, 1::2] = inv_dx2
-    jac_constant[4, 0::2] = -inv_dx2
-
     def jacobian_conservative(x):
         u, v = split(x)
         mod = u * u + v * v
-        rows = jac_constant.copy()
-        two_auv = 2.0 * alpha * u * v
-        rows[2, 0::2] = -two_auv
-        rows[2, 1::2] = two_auv
-        rows[3, 0::2] = 2.0 * inv_dx2 - alpha * (mod + 2.0 * v * v)
-        rows[1, 1::2] = -2.0 * inv_dx2 + alpha * (mod + 2.0 * u * u)
-        return PeriodicBandedMatrix(dim, jac_offsets, rows)
+        rows = np.array([2.0 * alpha * u * v, alpha * (mod + 2.0 * u * u), alpha * (mod + 2.0 * v * v)])
+        return TwoFieldMatrix(rows, *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)
 
     form = polarize_quadratic_form(
         lambda z: dx * np.concatenate([d2.apply(z[:m]), d2.apply(z[m:])]), 1.0
@@ -341,7 +322,7 @@ def nls_model(p: NlsParams) -> ConformalModel:
     )
     return ConformalModel(
         name="nls",
-        dim=dim,
+        dim=2 * m,
         grid=grid,
         gamma=p.gamma,
         gamma_eff=ghat,
@@ -358,8 +339,6 @@ def nls_model(p: NlsParams) -> ConformalModel:
         ),
         polarized_degree=None,
         lie_system_builder=lie_builder,
-        pack_order=pack_order,
-        unpack_order=unpack_order,
     )
 
 

@@ -112,6 +112,8 @@ class PeriodicBandedMatrix:
     __rmul__ = __mul__
 
     def __add__(self, other: "PeriodicBandedMatrix") -> "PeriodicBandedMatrix":
+        if not isinstance(other, PeriodicBandedMatrix):  # e.g. linalg.TwoFieldMatrix adds itself
+            return NotImplemented
         self._check_size(other)
         offsets, *where = _union(self.offsets, other.offsets)
         stencil = self.coeffs.ndim == other.coeffs.ndim == 1

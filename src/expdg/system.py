@@ -67,7 +67,7 @@ class ConformalModel:
     hamiltonian_rate: Optional[float]  # exact decay rate of the reported energy
     conservative_field: Callable
     # the banded operators below are spatial.PeriodicBandedMatrix instances
-    jacobian_conservative: Callable  # u -> Jacobian of the field, packed coordinates
+    jacobian_conservative: Callable  # u -> Jacobian of the field (NLS: a linalg.TwoFieldMatrix)
     invariants: tuple
     quadratic_bilinear: Optional[Callable] = None  # Qb(x, y), bilinear part
     quadratic_matrix: Optional[Callable] = None  # x -> the operator Qb(x, .)
@@ -77,17 +77,9 @@ class ConformalModel:
     # (a, b, dt) -> (mat, rhs, decode): the lie step on rescaled states a, b
     # solves mat x = rhs, and decode(x) is the rescaled next state
     lie_system_builder: Optional[Callable] = None
-    pack_order: Optional[np.ndarray] = None  # state -> banded solver ordering
-    unpack_order: Optional[np.ndarray] = None
     # as-printed midpoint nonlinearity (mean of squares), kept for comparison
     printed_midpoint_field: Optional[Callable] = None
     printed_midpoint_jacobian: Optional[Callable] = None
-
-    def pack(self, u: np.ndarray) -> np.ndarray:
-        return u if self.pack_order is None else u[self.pack_order]
-
-    def unpack(self, y: np.ndarray) -> np.ndarray:
-        return y if self.unpack_order is None else y[self.unpack_order]
 
 
 def vector_field(model: ConformalModel, u: np.ndarray) -> np.ndarray:

@@ -213,6 +213,23 @@ def test_reference_solve_self_convergence_is_fourth_order():
     assert 3.7 <= slope <= 4.3
 
 
+def test_reference_solve_zero_horizon_returns_a_copy():
+    g = preset_grid("burgers-paper")
+    model = make_model("burgers", g, gamma=0.25)
+    u0 = initial_condition("burgers", g)
+    end = reference_solve(model, u0, 0.0, 1e-3)
+    assert np.array_equal(end, u0)
+    assert end is not u0 and not np.shares_memory(end, u0)
+
+
+@pytest.mark.parametrize("T", [-0.5, math.inf, math.nan])
+def test_reference_solve_rejects_negative_or_non_finite_horizon(T):
+    g = preset_grid("burgers-paper")
+    model = make_model("burgers", g, gamma=0.25)
+    with pytest.raises(ValueError, match="T must be"):
+        reference_solve(model, initial_condition("burgers", g), T, 1e-3)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reference_solve_reports_blow_up():
     g = preset_grid("burgers-paper")

@@ -12,12 +12,15 @@ from expdg.errors import NonConvergenceError, SingularMatrixError
 from expdg.linalg import (
     NonlinearSolveSettings,
     PeriodicBandedMatrix,
+    TwoFieldMatrix,
     gauss_legendre_2,
     newton_solve,
     solve_periodic_banded,
 )
 from expdg.models import make_model
-from expdg.spatial import build_grid, diagonal
+from expdg.spatial import build_grid, derivative_operator, diagonal
+
+from conftest import two_field_dense
 
 
 def random_banded(rng, n, bandwidth, dtype=float):
@@ -116,7 +119,7 @@ def test_pivoting_solves_systems_without_diagonal_dominance(n, bandwidth, dtype,
 @pytest.mark.parametrize(
     "preset, kind, size, bandwidth, dtype",
     [
-        ("nls-paper", "cimp", 2048, 3, np.float64),  # Newton Jacobian
+        ("nls-paper", "cimp", 1024, 2, np.float64),  # Schur complement of a Newton matrix
         ("nls-paper", "lie", 1024, 1, np.complex128),
         ("kdv-paper", "lie", 248, 2, np.float64),
     ],
@@ -141,6 +144,57 @@ def test_preset_systems_match_dense_oracle(preset, kind, size, bandwidth, dtype)
     with without_dense():
         x = solve_periodic_banded(mat, rhs)
     assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 32).map(lambda k: 2 * k),
+    damping=st.sampled_from([0.0, 1e-3]),
+    nodes=st.sampled_from([(0.5,), tuple(gauss_legendre_2()[0])]),
+    dt=st.floats(1e-4, 0.05),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_field_elimination_matches_dense_solve(m, damping, nodes, dt, seed):
+    # the Newton matrix exactly as _implicit_step builds it: c I - dt mean_k J_k
+    rng = np.random.default_rng(seed)
+    d2 = derivative_operator(build_grid(5.0, m), 2)
+    mat = diagonal(2 * m, 1.0 + damping)
+    for xi in nodes:
+        mat = mat + (-dt * xi / len(nodes)) * TwoFieldMatrix(rng.uniform(-5.0, 5.0, (3, m)), *d2.coeffs[:2])
+    assert isinstance(mat, TwoFieldMatrix)
+    rhs = rng.standard_normal(2 * m)
+    expected = np.linalg.solve(two_field_dense(mat), rhs)
+    with without_dense():
+        x = mat.solve(rhs)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("t0", [1.0, np.nan, np.inf])
+def test_two_field_zero_or_non_finite_eliminated_diagonal_raises(t0):
+    # c - t is the eliminated u-diagonal: 0 at t0 = 1, else non-finite
+    rows = np.ones((3, 8))
+    rows[0] = 0.0
+    rows[0, 3] = t0
+    mat = diagonal(16, 1.0) + TwoFieldMatrix(rows, 1.0, -2.0)
+    with mock.patch.object(linalg, "solve_periodic_banded") as band_solve:
+        with pytest.raises(SingularMatrixError):
+            mat.solve(np.ones(16))
+    band_solve.assert_not_called()
+
+
+def test_zero_eliminated_diagonal_in_a_march_carries_partial_record():
+    # cimp at dt = 0.5, alpha = 2: the Newton matrix's u-diagonal is 1 + u v,
+    # which is exactly 0 at the node where u = 1 and v = -1
+    m = 16
+    model = make_model("nls", build_grid(4.0, m), gamma=0.0, alpha=2.0)
+    u0 = np.zeros(2 * m)
+    u0[5], u0[m + 5] = 1.0, -1.0
+    with pytest.raises(SingularMatrixError) as info:
+        integrators.integrate(model, integrators.SchemeSpec("cimp", 0.5), u0, 5.0)
+    partial = info.value.partial
+    assert partial.n_steps == 10
+    assert list(partial.steps) == [0]
+    assert np.array_equal(partial.final_state, u0)
 
 
 def test_complex_entries_promote_a_real_matrix():

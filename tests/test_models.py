@@ -14,7 +14,7 @@ from expdg.models import (
 from expdg.spatial import build_grid, derivative_operator
 from expdg.system import vector_field
 
-from conftest import evaluate_invariants
+from conftest import evaluate_invariants, two_field_dense
 
 
 def test_initial_profiles_at_origin():
@@ -129,6 +129,26 @@ def test_nls_zero_imaginary_block_substitution():
     d2 = derivative_operator(g, 2).to_dense()
     expected_v = d2 @ u + alpha * u**3
     assert np.max(np.abs(field[128:] - expected_v)) <= 1e-13 * np.max(np.abs(expected_v))
+
+
+@pytest.mark.parametrize("block", ["uu", "uv", "vu", "vv"])
+def test_nls_jacobian_blocks_match_central_differences(block):
+    # natural order (u; v): d(field_u)/du, d(field_u)/dv, d(field_v)/du, d(field_v)/dv
+    m = 12
+    g = build_grid(3.0, m)
+    model = make_model("nls", g, gamma=5e-4, alpha=1.5)
+    x = np.random.default_rng(5).standard_normal(2 * m)
+    jac = model.jacobian_conservative(x)
+    assert (jac.off, jac.mid, jac.c) == (1.0 / g.spacing**2, -2.0 / g.spacing**2, 0.0)
+    h = 1e-5
+    columns = [
+        (model.conservative_field(x + h * e) - model.conservative_field(x - h * e)) / (2.0 * h)
+        for e in np.eye(2 * m)
+    ]
+    rows, cols = ({"u": slice(0, m), "v": slice(m, 2 * m)}[c] for c in block)
+    expected = np.column_stack(columns)[rows, cols]
+    actual = two_field_dense(jac)[rows, cols]
+    assert np.max(np.abs(actual - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
 def test_theta_defaults():

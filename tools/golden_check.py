@@ -15,6 +15,8 @@ once through `expdg run` (CSV written to a file). Per case the table gives:
 
 The exit status is 0 when every case is bitwise equal with equal counters,
 errors, exit codes, stderr lines (less the wall clock) and CSV bytes, else 1.
+A closing line counts the library runs that are bitwise equal, within 1e-15
+relative and above it, each with its largest relative difference.
 """
 
 from __future__ import annotations
@@ -110,9 +112,21 @@ def _relative_difference(a, b):
     return float(np.nanmax(np.abs(a - b))) / scale
 
 
+def _summary(differences) -> str:
+    """One line: how many runs are bitwise, within 1e-15 and above it, and the largest difference of each."""
+    groups = {"bitwise": [], "within 1e-15": [], "above 1e-15": []}
+    for bitwise, diff in differences:
+        groups["bitwise" if bitwise else "within 1e-15" if diff <= 1e-15 else "above 1e-15"].append(diff)
+    counts = ", ".join(
+        f"{len(diffs)} {name} (largest {max(diffs):.2e})" if diffs else f"0 {name}" for name, diffs in groups.items()
+    )
+    return f"{len(differences)} library runs: {counts}"
+
+
 def compare(parent, change) -> bool:
     (cases_p, arrays_p), (cases_c, arrays_c) = parent, change
     all_equal = True
+    differences = []  # (bitwise, max relative difference) per library run that both trees completed
     print(f"{'case':40s} {'lib':>21s} {'newton/solves':>13s} {'exit':>4s} {'csv':>5s}")
     for case, p in cases_p.items():
         c = cases_c[case]
@@ -124,7 +138,9 @@ def compare(parent, change) -> bool:
         else:
             names = sorted(k for k in arrays_p.files if k.startswith(case + "/"))
             bitwise = all(arrays_p[k].tobytes() == arrays_c[k].tobytes() for k in names)
-            lib = "bitwise" if bitwise else f"{max(_relative_difference(arrays_p[k], arrays_c[k]) for k in names):.2e}"
+            diff = 0.0 if bitwise else max(_relative_difference(arrays_p[k], arrays_c[k]) for k in names)
+            differences.append((bitwise, diff))
+            lib = "bitwise" if bitwise else f"{diff:.2e}"
             equal = bitwise and lib_p["counters"] == lib_c["counters"]
             counters = "/".join(map(str, lib_p["counters"]))
             if lib_p["counters"] != lib_c["counters"]:
@@ -136,6 +152,7 @@ def compare(parent, change) -> bool:
         all_equal = all_equal and equal
         print(f"{case:40s} {lib:>21s} {counters:>13s} {exit_code:>4s} {csv:>5s}{'' if equal else '  *'}")
     print("every case bitwise equal" if all_equal else "cases marked * differ")
+    print(_summary(differences))
     return all_equal
 
 
