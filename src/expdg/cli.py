@@ -203,33 +203,29 @@ def _residual_columns(model, record):
     return cols
 
 
+def _cells(values: np.ndarray) -> list:
+    """The cells of one series as _fmt writes them: repr of each value, NaN as an empty cell."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
+
+
 def write_run_csv(handle, model, record) -> None:
-    residuals = _residual_columns(model, record)
-    header = ["step", "t"]
+    """One row per recorded step; each residual sits on the row that closes its interval."""
+    residuals = {name: [""] + _cells(r) for name, r in _residual_columns(model, record).items()}
+    columns = {"step": list(map(str, record.steps.tolist())), "t": _cells(record.times)}
     for inv in model.invariants:
-        header += [inv.name, "R_" + inv.name]
-    header += ["H_paper", "R_H_paper_gamma"]
-    if "R_H_derived" in residuals:
-        header.append("R_H_derived")
+        columns[inv.name] = _cells(record.invariant_series[inv.name])
+        columns["R_" + inv.name] = residuals.pop("R_" + inv.name)
+    columns["H_paper"] = _cells(record.hamiltonian_paper)
+    columns.update(residuals)  # R_H_paper_gamma, then R_H_derived if the model has its rate
     if record.polarized_transformed is not None:
-        header.append("H_polarized_transformed")
-    header += ["newton_iters", "linear_solves"]
-    handle.write(",".join(header) + "\n")
-    n_rows = record.steps.size
-    for i in range(n_rows):
-        row = [str(int(record.steps[i])), _fmt(record.times[i])]
-        for inv in model.invariants:
-            row.append(_fmt(record.invariant_series[inv.name][i]))
-            row.append(_fmt(residuals["R_" + inv.name][i - 1]) if i > 0 else "")
-        row.append(_fmt(record.hamiltonian_paper[i]))
-        row.append(_fmt(residuals["R_H_paper_gamma"][i - 1]) if i > 0 else "")
-        if "R_H_derived" in residuals:
-            row.append(_fmt(residuals["R_H_derived"][i - 1]) if i > 0 else "")
-        if record.polarized_transformed is not None:
-            row.append(_fmt(record.polarized_transformed[i]))
-        row.append(str(int(record.newton_iterations[i])))
-        row.append(str(int(record.linear_solves[i])))
-        handle.write(",".join(row) + "\n")
+        columns["H_polarized_transformed"] = _cells(record.polarized_transformed)
+    columns["newton_iters"] = list(map(str, record.newton_iterations.tolist()))
+    columns["linear_solves"] = list(map(str, record.linear_solves.tolist()))
+    rows = map(",".join, zip(*columns.values()))
+    handle.write(",".join(columns) + "\n" + "\n".join(rows) + "\n")
 
 
 def _realized_horizon(cfg: RunConfig):

@@ -23,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class Exponents:
         return tuple(math.exp(-x) for x in (self.x0, self.x1, self.x2) if x is not None)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):  # a tuple: built once per step
     state: np.ndarray
     newton_iterations: int
     linear_solves: int
@@ -78,8 +77,8 @@ class StepResult:
 def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> NonlinearSolveSettings:
     # tolerance follows the state scale: Burgers states decay below 1e-11
     # over the preset horizon and an absolute tolerance would stall there
-    scale = max(float(np.max(np.abs(ref))), 1e-30)
-    return replace(settings, tolerance=settings.tolerance * scale)
+    scale = max(float(np.abs(ref).max()), 1e-30)
+    return NonlinearSolveSettings(settings.tolerance * scale, settings.max_iterations)
 
 
 # equally weighted quadrature nodes on [0, 1] for the chord average of the
@@ -251,48 +250,47 @@ def integrate(
     if u.shape != (model.dim,):
         raise ValueError(f"initial state has shape {u.shape}, expected ({model.dim},)")
 
-    two_step = SCHEMES[spec.kind].two_step
-    exps = SCHEMES[spec.kind].exponents(model.gamma_eff, dt)
+    scheme = SCHEMES[spec.kind]
+    two_step = scheme.two_step
+    exps = scheme.exponents(model.gamma_eff, dt)
     track_polarized = two_step and model.polarized is not None
 
-    steps_rec: list = []
-    times_rec: list = []
+    rows: list = []  # (step, time, Newton iterations, linear solves) per recorded state
     inv_rec: dict = {inv.name: [] for inv in model.invariants}
     ham_rec: list = []
     pol_rec: list = []
-    newton_rec: list = []
-    solves_rec: list = []
     states_rec: list = []
+    # (append, callable) per series evaluated on each recorded state, in order
+    series = [(inv_rec[inv.name].append, inv.evaluate) for inv in model.invariants]
+    series.append((ham_rec.append, model.hamiltonian_paper))
+    add_row = rows.append
     newton_total = 0
     solves_total = 0
     wall = 0.0
 
     def record(n, state):
-        steps_rec.append(n)
-        times_rec.append(n * dt)
-        for inv in model.invariants:
-            inv_rec[inv.name].append(inv.evaluate(state))
-        ham_rec.append(model.hamiltonian_paper(state))
+        add_row((n, n * dt, newton_total, solves_total))
+        for append, evaluate in series:
+            append(evaluate(state))
         if track_polarized:
             pol_rec.append(math.nan)  # filled once the next state exists
-        newton_rec.append(newton_total)
-        solves_rec.append(solves_total)
         if store_states:
             states_rec.append(state.copy())
         if observer is not None:
             observer(n, n * dt, state)
 
     def build_record(final_state):
+        steps, times, newton, solves = zip(*rows)
         return RunRecord(
             scheme_kind=spec.kind,
             dt=dt,
-            steps=np.asarray(steps_rec, dtype=int),
-            times=np.asarray(times_rec, dtype=float),
+            steps=np.asarray(steps, dtype=int),
+            times=np.asarray(times, dtype=float),
             invariant_series={k: np.asarray(v) for k, v in inv_rec.items()},
             hamiltonian_paper=np.asarray(ham_rec),
             polarized_transformed=np.asarray(pol_rec) if track_polarized else None,
-            newton_iterations=np.asarray(newton_rec, dtype=int),
-            linear_solves=np.asarray(solves_rec, dtype=int),
+            newton_iterations=np.asarray(newton, dtype=int),
+            linear_solves=np.asarray(solves, dtype=int),
             final_state=final_state,
             n_steps=n_steps,
             realized_time=n_steps * dt,
@@ -300,29 +298,32 @@ def integrate(
             states=states_rec if store_states else None,
         )
 
+    clock, advance = time.perf_counter, scheme.advance
+    polarized = model.polarized.evaluate if track_polarized else None
+    e0, e1 = exps.factors[:2]
     record(0, u)
     prev = None  # u^{n-1}; a two-step kind bootstraps while it is None
     step_index = 0
     try:
         while step_index < n_steps:
-            tic = time.perf_counter()
+            tic = clock()
             if two_step and prev is None:
                 res = bootstrap(model, u, spec)
             else:
-                res = step(model, spec, *((prev, u) if two_step else (u,)), exps=exps)
+                res = advance(model, spec, (prev, u) if two_step else (u,), exps)
                 # counters attribute solver work to the scheme kind itself; the
                 # one-off bootstrap cost stays in the wall clock but not here,
                 # so a linearly implicit run reports zero Newton iterations
                 newton_total += res.newton_iterations
                 solves_total += res.linear_solves
-            wall += time.perf_counter() - tic
+            wall += clock() - tic
             step_index += 1
-            if not np.all(np.isfinite(res.state)):
+            if not np.isfinite(res.state).all():
                 t = step_index * dt
                 raise BlowUpError(f"state became non-finite at step {step_index}", step=step_index, time=t)
             prev, u = u, res.state
-            if track_polarized and steps_rec[-1] == step_index - 1:
-                pol_rec[-1] = model.polarized.evaluate(exps.factors[0] * prev, exps.factors[1] * u)
+            if track_polarized and rows[-1][0] == step_index - 1:
+                pol_rec[-1] = polarized(e0 * prev, e1 * u)
             if step_index == n_steps or step_index % record_every == 0:
                 record(step_index, u)
     except (NonConvergenceError, BlowUpError, SingularMatrixError) as exc:

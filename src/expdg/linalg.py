@@ -19,25 +19,29 @@ from .errors import NonConvergenceError, SingularMatrixError
 from .spatial import PeriodicBandedMatrix, shift_index
 
 
-@functools.lru_cache(maxsize=16)
-def _fold_position(n: int) -> np.ndarray:
-    """Position of each unknown in the fold order 0, n-1, 1, n-2, ..."""
-    i = np.arange(n)
-    return np.minimum(2 * i, 2 * n - 1 - 2 * i)
-
-
 @functools.lru_cache(maxsize=256)
-def _band_index(n: int, w: int, offsets: tuple) -> np.ndarray:
-    """Flat index of A[i, (i + offsets[k]) % n] at [k, i] in folded gbsv storage.
+def _band_plan(n: int, offsets: tuple) -> tuple:
+    """Everything of a band solve but its values: (w, index, distinct, position, order).
 
-    gbsv keeps entry (r, c) of a matrix with w sub- and superdiagonals at
-    row 2w + r - c, column c of a (3w + 1, n) array.
+    w is the half-bandwidth in fold order.  index[k, i] is the flat index of
+    A[i, (i + offsets[k]) % n] in folded gbsv storage, which keeps entry
+    (r, c) of a matrix with w sub- and superdiagonals at row 2w + r - c,
+    column c of a (3w + 1, n) array.  distinct says that no two offsets name
+    one entry.  position[i] is the place of unknown i in the fold order
+    0, n-1, 1, n-2, ..., and order lists the unknowns in that order.
     """
-    position = _fold_position(n)
+    b = max(map(abs, offsets), default=0)
+    if b >= n:
+        raise ValueError(f"half-bandwidth {b} must be below the size {n}")
+    w = min(2 * b, n - 1)
+    i = np.arange(n)
+    position = np.minimum(2 * i, 2 * n - 1 - 2 * i)
     cols = position[shift_index(n, offsets)]
     index = (2 * w + position - cols) * n + cols
-    index.flags.writeable = False
-    return index
+    order = np.argsort(position)
+    for array in (index, position, order):
+        array.flags.writeable = False
+    return w, index, 2 * b < n and len(set(offsets)) == len(offsets), position, order
 
 
 @functools.lru_cache(maxsize=8)
@@ -56,25 +60,18 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarra
     rhs = np.asarray(rhs)
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-    b = a.half_bandwidth
-    if b >= n:
-        raise ValueError(f"half-bandwidth {b} must be below the size {n}")
-
-    w = min(2 * b, n - 1)
+    w, index, distinct, position, order = _band_plan(n, a.offsets)
     dtype = np.promote_types(np.promote_types(a.dtype, rhs.dtype), np.float64)
     ab = np.zeros((3 * w + 1, n), dtype=dtype)
-    index = _band_index(n, w, a.offsets)
-    if 2 * b < n and len(set(a.offsets)) == len(a.offsets):
+    if distinct:
         ab.reshape(-1)[index] = a.coeff_rows
     else:  # offsets that name one entry (equal, or equal modulo n when 2b >= n) add up
         np.add.at(ab.reshape(-1), index, np.broadcast_to(a.coeff_rows, index.shape))
-    position = _fold_position(n)
-    rhs_folded = np.empty(n, dtype=dtype)
-    rhs_folded[position] = rhs
+    rhs_folded = rhs.take(order).astype(dtype, copy=False)
     _, _, y, info = _gbsv(dtype)(w, w, ab, rhs_folded, overwrite_ab=True, overwrite_b=True)
     if info > 0 or not np.isfinite(y).all():
         raise SingularMatrixError(f"zero pivot or non-finite solution in the band LU (info {info})")
-    return y[position]
+    return y.take(position)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +147,13 @@ def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: Nonlinea
     """
     x = np.array(guess, dtype=float)
     r = residual_fn(x)
-    if np.max(np.abs(r)) <= settings.tolerance:
+    if np.abs(r).max() <= settings.tolerance:
         return x, 0
     for it in range(1, settings.max_iterations + 1):
         mat = jacobian_fn(x)
         x = x - (mat.solve(r) if isinstance(mat, TwoFieldMatrix) else solve_periodic_banded(mat, r))
         r = residual_fn(x)
-        res_norm = np.max(np.abs(r))
+        res_norm = np.abs(r).max()
         if not np.isfinite(res_norm):
             raise NonConvergenceError("residual became non-finite", iterations=it, residual=float("nan"))
         if res_norm <= settings.tolerance:

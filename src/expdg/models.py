@@ -106,7 +106,7 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     nodal3 = polarize_monomial(3)
 
     def pol_eval(v, w):
-        return dx / 6.0 * float(np.sum(nodal3.evaluate(v, w)))
+        return dx / 6.0 * float(nodal3.evaluate(v, w).sum())
 
     def pol_pdg(u, v, w):
         return dx / 6.0 * nodal3.pdg(u, v, w)
@@ -126,8 +126,8 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
         gamma_eff=ghat,
         apply_S=apply_s,
         grad_H=grad_h,
-        hamiltonian=lambda u: dx * float(np.sum(u**3)) / 6.0,
-        hamiltonian_paper=lambda u: dx * float(np.sum(u**3)) / 3.0,
+        hamiltonian=lambda u: dx * float((u**3).sum()) / 6.0,
+        hamiltonian_paper=lambda u: dx * float((u**3).sum()) / 3.0,
         hamiltonian_rate=3.0 * ghat,
         conservative_field=conservative_field,
         jacobian_conservative=jacobian_conservative,
@@ -170,8 +170,8 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
         return d1.apply(w) / dx
 
     def hamiltonian(u):
-        cubic = alpha / 3.0 * float(np.sum(u**3))
-        quad = rho / 2.0 * float(np.sum(u * u))
+        cubic = alpha / 3.0 * float((u**3).sum())
+        quad = rho / 2.0 * float((u * u).sum())
         deriv = nu / 2.0 * float(u @ d2.apply(u))
         return dx * (cubic + quad + deriv)
 
@@ -189,8 +189,8 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
     form = polarize_quadratic_form(lambda z: nu * dx * d2.apply(z), theta)
 
     def pol_eval(v, w):
-        poly = alpha / 3.0 * float(np.sum(nodal3.evaluate(v, w)))
-        poly += rho / 2.0 * float(np.sum(nodal2.evaluate(v, w)))
+        poly = alpha / 3.0 * float(nodal3.evaluate(v, w).sum())
+        poly += rho / 2.0 * float(nodal2.evaluate(v, w).sum())
         return dx * poly + form.evaluate(v, w)
 
     def pol_pdg(u, v, w):
@@ -263,7 +263,7 @@ def nls_model(p: NlsParams) -> ConformalModel:
     def hamiltonian(x):
         u, v = split(x)
         mod = u * u + v * v
-        quart = alpha / 4.0 * float(np.sum(mod * mod))
+        quart = alpha / 4.0 * float((mod * mod).sum())
         deriv = 0.5 * (float(u @ d2.apply(u)) + float(v @ d2.apply(v)))
         return dx * (quart + deriv)
 
@@ -280,7 +280,7 @@ def nls_model(p: NlsParams) -> ConformalModel:
     def pol_eval(a, b):
         ua, va = split(a)
         ub, vb = split(b)
-        quart = alpha / 4.0 * dx * float(np.sum((ua * ua + va * va) * (ub * ub + vb * vb)))
+        quart = alpha / 4.0 * dx * float(((ua * ua + va * va) * (ub * ub + vb * vb)).sum())
         return quart + form.evaluate(a, b)
 
     def pol_pdg(a, b, c):
@@ -296,7 +296,7 @@ def nls_model(p: NlsParams) -> ConformalModel:
         ub, vb = split(b)
         poly = alpha / 4.0 * (ua * ua * ub * ub + va * va * ub * ub + ua * va + ub * vb)
         deriv = -0.5 * d1.apply(ua * ua + ub * ub) - 0.5 * d1.apply(va * va + vb * vb)
-        return dx * float(np.sum(poly + deriv))
+        return dx * float((poly + deriv).sum())
 
     def lie_builder(a, b, dt):
         # reduce the 2M real system to one complex M-dim periodic-banded solve
@@ -309,7 +309,7 @@ def nls_model(p: NlsParams) -> ConformalModel:
 
     def mass(x):
         u, v = split(x)
-        return dx * float(np.sum(u * u) + np.sum(v * v))
+        return dx * float((u * u).sum() + (v * v).sum())
 
     def momentum(x):
         # skew-symmetrized discrete form of int (v_x u - u_x v) dx

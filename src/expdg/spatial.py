@@ -45,7 +45,7 @@ def quadrature(grid: Grid, values: np.ndarray) -> float:
     values = np.asarray(values)
     if values.shape != (grid.size,):
         raise ValueError(f"expected {grid.size} nodal values, got shape {values.shape}")
-    return grid.spacing * float(np.sum(values))
+    return grid.spacing * float(values.sum())
 
 
 @functools.lru_cache(maxsize=256)

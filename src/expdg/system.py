@@ -203,13 +203,11 @@ def polarize_quadratic_form(apply_a: Callable, theta: float) -> PolarizedEnergy:
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
 
-    def q(u):
-        return 0.5 * float(u @ apply_a(u))
-
     def evaluate(v, w):
+        av, aw = apply_a(v), apply_a(w)
         # cross term written so swapping arguments is bitwise symmetric
-        cross = 0.25 * (float(v @ apply_a(w)) + float(w @ apply_a(v)))
-        return theta * (q(v) + q(w)) / 2.0 + (1.0 - theta) * cross
+        cross = 0.25 * (float(v @ aw) + float(w @ av))
+        return theta * (0.5 * float(v @ av) + 0.5 * float(w @ aw)) / 2.0 + (1.0 - theta) * cross
 
     def pdg(u, v, w):
         return apply_a(theta * (u + w) / 2.0 + (1.0 - theta) * v)

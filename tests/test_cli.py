@@ -1,19 +1,28 @@
+import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import expdg.integrators as integrators
 from expdg.cli import (
     RunConfig,
     _fmt,
+    _residual_columns,
     build_problem,
     main,
     parse_config,
     resolve_config,
+    write_run_csv,
 )
+from expdg.diagnostics import RunRecord
 from expdg.errors import BlowUpError, ConfigError, SingularMatrixError
 from expdg.models import PRESETS
+from expdg.system import Invariant
 
 PI = repr(math.pi)
 
@@ -216,6 +225,92 @@ def test_run_reads_config_file(tmp_path, capsys):
     out2 = tmp_path / "run2.csv"
     assert main(["run", "--config", str(cfg), "--T", "0.2", "-o", str(out2)]) == 0
     assert read_csv(out2)[1][-1][0] == "20"
+
+
+def per_cell_run_csv(handle, model, record):
+    """The CSV writer that formats one cell at a time: the oracle for write_run_csv's bytes."""
+    residuals = _residual_columns(model, record)
+    header = ["step", "t"]
+    for inv in model.invariants:
+        header += [inv.name, "R_" + inv.name]
+    header += ["H_paper", "R_H_paper_gamma"]
+    if "R_H_derived" in residuals:
+        header.append("R_H_derived")
+    if record.polarized_transformed is not None:
+        header.append("H_polarized_transformed")
+    header += ["newton_iters", "linear_solves"]
+    handle.write(",".join(header) + "\n")
+    for i in range(record.steps.size):
+        row = [str(int(record.steps[i])), _fmt(record.times[i])]
+        for inv in model.invariants:
+            row.append(_fmt(record.invariant_series[inv.name][i]))
+            row.append(_fmt(residuals["R_" + inv.name][i - 1]) if i > 0 else "")
+        row.append(_fmt(record.hamiltonian_paper[i]))
+        row.append(_fmt(residuals["R_H_paper_gamma"][i - 1]) if i > 0 else "")
+        if "R_H_derived" in residuals:
+            row.append(_fmt(residuals["R_H_derived"][i - 1]) if i > 0 else "")
+        if record.polarized_transformed is not None:
+            row.append(_fmt(record.polarized_transformed[i]))
+        row.append(str(int(record.newton_iterations[i])))
+        row.append(str(int(record.linear_solves[i])))
+        handle.write(",".join(row) + "\n")
+
+
+# the Kahan kinds need a quadratic field, which NLS lacks: those runs exit 2
+# before writing (test_exit_2_scheme_needs_quadratic_field)
+CSV_CASES = [
+    (preset, kind)
+    for preset in PRESETS
+    for kind in integrators.SCHEMES
+    if not (preset == "nls-paper" and kind in ("ek1", "ek2", "kahan2_plain"))
+]
+
+
+@pytest.mark.parametrize("preset,kind", CSV_CASES)
+def test_run_csv_bytes_equal_the_per_cell_writer(preset, kind, tmp_path, capsys):
+    horizon = 20 * PRESETS[preset]["dt"]
+    model, u0, spec = build_problem(resolve_config(preset, {}, {"scheme": kind, "T": horizon}))
+    expected = io.StringIO()
+    per_cell_run_csv(expected, model, integrators.integrate(model, spec, u0, horizon, record_every=1))
+    argv = ["run", "--preset", preset, "--scheme", kind, "--T", repr(horizon), "--record-every", "1"]
+    out = tmp_path / "run.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+    capsys.readouterr()
+    assert main(argv + ["-o", "-"]) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+
+
+# NaN, infinities, signed zero, subnormals and values that need all 17 digits
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.225073858507201e-308, 0.1 + 0.2,
+               1.7976931348623157e308, 1.3836777871933497e-11)
+FLOAT_COLUMNS = st.integers(2, 12).flatmap(
+    lambda rows: st.tuples(*[arrays(np.float64, rows, elements=st.floats() | st.sampled_from(EDGE_FLOATS))] * 5)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FLOAT_COLUMNS, st.booleans(), st.booleans(), st.integers(0, 2**62))
+def test_write_run_csv_equals_the_per_cell_writer_on_any_floats(columns, polarized, derived, counter):
+    times, mass, momentum, energy, pairwise = columns
+    rows = times.size
+    model = SimpleNamespace(
+        invariants=(Invariant("mass", None, 0.5, 2), Invariant("momentum", None, None, 2)),
+        gamma=0.25,
+        hamiltonian_rate=0.75 if derived else None,
+    )
+    record = RunRecord(
+        scheme_kind="lie", dt=0.5, steps=np.arange(rows), times=times,
+        invariant_series={"mass": mass, "momentum": momentum}, hamiltonian_paper=energy,
+        polarized_transformed=pairwise if polarized else None,
+        newton_iterations=np.full(rows, counter), linear_solves=np.arange(rows) * 3,
+        final_state=np.zeros(1), n_steps=rows - 1, realized_time=0.5 * (rows - 1), wall_clock_seconds=0.0,
+    )
+    expected, written = io.StringIO(), io.StringIO()
+    with np.errstate(all="ignore"):  # residuals of infinite or opposite-signed values
+        per_cell_run_csv(expected, model, record)
+        write_run_csv(written, model, record)
+    assert written.getvalue() == expected.getvalue()
 
 
 # ------------------------------------------------------------------ exit codes

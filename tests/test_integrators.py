@@ -22,7 +22,7 @@ from expdg.linalg import NonlinearSolveSettings, solve_periodic_banded
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.spatial import build_grid
 
-from conftest import toy_cubic_model
+from conftest import preset_model, toy_cubic_model
 
 EXPONENTIAL_KINDS = ("cimp", "eavf", "ek1", "ek2", "lie")
 PLAIN_KINDS = ("imidpoint_plain", "avf_plain", "kahan2_plain")
@@ -435,6 +435,31 @@ def test_integrate_observer_and_stored_states_align():
     assert len(rec.states) == len(rec.steps)
     assert np.array_equal(rec.states[0], u0)
     assert np.array_equal(seen[-1][2], rec.final_state)
+
+
+def bitwise_equal(series, values):
+    return np.asarray(series).tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "preset,kind",
+    [("burgers-paper", "ek1"), ("burgers-paper", "ek2"), ("kdv-paper", "cimp"),
+     ("kdv-paper", "lie"), ("nls-paper", "cimp"), ("nls-paper", "lie")],
+)
+def test_recorded_series_equal_the_model_on_the_stored_states(preset, kind):
+    model, u0, cfg = preset_model(preset)
+    rec = integrate(model, SchemeSpec(kind, cfg["dt"]), u0, 20 * cfg["dt"], record_every=1, store_states=True)
+    states = rec.states
+    assert len(states) == 21
+    for inv in model.invariants:
+        assert bitwise_equal(rec.invariant_series[inv.name], [inv.evaluate(u) for u in states])
+    assert bitwise_equal(rec.hamiltonian_paper, [model.hamiltonian_paper(u) for u in states])
+    if not integrators.SCHEMES[kind].two_step:
+        assert rec.polarized_transformed is None
+        return
+    e0, e1 = exponents(kind, model.gamma_eff, cfg["dt"]).factors[:2]
+    pairs = [model.polarized.evaluate(e0 * a, e1 * b) for a, b in zip(states, states[1:])]
+    assert bitwise_equal(rec.polarized_transformed, pairs + [math.nan])
 
 
 @pytest.mark.parametrize("kind", ["ek2", "lie", "kahan2_plain"])

@@ -4,14 +4,18 @@
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Each
 tree runs in its own interpreter (with PYTHONPATH set to it) over every
-preset x scheme kind x scheme variant, 20 steps at the preset's dt with
-record_every=1, once through `integrate` (every state stored) and
-once through `expdg run` (CSV written to a file). Per case the table gives:
+preset x scheme kind x scheme variant, 20 steps at the preset's dt, once
+through `integrate` (record_every=1, every state stored) and through
+`expdg run` (CSV written to a file) at record_every=1 and at
+record_every=7, which records steps 0, 7, 14 and 20: a short last interval,
+and steps whose predecessor was not recorded. Per case the table gives:
 
     lib      bitwise, the max relative difference of the stored states, the
              final state and the polarized column, or the error types
-    counters the final Newton and linear-solve counts of each tree
-    cli      exit code of each tree and whether the CSVs are byte-equal
+    newton/solves  the final Newton and linear-solve counts of each tree
+    exit     the exit codes of `expdg run` at each cadence, with the other
+             tree's after a | where they differ
+    csv      whether the CSVs of both cadences are byte-equal
 
 The exit status is 0 when every case is bitwise equal with equal counters,
 errors, exit codes, stderr lines (less the wall clock) and CSV bytes, else 1.
@@ -34,6 +38,7 @@ import numpy as np
 
 VARIANTS = ("canonical", "printed")
 STEPS = 20
+CADENCES = (1, 7)  # record_every of the `expdg run` cases
 
 
 def _cases():
@@ -68,12 +73,13 @@ def _library_case(preset, kind, variant):
     return {"error": None, "counters": counters}, arrays
 
 
-def _cli_case(preset, kind, variant, csv_path):
+def _cli_case(preset, kind, variant, record_every, csv_path):
     from expdg import cli, models
 
     argv = [
         "run", "--preset", preset, "--scheme", kind, "--scheme-variant", variant,
-        "--T", repr(STEPS * models.PRESETS[preset]["dt"]), "--record-every", "1", "--output", csv_path,
+        "--T", repr(STEPS * models.PRESETS[preset]["dt"]), "--record-every", str(record_every),
+        "--output", csv_path,
     ]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -92,8 +98,11 @@ def dump(out_dir):
     for case, preset, kind, variant in _cases():
         lib, lib_arrays = _library_case(preset, kind, variant)
         arrays.update({f"{case}/{name}": value for name, value in lib_arrays.items()})
-        csv_path = os.path.join(out_dir, case.replace("/", "_") + ".csv")
-        results[case] = {"lib": lib, "cli": _cli_case(preset, kind, variant, csv_path)}
+        cli = []
+        for every in CADENCES:
+            csv_path = os.path.join(out_dir, f"{case.replace('/', '_')}_every{every}.csv")
+            cli.append(_cli_case(preset, kind, variant, every, csv_path))
+        results[case] = {"lib": lib, "cli": cli}
     with open(os.path.join(out_dir, "cases.json"), "w") as fh:
         json.dump(results, fh)
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
@@ -127,7 +136,7 @@ def compare(parent, change) -> bool:
     (cases_p, arrays_p), (cases_c, arrays_c) = parent, change
     all_equal = True
     differences = []  # (bitwise, max relative difference) per library run that both trees completed
-    print(f"{'case':40s} {'lib':>21s} {'newton/solves':>13s} {'exit':>4s} {'csv':>5s}")
+    print(f"{'case':40s} {'lib':>21s} {'newton/solves':>13s} {'exit':>5s} {'csv':>5s}")
     for case, p in cases_p.items():
         c = cases_c[case]
         lib_p, lib_c = p["lib"], c["lib"]
@@ -146,11 +155,12 @@ def compare(parent, change) -> bool:
             if lib_p["counters"] != lib_c["counters"]:
                 counters += " vs " + "/".join(map(str, lib_c["counters"]))
         cli_p, cli_c = p["cli"], c["cli"]
-        exit_code = str(cli_p["exit"]) if cli_p["exit"] == cli_c["exit"] else f"{cli_p['exit']}|{cli_c['exit']}"
-        csv = "equal" if cli_p["csv"] == cli_c["csv"] else "DIFF"
+        exits_p, exits_c = ("/".join(str(run["exit"]) for run in runs) for runs in (cli_p, cli_c))
+        exit_code = exits_p if exits_p == exits_c else f"{exits_p}|{exits_c}"
+        csv = "equal" if all(a["csv"] == b["csv"] for a, b in zip(cli_p, cli_c)) else "DIFF"
         equal = equal and cli_p == cli_c
         all_equal = all_equal and equal
-        print(f"{case:40s} {lib:>21s} {counters:>13s} {exit_code:>4s} {csv:>5s}{'' if equal else '  *'}")
+        print(f"{case:40s} {lib:>21s} {counters:>13s} {exit_code:>5s} {csv:>5s}{'' if equal else '  *'}")
     print("every case bitwise equal" if all_equal else "cases marked * differ")
     print(_summary(differences))
     return all_equal
