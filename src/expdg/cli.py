@@ -83,13 +83,9 @@ def parse_config(text: str) -> dict:
     """Flat key=value parser; unknown keys are reported with line numbers."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line or (line.startswith("[") and line.endswith("]")):
             continue
-        if line.startswith("[") and line.endswith("]"):
-            continue
-        if "#" in line:
-            line = line.split("#", 1)[0].strip()
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")

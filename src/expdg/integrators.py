@@ -205,14 +205,14 @@ def step(model, spec: SchemeSpec, *window, exps: Optional[Exponents] = None) -> 
 def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
     """Produce u^1 for a two-step scheme from its one-step companion.
 
-    The companion solves in the canonical variant, to a Newton tolerance of
-    at most 1e-13 (the start of a two-step march must be accurate).
+    The companion solves to a Newton tolerance of at most 1e-13 (the start
+    of a two-step march must be accurate).
     """
     companion = SCHEMES[spec.kind].bootstrap
     if companion is None:
         raise ValueError(f"{spec.kind!r} is not a two-step kind")
     solver = replace(spec.solver, tolerance=min(spec.solver.tolerance, 1e-13))
-    return companion.advance(model, replace(spec, solver=solver, scheme_variant="canonical"), (u0,))
+    return companion.advance(model, replace(spec, solver=solver), (u0,))
 
 
 def step_count(T: float, dt: float) -> tuple[int, bool]:

@@ -95,8 +95,8 @@ class TwoFieldMatrix:
         if isinstance(other, TwoFieldMatrix):
             fields = (self.off + other.off, self.mid + other.mid, self.c + other.c)
             return TwoFieldMatrix(self.rows + other.rows, *fields)
-        if other.offsets != (0,) or other.coeffs.ndim != 1:
-            raise ValueError("only a multiple of the identity, diagonal(n, c), adds to a TwoFieldMatrix")
+        if other.offsets != (0,) or other.coeffs.ndim != 1 or other.size != 2 * self.rows.shape[1]:
+            raise ValueError("only a multiple of the identity, diagonal(2m, c), adds to a TwoFieldMatrix")
         return replace(self, c=self.c + other.coeffs[0])
 
     __radd__ = __add__

@@ -30,6 +30,7 @@ from .system import (
     polarize_monomial,
     polarize_quadratic_form,
     polarized_kahan_system,
+    quadratic_field,
 )
 
 
@@ -82,26 +83,14 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
     grid = p.grid
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
-    neg_d1, half_neg_d1 = -1.0 * d1, -0.5 * d1
     ghat = 2.0 * p.gamma
-
-    def conservative_field(u):
-        return -0.5 * d1.apply(u * u)
+    field = quadratic_field(-0.5, d1)
 
     def grad_h(u):
         return 0.5 * dx * u * u
 
     def apply_s(w):
         return -d1.apply(w) / dx
-
-    def jacobian_conservative(u):
-        return neg_d1 @ diagonal(m, u)
-
-    def quadratic_bilinear(x, y):
-        return -0.5 * d1.apply(x * y)
-
-    def quadratic_matrix(x):
-        return half_neg_d1 @ diagonal(m, x)
 
     nodal3 = polarize_monomial(3)
 
@@ -129,16 +118,13 @@ def burgers_model(p: BurgersParams) -> ConformalModel:
         hamiltonian=lambda u: dx * float((u**3).sum()) / 6.0,
         hamiltonian_paper=lambda u: dx * float((u**3).sum()) / 3.0,
         hamiltonian_rate=3.0 * ghat,
-        conservative_field=conservative_field,
-        jacobian_conservative=jacobian_conservative,
         invariants=invariants,
-        quadratic_bilinear=quadratic_bilinear,
-        quadratic_matrix=quadratic_matrix,
+        **field,
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg),
         polarized_degree=3,
         lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
         printed_midpoint_field=printed_midpoint_field,
-        printed_midpoint_jacobian=lambda a, b: quadratic_matrix(b),
+        printed_midpoint_jacobian=lambda a, b: field["quadratic_matrix"](b),
     )
     return model
 
@@ -157,11 +143,7 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
     d3 = derivative_operator(grid, 3)
     alpha, rho, nu = p.alpha, p.rho, p.nu
     ghat = 2.0 * p.gamma
-    linear = rho * d1 + nu * d3
-    alpha_d1, two_alpha_d1 = alpha * d1, (2.0 * alpha) * d1
-
-    def conservative_field(u):
-        return alpha * d1.apply(u * u) + linear.apply(u)
+    field = quadratic_field(alpha, d1, rho * d1 + nu * d3)
 
     def grad_h(u):
         return dx * (alpha * u * u + rho * u + nu * d2.apply(u))
@@ -174,15 +156,6 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
         quad = rho / 2.0 * float((u * u).sum())
         deriv = nu / 2.0 * float(u @ d2.apply(u))
         return dx * (cubic + quad + deriv)
-
-    def jacobian_conservative(u):
-        return two_alpha_d1 @ diagonal(m, u) + linear
-
-    def quadratic_bilinear(x, y):
-        return alpha * d1.apply(x * y)
-
-    def quadratic_matrix(x):
-        return alpha_d1 @ diagonal(m, x)
 
     nodal3 = polarize_monomial(3)
     nodal2 = polarize_monomial(2, theta)
@@ -212,12 +185,8 @@ def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
         hamiltonian=hamiltonian,
         hamiltonian_paper=hamiltonian,
         hamiltonian_rate=None,
-        conservative_field=conservative_field,
-        jacobian_conservative=jacobian_conservative,
         invariants=invariants,
-        quadratic_bilinear=quadratic_bilinear,
-        quadratic_matrix=quadratic_matrix,
-        linear_operator=linear,
+        **field,
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg, theta=theta),
         polarized_degree=None,
         lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt, theta),
@@ -356,11 +325,8 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
         hamiltonian=lambda u: 0.0,
         hamiltonian_paper=lambda u: 0.0,
         hamiltonian_rate=None,
-        conservative_field=zeros,
-        jacobian_conservative=lambda u: PeriodicBandedMatrix(dim),
         invariants=(),
-        quadratic_bilinear=lambda x, y: np.zeros_like(x),
-        quadratic_matrix=lambda x: PeriodicBandedMatrix(dim),
+        **quadratic_field(0.0, PeriodicBandedMatrix(dim)),
         polarized=None,
         polarized_degree=None,
         lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
@@ -380,6 +346,10 @@ def initial_condition(model_kind: str, grid: Grid) -> np.ndarray:
     raise ValueError(f"unknown model kind {model_kind!r}")
 
 
+# the parameters besides gamma, each with the models that read it; theta defaults to 0.5
+_PARAMETER_READERS = {"alpha": ("kdv", "nls"), "rho": ("kdv",), "nu": ("kdv",), "theta": ("kdv",)}
+
+
 def make_model(
     model_kind: str,
     grid: Grid,
@@ -389,9 +359,13 @@ def make_model(
     nu: Optional[float] = None,
     theta: Optional[float] = None,
 ) -> ConformalModel:
-    """Dispatch a model by name; theta (default 0.5) parametrizes the kdv model only."""
-    if theta is not None and model_kind in ("burgers", "nls"):
-        raise ValueError(f"theta applies to the kdv model only, not {model_kind!r}")
+    """Dispatch a model by name; a parameter that the model does not read is refused."""
+    if model_kind not in ("burgers", "kdv", "nls"):
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    given = {"alpha": alpha, "rho": rho, "nu": nu, "theta": theta}
+    for name, readers in _PARAMETER_READERS.items():
+        if given[name] is not None and model_kind not in readers:
+            raise ValueError(f"{name} applies to the {'/'.join(readers)} model only, not {model_kind!r}")
     if model_kind == "burgers":
         return burgers_model(BurgersParams(gamma=gamma, grid=grid))
     if model_kind == "kdv":
@@ -403,10 +377,8 @@ def make_model(
             grid=grid,
         )
         return kdv_model(params, theta=0.5 if theta is None else theta)
-    if model_kind == "nls":
-        params = NlsParams(alpha=2.0 if alpha is None else alpha, gamma=gamma, grid=grid)
-        return nls_model(params)
-    raise ValueError(f"unknown model kind {model_kind!r}")
+    params = NlsParams(alpha=2.0 if alpha is None else alpha, gamma=gamma, grid=grid)
+    return nls_model(params)
 
 
 # experiment presets; flags can override any entry

@@ -6,8 +6,8 @@ identified with the left one.  Every linear operator in the package is one
 (a circulant stencil such as a difference operator) or a row of n entries (a
 variable-coefficient matrix such as a Kahan system or a Newton Jacobian).  It
 applies by one gather of shifted copies of the vector, combines by row
-arithmetic (scale, sum, product), and `linalg.solve_periodic_banded` writes
-its rows straight into band storage.
+arithmetic (scale, sum, column scaling), and `linalg.solve_periodic_banded`
+writes its rows straight into band storage.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class PeriodicBandedMatrix:
     def __add__(self, other: "PeriodicBandedMatrix") -> "PeriodicBandedMatrix":
         if not isinstance(other, PeriodicBandedMatrix):  # e.g. linalg.TwoFieldMatrix adds itself
             return NotImplemented
-        self._check_size(other)
+        if other.size != self.size:
+            raise ValueError(f"sizes {self.size} and {other.size} differ")
         offsets, *where = _union(self.offsets, other.offsets)
         stencil = self.coeffs.ndim == other.coeffs.ndim == 1
         shape = (len(offsets),) if stencil else (len(offsets), self.size)
@@ -124,25 +125,10 @@ class PeriodicBandedMatrix:
                 coeffs[i] += c
         return PeriodicBandedMatrix(self.size, offsets, coeffs)
 
-    def __matmul__(self, other: "PeriodicBandedMatrix") -> "PeriodicBandedMatrix":
-        """Product: entry (i, i + d + e) gathers a_d[i] * b_e[(i + d) % n]."""
-        self._check_size(other)
-        n = self.size
-        if other.offsets == (0,) and other.coeffs.ndim == 2:  # A diag(w): column j times w[j]
-            w_shifted = other.coeffs[0][shift_index(n, self.offsets)]
-            return PeriodicBandedMatrix(n, self.offsets, self.coeff_rows * w_shifted)
-        acc: dict = {}
-        for d, a in zip(self.offsets, self.coeffs):
-            for e, b in zip(other.offsets, other.coeffs):
-                term = a * (b[shift_index(n, (d,))[0]] if np.ndim(b) else b)
-                acc[d + e] = acc.get(d + e, 0.0) + term
-        # a stencil coefficient that cancels exactly (D1 D2 at offset 0) is no entry
-        offsets = [d for d in sorted(acc) if np.ndim(acc[d]) or acc[d] != 0.0]
-        return PeriodicBandedMatrix(n, offsets, [acc[d] for d in offsets])
-
-    def _check_size(self, other: "PeriodicBandedMatrix") -> None:
-        if other.size != self.size:
-            raise ValueError(f"sizes {self.size} and {other.size} differ")
+    def scale_columns(self, w: np.ndarray) -> "PeriodicBandedMatrix":
+        """A diag(w): entry (i, i + d) times w[(i + d) % n]."""
+        w_shifted = w[shift_index(self.size, self.offsets)]
+        return PeriodicBandedMatrix(self.size, self.offsets, self.coeff_rows * w_shifted)
 
     def to_dense(self) -> np.ndarray:
         """The full matrix: the oracle the band solve is checked against."""
@@ -171,8 +157,9 @@ def derivative_operator(grid: Grid, order: int) -> PeriodicBandedMatrix:
         op = PeriodicBandedMatrix(grid.size, (-1, 1), (-1.0 / (2.0 * dx), 1.0 / (2.0 * dx)))
     elif order == 2:
         op = PeriodicBandedMatrix(grid.size, (-1, 0, 1), (1.0 / dx**2, -2.0 / dx**2, 1.0 / dx**2))
-    elif order == 3:
-        op = derivative_operator(grid, 1) @ derivative_operator(grid, 2)
+    elif order == 3:  # D1 D2, written out
+        k = (1.0 / (2.0 * dx)) * (1.0 / dx**2)
+        op = PeriodicBandedMatrix(grid.size, (-2, -1, 1, 2), (-k, 2.0 * k, -2.0 * k, k))
     else:
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     if 2 * op.half_bandwidth >= grid.size:

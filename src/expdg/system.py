@@ -93,6 +93,29 @@ def vector_field(model: ConformalModel, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) -> dict:
+    """The ConformalModel keywords of the field f(u) = scale D(u*u) + L u, D the stencil and L linear.
+
+    Qb(x, y) = scale D(x*y) is its bilinear part, 2 scale D diag(u) + L its Jacobian; L may be None.
+    """
+    scaled, doubled = scale * stencil, (2 * scale) * stencil
+
+    def quadratic_bilinear(x, y):
+        return scale * stencil.apply(x * y)
+
+    def conservative_field(u):
+        out = quadratic_bilinear(u, u)
+        return out if linear is None else out + linear.apply(u)
+
+    def jacobian_conservative(u):
+        jac = doubled.scale_columns(u)
+        return jac if linear is None else jac + linear
+
+    return dict(conservative_field=conservative_field, jacobian_conservative=jacobian_conservative,
+                quadratic_bilinear=quadratic_bilinear, quadratic_matrix=scaled.scale_columns,
+                linear_operator=linear)
+
+
 def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Symmetric bilinear extension of the conservative field.
 

@@ -49,6 +49,7 @@ def test_parse_config_tolerates_comments_and_sections():
             "model = burgers",
             "gamma = 0.25  # damping",
             "",
+            "[run]  # coarse",
             "M = 80",
         ]
     )
@@ -346,6 +347,12 @@ def test_exit_2_scheme_needs_quadratic_field(capsys):
 def test_exit_2_theta_outside_kdv(capsys):
     assert main(["run", "--preset", "nls-paper", "--theta", "0.5", "--T", "0.002"]) == 2
     assert "theta applies to the kdv model only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--rho", "--nu"])
+def test_exit_2_parameter_the_model_does_not_read(flag, capsys):
+    assert main(["run", "--preset", "burgers-paper", flag, "99", "--T", "0.018"]) == 2
+    assert f"{flag[2:]} applies to the " in capsys.readouterr().err
 
 
 def test_run_kdv_accepts_theta(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import expdg.integrators as integrators
+from expdg.diagnostics import compensated_polarized_deviation
 from expdg.errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from expdg.integrators import (
     Exponents,
@@ -319,6 +320,62 @@ def test_kahan_steps_reject_cubic_fields():
     u0 = initial_condition("nls", g)
     with pytest.raises(UnsupportedModelError):
         step(model, SchemeSpec("ek1", 0.001), u0)
+
+
+# ------------------------------ damped Kahan steps as undamped Kahan in v = e^{gt} u
+# g = gamma_eff: ek1 and ek2 take the undamped Kahan steps in v at a step that
+# shrinks like e^{-gt}, which is why criterion 05's compensated series drifts
+
+
+def _burgers_in_v():
+    model, u0, cfg = preset_model("burgers-paper")
+    undamped = make_model("burgers", preset_grid("burgers-paper"), gamma=0.0)
+    return model, undamped, u0, model.gamma_eff, cfg["dt"]
+
+
+def _two_step_kahan_in_v(undamped, u0, g, dt, n_steps):
+    """v_1 by one-step Kahan at e^{-g dt/2} dt (ek2's bootstrap in v), then two-step Kahan
+    at h_n = e^{-g t_n} dt.  ek1 and ek2 on an undamped model are the plain Kahan steps."""
+    v = [u0, step(undamped, SchemeSpec("ek1", math.exp(-g * dt / 2.0) * dt), u0).state]
+    for n in range(1, n_steps):
+        v.append(step(undamped, SchemeSpec("ek2", math.exp(-g * n * dt) * dt), v[-2], v[-1]).state)
+    return np.array(v)
+
+
+def _rescaled_run(model, kind, u0, g, dt, n_steps):
+    """e^{g t_n} u_n of a damped run."""
+    rec = integrate(model, SchemeSpec(kind, dt), u0, n_steps * dt, record_every=1, store_states=True)
+    return np.exp(g * rec.times)[:, None] * np.array(rec.states)
+
+
+def _relative_max_difference(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def test_damped_ek1_is_one_step_kahan_in_v_at_shrinking_step():
+    model, undamped, u0, g, dt = _burgers_in_v()
+    v = [u0]
+    for n in range(200):  # h_n = e^{-g t_{n+1/2}} dt
+        v.append(step(undamped, SchemeSpec("ek1", math.exp(-g * (n + 0.5) * dt) * dt), v[-1]).state)
+    assert _relative_max_difference(_rescaled_run(model, "ek1", u0, g, dt, 200), np.array(v)) <= 1e-13
+
+
+def test_damped_ek2_is_two_step_kahan_in_v_at_shrinking_step():
+    model, undamped, u0, g, dt = _burgers_in_v()
+    v = _two_step_kahan_in_v(undamped, u0, g, dt, 200)
+    assert _relative_max_difference(_rescaled_run(model, "ek2", u0, g, dt, 200), v) <= 1e-13
+
+
+def test_kahan_at_the_ek2_steps_reproduces_the_compensated_drift(burgers_ek2_run):
+    # the series criterion 05 checks is e^{-3g dt} W(v_n, v_{n+1}), W the polarized energy:
+    # undamped Kahan keeps W only at a constant step, and at the ek2 steps it drifts as much
+    model, u0, rec = burgers_ek2_run
+    _, undamped, _, g, dt = _burgers_in_v()
+    v = _two_step_kahan_in_v(undamped, u0, g, dt, rec.n_steps)
+    w = np.array([undamped.polarized.evaluate(a, b) for a, b in zip(v[:-1], v[1:])])
+    drift = np.abs(w - w[0]).max() / abs(w[0])
+    criterion = compensated_polarized_deviation(model, rec.polarized_transformed, dt)
+    assert drift == pytest.approx(criterion, rel=1e-5)
 
 
 # ---------------------------------------------------------------- bootstrap

@@ -182,6 +182,17 @@ def test_two_field_zero_or_non_finite_eliminated_diagonal_raises(t0):
     band_solve.assert_not_called()
 
 
+def test_two_field_matrix_refuses_an_identity_of_another_size():
+    # the (u; v) pair of an 8-node grid has 16 entries
+    mat = TwoFieldMatrix(np.ones((3, 8)), 1.0, -2.0)
+    assert (diagonal(16, 3.0) + mat).c == 3.0
+    for wrong in (diagonal(5, 3.0), diagonal(8, 3.0)):
+        with pytest.raises(ValueError, match="diagonal"):
+            wrong + mat
+        with pytest.raises(ValueError, match="diagonal"):
+            mat + wrong
+
+
 def test_zero_eliminated_diagonal_in_a_march_carries_partial_record():
     # cimp at dt = 0.5, alpha = 2: the Newton matrix's u-diagonal is 1 + u v,
     # which is exactly 0 at the node where u = 1 and v = -1
@@ -245,7 +256,7 @@ def test_banded_operator_matches_dense_algebra(case, scale):
     assert_close(out, dense_a @ u)
     assert_close((scale * a).to_dense(), scale * dense_a)
     assert_close((a + b).to_dense(), dense_a + dense_b)
-    assert_close((a @ b).to_dense(), dense_a @ dense_b)
+    assert_close(a.scale_columns(u).to_dense(), dense_a @ np.diag(u))
     # made diagonally dominant, the sum scatters into band storage and solves
     # like the dense matrix, with the dense matrix never built
     system = a + b + diagonal(a.size, 1.0 + np.abs(dense_a + dense_b).sum(axis=1))

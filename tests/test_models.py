@@ -11,7 +11,7 @@ from expdg.models import (
     preset_grid,
     pure_decay_model,
 )
-from expdg.spatial import build_grid, derivative_operator
+from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
 from expdg.system import vector_field
 
 from conftest import evaluate_invariants, two_field_dense
@@ -151,6 +151,55 @@ def test_nls_jacobian_blocks_match_central_differences(block):
     assert np.max(np.abs(actual - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
+def _scaled_columns(scale, stencil, w):
+    """scale * D diag(w) written out: the row at offset d is scale * c_d * w[(i + d) % n]."""
+    rows = [(scale * c) * np.roll(w, -d) for d, c in zip(stencil.offsets, stencil.coeffs)]
+    return PeriodicBandedMatrix(w.size, stencil.offsets, rows)
+
+
+def _written_out_fields(kind, grid):
+    """Field, Jacobian, Qb and Qb(x, .) of each quadratic model, each spelled out by hand."""
+    if kind == "pure-decay":
+        empty = PeriodicBandedMatrix(grid.size)
+        return (np.zeros_like, lambda u: empty, lambda x, y: np.zeros_like(x), lambda x: empty)
+    d1 = derivative_operator(grid, 1)
+    if kind == "burgers":
+        return (
+            lambda u: -0.5 * d1.apply(u * u),
+            lambda u: _scaled_columns(-1.0, d1, u),
+            lambda x, y: -0.5 * d1.apply(x * y),
+            lambda x: _scaled_columns(-0.5, d1, x),
+        )
+    alpha, rho, nu = -0.375, -10.0, -1e-5  # the kdv defaults
+    linear = rho * d1 + nu * derivative_operator(grid, 3)
+    return (
+        lambda u: alpha * d1.apply(u * u) + linear.apply(u),
+        lambda u: _scaled_columns(2.0 * alpha, d1, u) + linear,
+        lambda x, y: alpha * d1.apply(x * y),
+        lambda x: _scaled_columns(alpha, d1, x),
+    )
+
+
+@pytest.mark.parametrize("kind", ["burgers", "kdv", "pure-decay"])
+def test_quadratic_field_equals_the_written_out_formulas_bitwise(kind):
+    grid = build_grid(10.0, 64)
+    model = pure_decay_model(64, 0.3) if kind == "pure-decay" else make_model(kind, grid, gamma=0.1)
+    field, jacobian, qb, qb_matrix = _written_out_fields(kind, grid)
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal(64), rng.standard_normal(64)
+
+    def same(a, b):
+        if isinstance(a, PeriodicBandedMatrix):
+            assert a.offsets == b.offsets
+            a, b = a.to_dense(), b.to_dense()
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    same(model.conservative_field(x), field(x))
+    same(model.jacobian_conservative(x), jacobian(x))
+    same(model.quadratic_bilinear(x, y), qb(x, y))
+    same(model.quadratic_matrix(x), qb_matrix(x))
+
+
 def test_theta_defaults():
     kdv = make_model("kdv", build_grid(10.0, 64), gamma=0.0)
     assert kdv.polarized.theta == 0.5
@@ -166,6 +215,22 @@ def test_theta_is_refused_where_it_has_no_effect():
         make_model("burgers", build_grid(math.pi, 16), gamma=0.0, theta=0.5)
     kdv = make_model("kdv", build_grid(10.0, 64), gamma=0.0, theta=0.25)
     assert kdv.polarized.theta == 0.25
+
+
+@pytest.mark.parametrize(
+    "kind,unread",
+    [("burgers", ("alpha", "rho", "nu", "theta")), ("nls", ("rho", "nu", "theta"))],
+)
+def test_parameters_the_model_does_not_read_are_refused(kind, unread):
+    grid = build_grid(10.0, 64)
+    for name in unread:
+        with pytest.raises(ValueError, match=f"{name} applies to the .* model only, not '{kind}'"):
+            make_model(kind, grid, gamma=0.0, **{name: 1.0})
+    # the parameters it reads, and any parameter left at None, pass
+    read = {"alpha": 1.0} if kind == "nls" else {}
+    assert make_model(kind, grid, 0.0, rho=None, nu=None, theta=None, **read).name == kind
+    kdv = make_model("kdv", grid, 0.0, alpha=1.0, rho=1.0, nu=1.0, theta=0.5)
+    assert kdv.name == "kdv"
 
 
 def test_preset_tables():

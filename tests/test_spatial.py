@@ -10,7 +10,6 @@ from expdg.spatial import (
     apply_stencil,
     build_grid,
     derivative_operator,
-    diagonal,
     quadrature,
 )
 
@@ -123,6 +122,18 @@ def test_third_derivative_stencil_is_d1_of_d2():
     assert np.allclose(d3.to_dense(), product, rtol=1e-12, atol=1e-12 / dx**3)
 
 
+@pytest.mark.parametrize("half_length,size", [(1.0, 8), (math.pi, 80), (10.0, 248), (25.0, 1024)])
+def test_third_derivative_coefficients_are_the_stencil_product(half_length, size):
+    # entry d + e of D1 D2 is the product of the D1 entry at d and the D2 entry at e;
+    # at offset 0 the two products cancel exactly
+    g = build_grid(half_length, size)
+    (left, right), (off, mid, _) = derivative_operator(g, 1).coeffs, derivative_operator(g, 2).coeffs
+    assert left * off + right * off == 0.0
+    d3 = derivative_operator(g, 3)
+    assert d3.offsets == (-2, -1, 1, 2)
+    assert d3.coeffs.tobytes() == np.array([left * off, left * mid, right * mid, right * off]).tobytes()
+
+
 def test_apply_matches_dense_columns():
     g = build_grid(2.0, 16)
     d2 = derivative_operator(g, 2)
@@ -220,8 +231,8 @@ def test_stencil_slicing_is_bitwise_equal_to_roll(case, scale):
     for out in (op.apply(u), apply_stencil(op, u)):
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
-    # scale * C @ diag(u): entry (i, i + d) is scale * c * u[(i + d) % n]
-    mat = (scale * op) @ diagonal(n, u)
+    # scale * C diag(u): entry (i, i + d) is scale * c * u[(i + d) % n]
+    mat = (scale * op).scale_columns(u)
     assert mat.offsets == op.offsets
     for (d, c), row in zip(stencil, mat.coeffs):
         expected_row = scale * c * np.roll(u, -d)

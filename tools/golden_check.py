@@ -20,13 +20,15 @@ and steps whose predecessor was not recorded. Per case the table gives:
 The exit status is 0 when every case is bitwise equal with equal counters,
 errors, exit codes, stderr lines (less the wall clock) and CSV bytes, else 1.
 A closing line counts the library runs that are bitwise equal, within 1e-15
-relative and above it, each with its largest relative difference.
+relative and above it, each with its largest relative difference. The last
+two lines give the line count of `expdg/*.py` in each tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import io
 import json
 import os
@@ -166,6 +168,12 @@ def compare(parent, change) -> bool:
     return all_equal
 
 
+def _line_count(src) -> int:
+    """Lines of the package modules SRC/expdg/*.py, as `wc -l` counts them."""
+    paths = glob.glob(os.path.join(src, "expdg", "*.py"))
+    return sum(open(path, "rb").read().count(b"\n") for path in paths)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="SRC", help="PARENT_SRC CHANGE_SRC")
@@ -182,7 +190,10 @@ def main(argv=None) -> int:
             out_dir = os.path.join(tmp, label)
             os.mkdir(out_dir)
             runs.append(_run_tree(src, out_dir))
-        return 0 if compare(*runs) else 1
+        equal = compare(*runs)
+    for label, src in zip(("parent", "change"), args.trees):
+        print(f"{label}: {_line_count(src)} lines in {os.path.join(src, 'expdg', '*.py')}")
+    return 0 if equal else 1
 
 
 if __name__ == "__main__":
