@@ -107,11 +107,11 @@ def compensated_polarized_deviation(model, series, dt) -> float:
     if model.polarized_degree is None:
         raise ValueError(f"model {model.name} has no homogeneous polarized degree")
     w = np.asarray(series, dtype=float)
-    w = w[np.isfinite(w)]
-    if w.size < 2:
+    n = np.flatnonzero(np.isfinite(w))  # each finite value keeps its own time n dt
+    if n.size < 2:
         raise ValueError("need at least two finite polarized values")
     rate = model.polarized_degree * model.gamma_eff
-    comp = w * np.exp(rate * dt * np.arange(w.size))
+    comp = w[n] * np.exp(rate * dt * n)
     return float(np.max(np.abs(comp - comp[0])) / abs(comp[0]))
 
 
@@ -166,7 +166,7 @@ def observed_order(
     """Least-squares slope of log endpoint error against log step size.
 
     The reference endpoint comes from reference_solve at dt <= min(dts)/50
-    unless one is supplied.  When every error sits at the rounding floor
+    unless one is supplied.  When any error sits at the rounding floor
     the slope is meaningless and reported as None.
     """
     if len(dts) < 2:

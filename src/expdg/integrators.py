@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from .linalg import NonlinearSolveSettings, gauss_legendre_2, newton_solve, solve_periodic_banded
-from .spatial import diagonal
 from .system import ConformalModel, kahan_system
 
 
@@ -111,12 +110,15 @@ def _implicit_step(model, a, dt, gamma, spec, nodes):
         return y - a - dt * rhs
 
     def jacobian(y):
-        mat = diagonal(model.dim, 1.0 + (dt * gamma / 2.0 if gamma else 0.0))
+        diag = 1.0 + (dt * gamma / 2.0 if gamma else 0.0)
         if printed:
-            return mat + (-dt) * model.printed_midpoint_jacobian(a, y)
-        for xi in nodes:
-            mat = mat + (-dt * xi / len(nodes)) * model.jacobian_conservative(xi * y + (1.0 - xi) * a)
-        return mat
+            return ((-dt) * model.printed_midpoint_jacobian(a, y)).shift(diag)
+        if len(nodes) == 2 and model.quadratic_matrix is not None:
+            # f is quadratic, so J is affine in u: the mean of (xi_k/2) J at the nodes is J((2y + a)/3)/2
+            return ((-0.5 * dt) * model.jacobian_conservative((2.0 * y + a) / 3.0)).shift(diag)
+        jac = [(-dt * xi / len(nodes)) * model.jacobian_conservative(xi * y + (1.0 - xi) * a)
+               for xi in nodes]
+        return sum(jac[1:], jac[0].shift(diag))
 
     y, iters = newton_solve(residual, jacobian, a, _scaled_solver(spec.solver, a))
     return y, iters, iters

@@ -10,7 +10,7 @@ scatter, and one pivoted band LU solves it at every size.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -91,15 +91,13 @@ class TwoFieldMatrix:
 
     __rmul__ = __mul__
 
-    def __add__(self, other) -> "TwoFieldMatrix":
-        if isinstance(other, TwoFieldMatrix):
-            fields = (self.off + other.off, self.mid + other.mid, self.c + other.c)
-            return TwoFieldMatrix(self.rows + other.rows, *fields)
-        if other.offsets != (0,) or other.coeffs.ndim != 1 or other.size != 2 * self.rows.shape[1]:
-            raise ValueError("only a multiple of the identity, diagonal(2m, c), adds to a TwoFieldMatrix")
-        return replace(self, c=self.c + other.coeffs[0])
+    def __add__(self, other: "TwoFieldMatrix") -> "TwoFieldMatrix":
+        fields = (self.off + other.off, self.mid + other.mid, self.c + other.c)
+        return TwoFieldMatrix(self.rows + other.rows, *fields)
 
-    __radd__ = __add__
+    def shift(self, c: float) -> "TwoFieldMatrix":
+        """This matrix plus c I."""
+        return TwoFieldMatrix(self.rows, self.off, self.mid, self.c + c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Eliminate u, solve (diag(c + t) + A W B) v = r_v - A W r_u by one band LU, u = W (r_u + B v),

@@ -20,7 +20,6 @@ from .spatial import (
     PeriodicBandedMatrix,
     build_grid,
     derivative_operator,
-    diagonal,
     quadrature,
 )
 from .system import (
@@ -272,7 +271,7 @@ def nls_model(p: NlsParams) -> ConformalModel:
         ub, vb = split(b)
         mod_b = ub * ub + vb * vb
         za = a[:m] + 1j * a[m:]
-        mat = diagonal(m, 1.0 / (2.0 * dt) - 0.5j * alpha * mod_b) + lie_d2
+        mat = lie_d2.shift(1.0 / (2.0 * dt) - 0.5j * alpha * mod_b)
         rhs = za / (2.0 * dt) + 1j * (0.5 * d2.apply(za) + 0.5 * alpha * mod_b * za)
         return mat, rhs, lambda z: np.concatenate([z.real, z.imag])
 

@@ -6,8 +6,8 @@ identified with the left one.  Every linear operator in the package is one
 (a circulant stencil such as a difference operator) or a row of n entries (a
 variable-coefficient matrix such as a Kahan system or a Newton Jacobian).  It
 applies by one gather of shifted copies of the vector, combines by row
-arithmetic (scale, sum, column scaling), and `linalg.solve_periodic_banded`
-writes its rows straight into band storage.
+arithmetic (scale, sum, diagonal shift, column scaling; a sum on one band is
+one add), and `linalg.solve_periodic_banded` writes its rows into band storage.
 """
 
 from __future__ import annotations
@@ -112,10 +112,12 @@ class PeriodicBandedMatrix:
     __rmul__ = __mul__
 
     def __add__(self, other: "PeriodicBandedMatrix") -> "PeriodicBandedMatrix":
-        if not isinstance(other, PeriodicBandedMatrix):  # e.g. linalg.TwoFieldMatrix adds itself
-            return NotImplemented
         if other.size != self.size:
             raise ValueError(f"sizes {self.size} and {other.size} differ")
+        if other.offsets == self.offsets:  # one band: every per-step sum
+            same = self.coeffs.ndim == other.coeffs.ndim
+            coeffs = self.coeffs + other.coeffs if same else self.coeff_rows + other.coeff_rows
+            return PeriodicBandedMatrix(self.size, self.offsets, coeffs)
         offsets, *where = _union(self.offsets, other.offsets)
         stencil = self.coeffs.ndim == other.coeffs.ndim == 1
         shape = (len(offsets),) if stencil else (len(offsets), self.size)
@@ -124,6 +126,14 @@ class PeriodicBandedMatrix:
             for i, c in zip(positions, term.coeffs):
                 coeffs[i] += c
         return PeriodicBandedMatrix(self.size, offsets, coeffs)
+
+    def shift(self, c) -> "PeriodicBandedMatrix":
+        """A + diag(c), for a scalar c or a row of n entries; offset 0 must be one of the offsets."""
+        shape = (len(self.offsets), self.size)
+        rows = np.broadcast_to(self.coeff_rows, shape) if isinstance(c, np.ndarray) else self.coeffs
+        coeffs = rows.astype(np.result_type(rows, c))  # a copy
+        coeffs[self.offsets.index(0)] += c
+        return PeriodicBandedMatrix(self.size, self.offsets, coeffs)
 
     def scale_columns(self, w: np.ndarray) -> "PeriodicBandedMatrix":
         """A diag(w): entry (i, i + d) times w[(i + d) % n]."""

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, UnsupportedModelError
-from .spatial import PeriodicBandedMatrix, diagonal
+from .spatial import PeriodicBandedMatrix
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,13 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
     """The ConformalModel keywords of the field f(u) = scale D(u*u) + L u, D the stencil and L linear.
 
     Qb(x, y) = scale D(x*y) is its bilinear part, 2 scale D diag(u) + L its Jacobian; L may be None.
+    Its matrices and `linear_operator` live on one band, the offsets of D, 0 and those of L, so
+    every sum a step makes is one row add; Qb and the field apply D and L on their own offsets.
     """
-    scaled, doubled = scale * stencil, (2 * scale) * stencil
+    offsets = sorted({0, *stencil.offsets, *(() if linear is None else linear.offsets)})
+    band = PeriodicBandedMatrix(stencil.size, offsets, np.zeros(len(offsets)))
+    scaled, doubled = band + scale * stencil, band + (2 * scale) * stencil
+    banded = None if linear is None else band + linear
 
     def quadratic_bilinear(x, y):
         return scale * stencil.apply(x * y)
@@ -109,11 +114,11 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
 
     def jacobian_conservative(u):
         jac = doubled.scale_columns(u)
-        return jac if linear is None else jac + linear
+        return jac if linear is None else jac + banded
 
     return dict(conservative_field=conservative_field, jacobian_conservative=jacobian_conservative,
                 quadratic_bilinear=quadratic_bilinear, quadratic_matrix=scaled.scale_columns,
-                linear_operator=linear)
+                linear_operator=banded)
 
 
 def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,22 +151,22 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
         (c - a)/h = Qb(b, q0 a + q1 b + q2 c) + (L - gamma)(l0 a + l1 b + l2 c)
 
     for a quadratic field Qb(u, u) + L u.  One-step schemes pass b = a.  The
-    system is linear in c; terms with a zero weight are not formed.
+    system is linear in c; right-hand-side terms with a zero weight are not formed.
     """
     if model.quadratic_bilinear is None or model.quadratic_matrix is None:
         raise UnsupportedModelError(
             f"model {model.name} has no quadratic conservative field for Kahan steps"
         )
-    # Qb(b, .) is linear in b, so the weight scales b rather than the matrix
-    mat = diagonal(model.dim, 1.0 / h + l[2] * gamma) + model.quadratic_matrix(-q[2] * b)
+    # Qb(b, .) is linear in b, so the weight scales b rather than the matrix; the rest,
+    # (1/h + l2 gamma) I - l2 L, is arithmetic on a (k,) stencil plus one row add
+    mat, linear = model.quadratic_matrix(-q[2] * b), model.linear_operator
+    diag = 1.0 / h + l[2] * gamma
+    mat = mat.shift(diag) if linear is None else mat + ((-l[2]) * linear).shift(diag)
     rhs = a / h
     qb_arg = _combine(q[0], a, q[1], b)
     if qb_arg is not None:
         rhs = rhs + model.quadratic_bilinear(b, qb_arg)
-    linear = model.linear_operator
     if linear is not None:
-        if l[2]:
-            mat = mat + (-l[2]) * linear
         rhs = rhs + linear.apply(_combine(l[0], a, l[1], b))
     if gamma:
         rhs = rhs - gamma * _combine(l[0], a, l[1], b)

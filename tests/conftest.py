@@ -11,7 +11,7 @@ import pytest
 from expdg.integrators import SchemeSpec, exponents, integrate
 from expdg.spatial import PeriodicBandedMatrix
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
-from expdg.system import ConformalModel, PolarizedEnergy, polarize_monomial
+from expdg.system import ConformalModel, PolarizedEnergy, polarize_monomial, quadratic_field
 
 
 def preset_model(name):
@@ -167,14 +167,9 @@ def toy_cubic_model():
     """
     nod3 = polarize_monomial(3)
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    # At n=2 the +1 offset wraps, covering both off-diagonal entries:
-    # entry (0,1) = row[0] and entry (1,0) = row[1].
-    def quad_matrix(x):
-        return PeriodicBandedMatrix(2, (1,), [[x[1], -x[0]]])
-
-    def jac(u):
-        return PeriodicBandedMatrix(2, (1,), [[2.0 * u[1], -2.0 * u[0]]])
+    # the field S (u*u): at n = 2 the +1 offset wraps, covering both off-diagonal
+    # entries, (0, 1) = row[0] and (1, 0) = row[1]
+    field = quadratic_field(1.0, PeriodicBandedMatrix(2, (1,), [[1.0, -1.0]]))
 
     return ConformalModel(
         name="toy",
@@ -187,11 +182,8 @@ def toy_cubic_model():
         hamiltonian=lambda u: float(np.sum(u**3)) / 3.0,
         hamiltonian_paper=lambda u: float(np.sum(u**3)) / 3.0,
         hamiltonian_rate=None,
-        conservative_field=lambda u: S @ (u * u),
-        jacobian_conservative=jac,
         invariants=(),
-        quadratic_bilinear=lambda a, b: S @ (a * b),
-        quadratic_matrix=quad_matrix,
+        **field,
         polarized=PolarizedEnergy(
             evaluate=lambda v, w: float(np.sum(nod3.evaluate(v, w))) / 3.0,
             pdg=lambda u, v, w: nod3.pdg(u, v, w) / 3.0,

@@ -175,6 +175,15 @@ def test_compensated_deviation_skips_non_finite_entries():
         compensated_polarized_deviation(model, [1.0, np.nan], 0.009)
 
 
+def test_compensated_deviation_dates_values_after_an_interior_hole():
+    g = preset_grid("burgers-paper")
+    model = make_model("burgers", g, gamma=0.25)
+    rate = model.polarized_degree * model.gamma_eff
+    series = 2.7 * np.exp(-rate * 0.009 * np.arange(12))
+    series[2] = np.nan
+    assert compensated_polarized_deviation(model, series, 0.009) <= 1e-13
+
+
 def test_compensated_deviation_rejects_mixed_degrees():
     g = preset_grid("kdv-paper")
     model = make_model("kdv", g, gamma=1e-2)

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from expdg.integrators import (
     _kahan1_step,
     _kahan2_step,
 )
-from expdg.linalg import NonlinearSolveSettings, solve_periodic_banded
+from expdg.linalg import NonlinearSolveSettings, gauss_legendre_2, newton_solve, solve_periodic_banded
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.spatial import build_grid
 
@@ -202,6 +204,36 @@ def test_eavf_step_satisfies_chord_average_equation():
     assert np.max(np.abs(residual)) <= 1e-10 * max(np.max(np.abs(yt)), 1.0)
 
 
+@pytest.mark.parametrize("kind", ["burgers", "kdv", "pure-decay"])
+def test_avf_newton_matrix_needs_one_jacobian_per_iteration(kind):
+    # a quadratic field's Jacobian is affine in u, so the mean of (xi_k/2) J(xi_k y + (1 - xi_k) a)
+    # over the two Gauss nodes is J((2y + a)/3)/2, and the Newton matrix needs J at one point
+    grid = build_grid(10.0, 64)
+    model = pure_decay_model(64, 0.3) if kind == "pure-decay" else make_model(kind, grid, gamma=0.1)
+    rng = np.random.default_rng(4)
+    a, y, dt = rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 64), 0.01
+    nodes = gauss_legendre_2()[0]
+    mean = sum(xi / 2.0 * model.jacobian_conservative(xi * y + (1.0 - xi) * a).to_dense() for xi in nodes)
+    one = 0.5 * model.jacobian_conservative((2.0 * y + a) / 3.0).to_dense()
+    assert np.abs(one - mean).max() <= 1e-14 * np.abs(mean).max()
+    calls, newton_matrices = [], []
+
+    def counted(u):
+        calls.append(u)
+        return model.jacobian_conservative(u)
+
+    def capture(residual, jacobian, guess, settings):
+        newton_matrices.append(jacobian)
+        return newton_solve(residual, jacobian, guess, settings)
+
+    with mock.patch.object(integrators, "newton_solve", capture):
+        result = step(replace(model, jacobian_conservative=counted), SchemeSpec("avf_plain", dt), a)
+    assert len(calls) == result.newton_iterations > 0
+    # the plain kind keeps the damping: (1 + dt g/2) I - dt (mean of the node terms)
+    expected = (1.0 + dt * model.gamma_eff / 2.0) * np.eye(64) - dt * mean
+    assert np.abs(newton_matrices[0](y).to_dense() - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_eavf_preserves_transformed_energy_per_step():
     model, u0 = burgers()
     dt = 0.009
@@ -376,6 +408,15 @@ def test_kahan_at_the_ek2_steps_reproduces_the_compensated_drift(burgers_ek2_run
     drift = np.abs(w - w[0]).max() / abs(w[0])
     criterion = compensated_polarized_deviation(model, rec.polarized_transformed, dt)
     assert drift == pytest.approx(criterion, rel=1e-5)
+
+
+@pytest.mark.parametrize("h", [0.0045, 0.009])
+def test_two_step_kahan_keeps_the_polarized_energy_at_a_constant_step(h):
+    # the drift above comes from the shrinking step: at a constant step, undamped two-step
+    # Kahan started by one-step Kahan at the same h keeps W(v_n, v_{n+1}) to rounding
+    _, undamped, u0, _, _ = _burgers_in_v()
+    w = integrate(undamped, SchemeSpec("kahan2_plain", h), u0, 9.0).polarized_transformed[:-1]
+    assert np.abs(w - w[0]).max() <= 1e-12 * abs(w[0])
 
 
 # ---------------------------------------------------------------- bootstrap

@@ -146,6 +146,29 @@ def test_preset_systems_match_dense_oracle(preset, kind, size, bandwidth, dtype)
     assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("preset, band", [("burgers-paper", (-1, 0, 1)), ("kdv-paper", (-2, -1, 0, 1, 2))])
+def test_every_step_system_lives_on_the_model_band(preset, band):
+    # Kahan, lie and Newton matrices of a quadratic field: each sum a step makes is one row add
+    offsets = {}
+
+    def record(mat, rhs):
+        offsets.setdefault(key, set()).add(mat.offsets)
+        return solve_periodic_banded(mat, rhs)
+
+    cfg = resolve_config(preset, {}, {})
+    model, u0, _ = build_problem(cfg)
+    keys = [(kind, "canonical") for kind in integrators.SCHEMES]
+    if preset == "burgers-paper":
+        keys += [("cimp", "printed"), ("imidpoint_plain", "printed")]
+    with mock.patch.object(linalg, "solve_periodic_banded", record), mock.patch.object(
+        integrators, "solve_periodic_banded", record
+    ):
+        for key in keys:
+            spec = integrators.SchemeSpec(key[0], cfg.dt, scheme_variant=key[1])
+            integrators.integrate(model, spec, u0, 3 * cfg.dt)
+    assert offsets == {key: {band} for key in keys}
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     m=st.integers(2, 32).map(lambda k: 2 * k),
@@ -158,9 +181,9 @@ def test_two_field_elimination_matches_dense_solve(m, damping, nodes, dt, seed):
     # the Newton matrix exactly as _implicit_step builds it: c I - dt mean_k J_k
     rng = np.random.default_rng(seed)
     d2 = derivative_operator(build_grid(5.0, m), 2)
-    mat = diagonal(2 * m, 1.0 + damping)
-    for xi in nodes:
-        mat = mat + (-dt * xi / len(nodes)) * TwoFieldMatrix(rng.uniform(-5.0, 5.0, (3, m)), *d2.coeffs[:2])
+    jac = [(-dt * xi / len(nodes)) * TwoFieldMatrix(rng.uniform(-5.0, 5.0, (3, m)), *d2.coeffs[:2])
+           for xi in nodes]
+    mat = sum(jac[1:], jac[0].shift(1.0 + damping))
     assert isinstance(mat, TwoFieldMatrix)
     rhs = rng.standard_normal(2 * m)
     expected = np.linalg.solve(two_field_dense(mat), rhs)
@@ -175,22 +198,18 @@ def test_two_field_zero_or_non_finite_eliminated_diagonal_raises(t0):
     rows = np.ones((3, 8))
     rows[0] = 0.0
     rows[0, 3] = t0
-    mat = diagonal(16, 1.0) + TwoFieldMatrix(rows, 1.0, -2.0)
+    mat = TwoFieldMatrix(rows, 1.0, -2.0).shift(1.0)
     with mock.patch.object(linalg, "solve_periodic_banded") as band_solve:
         with pytest.raises(SingularMatrixError):
             mat.solve(np.ones(16))
     band_solve.assert_not_called()
 
 
-def test_two_field_matrix_refuses_an_identity_of_another_size():
-    # the (u; v) pair of an 8-node grid has 16 entries
-    mat = TwoFieldMatrix(np.ones((3, 8)), 1.0, -2.0)
-    assert (diagonal(16, 3.0) + mat).c == 3.0
-    for wrong in (diagonal(5, 3.0), diagonal(8, 3.0)):
-        with pytest.raises(ValueError, match="diagonal"):
-            wrong + mat
-        with pytest.raises(ValueError, match="diagonal"):
-            mat + wrong
+def test_two_field_matrix_shift_adds_to_c():
+    mat = TwoFieldMatrix(np.ones((3, 8)), 1.0, -2.0, c=0.5)
+    shifted = mat.shift(3.0)
+    assert shifted.c == 3.5
+    assert np.array_equal(two_field_dense(shifted), two_field_dense(mat) + 3.0 * np.eye(16))
 
 
 def test_zero_eliminated_diagonal_in_a_march_carries_partial_record():
@@ -257,6 +276,9 @@ def test_banded_operator_matches_dense_algebra(case, scale):
     assert_close((scale * a).to_dense(), scale * dense_a)
     assert_close((a + b).to_dense(), dense_a + dense_b)
     assert_close(a.scale_columns(u).to_dense(), dense_a @ np.diag(u))
+    for c in (scale, scale.real, u, u.real):  # complex and real, scalar and row, on a band with 0
+        shifted = (a + diagonal(a.size, 0.0)).shift(c)
+        assert_close(shifted.to_dense(), dense_a + np.diag(np.broadcast_to(c, a.size)))
     # made diagonally dominant, the sum scatters into band storage and solves
     # like the dense matrix, with the dense matrix never built
     system = a + b + diagonal(a.size, 1.0 + np.abs(dense_a + dense_b).sum(axis=1))

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expdg.errors import BlowUpError, UnsupportedModelError
+from expdg.integrators import SchemeSpec, step
 from expdg.linalg import solve_periodic_banded
-from expdg.models import make_model
+from expdg.models import PRESETS, initial_condition, make_model, preset_grid
 from expdg.spatial import build_grid, derivative_operator
 from expdg.system import kahan_bilinear, kahan_system, polarize_monomial, vector_field
 
@@ -218,3 +219,41 @@ def test_evaluate_invariants_zero_state():
     assert set(values) == {"I1", "I2"}
     assert values["I1"] == 0.0
     assert values["I2"] == 0.0
+
+
+# the undamped presets, each model built once
+PRESET_MODELS = {
+    kind: (make_model(kind, preset_grid(f"{kind}-paper"), 0.0), PRESETS[f"{kind}-paper"]["dt"])
+    for kind in ("burgers", "kdv", "nls")
+}
+
+
+def perturbed_state(kind, amplitude, rng):
+    """The preset's initial profile plus uniform noise of the given amplitude."""
+    model, _ = PRESET_MODELS[kind]
+    return initial_condition(kind, model.grid) + amplitude * rng.uniform(-1.0, 1.0, model.dim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(PRESET_MODELS)), amplitude=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_structure_times_gradient_is_the_field(kind, amplitude, seed):
+    # S grad_H(u) = f(u): the structure and the field are two spellings of one model
+    model, _ = PRESET_MODELS[kind]
+    u = perturbed_state(kind, amplitude, np.random.default_rng(seed))
+    field = model.conservative_field(u)
+    assert np.max(np.abs(model.apply_S(model.grad_H(u)) - field)) <= 1e-13 * np.max(np.abs(field))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(PRESET_MODELS)), amplitude=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_lie_step_solves_the_discrete_gradient_equation(kind, amplitude, seed):
+    # the lie system is the discrete gradient step (c - a)/(2 dt) = S pdg(a, b, c)
+    model, dt = PRESET_MODELS[kind]
+    rng = np.random.default_rng(seed)
+    a, b = perturbed_state(kind, amplitude, rng), perturbed_state(kind, amplitude, rng)
+    c = step(model, SchemeSpec("lie", dt), a, b).state
+    lhs = (c - a) / (2.0 * dt)
+    rhs = model.apply_S(model.polarized.pdg(a, b, c))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))

@@ -1,0 +1,141 @@
+"""Time one step of every preset x scheme kind in two expdg source trees, interleaved in one interpreter.
+
+    python3 tools/step_ab.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Both
+trees are imported into this interpreter, as the packages `expdg_parent` and
+`expdg_change`, so that they share one process, one heap and one CPU state:
+timings of one tree in two separate processes drift by far more than a
+per-step saving of 10-20% on a small shared host.
+
+For each preset x canonical scheme kind that runs (the NLS Kahan kinds are
+skipped), each tree builds the preset problem and its start window, (u0,) or
+(u0, u1) with u1 from the tree's bootstrap. Then 25 rounds alternate between
+the trees, the first tree of a round alternating too; in each a tree times a
+block of `Scheme.advance` calls from that same window, so every call does
+the same work. The table gives per tree:
+
+    us/step      the best block's mean time of one step, in microseconds
+    step/solve   that time over the time of the band solves the step makes
+                 (every `solve_periodic_banded` call, timed alone on the
+                 systems the step assembled)
+
+and change/parent, the ratio of the two step times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import os
+import sys
+import time
+from unittest import mock
+
+BLOCK_SECONDS = 0.02  # length of one timed block of steps
+ROUNDS = 25  # blocks per tree and case; the best one counts
+
+
+def load_tree(src: str, name: str):
+    """Import the expdg package under `src` as the top-level package `name`."""
+    path = os.path.join(os.path.abspath(src), "expdg")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class March:
+    """One preset x kind of one tree: a step from a fixed window, and the systems it solves."""
+
+    def __init__(self, tree, preset, kind):
+        models, integrators = sys.modules[f"{tree}.models"], sys.modules[f"{tree}.integrators"]
+        self.linalg = sys.modules[f"{tree}.linalg"]
+        self.integrators = integrators
+        cfg = models.PRESETS[preset]
+        grid = models.preset_grid(preset)
+        model = models.make_model(cfg["model"], grid, cfg["gamma"], cfg.get("alpha"), cfg.get("rho"), cfg.get("nu"))
+        spec = integrators.SchemeSpec(kind, cfg["dt"])
+        u0 = models.initial_condition(cfg["model"], grid)
+        scheme = integrators.SCHEMES[kind]
+        window = (u0, integrators.bootstrap(model, u0, spec).state) if scheme.two_step else (u0,)
+        exps = scheme.exponents(model.gamma_eff, spec.dt)
+        self.advance = lambda: scheme.advance(model, spec, window, exps)
+        self.systems = self._systems()
+
+    def _systems(self) -> list:
+        """The (matrix, rhs) of every band solve one step makes."""
+        solve, systems = self.linalg.solve_periodic_banded, []
+
+        def record(mat, rhs):
+            systems.append((mat, rhs))
+            return solve(mat, rhs)
+
+        with mock.patch.object(self.linalg, "solve_periodic_banded", record), mock.patch.object(
+            self.integrators, "solve_periodic_banded", record
+        ):
+            self.advance()
+        return systems
+
+    def solve_all(self):
+        for mat, rhs in self.systems:
+            self.linalg.solve_periodic_banded(mat, rhs)
+
+
+def block_time(fn, calls: int) -> float:
+    """Mean seconds of one call over a block of `calls` calls."""
+    clock = time.perf_counter
+    tic = clock()
+    for _ in range(calls):
+        fn()
+    return (clock() - tic) / calls
+
+
+def calls_per_block(fn) -> int:
+    return max(1, int(BLOCK_SECONDS / max(block_time(fn, 3), 1e-7)))
+
+
+def compare(trees) -> None:
+    presets = sys.modules[f"{trees[0]}.models"].PRESETS
+    kinds = sys.modules[f"{trees[0]}.integrators"].SCHEMES
+    unsupported = tuple(sys.modules[f"{tree}.errors"].UnsupportedModelError for tree in trees)
+    print(f"{'case':<30}" + "".join(f"{t + ' us/step':>22}{'step/solve':>12}" for t in trees) + f"{'change/parent':>15}")
+    for preset in presets:
+        for kind in kinds:
+            try:
+                marches = [March(tree, preset, kind) for tree in trees]
+            except unsupported as exc:  # e.g. a Kahan kind on the cubic NLS field
+                print(f"{preset + '/' + kind:<30} skipped: {type(exc).__name__}")
+                continue
+            steps = [[calls_per_block(m.advance), float("inf")] for m in marches]
+            solves = [[calls_per_block(m.solve_all), float("inf")] for m in marches]
+            gc.disable()
+            try:
+                for r in range(ROUNDS):
+                    for i in (0, 1) if r % 2 == 0 else (1, 0):
+                        steps[i][1] = min(steps[i][1], block_time(marches[i].advance, steps[i][0]))
+                        solves[i][1] = min(solves[i][1], block_time(marches[i].solve_all, solves[i][0]))
+            finally:
+                gc.enable()
+            cells = "".join(f"{1e6 * s[1]:>22.1f}{s[1] / v[1]:>12.2f}" for s, v in zip(steps, solves))
+            print(f"{preset + '/' + kind:<30}{cells}{steps[1][1] / steps[0][1]:>15.3f}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    args = parser.parse_args(argv)
+    trees = ("expdg_parent", "expdg_change")
+    for src, name in zip((args.parent_src, args.change_src), trees):
+        print(f"{name} from {os.path.dirname(load_tree(src, name).__file__)}")
+    compare(trees)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
