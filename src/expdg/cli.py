@@ -254,11 +254,10 @@ def cmd_run(args) -> int:
     record = integrators.integrate(
         model, spec, u0, realized, record_every=cfg.record_every
     )
-    out = cfg.output if cfg.output is not None else args.output
-    if out is None or out == "-":
+    if cfg.output is None or cfg.output == "-":
         write_run_csv(sys.stdout, model, record)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             write_run_csv(fh, model, record)
     print(f"wall_clock_seconds={record.wall_clock_seconds!r}", file=sys.stderr)
     return 0
@@ -302,10 +301,10 @@ def cmd_compare(args) -> int:
     header += ["max_R_" + name for name in inv_names]
     header += ["final_H_paper", "wall_clock_seconds", "newton_iters", "linear_solves"]
     text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
-    if args.output is None or args.output == "-":
+    if cfg.output is None or cfg.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     if len(failures) == len(schemes):
         return failures[0]
@@ -315,7 +314,7 @@ def cmd_compare(args) -> int:
 def _flag_values(args) -> dict:
     keys = (
         "model scheme gamma alpha rho nu theta L M dt T "
-        "record_every newton_tol newton_max_iter scheme_variant"
+        "record_every newton_tol newton_max_iter scheme_variant output"
     ).split()
     return {k: getattr(args, k, None) for k in keys}
 

@@ -4,12 +4,21 @@ Each factory assembles a ConformalModel: the semidiscrete vector field, the
 generator Hamiltonian (whose gradient produces that field), invariants with
 their exact decay rates, the polarized energy used by the two-step linearly
 implicit scheme, and the builder of that scheme's linear system.
+
+Burgers and KdV are stated once, as (S, H) with
+
+    H(u) = dx sum(alpha u^3/3) + u^T A u/2,  A = dx (rho I + nu D2),  S = sigma D1/dx,
+
+by `cubic_hamiltonian_model(sigma, alpha, A, theta)`, which derives the field
+S grad_H and its Jacobian, grad_H, S and H, the polarized energy (the cubic
+nodal rule plus the theta-polarized form of A) and its PDG, and the lie
+system with the same theta.  Burgers is sigma = -1, alpha = 1/2 and no A;
+KdV is sigma = 1 with A.  NLS, whose H is quartic, states its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,167 +42,105 @@ from .system import (
 )
 
 
-@dataclass(frozen=True)
-class BurgersParams:
-    gamma: float
-    grid: Grid
+def cubic_hamiltonian_model(
+    name: str, grid: Grid, gamma: float, sigma: float, alpha: float, invariants: tuple,
+    linear: Optional[tuple] = None, theta: float = 1.0, paper_factor: float = 1.0, **printed,
+) -> ConformalModel:
+    """The model of H(u) = dx sum(alpha u^3/3) + u^T A u/2 with S = sigma D1/dx, damped at 2 gamma.
 
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class KdvParams:
-    alpha: float
-    rho: float
-    nu: float
-    gamma: float
-    grid: Grid
-
-    def __post_init__(self):
-        for label, value in (("alpha", self.alpha), ("rho", self.rho), ("nu", self.nu)):
-            if not np.isfinite(value):
-                raise ValueError(f"{label} must be finite, got {value}")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class NlsParams:
-    alpha: float
-    gamma: float
-    grid: Grid
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-
-
-def burgers_model(p: BurgersParams) -> ConformalModel:
-    """u_t = -u u_x - 2 gamma u on a periodic grid.
-
-    Semidiscrete field -D1(u*u)/2 - 2 gamma u.  The generator Hamiltonian is
-    dx sum(u^3)/6 with S = -D1/dx; the reported energy follows the u^3/3
-    integral convention and is exactly twice the generator.
+    linear is (rho, nu) for A = dx (rho I + nu D2), or None for no A.  Everything else is
+    derived: the field S grad_H = sigma alpha D1(u*u) + sigma (rho D1 + nu D3) u, its
+    Jacobian, the polarized energy (the cubic nodal rule plus the theta-polarized form
+    of A) and its PDG, the lie system with the same theta, and, when there is no A, the
+    homogeneity degree 3 of H and H~.  invariants holds (name, degree, functional)
+    triples, each decaying at degree * 2 gamma; the reported energy is paper_factor H;
+    printed holds the as-printed midpoint callables, if any.
     """
-    grid = p.grid
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
-    ghat = 2.0 * p.gamma
-    field = quadratic_field(-0.5, d1)
-
-    def grad_h(u):
-        return 0.5 * dx * u * u
-
-    def apply_s(w):
-        return -d1.apply(w) / dx
-
+    ghat = 2.0 * gamma
+    cubic = dx * alpha / 3.0
     nodal3 = polarize_monomial(3)
-
-    def pol_eval(v, w):
-        return dx / 6.0 * float(nodal3.evaluate(v, w).sum())
-
-    def pol_pdg(u, v, w):
-        return dx / 6.0 * nodal3.pdg(u, v, w)
-
-    def printed_midpoint_field(a, b):
-        # the as-printed average: mean of squares instead of squared mean
-        return -0.25 * d1.apply(a * a + b * b)
-
-    invariants = (
-        Invariant("mass", lambda u: quadrature(grid, u), exact_rate=ghat, degree=1),
-    )
-    model = ConformalModel(
-        name="burgers",
-        dim=m,
-        grid=grid,
-        gamma=p.gamma,
-        gamma_eff=ghat,
-        apply_S=apply_s,
-        grad_H=grad_h,
-        hamiltonian=lambda u: dx * float((u**3).sum()) / 6.0,
-        hamiltonian_paper=lambda u: dx * float((u**3).sum()) / 3.0,
-        hamiltonian_rate=3.0 * ghat,
-        invariants=invariants,
-        **field,
-        polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg),
-        polarized_degree=3,
-        lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
-        printed_midpoint_field=printed_midpoint_field,
-        printed_midpoint_jacobian=lambda a, b: field["quadratic_matrix"](b),
-    )
-    return model
-
-
-def kdv_model(p: KdvParams, theta: float = 0.5) -> ConformalModel:
-    """u_t = alpha (u^2)_x + rho u_x + nu u_xxx - 2 gamma u.
-
-    The derivative term of the Hamiltonian is realized as the quadratic form
-    (nu/2) u^T D2 u so that S grad_H reproduces nu D3 u with D3 = D1 D2.
-    theta weights the polarization of the linear (rho, nu) terms.
-    """
-    grid = p.grid
-    m, dx = grid.size, grid.spacing
-    d1 = derivative_operator(grid, 1)
-    d2 = derivative_operator(grid, 2)
-    d3 = derivative_operator(grid, 3)
-    alpha, rho, nu = p.alpha, p.rho, p.nu
-    ghat = 2.0 * p.gamma
-    field = quadratic_field(alpha, d1, rho * d1 + nu * d3)
+    if linear is None:
+        amat = form = field_linear = None
+    else:
+        rho, nu = linear
+        d2 = derivative_operator(grid, 2)
+        amat = dx * (nu * d2).shift(rho)
+        form = polarize_quadratic_form(amat.apply, theta)
+        field_linear = sigma * (rho * d1 + nu * derivative_operator(grid, 3))
 
     def grad_h(u):
-        return dx * (alpha * u * u + rho * u + nu * d2.apply(u))
+        g = dx * alpha * u * u
+        return g if amat is None else g + amat.apply(u)
 
     def apply_s(w):
-        return d1.apply(w) / dx
+        return sigma * d1.apply(w) / dx
 
     def hamiltonian(u):
-        cubic = alpha / 3.0 * float((u**3).sum())
-        quad = rho / 2.0 * float((u * u).sum())
-        deriv = nu / 2.0 * float(u @ d2.apply(u))
-        return dx * (cubic + quad + deriv)
-
-    nodal3 = polarize_monomial(3)
-    nodal2 = polarize_monomial(2, theta)
-    form = polarize_quadratic_form(lambda z: nu * dx * d2.apply(z), theta)
+        h = cubic * float((u**3).sum())
+        return h if amat is None else h + 0.5 * float(u @ amat.apply(u))
 
     def pol_eval(v, w):
-        poly = alpha / 3.0 * float(nodal3.evaluate(v, w).sum())
-        poly += rho / 2.0 * float(nodal2.evaluate(v, w).sum())
-        return dx * poly + form.evaluate(v, w)
+        h = cubic * float(nodal3.evaluate(v, w).sum())
+        return h if form is None else h + form.evaluate(v, w)
 
     def pol_pdg(u, v, w):
-        poly = alpha / 3.0 * nodal3.pdg(u, v, w) + rho / 2.0 * nodal2.pdg(u, v, w)
-        return dx * poly + form.pdg(u, v, w)
+        g = cubic * nodal3.pdg(u, v, w)
+        return g if form is None else g + form.pdg(u, v, w)
 
-    invariants = (
-        Invariant("I1", lambda u: quadrature(grid, u), exact_rate=ghat, degree=1),
-        Invariant("I2", lambda u: quadrature(grid, u * u), exact_rate=2.0 * ghat, degree=2),
-    )
+    homogeneous = amat is None
     model = ConformalModel(
-        name="kdv",
+        name=name,
         dim=m,
         grid=grid,
-        gamma=p.gamma,
+        gamma=gamma,
         gamma_eff=ghat,
         apply_S=apply_s,
         grad_H=grad_h,
         hamiltonian=hamiltonian,
-        hamiltonian_paper=hamiltonian,
-        hamiltonian_rate=None,
-        invariants=invariants,
-        **field,
+        hamiltonian_paper=hamiltonian if paper_factor == 1.0 else lambda u: paper_factor * hamiltonian(u),
+        hamiltonian_rate=3.0 * ghat if homogeneous else None,
+        invariants=tuple(Invariant(n, f, exact_rate=p * ghat, degree=p) for n, p, f in invariants),
+        **quadratic_field(sigma * alpha, d1, field_linear),
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg, theta=theta),
-        polarized_degree=None,
+        polarized_degree=3 if homogeneous else None,
         lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt, theta),
+        **printed,
     )
     return model
 
 
-def nls_model(p: NlsParams) -> ConformalModel:
+def burgers_model(grid: Grid, gamma: float) -> ConformalModel:
+    """u_t = -u u_x - 2 gamma u on a periodic grid: sigma = -1, alpha = 1/2, no A.
+
+    The reported energy follows the u^3/3 integral convention and is exactly
+    twice the generator dx sum(u^3)/6.
+    """
+    d1 = derivative_operator(grid, 1)
+    model = cubic_hamiltonian_model(
+        "burgers", grid, gamma, -1.0, 0.5, (("mass", 1, lambda u: quadrature(grid, u)),),
+        paper_factor=2.0,
+        # the as-printed average: mean of squares instead of squared mean
+        printed_midpoint_field=lambda a, b: -0.25 * d1.apply(a * a + b * b),
+        printed_midpoint_jacobian=lambda a, b: model.quadratic_matrix(b),
+    )
+    return model
+
+
+def kdv_model(grid: Grid, gamma: float, alpha: float, rho: float, nu: float, theta: float) -> ConformalModel:
+    """u_t = alpha (u^2)_x + rho u_x + nu u_xxx - 2 gamma u: sigma = 1 and A = dx (rho I + nu D2).
+
+    A is kept when rho = nu = 0, so H and H~ are never taken as homogeneous.
+    """
+    invariants = (
+        ("I1", 1, lambda u: quadrature(grid, u)),
+        ("I2", 2, lambda u: quadrature(grid, u * u)),
+    )
+    return cubic_hamiltonian_model("kdv", grid, gamma, 1.0, alpha, invariants, (rho, nu), theta)
+
+
+def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     """i psi_t = -psi_xx - alpha |psi|^2 psi - i (gamma/2) psi, psi = u + i v.
 
     State is the stacked real pair (u; v) of length 2M.  The effective
@@ -203,13 +150,11 @@ def nls_model(p: NlsParams) -> ConformalModel:
     energy has theta = 1: the lie system below is the discrete gradient of
     that polarization only.
     """
-    grid = p.grid
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
     d2 = derivative_operator(grid, 2)
     lie_d2 = -0.5j * d2
-    alpha = p.alpha
-    ghat = 0.5 * p.gamma
+    ghat = 0.5 * gamma
 
     def split(x):
         return x[:m], x[m:]
@@ -292,7 +237,7 @@ def nls_model(p: NlsParams) -> ConformalModel:
         name="nls",
         dim=2 * m,
         grid=grid,
-        gamma=p.gamma,
+        gamma=gamma,
         gamma_eff=ghat,
         apply_S=apply_s,
         grad_H=grad_h,
@@ -345,8 +290,13 @@ def initial_condition(model_kind: str, grid: Grid) -> np.ndarray:
     raise ValueError(f"unknown model kind {model_kind!r}")
 
 
-# the parameters besides gamma, each with the models that read it; theta defaults to 0.5
-_PARAMETER_READERS = {"alpha": ("kdv", "nls"), "rho": ("kdv",), "nu": ("kdv",), "theta": ("kdv",)}
+# the parameters besides gamma: the default of each in every model that reads it
+_PARAMETERS = {
+    "alpha": {"kdv": -0.375, "nls": 2.0},
+    "rho": {"kdv": -10.0},
+    "nu": {"kdv": -1e-5},
+    "theta": {"kdv": 0.5},
+}
 
 
 def make_model(
@@ -358,26 +308,24 @@ def make_model(
     nu: Optional[float] = None,
     theta: Optional[float] = None,
 ) -> ConformalModel:
-    """Dispatch a model by name; a parameter that the model does not read is refused."""
+    """Dispatch a model by name; a parameter that the model does not read, or a bad value, is refused."""
     if model_kind not in ("burgers", "kdv", "nls"):
         raise ValueError(f"unknown model kind {model_kind!r}")
     given = {"alpha": alpha, "rho": rho, "nu": nu, "theta": theta}
-    for name, readers in _PARAMETER_READERS.items():
-        if given[name] is not None and model_kind not in readers:
-            raise ValueError(f"{name} applies to the {'/'.join(readers)} model only, not {model_kind!r}")
-    if model_kind == "burgers":
-        return burgers_model(BurgersParams(gamma=gamma, grid=grid))
-    if model_kind == "kdv":
-        params = KdvParams(
-            alpha=-0.375 if alpha is None else alpha,
-            rho=-10.0 if rho is None else rho,
-            nu=-1e-5 if nu is None else nu,
-            gamma=gamma,
-            grid=grid,
-        )
-        return kdv_model(params, theta=0.5 if theta is None else theta)
-    params = NlsParams(alpha=2.0 if alpha is None else alpha, gamma=gamma, grid=grid)
-    return nls_model(params)
+    values = {}
+    for name, defaults in _PARAMETERS.items():
+        if model_kind in defaults:
+            values[name] = defaults[model_kind] if given[name] is None else given[name]
+        elif given[name] is not None:
+            raise ValueError(f"{name} applies to the {'/'.join(defaults)} model only, not {model_kind!r}")
+    if model_kind == "nls" and not (np.isfinite(values["alpha"]) and values["alpha"] > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {values['alpha']}")
+    for name in ("alpha", "rho", "nu"):
+        if not np.isfinite(values.get(name, 0.0)):
+            raise ValueError(f"{name} must be finite, got {values[name]}")
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    return {"burgers": burgers_model, "kdv": kdv_model, "nls": nls_model}[model_kind](grid, gamma, **values)
 
 
 # experiment presets; flags can override any entry

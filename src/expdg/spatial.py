@@ -155,11 +155,6 @@ PeriodicStencilOperator = PeriodicBandedMatrix
 apply_stencil = PeriodicBandedMatrix.apply
 
 
-def diagonal(size: int, values) -> PeriodicBandedMatrix:
-    """diag(values); a scalar gives that multiple of the identity."""
-    return PeriodicBandedMatrix(size, (0,), [values])
-
-
 def derivative_operator(grid: Grid, order: int) -> PeriodicBandedMatrix:
     """Centered difference operator D1, D2 or their product D3 = D1 D2."""
     dx = grid.spacing

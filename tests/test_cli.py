@@ -228,6 +228,18 @@ def test_run_reads_config_file(tmp_path, capsys):
     assert read_csv(out2)[1][-1][0] == "20"
 
 
+@pytest.mark.parametrize("command", [["run"], ["compare", "--schemes", "ek1,ek2"]])
+def test_output_flag_wins_over_the_config_file_and_the_file_entry_is_read(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.cfg").write_text("output = fromfile.csv\n")
+    argv = command + ["--preset", "burgers-paper", "--T", "0.018", "--config", "o.cfg"]
+    assert main(argv + ["-o", "fromflag.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fromflag.csv"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["fromfile.csv", "fromflag.csv"]
+    assert capsys.readouterr().out == ""
+
+
 def per_cell_run_csv(handle, model, record):
     """The CSV writer that formats one cell at a time: the oracle for write_run_csv's bytes."""
     residuals = _residual_columns(model, record)

@@ -18,7 +18,7 @@ from expdg.linalg import (
     solve_periodic_banded,
 )
 from expdg.models import make_model
-from expdg.spatial import build_grid, derivative_operator, diagonal
+from expdg.spatial import build_grid, derivative_operator
 
 from conftest import two_field_dense
 
@@ -30,7 +30,7 @@ def random_banded(rng, n, bandwidth, dtype=float):
     if dtype is complex:
         rows = rows + 1j * rng.uniform(-1.0, 1.0, (len(offsets), n))
     dominance = 1.0 + np.abs(rows).sum(axis=0) + rng.uniform(0.5, 1.5, n)
-    mat = PeriodicBandedMatrix(n, offsets, rows) + diagonal(n, dominance)
+    mat = PeriodicBandedMatrix(n, offsets, rows) + PeriodicBandedMatrix(n, (0,), [dominance])
     return mat, mat.to_dense()
 
 
@@ -45,13 +45,13 @@ def without_dense():
 
 def test_identity_solve_returns_rhs():
     rhs = np.arange(1.0, 9.0)
-    x = solve_periodic_banded(diagonal(8, 1.0), rhs)
+    x = solve_periodic_banded(PeriodicBandedMatrix(8, (0,), [1.0]), rhs)
     assert np.allclose(x, rhs, rtol=0, atol=1e-15)
 
 
 def test_scaled_identity():
     rhs = np.ones(6)
-    x = solve_periodic_banded(diagonal(6, 4.0), rhs)
+    x = solve_periodic_banded(PeriodicBandedMatrix(6, (0,), [4.0]), rhs)
     assert np.allclose(x, 0.25 * np.ones(6), rtol=1e-15)
 
 
@@ -62,7 +62,7 @@ def test_kahan_step_matrix_matches_dense_oracle():
     model = make_model("burgers", g, gamma=0.25)
     a = np.exp(-g.nodes**2 / 2.0)
     dt = 0.009
-    mat = model.quadratic_matrix(a) + diagonal(80, np.full(80, 1.0 / dt))
+    mat = model.quadratic_matrix(a).shift(np.full(80, 1.0 / dt))
     rhs = a / dt
     x = solve_periodic_banded(mat, rhs)
     expected = np.linalg.solve(mat.to_dense(), rhs)
@@ -228,7 +228,7 @@ def test_zero_eliminated_diagonal_in_a_march_carries_partial_record():
 
 
 def test_complex_entries_promote_a_real_matrix():
-    mat = diagonal(8, 1.0) + PeriodicBandedMatrix(8, (1,), [np.full(8, 0.5j)])
+    mat = PeriodicBandedMatrix(8, (0,), [1.0]) + PeriodicBandedMatrix(8, (1,), [np.full(8, 0.5j)])
     assert mat.dtype == np.complex128
     rhs = np.ones(8)
     expected = np.linalg.solve(mat.to_dense(), rhs)
@@ -277,11 +277,11 @@ def test_banded_operator_matches_dense_algebra(case, scale):
     assert_close((a + b).to_dense(), dense_a + dense_b)
     assert_close(a.scale_columns(u).to_dense(), dense_a @ np.diag(u))
     for c in (scale, scale.real, u, u.real):  # complex and real, scalar and row, on a band with 0
-        shifted = (a + diagonal(a.size, 0.0)).shift(c)
+        shifted = (a + PeriodicBandedMatrix(a.size, (0,), [0.0])).shift(c)
         assert_close(shifted.to_dense(), dense_a + np.diag(np.broadcast_to(c, a.size)))
     # made diagonally dominant, the sum scatters into band storage and solves
     # like the dense matrix, with the dense matrix never built
-    system = a + b + diagonal(a.size, 1.0 + np.abs(dense_a + dense_b).sum(axis=1))
+    system = a + b + PeriodicBandedMatrix(a.size, (0,), [1.0 + np.abs(dense_a + dense_b).sum(axis=1)])
     dense = system.to_dense()
     with without_dense():
         x = solve_periodic_banded(system, u)
@@ -322,7 +322,7 @@ def test_singular_core_band_still_solves(n):
 @pytest.mark.parametrize("n", [8, 600])
 def test_non_finite_entry_raises_singular(n):
     poisoned = np.where(np.arange(n) == 3, np.nan, 0.0)
-    mat = diagonal(n, 1.0) + PeriodicBandedMatrix(n, (1,), [poisoned])
+    mat = PeriodicBandedMatrix(n, (0,), [1.0]) + PeriodicBandedMatrix(n, (1,), [poisoned])
     with pytest.raises(SingularMatrixError):
         solve_periodic_banded(mat, np.ones(n))
 
@@ -361,7 +361,7 @@ def test_newton_scalar_quadratic():
     settings = NonlinearSolveSettings(tolerance=1e-12)
     x, iterations = newton_solve(
         residual,
-        lambda x: diagonal(3, 2.0 * x),
+        lambda x: PeriodicBandedMatrix(3, (0,), [2.0 * x]),
         np.full(3, 3.0),
         settings,
     )
@@ -374,7 +374,7 @@ def test_newton_scalar_quadratic():
 def test_newton_zero_initial_residual_returns_immediately():
     x, iterations = newton_solve(
         lambda x: np.zeros(3),
-        lambda x: diagonal(3, 1.0),
+        lambda x: PeriodicBandedMatrix(3, (0,), [1.0]),
         np.ones(3),
         NonlinearSolveSettings(),
     )
@@ -387,7 +387,7 @@ def test_newton_budget_exhaustion_raises():
     with pytest.raises(NonConvergenceError) as info:
         newton_solve(
             lambda x: np.ones(3),
-            lambda x: diagonal(3, 1.0),
+            lambda x: PeriodicBandedMatrix(3, (0,), [1.0]),
             np.zeros(3),
             settings,
         )
@@ -403,7 +403,7 @@ def test_newton_nan_residual_raises():
         return np.full(3, np.nan)
 
     with pytest.raises(NonConvergenceError) as info:
-        newton_solve(residual, lambda x: diagonal(3, 1.0), np.zeros(3), NonlinearSolveSettings())
+        newton_solve(residual, lambda x: PeriodicBandedMatrix(3, (0,), [1.0]), np.zeros(3), NonlinearSolveSettings())
     assert info.value.iterations == 1
     assert math.isnan(info.value.residual)
 

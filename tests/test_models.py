@@ -261,6 +261,12 @@ def test_preset_tables():
         ("nls", {"gamma": 0.1, "alpha": -2.0}),
         ("kdv", {"gamma": 0.1, "nu": math.inf}),
         ("kdv", {"gamma": math.nan}),
+        ("kdv", {"gamma": 0.1, "alpha": math.nan}),
+        ("kdv", {"gamma": 0.1, "rho": math.inf}),
+        ("nls", {"gamma": -0.1}),
+        ("burgers", {"gamma": math.inf}),
+        ("nls", {"gamma": 0.1, "alpha": math.inf}),
+        ("kdv", {"gamma": 0.1, "theta": 1.5}),
     ],
 )
 def test_parameter_validation(kind, kwargs):

@@ -10,18 +10,23 @@ through `integrate` (record_every=1, every state stored) and through
 record_every=7, which records steps 0, 7, 14 and 20: a short last interval,
 and steps whose predecessor was not recorded. Per case the table gives:
 
-    lib      bitwise, the max relative difference of the stored states, the
-             final state and the polarized column, or the error types
+    states   bitwise, or the max relative difference of the stored states and
+             the final state, or the error types
+    polarized  the same for the polarized column, - where there is none
     newton/solves  the final Newton and linear-solve counts of each tree
     exit     the exit codes of `expdg run` at each cadence, with the other
              tree's after a | where they differ
-    csv      whether the CSVs of both cadences are byte-equal
+    csv      whether the CSVs of both cadences are byte-equal; below a DIFF
+             row, each cadence whose CSV differs lists the columns that
+             differ with their largest absolute and relative difference
 
 The exit status is 0 when every case is bitwise equal with equal counters,
 errors, exit codes, stderr lines (less the wall clock) and CSV bytes, else 1.
-A closing line counts the library runs that are bitwise equal, within 1e-15
-relative and above it, each with its largest relative difference. The last
-two lines give the line count of `expdg/*.py` in each tree.
+Closing lines count the library runs whose states, and whose polarized
+columns, are bitwise equal, within 1e-15 relative and above it, each with its
+largest relative difference, and give the largest difference of each CSV
+column over all cases. The last two lines give the line count of
+`expdg/*.py` in each tree.
 """
 
 from __future__ import annotations
@@ -123,7 +128,20 @@ def _relative_difference(a, b):
     return float(np.nanmax(np.abs(a - b))) / scale
 
 
-def _summary(differences) -> str:
+def _difference(names, arrays_p, arrays_c):
+    """(bitwise, max relative difference) over the named arrays, or None when there are none."""
+    if not names:
+        return None
+    if all(arrays_p[k].tobytes() == arrays_c[k].tobytes() for k in names):
+        return True, 0.0
+    return False, max(_relative_difference(arrays_p[k], arrays_c[k]) for k in names)
+
+
+def _cell(difference) -> str:
+    return "-" if difference is None else "bitwise" if difference[0] else f"{difference[1]:.2e}"
+
+
+def _summary(label, differences) -> str:
     """One line: how many runs are bitwise, within 1e-15 and above it, and the largest difference of each."""
     groups = {"bitwise": [], "within 1e-15": [], "above 1e-15": []}
     for bitwise, diff in differences:
@@ -131,28 +149,57 @@ def _summary(differences) -> str:
     counts = ", ".join(
         f"{len(diffs)} {name} (largest {max(diffs):.2e})" if diffs else f"0 {name}" for name, diffs in groups.items()
     )
-    return f"{len(differences)} library runs: {counts}"
+    return f"{len(differences)} library runs, {label}: {counts}"
+
+
+def _csv_columns(hex_bytes) -> dict:
+    """Column name -> the list of its cells."""
+    lines = bytes.fromhex(hex_bytes).decode().splitlines()
+    return dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+
+
+def _column_differences(csv_p, csv_c):
+    """Column name -> (largest absolute, largest relative difference) of the columns whose cells differ.
+
+    A string instead says why the CSVs cannot be compared by column.
+    """
+    if csv_p is None or csv_c is None:
+        return "only one tree wrote a CSV"
+    cols_p, cols_c = _csv_columns(csv_p), _csv_columns(csv_c)
+    if list(cols_p) != list(cols_c) or any(len(cols_p[k]) != len(cols_c[k]) for k in cols_p):
+        return "the headers or row counts differ"
+    out = {}
+    for name, cells in cols_p.items():
+        if cells != cols_c[name]:
+            a, b = (np.array([float(c) if c else np.nan for c in col]) for col in (cells, cols_c[name]))
+            if not np.array_equal(np.isnan(a), np.isnan(b)):
+                return f"the empty cells of {name} differ"
+            out[name] = (float(np.nanmax(np.abs(a - b))), _relative_difference(a, b))
+    return out
 
 
 def compare(parent, change) -> bool:
     (cases_p, arrays_p), (cases_c, arrays_c) = parent, change
     all_equal = True
-    differences = []  # (bitwise, max relative difference) per library run that both trees completed
-    print(f"{'case':40s} {'lib':>21s} {'newton/solves':>13s} {'exit':>5s} {'csv':>5s}")
+    states, polarized = [], []  # (bitwise, max relative difference) per library run that both trees completed
+    columns = {}  # CSV column -> largest (absolute, relative) difference over all cases
+    print(f"{'case':40s} {'states':>21s} {'polarized':>9s} {'newton/solves':>13s} {'exit':>5s} {'csv':>5s}")
     for case, p in cases_p.items():
         c = cases_c[case]
         lib_p, lib_c = p["lib"], c["lib"]
         if lib_p["error"] or lib_c["error"]:
             equal = lib_p["error"] == lib_c["error"]
             lib = lib_p["error"] if equal else f"{lib_p['error']}|{lib_c['error']}"
-            counters = "-"
+            pol = counters = "-"
         else:
             names = sorted(k for k in arrays_p.files if k.startswith(case + "/"))
-            bitwise = all(arrays_p[k].tobytes() == arrays_c[k].tobytes() for k in names)
-            diff = 0.0 if bitwise else max(_relative_difference(arrays_p[k], arrays_c[k]) for k in names)
-            differences.append((bitwise, diff))
-            lib = "bitwise" if bitwise else f"{diff:.2e}"
-            equal = bitwise and lib_p["counters"] == lib_c["counters"]
+            state_diff = _difference([k for k in names if not k.endswith("/polarized")], arrays_p, arrays_c)
+            pol_diff = _difference([k for k in names if k.endswith("/polarized")], arrays_p, arrays_c)
+            states.append(state_diff)
+            if pol_diff is not None:
+                polarized.append(pol_diff)
+            lib, pol = _cell(state_diff), _cell(pol_diff)
+            equal = state_diff[0] and (pol_diff is None or pol_diff[0]) and lib_p["counters"] == lib_c["counters"]
             counters = "/".join(map(str, lib_p["counters"]))
             if lib_p["counters"] != lib_c["counters"]:
                 counters += " vs " + "/".join(map(str, lib_c["counters"]))
@@ -162,9 +209,25 @@ def compare(parent, change) -> bool:
         csv = "equal" if all(a["csv"] == b["csv"] for a, b in zip(cli_p, cli_c)) else "DIFF"
         equal = equal and cli_p == cli_c
         all_equal = all_equal and equal
-        print(f"{case:40s} {lib:>21s} {counters:>13s} {exit_code:>5s} {csv:>5s}{'' if equal else '  *'}")
+        print(f"{case:40s} {lib:>21s} {pol:>9s} {counters:>13s} {exit_code:>5s} {csv:>5s}{'' if equal else '  *'}")
+        for every, a, b in zip(CADENCES, cli_p, cli_c):
+            if a["csv"] == b["csv"]:
+                continue
+            diffs = _column_differences(a["csv"], b["csv"])
+            if isinstance(diffs, str):
+                print(f"    record_every={every}: {diffs}")
+                continue
+            for name, (absolute, relative) in diffs.items():
+                old = columns.get(name, (0.0, 0.0))
+                columns[name] = (max(old[0], absolute), max(old[1], relative))
+            cells = ", ".join(f"{name} {ab:.2e} ({rel:.2e} rel)" for name, (ab, rel) in diffs.items())
+            print(f"    record_every={every}: {cells}")
     print("every case bitwise equal" if all_equal else "cases marked * differ")
-    print(_summary(differences))
+    print(_summary("stored and final states", states))
+    print(_summary("polarized column", polarized))
+    if columns:
+        cells = ", ".join(f"{name} {ab:.2e} ({rel:.2e} rel)" for name, (ab, rel) in columns.items())
+        print(f"CSV columns that differ, largest over all cases: {cells}")
     return all_equal
 
 
