@@ -1,19 +1,20 @@
 """Command-line front end: single runs and scheme comparisons.
 
 Configuration is flat ``key = value`` text; ``#`` starts a comment and
-``[section]`` headers are tolerated and ignored.  Resolution order is
+``[section]`` headers are tolerated and ignored.  The settings are the
+fields of `RunConfig`: every config key is also a flag, with ``_`` written
+as ``-`` (``record_every`` is ``--record-every``), and ``-o`` is short for
+``--output``; ``expdg run --help`` lists them.  Resolution order is
 preset < config file < command-line flags.  Exit codes: 0 success,
 2 configuration problem, 3 solver non-convergence or a singular linear
 system, 4 numeric blow-up.
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,28 +30,6 @@ from .errors import (
 from .linalg import NonlinearSolveSettings
 from .spatial import build_grid
 
-# key name -> coercion
-_CONFIG_KEYS = {
-    "model": str,
-    "scheme": str,
-    "gamma": float,
-    "alpha": float,
-    "rho": float,
-    "nu": float,
-    "theta": float,
-    "L": float,
-    "M": int,
-    "dt": float,
-    "T": float,
-    "record_every": int,
-    "newton_tol": float,
-    "newton_max_iter": int,
-    "scheme_variant": str,
-    "output": str,
-}
-
-_MODEL_KINDS = ("burgers", "kdv", "nls")
-
 # solver failure -> (compare row status, exit code)
 _SOLVER_FAILURES = {
     NonConvergenceError: ("nonconvergence", 3),
@@ -61,22 +40,30 @@ _SOLVER_FAILURES = {
 
 @dataclass
 class RunConfig:
-    model: Optional[str] = None
-    scheme: Optional[str] = None
+    """The run settings; a field's annotation coerces its config value and its flag.
+
+    A field's metadata holds the argparse `choices` and `help` of its flag.
+    """
+
+    model: str = field(default=None, metadata={"choices": tuple(models.MODELS)})
+    scheme: str = field(default=None, metadata={"choices": tuple(integrators.SCHEMES)})
     gamma: float = 0.0
-    alpha: Optional[float] = None
-    rho: Optional[float] = None
-    nu: Optional[float] = None
-    theta: Optional[float] = None
-    L: Optional[float] = None
-    M: Optional[int] = None
-    dt: Optional[float] = None
-    T: Optional[float] = None
+    alpha: float = None
+    rho: float = None
+    nu: float = None
+    theta: float = None
+    L: float = field(default=None, metadata={"help": "domain half-length"})
+    M: int = field(default=None, metadata={"help": "number of grid nodes"})
+    dt: float = None
+    T: float = None
     record_every: int = 10
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    scheme_variant: str = "canonical"
-    output: Optional[str] = None
+    scheme_variant: str = field(default="canonical", metadata={"choices": integrators.SCHEME_VARIANTS})
+    output: str = field(default=None, metadata={"help": "CSV destination, '-' for stdout"})
+
+
+_SETTINGS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config(text: str) -> dict:
@@ -91,16 +78,15 @@ def parse_config(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        coerce = _SETTINGS[key].type
         try:
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = coerce(value)
         except ValueError:
-            raise ConfigError(
-                f"line {lineno}: cannot parse {value!r} as {_CONFIG_KEYS[key].__name__}"
-            ) from None
+            raise ConfigError(f"line {lineno}: cannot parse {value!r} as {coerce.__name__}") from None
     return out
 
 
@@ -113,7 +99,7 @@ def resolve_config(preset: Optional[str], file_values: dict, flag_values: dict) 
         merged.update(models.PRESETS[preset])
     merged.update(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
-    cfg = RunConfig(**{k: merged[k] for k in merged if k in _CONFIG_KEYS})
+    cfg = RunConfig(**{k: merged[k] for k in merged if k in _SETTINGS})
     _validate(cfg)
     return cfg
 
@@ -122,13 +108,10 @@ def _validate(cfg: RunConfig) -> None:
     for name in ("model", "scheme", "L", "M", "dt", "T"):
         if getattr(cfg, name) is None:
             raise ConfigError(f"missing required setting {name!r}")
-    if cfg.model not in _MODEL_KINDS:
-        raise ConfigError(f"unknown model {cfg.model!r} (known: {', '.join(_MODEL_KINDS)})")
-    if cfg.scheme not in integrators.SCHEMES:
-        known = ", ".join(integrators.SCHEMES)
-        raise ConfigError(f"unknown scheme {cfg.scheme!r} (known: {known})")
-    if cfg.scheme_variant not in ("canonical", "printed"):
-        raise ConfigError(f"unknown scheme_variant {cfg.scheme_variant!r}")
+    for name, setting in _SETTINGS.items():
+        choices = setting.metadata.get("choices")
+        if choices is not None and getattr(cfg, name) not in choices:
+            raise ConfigError(f"unknown {name} {getattr(cfg, name)!r} (known: {', '.join(choices)})")
     if cfg.scheme_variant == "printed":
         ok = (cfg.model == "burgers" and cfg.scheme in ("cimp", "imidpoint_plain")) or (
             cfg.model == "nls" and cfg.scheme == "lie"
@@ -144,7 +127,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"T must be positive, got {cfg.T}")
     if cfg.record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {cfg.record_every}")
-    if cfg.newton_tol <= 0 or cfg.newton_max_iter < 1:
+    if cfg.newton_tol <= 0 or not math.isfinite(cfg.newton_tol) or cfg.newton_max_iter < 1:
         raise ConfigError("newton_tol must be positive and newton_max_iter >= 1")
 
 
@@ -268,26 +251,24 @@ def cmd_compare(args) -> int:
     schemes = [s.strip() for s in (args.schemes or "").split(",") if s.strip()]
     if not schemes:
         raise ConfigError("compare needs at least one scheme (--schemes a,b,...)")
+    flags = _flag_values(args)
+    # every scheme's config error comes before the first march
+    configs = [resolve_config(args.preset, file_values, dict(flags, scheme=scheme)) for scheme in schemes]
+    problems = [build_problem(cfg) for cfg in configs]
+    inv_names = [inv.name for inv in problems[0][0].invariants]
     rows = []
     failures = []
-    inv_names = None
-    for scheme in schemes:
-        flags = _flag_values(args)
-        flags["scheme"] = scheme
-        cfg = resolve_config(args.preset, file_values, flags)
-        model, u0, spec = build_problem(cfg)
-        if inv_names is None:
-            inv_names = [inv.name for inv in model.invariants]
+    for cfg, (model, u0, spec) in zip(configs, problems):
         realized = _realized_horizon(cfg)[1]
         try:
             record = integrators.integrate(model, spec, u0, realized, record_every=cfg.record_every)
         except tuple(_SOLVER_FAILURES) as exc:
             status, code = _SOLVER_FAILURES[type(exc)]
-            rows.append([scheme, status] + [""] * (len(inv_names) + 4))
+            rows.append([cfg.scheme, status] + [""] * (len(inv_names) + 4))
             failures.append(code)
             continue
         residuals = _residual_columns(model, record)
-        cells = [scheme, "ok"]
+        cells = [cfg.scheme, "ok"]
         for name in inv_names:
             r = residuals["R_" + name]
             finite = r[np.isfinite(r)]
@@ -312,31 +293,17 @@ def cmd_compare(args) -> int:
 
 
 def _flag_values(args) -> dict:
-    keys = (
-        "model scheme gamma alpha rho nu theta L M dt T "
-        "record_every newton_tol newton_max_iter scheme_variant output"
-    ).split()
-    return {k: getattr(args, k, None) for k in keys}
+    return {name: getattr(args, name, None) for name in _SETTINGS}
 
 
-def _add_common(parser) -> None:
+def _add_settings(parser, skip=()) -> None:
+    """One flag per RunConfig field but those in skip; None stands for "not given"."""
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--preset", help="named experiment preset")
-    parser.add_argument("--model", choices=_MODEL_KINDS)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--L", type=float, help="domain half-length")
-    parser.add_argument("--M", type=int, help="number of grid nodes")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--T", type=float)
-    parser.add_argument("--record-every", dest="record_every", type=int)
-    parser.add_argument("--newton-tol", dest="newton_tol", type=float)
-    parser.add_argument("--newton-max-iter", dest="newton_max_iter", type=int)
-    parser.add_argument("--scheme-variant", dest="scheme_variant", choices=["canonical", "printed"])
-    parser.add_argument("--output", "-o", help="CSV destination, '-' for stdout")
+    for name, setting in _SETTINGS.items():
+        if name not in skip:
+            flags = ["--" + name.replace("_", "-")] + (["-o"] if name == "output" else [])
+            parser.add_argument(*flags, dest=name, type=setting.type, **setting.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,11 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="integrate one model/scheme and write a CSV time series")
-    _add_common(p_run)
-    p_run.add_argument("--scheme", choices=tuple(integrators.SCHEMES))
+    _add_settings(p_run)
     p_run.set_defaults(func=cmd_run)
     p_cmp = sub.add_parser("compare", help="run several schemes on one problem, one CSV row each")
-    _add_common(p_cmp)
+    _add_settings(p_cmp, skip=("scheme",))  # compare takes --schemes
     p_cmp.add_argument("--schemes", help="comma-separated scheme kinds")
     p_cmp.set_defaults(func=cmd_compare)
     return parser

@@ -32,6 +32,9 @@ from .linalg import NonlinearSolveSettings, gauss_legendre_2, newton_solve, solv
 from .system import ConformalModel, kahan_system
 
 
+SCHEME_VARIANTS = ("canonical", "printed")  # printed: the midpoint kinds' as-printed nonlinearity
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     kind: str
@@ -44,7 +47,7 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.scheme_variant not in ("canonical", "printed"):
+        if self.scheme_variant not in SCHEME_VARIANTS:
             raise ValueError(f"unknown scheme_variant {self.scheme_variant!r}")
         if self.scheme_variant == "printed" and SCHEMES[self.kind].kernel is not _midpoint:
             raise ValueError(f"scheme_variant 'printed' is for the midpoint kinds, not {self.kind!r}")

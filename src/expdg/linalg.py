@@ -132,8 +132,8 @@ class NonlinearSolveSettings:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -278,6 +278,10 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
     return model
 
 
+# model kind -> constructor; make_model checks and dispatches on it
+MODELS = {"burgers": burgers_model, "kdv": kdv_model, "nls": nls_model}
+
+
 def initial_condition(model_kind: str, grid: Grid) -> np.ndarray:
     x = grid.nodes
     if model_kind == "burgers":
@@ -309,7 +313,7 @@ def make_model(
     theta: Optional[float] = None,
 ) -> ConformalModel:
     """Dispatch a model by name; a parameter that the model does not read, or a bad value, is refused."""
-    if model_kind not in ("burgers", "kdv", "nls"):
+    if model_kind not in MODELS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     given = {"alpha": alpha, "rho": rho, "nu": nu, "theta": theta}
     values = {}
@@ -325,7 +329,7 @@ def make_model(
             raise ValueError(f"{name} must be finite, got {values[name]}")
     if not (np.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    return {"burgers": burgers_model, "kdv": kdv_model, "nls": nls_model}[model_kind](grid, gamma, **values)
+    return MODELS[model_kind](grid, gamma, **values)
 
 
 # experiment presets; flags can override any entry

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from types import SimpleNamespace
@@ -11,8 +12,10 @@ from hypothesis.extra.numpy import arrays
 import expdg.integrators as integrators
 from expdg.cli import (
     RunConfig,
+    _flag_values,
     _fmt,
     _residual_columns,
+    build_parser,
     build_problem,
     main,
     parse_config,
@@ -96,6 +99,8 @@ def test_resolve_config_unknown_preset():
         ({"T": 0.0}, "T must be positive"),
         ({"record_every": 0}, "record_every"),
         ({"newton_tol": -1.0}, "newton_tol"),
+        ({"newton_tol": math.nan}, "newton_tol"),
+        ({"newton_tol": math.inf}, "newton_tol"),
     ],
 )
 def test_validate_rejects_bad_settings(overrides, match):
@@ -103,6 +108,36 @@ def test_validate_rejects_bad_settings(overrides, match):
     base.update(overrides)
     with pytest.raises(ConfigError, match=match):
         resolve_config(None, {k: v for k, v in base.items() if v is not None}, {})
+
+
+# a value of each type that differs from every burgers-paper setting and default
+SAMPLE_VALUES = {int: "7", float: "0.5", str: "out.csv"}
+
+
+def resolved_one_way(command, setting, value, as_flag):
+    """The RunConfig of burgers-paper with scheme cimp and one setting given in a file or as a flag."""
+    text = "scheme = cimp\n"  # printed is defined for the burgers midpoint schemes
+    argv = [command]
+    if as_flag:
+        argv += ["--" + setting.replace("_", "-"), value]
+    else:
+        text += f"{setting} = {value}\n"
+    return resolve_config("burgers-paper", parse_config(text), _flag_values(build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("setting", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_every_setting_is_a_config_key_and_a_flag(command, setting):
+    if command == "compare" and setting.name == "scheme":  # compare takes --schemes instead
+        assert "scheme" not in vars(build_parser().parse_args(["compare"]))
+        return
+    choices = setting.metadata.get("choices")
+    value = choices[-1] if choices else SAMPLE_VALUES[setting.type]
+    from_file = getattr(resolved_one_way(command, setting.name, value, as_flag=False), setting.name)
+    from_flag = getattr(resolved_one_way(command, setting.name, value, as_flag=True), setting.name)
+    assert from_file == from_flag == setting.type(value)
+    assert type(from_file) is type(from_flag) is setting.type
+    assert from_file != getattr(resolve_config("burgers-paper", {"scheme": "cimp"}, {}), setting.name)
 
 
 @pytest.mark.parametrize(
@@ -475,6 +510,22 @@ def test_compare_all_singular_exit_3(monkeypatch, capsys):
     argv = ["compare", "--preset", "burgers-paper", "--T", "0.09", "--schemes", "ek1"]
     assert main(argv) == 3
     assert "ek1,singular" in capsys.readouterr().out
+
+
+def test_compare_checks_every_scheme_before_the_first_march(monkeypatch, capsys):
+    marches, integrate = [], integrators.integrate
+
+    def counted(model, spec, *args, **kwargs):
+        marches.append(spec.kind)
+        return integrate(model, spec, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "integrate", counted)
+    argv = ["compare", "--preset", "burgers-paper", "--T", "0.09", "--scheme-variant", "printed"]
+    assert main(argv + ["--schemes", "cimp,ek2"]) == 2  # printed is defined for cimp, not ek2
+    assert marches == []
+    captured = capsys.readouterr()
+    assert "scheme_variant=printed is defined for" in captured.err
+    assert captured.out == ""
 
 
 def test_compare_requires_schemes(capsys):

@@ -413,6 +413,8 @@ def test_newton_nan_residual_raises():
     [
         {"tolerance": 0.0},
         {"tolerance": -1e-3},
+        {"tolerance": math.nan},
+        {"tolerance": math.inf},
         {"max_iterations": 0},
     ],
 )

@@ -20,7 +20,11 @@ the same work. The table gives per tree:
                  (every `solve_periodic_banded` call, timed alone on the
                  systems the step assembled)
 
-and change/parent, the ratio of the two step times.
+and change/parent, the median over the rounds of each round's ratio of the
+change tree's block time to the parent tree's. Both trees are timed back to
+back within a round, so host drift slower than a round cancels in its ratio,
+and the median discards the rounds that a burst of contention hit on one
+side only; the best blocks of the two trees may come from different rounds.
 """
 
 from __future__ import annotations
@@ -29,12 +33,13 @@ import argparse
 import gc
 import importlib.util
 import os
+import statistics
 import sys
 import time
 from unittest import mock
 
 BLOCK_SECONDS = 0.02  # length of one timed block of steps
-ROUNDS = 25  # blocks per tree and case; the best one counts
+ROUNDS = 25  # blocks per tree and case
 
 
 def load_tree(src: str, name: str):
@@ -113,16 +118,20 @@ def compare(trees) -> None:
                 continue
             steps = [[calls_per_block(m.advance), float("inf")] for m in marches]
             solves = [[calls_per_block(m.solve_all), float("inf")] for m in marches]
+            ratios = []
             gc.disable()
             try:
                 for r in range(ROUNDS):
+                    round_steps = [0.0, 0.0]
                     for i in (0, 1) if r % 2 == 0 else (1, 0):
-                        steps[i][1] = min(steps[i][1], block_time(marches[i].advance, steps[i][0]))
+                        round_steps[i] = block_time(marches[i].advance, steps[i][0])
+                        steps[i][1] = min(steps[i][1], round_steps[i])
                         solves[i][1] = min(solves[i][1], block_time(marches[i].solve_all, solves[i][0]))
+                    ratios.append(round_steps[1] / round_steps[0])
             finally:
                 gc.enable()
             cells = "".join(f"{1e6 * s[1]:>22.1f}{s[1] / v[1]:>12.2f}" for s, v in zip(steps, solves))
-            print(f"{preset + '/' + kind:<30}{cells}{steps[1][1] / steps[0][1]:>15.3f}")
+            print(f"{preset + '/' + kind:<30}{cells}{statistics.median(ratios):>15.3f}")
 
 
 def main(argv=None) -> int:
