@@ -220,6 +220,11 @@ def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
     return companion.advance(model, replace(spec, solver=solver), (u0,))
 
 
+# bytes of recorded states that integrate holds before it evaluates their
+# series, one call per series: no call is handed more states than fit in it
+_BATCH_BYTES = 1 << 16
+
+
 def step_count(T: float, dt: float) -> tuple[int, bool]:
     """The number n of steps dt nearest to the horizon T, and whether n*dt is T to 1e-9 relative."""
     n = int(round(T / dt))
@@ -241,6 +246,8 @@ def integrate(
     initial state, every record_every-th step, and the final step are
     recorded.  Solver failures, singular systems and blow-ups raise with the
     partial record up to the last finite state attached to the exception.
+    The observer is called once per recorded state, as it is recorded; the
+    invariants and energies are evaluated once per batch of recorded states.
     """
     from .diagnostics import RunRecord  # deferred: diagnostics imports this module
 
@@ -265,26 +272,45 @@ def integrate(
     ham_rec: list = []
     pol_rec: list = []
     states_rec: list = []
-    # (append, callable) per series evaluated on each recorded state, in order
-    series = [(inv_rec[inv.name].append, inv.evaluate) for inv in model.invariants]
-    series.append((ham_rec.append, model.hamiltonian_paper))
+    # (extend, callable) per series evaluated on the recorded states, in order
+    series = [(inv_rec[inv.name].extend, inv.evaluate) for inv in model.invariants]
+    series.append((ham_rec.extend, model.hamiltonian_paper))
     add_row = rows.append
     newton_total = 0
     solves_total = 0
     wall = 0.0
+    # every step returns a new array, so the recorded states are held by reference
+    batch = max(1, _BATCH_BYTES // u.nbytes)
+    pending: list = []  # recorded states whose series are not evaluated yet
+    pairs: list = []  # (row, u^n, u^{n+1}) per recorded step n whose polarized value is not evaluated yet
+
+    def flush():
+        """Evaluate each series once on the stacked pending states and each polarized pair."""
+        if pending:
+            stacked = np.stack(pending)
+            for extend, evaluate in series:
+                extend(evaluate(stacked).tolist())
+            pending.clear()
+        if pairs:
+            at, before, after = zip(*pairs)
+            for row, value in zip(at, polarized(e0 * np.stack(before), e1 * np.stack(after)).tolist()):
+                pol_rec[row] = value
+            pairs.clear()
 
     def record(n, state):
         add_row((n, n * dt, newton_total, solves_total))
-        for append, evaluate in series:
-            append(evaluate(state))
+        pending.append(state)
         if track_polarized:
-            pol_rec.append(math.nan)  # filled once the next state exists
+            pol_rec.append(math.nan)  # filled by the flush after the next state exists
         if store_states:
             states_rec.append(state.copy())
         if observer is not None:
             observer(n, n * dt, state)
+        if len(pending) == batch:  # a pair follows its row, so pairs never outnumber batch either
+            flush()
 
     def build_record(final_state):
+        flush()
         steps, times, newton, solves = zip(*rows)
         return RunRecord(
             scheme_kind=spec.kind,
@@ -328,7 +354,7 @@ def integrate(
                 raise BlowUpError(f"state became non-finite at step {step_index}", step=step_index, time=t)
             prev, u = u, res.state
             if track_polarized and rows[-1][0] == step_index - 1:
-                pol_rec[-1] = polarized(e0 * prev, e1 * u)
+                pairs.append((len(rows) - 1, prev, u))
             if step_index == n_steps or step_index % record_every == 0:
                 record(step_index, u)
     except (NonConvergenceError, BlowUpError, SingularMatrixError) as exc:

@@ -29,6 +29,7 @@ from .spatial import (
     PeriodicBandedMatrix,
     build_grid,
     derivative_operator,
+    dot,
     quadrature,
 )
 from .system import (
@@ -78,11 +79,11 @@ def cubic_hamiltonian_model(
         return sigma * d1.apply(w) / dx
 
     def hamiltonian(u):
-        h = cubic * float((u**3).sum())
-        return h if amat is None else h + 0.5 * float(u @ amat.apply(u))
+        h = cubic * (u**3).sum(axis=-1)
+        return h if amat is None else h + 0.5 * dot(u, amat.apply(u))
 
     def pol_eval(v, w):
-        h = cubic * float(nodal3.evaluate(v, w).sum())
+        h = cubic * nodal3.evaluate(v, w).sum(axis=-1)
         return h if form is None else h + form.evaluate(v, w)
 
     def pol_pdg(u, v, w):
@@ -157,7 +158,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     ghat = 0.5 * gamma
 
     def split(x):
-        return x[:m], x[m:]
+        return x[..., :m], x[..., m:]
 
     def conservative_field(x):
         u, v = split(x)
@@ -176,8 +177,8 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     def hamiltonian(x):
         u, v = split(x)
         mod = u * u + v * v
-        quart = alpha / 4.0 * float((mod * mod).sum())
-        deriv = 0.5 * (float(u @ d2.apply(u)) + float(v @ d2.apply(v)))
+        quart = alpha / 4.0 * (mod * mod).sum(axis=-1)
+        deriv = 0.5 * (dot(u, d2.apply(u)) + dot(v, d2.apply(v)))
         return dx * (quart + deriv)
 
     def jacobian_conservative(x):
@@ -186,14 +187,12 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         rows = np.array([2.0 * alpha * u * v, alpha * (mod + 2.0 * u * u), alpha * (mod + 2.0 * v * v)])
         return TwoFieldMatrix(rows, *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)
 
-    form = polarize_quadratic_form(
-        lambda z: dx * np.concatenate([d2.apply(z[:m]), d2.apply(z[m:])]), 1.0
-    )
+    form = polarize_quadratic_form(lambda z: dx * np.concatenate([d2.apply(c) for c in split(z)], axis=-1), 1.0)
 
     def pol_eval(a, b):
         ua, va = split(a)
         ub, vb = split(b)
-        quart = alpha / 4.0 * dx * float(((ua * ua + va * va) * (ub * ub + vb * vb)).sum())
+        quart = alpha / 4.0 * dx * ((ua * ua + va * va) * (ub * ub + vb * vb)).sum(axis=-1)
         return quart + form.evaluate(a, b)
 
     def pol_pdg(a, b, c):
@@ -209,7 +208,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         ub, vb = split(b)
         poly = alpha / 4.0 * (ua * ua * ub * ub + va * va * ub * ub + ua * va + ub * vb)
         deriv = -0.5 * d1.apply(ua * ua + ub * ub) - 0.5 * d1.apply(va * va + vb * vb)
-        return dx * float((poly + deriv).sum())
+        return dx * (poly + deriv).sum(axis=-1)
 
     def lie_builder(a, b, dt):
         # reduce the 2M real system to one complex M-dim periodic-banded solve
@@ -222,12 +221,12 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
 
     def mass(x):
         u, v = split(x)
-        return dx * float((u * u).sum() + (v * v).sum())
+        return dx * ((u * u).sum(axis=-1) + (v * v).sum(axis=-1))
 
     def momentum(x):
         # skew-symmetrized discrete form of int (v_x u - u_x v) dx
         u, v = split(x)
-        return dx * (float(d1.apply(v) @ u) - float(d1.apply(u) @ v))
+        return dx * (dot(d1.apply(v), u) - dot(d1.apply(u), v))
 
     invariants = (
         Invariant("mass", mass, exact_rate=2.0 * ghat, degree=2),
@@ -258,6 +257,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
 def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) -> ConformalModel:
     """grad_H = 0: the flow is exact exponential decay.  Test fixture."""
     zeros = lambda u: np.zeros_like(u)
+    zero = lambda u: np.zeros(np.shape(u)[:-1])[()]  # H = 0, one value per state
     model = ConformalModel(
         name="pure-decay",
         dim=dim,
@@ -266,8 +266,8 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
         gamma_eff=gamma_eff,
         apply_S=zeros,
         grad_H=zeros,
-        hamiltonian=lambda u: 0.0,
-        hamiltonian_paper=lambda u: 0.0,
+        hamiltonian=zero,
+        hamiltonian_paper=zero,
         hamiltonian_rate=None,
         invariants=(),
         **quadratic_field(0.0, PeriodicBandedMatrix(dim)),
@@ -282,16 +282,23 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
 MODELS = {"burgers": burgers_model, "kdv": kdv_model, "nls": nls_model}
 
 
+def _nls_profile(x):
+    sech = 1.0 / np.cosh(x)
+    return np.concatenate([sech * np.cos(2.0 * x), sech * np.sin(2.0 * x)])
+
+
+# model kind -> its initial state on the grid nodes x; initial_condition dispatches on it
+PROFILES = {
+    "burgers": lambda x: np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi),
+    "kdv": lambda x: 2.0 * np.exp(-2.0 * x**2) / math.sqrt(2.0 * math.pi),
+    "nls": _nls_profile,
+}
+
+
 def initial_condition(model_kind: str, grid: Grid) -> np.ndarray:
-    x = grid.nodes
-    if model_kind == "burgers":
-        return np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi)
-    if model_kind == "kdv":
-        return 2.0 * np.exp(-2.0 * x**2) / math.sqrt(2.0 * math.pi)
-    if model_kind == "nls":
-        sech = 1.0 / np.cosh(x)
-        return np.concatenate([sech * np.cos(2.0 * x), sech * np.sin(2.0 * x)])
-    raise ValueError(f"unknown model kind {model_kind!r}")
+    if model_kind not in PROFILES:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    return PROFILES[model_kind](grid.nodes)
 
 
 # the parameters besides gamma: the default of each in every model that reads it

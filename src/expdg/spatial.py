@@ -40,12 +40,22 @@ def build_grid(half_length: float, size: int) -> Grid:
     return Grid(half_length=float(half_length), size=size, spacing=spacing, nodes=nodes)
 
 
-def quadrature(grid: Grid, values: np.ndarray) -> float:
-    """Rectangle rule dx * sum(values) over the periodic nodes."""
+def quadrature(grid: Grid, values: np.ndarray):
+    """Rectangle rule dx * sum(values) over the periodic nodes, one value per state stacked on (..., M)."""
     values = np.asarray(values)
-    if values.shape != (grid.size,):
+    if values.shape[-1:] != (grid.size,):
         raise ValueError(f"expected {grid.size} nodal values, got shape {values.shape}")
-    return grid.spacing * float(values.sum())
+    return grid.spacing * values.sum(axis=-1)
+
+
+def dot(v: np.ndarray, w: np.ndarray):
+    """v . w over the last axis, one value per state stacked on the leading axes.
+
+    Each row product is the one BLAS dot that `v @ w` of a single pair makes,
+    so a stacked value equals the value of its row bitwise, as long as the
+    rows are contiguous (as `PeriodicBandedMatrix.apply` returns them).
+    """
+    return (v[..., None, :] @ w[..., :, None])[..., 0, 0][()]
 
 
 @functools.lru_cache(maxsize=256)
@@ -99,12 +109,15 @@ class PeriodicBandedMatrix:
         return self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u for one vector, or for vectors stacked on leading axes (..., n); the result is C-contiguous."""
         u = np.asarray(u)
-        if u.shape != (self.size,):
+        if u.shape[-1:] != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {u.shape}")
-        terms = self.coeff_rows * u[shift_index(self.size, self.offsets)]
+        index = shift_index(self.size, self.offsets)
+        # take keeps a stack in C order, which the sums and dots over its rows need to stay bitwise
+        terms = self.coeff_rows * (u[index] if u.ndim == 1 else u.take(index, axis=-1))
         # summed from zero in offset order: the arithmetic of a loop over the offsets
-        return np.add.reduce(terms, axis=0, initial=0)
+        return np.add.reduce(terms, axis=-2, initial=0)
 
     def __mul__(self, scale) -> "PeriodicBandedMatrix":
         return PeriodicBandedMatrix(self.size, self.offsets, scale * self.coeffs)

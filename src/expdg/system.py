@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, UnsupportedModelError
-from .spatial import PeriodicBandedMatrix
+from .spatial import PeriodicBandedMatrix, dot
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,9 @@ class Invariant:
 
     exact_rate is the lambda in I(t) = exp(-lambda t) I(0) along the
     semidiscrete flow; it equals degree * gamma_eff for invariants the
-    conservative flow preserves.
+    conservative flow preserves.  evaluate takes states stacked on leading
+    axes (..., dim) and returns one value per state, a scalar for a single
+    state; each stacked value equals the value of its own row bitwise.
     """
 
     name: str
@@ -42,7 +44,10 @@ class Invariant:
 class PolarizedEnergy:
     """Symmetric two-argument extension H~ of an energy plus its PDG.
 
-    evaluate(a, b): H~ with H~(u, u) = H(u) and H~(a, b) = H~(b, a).
+    evaluate(a, b): H~ with H~(u, u) = H(u) and H~(a, b) = H~(b, a); like
+        Invariant.evaluate it takes pairs stacked on leading axes (..., dim)
+        and returns one value per pair, bitwise that of the pair alone, and so
+        does evaluate_printed.
     pdg(u, v, w): three-point gradient satisfying
         H~(v, w) - H~(u, v) = 0.5 * (w - u)^T pdg(u, v, w).
     """
@@ -55,6 +60,15 @@ class PolarizedEnergy:
 
 @dataclass(frozen=True, eq=False)
 class ConformalModel:
+    """A damped Hamiltonian system du/dt = S grad_H(u) - gamma_eff u and what is recorded of it.
+
+    The recorded functionals, hamiltonian, hamiltonian_paper, each invariant
+    and the polarized energy, take states stacked on leading axes (..., dim)
+    and return one value per state (a scalar for a single state), bitwise the
+    value of that state alone: `integrate` evaluates them once per batch of
+    recorded states.  The field, its Jacobian and the step builders take one state.
+    """
+
     name: str
     dim: int
     grid: object
@@ -226,7 +240,8 @@ def polarize_quadratic_form(apply_a: Callable, theta: float) -> PolarizedEnergy:
     """Polarization of q(u) = 0.5 u^T A u for symmetric A (given by its action).
 
     H~(v, w) = theta (q(v) + q(w))/2 + (1 - theta) * 0.5 v^T A w, with PDG
-    A (theta (u + w)/2 + (1 - theta) v).
+    A (theta (u + w)/2 + (1 - theta) v).  apply_a and H~ act on states
+    stacked on leading axes (..., dim).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
@@ -234,8 +249,8 @@ def polarize_quadratic_form(apply_a: Callable, theta: float) -> PolarizedEnergy:
     def evaluate(v, w):
         av, aw = apply_a(v), apply_a(w)
         # cross term written so swapping arguments is bitwise symmetric
-        cross = 0.25 * (float(v @ aw) + float(w @ av))
-        return theta * (0.5 * float(v @ av) + 0.5 * float(w @ aw)) / 2.0 + (1.0 - theta) * cross
+        cross = 0.25 * (dot(v, aw) + dot(w, av))
+        return theta * (0.5 * dot(v, av) + 0.5 * dot(w, aw)) / 2.0 + (1.0 - theta) * cross
 
     def pdg(u, v, w):
         return apply_a(theta * (u + w) / 2.0 + (1.0 - theta) * v)

@@ -163,7 +163,8 @@ def toy_cubic_model():
 
     Small enough to march thousands of steps instantly, quadratic field, and
     its pairwise energy is the degree-3 nodal polarization, so it exercises
-    the two-step machinery without any spatial operator.
+    the two-step machinery without any spatial operator.  Its energies take
+    states stacked on leading axes, as `integrate` evaluates them per batch.
     """
     nod3 = polarize_monomial(3)
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -179,13 +180,13 @@ def toy_cubic_model():
         gamma_eff=0.0,
         apply_S=lambda w: S @ w,
         grad_H=lambda u: u * u,
-        hamiltonian=lambda u: float(np.sum(u**3)) / 3.0,
-        hamiltonian_paper=lambda u: float(np.sum(u**3)) / 3.0,
+        hamiltonian=lambda u: np.sum(u**3, axis=-1) / 3.0,
+        hamiltonian_paper=lambda u: np.sum(u**3, axis=-1) / 3.0,
         hamiltonian_rate=None,
         invariants=(),
         **field,
         polarized=PolarizedEnergy(
-            evaluate=lambda v, w: float(np.sum(nod3.evaluate(v, w))) / 3.0,
+            evaluate=lambda v, w: np.sum(nod3.evaluate(v, w), axis=-1) / 3.0,
             pdg=lambda u, v, w: nod3.pdg(u, v, w) / 3.0,
         ),
         polarized_degree=3,

@@ -419,6 +419,35 @@ def test_two_step_kahan_keeps_the_polarized_energy_at_a_constant_step(h):
     assert np.abs(w - w[0]).max() <= 1e-12 * abs(w[0])
 
 
+def _compensated_drift_from(model, kind, u0, u1, dt, n_steps):
+    """Criterion 05's compensated polarized drift of a two-step march started from the pair (u0, u1)."""
+    exps = exponents(kind, model.gamma_eff, dt)
+    e0, e1 = exps.factors[:2]
+    spec = SchemeSpec(kind, dt)
+    window, w = (u0, u1), [model.polarized.evaluate(e0 * u0, e1 * u1)]
+    for _ in range(1, n_steps):
+        window = (window[1], step(model, spec, *window, exps=exps).state)
+        w.append(model.polarized.evaluate(e0 * window[0], e1 * window[1]))
+    return compensated_polarized_deviation(model, np.array(w), dt)
+
+
+@pytest.mark.parametrize("start, ek2_drift", [("u1 x 1.001", 4.884e-7), ("u1 at 2h", 1.960e-6)])
+def test_ek2_drift_follows_the_start_pair_and_lie_keeps_w_from_any(burgers_ek2_run, start, ek2_drift):
+    # from its own bootstrap ek2 drifts 5.077e-7 (criterion 05); W is no invariant of ek2, so
+    # another start pair gives another drift, while lie, a discrete gradient of W, keeps W
+    # to rounding from any start (1.2e-13 from each of these)
+    model, u0, rec = burgers_ek2_run
+    drifts = {}
+    for kind in ("ek2", "lie"):
+        if start == "u1 x 1.001":
+            u1 = 1.001 * bootstrap(model, u0, SchemeSpec(kind, rec.dt)).state
+        else:
+            u1 = bootstrap(model, u0, SchemeSpec(kind, 2.0 * rec.dt)).state
+        drifts[kind] = _compensated_drift_from(model, kind, u0, u1, rec.dt, rec.n_steps)
+    assert drifts["ek2"] == pytest.approx(ek2_drift, rel=1e-2)
+    assert drifts["lie"] <= 1e-12
+
+
 # ---------------------------------------------------------------- bootstrap
 
 
@@ -671,6 +700,98 @@ def test_blow_up_carries_partial_record(monkeypatch, kind):
     assert list(exc.partial.steps) == [0, 1, 2, 3]
     # the record ends at the last finite state, not the blown-up one
     assert np.array_equal(exc.partial.final_state, exc.partial.states[-1])
+
+
+# ---------------------------------------------------------------- batched recording
+
+
+def per_state_series(model, kind, dt, states, steps):
+    """The series recorded at `steps`, each value evaluated on its state alone.
+
+    states holds u^0 .. u^N of the march; a step without a successor there gets a NaN polarized value.
+    """
+    e0, e1 = exponents(kind, model.gamma_eff, dt).factors[:2]
+    series = {inv.name: [inv.evaluate(states[n]) for n in steps] for inv in model.invariants}
+    series["H_paper"] = [model.hamiltonian_paper(states[n]) for n in steps]
+    series["polarized"] = [
+        model.polarized.evaluate(e0 * states[n], e1 * states[n + 1]) if n + 1 < len(states) else math.nan
+        for n in steps
+    ]
+    return {name: np.array(values, dtype=float) for name, values in series.items()}
+
+
+def recorded_series(rec):
+    return {**rec.invariant_series, "H_paper": rec.hamiltonian_paper, "polarized": rec.polarized_transformed}
+
+
+def counting(calls, evaluate):
+    """evaluate, appending the number of states (or pairs) handed to each call to calls."""
+
+    def counted(*stacks):
+        calls.append(int(np.prod(stacks[0].shape[:-1])))
+        return evaluate(*stacks)
+
+    return counted
+
+
+@pytest.mark.parametrize("kind, every", [("ek2", 1), ("ek2", 3), ("lie", 3)])
+def test_batched_series_equal_each_state_evaluated_alone(kind, every):
+    model, u0 = burgers()
+    batch = integrators._BATCH_BYTES // u0.nbytes
+    n, dt = 3 * batch * every + 4, 0.009  # three full batches of recorded states and a partial one
+    calls = []
+    traced = replace(model, hamiltonian_paper=counting(calls, model.hamiltonian_paper))
+    rec = integrate(traced, SchemeSpec(kind, dt), u0, n * dt, record_every=every)
+    states = integrate(model, SchemeSpec(kind, dt), u0, n * dt, record_every=1, store_states=True).states
+    assert np.array_equal(rec.final_state, states[-1])
+    assert len(calls) >= 4 and max(calls) <= batch
+    expected = per_state_series(model, kind, dt, states, rec.steps)
+    for name, values in recorded_series(rec).items():
+        assert values.tobytes() == expected[name].tobytes(), name
+
+
+@pytest.mark.parametrize("every", [1, 2])
+@pytest.mark.parametrize("preset, kind", [("burgers-paper", "ek2"), ("kdv-paper", "lie"), ("nls-paper", "lie")])
+def test_no_series_callable_is_handed_more_states_than_a_batch(preset, kind, every):
+    model, u0, cfg = preset_model(preset)
+    batch = integrators._BATCH_BYTES // u0.nbytes
+    calls = []
+    traced = replace(
+        model,
+        invariants=tuple(replace(inv, evaluate=counting(calls, inv.evaluate)) for inv in model.invariants),
+        hamiltonian_paper=counting(calls, model.hamiltonian_paper),
+        polarized=replace(model.polarized, evaluate=counting(calls, model.polarized.evaluate)),
+    )
+    n = (2 * batch + 3) * every  # more than two batches of recorded states
+    rec = integrate(traced, SchemeSpec(kind, cfg["dt"]), u0, n * cfg["dt"], record_every=every)
+    assert max(calls) <= batch
+    # each recorded state once per series, and each recorded step but the last once as a pair
+    rows = rec.steps.size
+    assert sum(calls) == (len(model.invariants) + 1) * rows + rows - 1
+
+
+@pytest.mark.parametrize("failure", ["blow-up", "non-convergence"])
+def test_partial_record_carries_every_recorded_row_evaluated(monkeypatch, failure):
+    def fail(x):
+        if failure == "blow-up":
+            return np.full_like(x, np.nan)
+        raise NonConvergenceError("Newton did not converge")
+
+    model, u0 = burgers()
+    dt = 0.009
+    k = integrators._BATCH_BYTES // u0.nbytes + 7  # the march fails at step k, one batch after the first
+    states = integrate(model, SchemeSpec("ek2", dt), u0, (k - 1) * dt, record_every=1, store_states=True).states
+    fail_on_solve(monkeypatch, k, fail)
+    with pytest.raises((BlowUpError, NonConvergenceError)) as info:
+        integrate(model, SchemeSpec("ek2", dt), u0, 2 * k * dt, record_every=1)
+    partial = info.value.partial
+    assert list(partial.steps) == list(range(k))
+    expected = per_state_series(model, "ek2", dt, states, partial.steps)
+    for name, values in recorded_series(partial).items():
+        assert values.tobytes() == expected[name].tobytes(), name
+    # the last recorded state has no successor, so its polarized value stays NaN
+    assert math.isnan(partial.polarized_transformed[-1])
+    assert np.isfinite(partial.polarized_transformed[:-1]).all()
 
 
 def test_step_takes_one_state_per_level_of_the_window():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expdg.diagnostics import reference_solve
 from expdg.models import (
+    MODELS,
     PRESETS,
     initial_condition,
     make_model,
@@ -14,7 +17,7 @@ from expdg.models import (
 from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
 from expdg.system import vector_field
 
-from conftest import evaluate_invariants, two_field_dense
+from conftest import evaluate_invariants, toy_cubic_model, two_field_dense
 
 
 def test_initial_profiles_at_origin():
@@ -33,8 +36,16 @@ def test_initial_profiles_at_origin():
 
 
 def test_initial_condition_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown model kind 'heat'"):
         initial_condition("heat", build_grid(1.0, 8))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_every_model_kind_has_an_initial_profile(kind):
+    grid = build_grid(5.0, 16)
+    u0 = initial_condition(kind, grid)
+    assert u0.shape == (make_model(kind, grid, 0.1).dim,)
+    assert np.isfinite(u0).all()
 
 
 def test_burgers_frozen_invariant_values():
@@ -331,3 +342,38 @@ def test_conservative_limit_preserves_hamiltonian(kind, dt_ref):
     ref = reference_solve(model, u0, 1.0, dt_ref)
     h0 = model.hamiltonian_paper(u0)
     assert abs(model.hamiltonian_paper(ref) - h0) <= 1e-8 * abs(h0)
+
+
+# the presets' models at their own sizes (n = 80, 248 and 2 x 1024), pure decay and the toy
+STACKED_MODELS = {
+    **{kind: make_model(kind, preset_grid(f"{kind}-paper"), 0.1) for kind in ("burgers", "kdv", "nls")},
+    "pure-decay": pure_decay_model(8, 0.3),
+    "toy": toy_cubic_model(),
+}
+
+
+def recorded_functionals(model):
+    """(name, callable, number of state arguments) of every functional recorded of the model."""
+    out = [(inv.name, inv.evaluate, 1) for inv in model.invariants]
+    out += [("hamiltonian", model.hamiltonian, 1), ("hamiltonian_paper", model.hamiltonian_paper, 1)]
+    if model.polarized is not None:
+        out.append(("polarized", model.polarized.evaluate, 2))
+        if model.polarized.evaluate_printed is not None:
+            out.append(("polarized printed", model.polarized.evaluate_printed, 2))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(STACKED_MODELS)), lead=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+       scale=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_stacked_functionals_equal_each_state_bytewise(kind, lead, scale, seed):
+    # integrate evaluates the recorded series on stacked states; each value must be the single-state one
+    model = STACKED_MODELS[kind]
+    rng = np.random.default_rng(seed)
+    stacks = [scale * rng.standard_normal((*lead, model.dim)) for _ in range(2)]
+    for name, evaluate, arity in recorded_functionals(model):
+        stacked = evaluate(*stacks[:arity])
+        assert np.shape(stacked) == tuple(lead), name
+        rows = [evaluate(*row) for row in zip(*(s.reshape(-1, model.dim) for s in stacks[:arity]))]
+        assert all(np.ndim(value) == 0 for value in rows), name
+        assert np.asarray(stacked, dtype=float).tobytes() == np.array(rows, dtype=float).tobytes(), name

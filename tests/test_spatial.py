@@ -240,6 +240,20 @@ def test_stencil_slicing_is_bitwise_equal_to_roll(case, scale):
         assert row.tobytes() == expected_row.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=stencils_and_vectors(), lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_apply_equals_each_row_bitwise(case, lead, seed):
+    stencil, u = case
+    op = PeriodicStencilOperator(u.size, *zip(*stencil))
+    rng = np.random.default_rng(seed)
+    stack = u * rng.standard_normal((*lead, u.size))
+    out = op.apply(stack)
+    assert out.shape == stack.shape and out.flags.c_contiguous
+    rows = np.array([op.apply(row) for row in stack.reshape(-1, u.size)])
+    assert out.reshape(-1, u.size).tobytes() == rows.tobytes()
+
+
 def test_derivative_operator_rejects_bad_order_and_tiny_grid():
     g = build_grid(1.0, 8)
     with pytest.raises(ValueError):

@@ -8,11 +8,14 @@ preset x scheme kind x scheme variant, 20 steps at the preset's dt, once
 through `integrate` (record_every=1, every state stored) and through
 `expdg run` (CSV written to a file) at record_every=1 and at
 record_every=7, which records steps 0, 7, 14 and 20: a short last interval,
-and steps whose predecessor was not recorded. Per case the table gives:
+and steps whose predecessor was not recorded. One long case per preset runs
+the preset's own scheme the same way for LONG_STEPS steps, enough for
+`integrate` to evaluate its recorded series in three or more batches.
+Per case the table gives:
 
     states   bitwise, or the max relative difference of the stored states and
              the final state, or the error types
-    polarized  the same for the polarized column, - where there is none
+    series   the same for the recorded invariants, H_paper and polarized column
     newton/solves  the final Newton and linear-solve counts of each tree
     exit     the exit codes of `expdg run` at each cadence, with the other
              tree's after a | where they differ
@@ -22,8 +25,8 @@ and steps whose predecessor was not recorded. Per case the table gives:
 
 The exit status is 0 when every case is bitwise equal with equal counters,
 errors, exit codes, stderr lines (less the wall clock) and CSV bytes, else 1.
-Closing lines count the library runs whose states, and whose polarized
-columns, are bitwise equal, within 1e-15 relative and above it, each with its
+Closing lines count the library runs whose states, and whose recorded
+series, are bitwise equal, within 1e-15 relative and above it, each with its
 largest relative difference, and give the largest difference of each CSV
 column over all cases. The last two lines give the line count of
 `expdg/*.py` in each tree.
@@ -45,6 +48,10 @@ import numpy as np
 
 VARIANTS = ("canonical", "printed")
 STEPS = 20
+# steps of the long case of each preset: a state of Burgers (n = 80), KdV (n = 248)
+# and NLS (2 x 1024) takes 640, 1984 and 16384 bytes, so each long march records
+# about 1 MB of states, three or more batches of up to 256 KiB
+LONG_STEPS = {"burgers-paper": 1500, "kdv-paper": 500, "nls-paper": 60}
 CADENCES = (1, 7)  # record_every of the `expdg run` cases
 
 
@@ -54,10 +61,13 @@ def _cases():
     for preset in models.PRESETS:
         for kind in integrators.SCHEMES:
             for variant in VARIANTS:
-                yield f"{preset}/{kind}/{variant}", preset, kind, variant
+                yield f"{preset}/{kind}/{variant}", preset, kind, variant, STEPS
+    for preset, steps in LONG_STEPS.items():
+        kind = models.PRESETS[preset]["scheme"]
+        yield f"{preset}/{kind}/{steps} steps", preset, kind, "canonical", steps
 
 
-def _library_case(preset, kind, variant):
+def _library_case(preset, kind, variant, steps):
     """Arrays of one integrate run, or the name of the error it raised."""
     from expdg import integrators, models
     from expdg.spatial import build_grid
@@ -68,24 +78,25 @@ def _library_case(preset, kind, variant):
         model = models.make_model(cfg["model"], grid, cfg["gamma"], cfg.get("alpha"), cfg.get("rho"), cfg.get("nu"))
         spec = integrators.SchemeSpec(kind, cfg["dt"], scheme_variant=variant)
         rec = integrators.integrate(
-            model, spec, models.initial_condition(cfg["model"], grid), STEPS * cfg["dt"],
+            model, spec, models.initial_condition(cfg["model"], grid), steps * cfg["dt"],
             record_every=1, store_states=True,
         )
     except Exception as exc:  # the error type is the result of the case
         return {"error": type(exc).__name__}, {}
-    arrays = {"states": np.asarray(rec.states), "final": rec.final_state}
+    arrays = {"states": np.asarray(rec.states), "final": rec.final_state, "series/H_paper": rec.hamiltonian_paper}
+    arrays.update({f"series/{name}": values for name, values in rec.invariant_series.items()})
     if rec.polarized_transformed is not None:
-        arrays["polarized"] = rec.polarized_transformed
+        arrays["series/polarized"] = rec.polarized_transformed
     counters = [int(rec.newton_iterations[-1]), int(rec.linear_solves[-1])]
     return {"error": None, "counters": counters}, arrays
 
 
-def _cli_case(preset, kind, variant, record_every, csv_path):
+def _cli_case(preset, kind, variant, steps, record_every, csv_path):
     from expdg import cli, models
 
     argv = [
         "run", "--preset", preset, "--scheme", kind, "--scheme-variant", variant,
-        "--T", repr(STEPS * models.PRESETS[preset]["dt"]), "--record-every", str(record_every),
+        "--T", repr(steps * models.PRESETS[preset]["dt"]), "--record-every", str(record_every),
         "--output", csv_path,
     ]
     err = io.StringIO()
@@ -102,13 +113,13 @@ def dump(out_dir):
 
     print(f"expdg from {os.path.dirname(expdg.__file__)}")
     results, arrays = {}, {}
-    for case, preset, kind, variant in _cases():
-        lib, lib_arrays = _library_case(preset, kind, variant)
+    for case, preset, kind, variant, steps in _cases():
+        lib, lib_arrays = _library_case(preset, kind, variant, steps)
         arrays.update({f"{case}/{name}": value for name, value in lib_arrays.items()})
         cli = []
         for every in CADENCES:
-            csv_path = os.path.join(out_dir, f"{case.replace('/', '_')}_every{every}.csv")
-            cli.append(_cli_case(preset, kind, variant, every, csv_path))
+            csv_path = os.path.join(out_dir, f"{case.replace('/', '_').replace(' ', '_')}_every{every}.csv")
+            cli.append(_cli_case(preset, kind, variant, steps, every, csv_path))
         results[case] = {"lib": lib, "cli": cli}
     with open(os.path.join(out_dir, "cases.json"), "w") as fh:
         json.dump(results, fh)
@@ -181,25 +192,24 @@ def _column_differences(csv_p, csv_c):
 def compare(parent, change) -> bool:
     (cases_p, arrays_p), (cases_c, arrays_c) = parent, change
     all_equal = True
-    states, polarized = [], []  # (bitwise, max relative difference) per library run that both trees completed
+    states, series = [], []  # (bitwise, max relative difference) per library run that both trees completed
     columns = {}  # CSV column -> largest (absolute, relative) difference over all cases
-    print(f"{'case':40s} {'states':>21s} {'polarized':>9s} {'newton/solves':>13s} {'exit':>5s} {'csv':>5s}")
+    print(f"{'case':40s} {'states':>21s} {'series':>9s} {'newton/solves':>13s} {'exit':>5s} {'csv':>5s}")
     for case, p in cases_p.items():
         c = cases_c[case]
         lib_p, lib_c = p["lib"], c["lib"]
         if lib_p["error"] or lib_c["error"]:
             equal = lib_p["error"] == lib_c["error"]
             lib = lib_p["error"] if equal else f"{lib_p['error']}|{lib_c['error']}"
-            pol = counters = "-"
+            recorded = counters = "-"
         else:
             names = sorted(k for k in arrays_p.files if k.startswith(case + "/"))
-            state_diff = _difference([k for k in names if not k.endswith("/polarized")], arrays_p, arrays_c)
-            pol_diff = _difference([k for k in names if k.endswith("/polarized")], arrays_p, arrays_c)
+            state_diff = _difference([k for k in names if "/series/" not in k], arrays_p, arrays_c)
+            series_diff = _difference([k for k in names if "/series/" in k], arrays_p, arrays_c)
             states.append(state_diff)
-            if pol_diff is not None:
-                polarized.append(pol_diff)
-            lib, pol = _cell(state_diff), _cell(pol_diff)
-            equal = state_diff[0] and (pol_diff is None or pol_diff[0]) and lib_p["counters"] == lib_c["counters"]
+            series.append(series_diff)
+            lib, recorded = _cell(state_diff), _cell(series_diff)
+            equal = state_diff[0] and series_diff[0] and lib_p["counters"] == lib_c["counters"]
             counters = "/".join(map(str, lib_p["counters"]))
             if lib_p["counters"] != lib_c["counters"]:
                 counters += " vs " + "/".join(map(str, lib_c["counters"]))
@@ -209,7 +219,7 @@ def compare(parent, change) -> bool:
         csv = "equal" if all(a["csv"] == b["csv"] for a, b in zip(cli_p, cli_c)) else "DIFF"
         equal = equal and cli_p == cli_c
         all_equal = all_equal and equal
-        print(f"{case:40s} {lib:>21s} {pol:>9s} {counters:>13s} {exit_code:>5s} {csv:>5s}{'' if equal else '  *'}")
+        print(f"{case:40s} {lib:>21s} {recorded:>9s} {counters:>13s} {exit_code:>5s} {csv:>5s}{'' if equal else '  *'}")
         for every, a, b in zip(CADENCES, cli_p, cli_c):
             if a["csv"] == b["csv"]:
                 continue
@@ -224,7 +234,7 @@ def compare(parent, change) -> bool:
             print(f"    record_every={every}: {cells}")
     print("every case bitwise equal" if all_equal else "cases marked * differ")
     print(_summary("stored and final states", states))
-    print(_summary("polarized column", polarized))
+    print(_summary("recorded series", series))
     if columns:
         cells = ", ".join(f"{name} {ab:.2e} ({rel:.2e} rel)" for name, (ab, rel) in columns.items())
         print(f"CSV columns that differ, largest over all cases: {cells}")

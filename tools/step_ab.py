@@ -13,18 +13,23 @@ skipped), each tree builds the preset problem and its start window, (u0,) or
 (u0, u1) with u1 from the tree's bootstrap. Then 25 rounds alternate between
 the trees, the first tree of a round alternating too; in each a tree times a
 block of `Scheme.advance` calls from that same window, so every call does
-the same work. The table gives per tree:
+the same work, a block of the band solves of that step, and one whole
+`integrate` from u0 at record_every=1, the same number of steps (about one
+block's worth) in both trees, so that the cost of recording shows. The
+table gives per tree:
 
-    us/step      the best block's mean time of one step, in microseconds
-    step/solve   that time over the time of the band solves the step makes
-                 (every `solve_periodic_banded` call, timed alone on the
-                 systems the step assembled)
+    us/step      the median over the rounds of a step block's mean time of
+                 one step, in microseconds
+    step/solve   that time over the median time of the band solves the step
+                 makes (every `solve_periodic_banded` call, timed alone on
+                 the systems the step assembled)
+    march us/step  the median time of the whole `integrate` per step
 
-and change/parent, the median over the rounds of each round's ratio of the
-change tree's block time to the parent tree's. Both trees are timed back to
-back within a round, so host drift slower than a round cancels in its ratio,
-and the median discards the rounds that a burst of contention hit on one
-side only; the best blocks of the two trees may come from different rounds.
+and, for the step and for the march, change/parent: the median over the
+rounds of each round's ratio of the change tree's time to the parent
+tree's. Both trees are timed back to back within a round, so host drift
+slower than a round cancels in its ratio, and the median discards the
+rounds that a burst of contention hit on one side only.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ class March:
         window = (u0, integrators.bootstrap(model, u0, spec).state) if scheme.two_step else (u0,)
         exps = scheme.exponents(model.gamma_eff, spec.dt)
         self.advance = lambda: scheme.advance(model, spec, window, exps)
+        self.march = lambda steps: integrators.integrate(model, spec, u0, steps * spec.dt, record_every=1)
         self.systems = self._systems()
 
     def _systems(self) -> list:
@@ -108,7 +114,11 @@ def compare(trees) -> None:
     presets = sys.modules[f"{trees[0]}.models"].PRESETS
     kinds = sys.modules[f"{trees[0]}.integrators"].SCHEMES
     unsupported = tuple(sys.modules[f"{tree}.errors"].UnsupportedModelError for tree in trees)
-    print(f"{'case':<30}" + "".join(f"{t + ' us/step':>22}{'step/solve':>12}" for t in trees) + f"{'change/parent':>15}")
+    print(
+        f"{'case':<30}" + "".join(f"{t + ' us/step':>22}{'step/solve':>12}" for t in trees) + f"{'change/parent':>15}"
+        + "".join(f"{t + ' march us/step':>28}" for t in trees) + f"{'change/parent':>15}"
+    )
+    median = statistics.median
     for preset in presets:
         for kind in kinds:
             try:
@@ -116,22 +126,25 @@ def compare(trees) -> None:
             except unsupported as exc:  # e.g. a Kahan kind on the cubic NLS field
                 print(f"{preset + '/' + kind:<30} skipped: {type(exc).__name__}")
                 continue
-            steps = [[calls_per_block(m.advance), float("inf")] for m in marches]
-            solves = [[calls_per_block(m.solve_all), float("inf")] for m in marches]
-            ratios = []
+            step_calls = [calls_per_block(m.advance) for m in marches]
+            solve_calls = [calls_per_block(m.solve_all) for m in marches]
+            march_steps = calls_per_block(marches[0].advance)
+            steps, solves, whole = ([], []), ([], []), ([], [])  # per tree, one time per round
             gc.disable()
             try:
                 for r in range(ROUNDS):
-                    round_steps = [0.0, 0.0]
                     for i in (0, 1) if r % 2 == 0 else (1, 0):
-                        round_steps[i] = block_time(marches[i].advance, steps[i][0])
-                        steps[i][1] = min(steps[i][1], round_steps[i])
-                        solves[i][1] = min(solves[i][1], block_time(marches[i].solve_all, solves[i][0]))
-                    ratios.append(round_steps[1] / round_steps[0])
+                        m = marches[i]
+                        steps[i].append(block_time(m.advance, step_calls[i]))
+                        solves[i].append(block_time(m.solve_all, solve_calls[i]))
+                        whole[i].append(block_time(lambda: m.march(march_steps), 1) / march_steps)
             finally:
                 gc.enable()
-            cells = "".join(f"{1e6 * s[1]:>22.1f}{s[1] / v[1]:>12.2f}" for s, v in zip(steps, solves))
-            print(f"{preset + '/' + kind:<30}{cells}{statistics.median(ratios):>15.3f}")
+            cells = "".join(f"{1e6 * median(s):>22.1f}{median(s) / median(v):>12.2f}" for s, v in zip(steps, solves))
+            ratio = median(c / p for p, c in zip(*steps))
+            march_cells = "".join(f"{1e6 * median(w):>28.1f}" for w in whole)
+            march_ratio = median(c / p for p, c in zip(*whole))
+            print(f"{preset + '/' + kind:<30}{cells}{ratio:>15.3f}{march_cells}{march_ratio:>15.3f}")
 
 
 def main(argv=None) -> int:
