@@ -2,9 +2,9 @@
 
 Every linear system a step assembles is a `PeriodicBandedMatrix` of
 half-bandwidth b, or a `TwoFieldMatrix` whose diagonal u-block is eliminated
-first.  Renumbered in fold order a periodic matrix is an ordinary band matrix
-of half-bandwidth 2b; its rows are written into LAPACK band storage in one
-scatter, and one pivoted band LU solves it at every size.
+first.  A tridiagonal one (b = 1) is bordered: one gtsv and a scalar Schur
+complement.  Any other, renumbered in fold order, is an ordinary band matrix of
+half-bandwidth 2b, scattered into LAPACK band storage and solved by one band LU.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ def _band_plan(n: int, offsets: tuple) -> tuple:
     """Everything of a band solve but its values: (w, index, distinct, position, order).
 
     w is the half-bandwidth in fold order.  index[k, i] is the flat index of
-    A[i, (i + offsets[k]) % n] in folded gbsv storage, which keeps entry
-    (r, c) of a matrix with w sub- and superdiagonals at row 2w + r - c,
-    column c of a (3w + 1, n) array.  distinct says that no two offsets name
-    one entry.  position[i] is the place of unknown i in the fold order
-    0, n-1, 1, n-2, ..., and order lists the unknowns in that order.
+    A[i, (i + offsets[k]) % n] in Fortran-ordered folded gbsv storage, which
+    keeps entry (r, c) of a matrix with w sub- and superdiagonals at row
+    2w + r - c, column c of a (3w + 1, n) array.  distinct says that no two
+    offsets name one entry.  position[i] is the place of unknown i in the
+    fold order 0, n-1, 1, n-2, ..., and order lists the unknowns in that order.
     """
     b = max(map(abs, offsets), default=0)
     if b >= n:
@@ -37,7 +37,7 @@ def _band_plan(n: int, offsets: tuple) -> tuple:
     i = np.arange(n)
     position = np.minimum(2 * i, 2 * n - 1 - 2 * i)
     cols = position[shift_index(n, offsets)]
-    index = (2 * w + position - cols) * n + cols
+    index = cols * (3 * w + 1) + 2 * w + position - cols
     order = np.argsort(position)
     for array in (index, position, order):
         array.flags.writeable = False
@@ -45,12 +45,12 @@ def _band_plan(n: int, offsets: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _gbsv(dtype: np.dtype):
-    return scipy.linalg.get_lapack_funcs("gbsv", dtype=dtype)
+def _lapack(name: str, dtype: np.dtype):
+    return scipy.linalg.get_lapack_funcs(name, dtype=dtype)
 
 
 def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs with one pivoted band LU of A in fold order.
+    """Solve A x = rhs: a tridiagonal A by bordered elimination, any other by one pivoted band LU in fold order.
 
     Numbering the unknowns 0, n-1, 1, n-2, ... puts every entry within
     circular distance b of the diagonal within 2b of it, so the periodic
@@ -62,16 +62,44 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarra
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
     w, index, distinct, position, order = _band_plan(n, a.offsets)
     dtype = np.promote_types(np.promote_types(a.dtype, rhs.dtype), np.float64)
-    ab = np.zeros((3 * w + 1, n), dtype=dtype)
-    if distinct:
-        ab.reshape(-1)[index] = a.coeff_rows
-    else:  # offsets that name one entry (equal, or equal modulo n when 2b >= n) add up
-        np.add.at(ab.reshape(-1), index, np.broadcast_to(a.coeff_rows, index.shape))
-    rhs_folded = rhs.take(order).astype(dtype, copy=False)
-    _, _, y, info = _gbsv(dtype)(w, w, ab, rhs_folded, overwrite_ab=True, overwrite_b=True)
-    if info > 0 or not np.isfinite(y).all():
-        raise SingularMatrixError(f"zero pivot or non-finite solution in the band LU (info {info})")
-    return y.take(position)
+    x = _solve_bordered(a, rhs, dtype) if w == 2 and distinct else None  # w = 2: b = 1 and n >= 3
+    if x is None:  # b >= 2, or a tridiagonal A whose interior block gtsv found singular
+        ab = np.zeros((3 * w + 1, n), dtype=dtype, order="F")  # f2py passes it without a copy
+        if distinct:
+            ab.reshape(-1, order="F")[index] = a.coeff_rows
+        else:  # offsets that name one entry (equal, or equal modulo n when 2b >= n) add up
+            np.add.at(ab.reshape(-1, order="F"), index, np.broadcast_to(a.coeff_rows, index.shape))
+        rhs_folded = rhs.take(order).astype(dtype, copy=False)
+        *_, y, info = _lapack("gbsv", dtype)(w, w, ab, rhs_folded, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise SingularMatrixError(f"zero pivot in the band LU (info {info})")
+        x = y.take(position)
+    if not np.isfinite(x).all():
+        raise SingularMatrixError("zero Schur pivot or non-finite solution of the band system")
+    return x
+
+
+def _solve_bordered(a: PeriodicBandedMatrix, rhs: np.ndarray, dtype: np.dtype):
+    """Bordered elimination (Temperton 1975); None if gtsv finds A[1:, 1:] singular, NaN if the Schur pivot is 0.
+
+    gtsv solves A[1:, 1:] (x_r, x_c) = (rhs[1:], A[1:, 0]), so x[1:] = x_r - x_0 x_c, and row 0 leaves
+    the Schur complement (A[0, 0] - A[0, 1:] x_c) x_0 = rhs[0] - A[0, 1:] x_r.
+    """
+    if a.offsets != (-1, 0, 1) or a.coeffs.ndim == 1:  # a stencil, or a band without one of its diagonals
+        a = a + PeriodicBandedMatrix(a.size, (-1, 0, 1), np.zeros((3, a.size)))
+    n, rows = a.size, a.coeffs
+    b = np.zeros((2, n - 1), dtype)  # b.T: the two right-hand sides in Fortran order
+    b[0], b[1, 0], b[1, -1] = rhs[1:], rows[0, 1], rows[2, -1]
+    *_, y, info = _lapack("gtsv", dtype)(rows[0, 2:], rows[1, 1:], rows[2, 1:-1], b.T, overwrite_b=True)
+    if info > 0:
+        return None
+    lo_0, up_0 = rows.item(0, 0), rows.item(2, 0)  # Python scalars: no numpy overhead, no warnings
+    pivot = rows.item(1, 0) - up_0 * y.item(0, 1) - lo_0 * y.item(-1, 1)
+    x_0 = (rhs.item(0) - up_0 * y.item(0, 0) - lo_0 * y.item(-1, 0)) / pivot if pivot else np.nan
+    x = np.empty(n, dtype)
+    x[0] = x_0
+    np.subtract(y[:, 0], x_0 * y[:, 1], out=x[1:])
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +131,8 @@ class TwoFieldMatrix:
         """Eliminate u, solve (diag(c + t) + A W B) v = r_v - A W r_u by one band LU, u = W (r_u + B v),
         with W = diag(1 / (c - t)), A = D + diag p and B = D + diag q."""
         (t, p, q), m, off = self.rows, self.rows.shape[1], self.off
+        if np.shape(rhs) != (2 * m,):
+            raise ValueError(f"rhs has shape {np.shape(rhs)}, expected ({2 * m},)")
         a = self.c - t
         if not (np.isfinite(a).all() and a.all()):
             raise SingularMatrixError("zero or non-finite entry on the eliminated diagonal")

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,17 @@ def random_banded(rng, n, bandwidth, dtype=float):
     dominance = 1.0 + np.abs(rows).sum(axis=0) + rng.uniform(0.5, 1.5, n)
     mat = PeriodicBandedMatrix(n, offsets, rows) + PeriodicBandedMatrix(n, (0,), [dominance])
     return mat, mat.to_dense()
+
+
+def lapack_without(routine):
+    """A stand-in for linalg._lapack that fails the test when a solve asks for `routine`, and records the rest."""
+    lookup = linalg._lapack
+
+    def refuse(name, dtype):
+        assert name != routine, f"solve_periodic_banded called {routine}"
+        return lookup(name, dtype)
+
+    return mock.patch.object(linalg, "_lapack", side_effect=refuse)
 
 
 def without_dense():
@@ -146,6 +159,85 @@ def test_preset_systems_match_dense_oracle(preset, kind, size, bandwidth, dtype)
     assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
 
 
+NEWTON_KINDS = ("cimp", "eavf", "imidpoint_plain", "avf_plain")  # with lie, every kind that runs on NLS
+
+
+@pytest.mark.parametrize(
+    "preset, kind, folded",
+    [("burgers-paper", kind, False) for kind in integrators.SCHEMES]
+    + [("nls-paper", "lie", False)]
+    + [("kdv-paper", kind, True) for kind in integrators.SCHEMES]
+    + [("nls-paper", kind, True) for kind in NEWTON_KINDS],
+)
+def test_only_systems_wider_than_tridiagonal_reach_the_band_lu(preset, kind, folded):
+    # a tridiagonal system (every Burgers one, the NLS lie one) is one gtsv and a
+    # scalar Schur complement; KdV and the NLS Newton Schur complement (b = 2) take the folded gbsv
+    model, u0, spec = build_problem(resolve_config(preset, {}, {"scheme": kind}))
+    window = (u0, integrators.bootstrap(model, u0, spec).state) if integrators.SCHEMES[kind].two_step else (u0,)
+    with lapack_without("gtsv" if folded else "gbsv") as lapack:
+        result = integrators.step(model, spec, *window)
+    assert result.linear_solves > 0
+    assert {call.args[0] for call in lapack.call_args_list} == {"gbsv" if folded else "gtsv"}
+    assert np.isfinite(result.state).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(3, 40), st.integers(480, 600)),
+    dtype=st.sampled_from([float, complex]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bordered_tridiagonal_solve_without_diagonal_dominance(n, dtype, seed):
+    # the bound of test_pivoting_solves_systems_without_diagonal_dominance, from n = 3
+    # (an interior block of 2 x 2) up, on the bordered gtsv path
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((3, n))
+    if dtype is complex:
+        rows = rows + 1j * rng.standard_normal((3, n))
+    mat = PeriodicBandedMatrix(n, (-1, 0, 1), rows)
+    dense = mat.to_dense()
+    singular_values = np.linalg.svd(dense, compute_uv=False)
+    assume(singular_values[0] < 1e8 * singular_values[-1])
+    rhs = rng.standard_normal(n).astype(dtype)
+    with without_dense():
+        x = solve_periodic_banded(mat, rhs)
+    backward = np.linalg.norm(dense @ x - rhs)
+    assert backward <= 1e-12 * singular_values[0] * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("offset", [1, -1])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_singular_interior_block_falls_back_to_the_band_lu(offset, dtype):
+    # the cyclic shift by one is a permutation, but its interior block A[1:, 1:]
+    # is strictly triangular: gtsv reports it singular and the fold solves it
+    n = 8
+    shift = PeriodicBandedMatrix(n, (offset,), [np.ones(n, dtype)])
+    rhs = np.arange(1.0, n + 1.0) * (1.0 - 2.0j if dtype is complex else 1.0)
+    with mock.patch.object(linalg, "_lapack", wraps=linalg._lapack) as lapack:
+        x = solve_periodic_banded(shift, rhs)
+    assert [call.args[0] for call in lapack.call_args_list] == ["gtsv", "gbsv"]
+    assert x.dtype == np.result_type(dtype, float)
+    assert np.array_equal(x, np.roll(rhs, offset))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_zero_schur_pivot_raises_without_a_warning(n):
+    # the D2 circulant is singular (the constants are its null space), but its
+    # interior block is not, so gtsv succeeds and the Schur pivot of unknown 0
+    # is the zero; at these sizes its arithmetic is exact
+    d2 = PeriodicBandedMatrix(n, (-1, 0, 1), (1.0, -2.0, 1.0))
+    lo, mid, up = np.broadcast_to(d2.coeff_rows, (3, n))
+    border = np.zeros((n - 1, 2))
+    border[0, 1], border[-1, 1] = lo[1], up[-1]
+    *_, y, info = linalg._lapack("gtsv", np.dtype(float))(lo[2:], mid[1:], up[1:-1], border)
+    assert info == 0
+    assert mid[0] - up[0] * y[0, 1] - lo[0] * y[-1, 1] == 0.0
+    with warnings.catch_warnings(), lapack_without("gbsv"):
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="Schur pivot"):
+            solve_periodic_banded(d2, np.ones(n))
+
+
 @pytest.mark.parametrize("preset, band", [("burgers-paper", (-1, 0, 1)), ("kdv-paper", (-2, -1, 0, 1, 2))])
 def test_every_step_system_lives_on_the_model_band(preset, band):
     # Kahan, lie and Newton matrices of a quadratic field: each sum a step makes is one row add
@@ -203,6 +295,13 @@ def test_two_field_zero_or_non_finite_eliminated_diagonal_raises(t0):
         with pytest.raises(SingularMatrixError):
             mat.solve(np.ones(16))
     band_solve.assert_not_called()
+
+
+@pytest.mark.parametrize("shape", [(17,), (16, 1)])
+def test_two_field_solve_checks_the_rhs_shape(shape):
+    mat = TwoFieldMatrix(np.ones((3, 8)), 1.0, -2.0).shift(3.0)
+    with pytest.raises(ValueError, match=re.escape(f"rhs has shape {shape}, expected (16,)")):
+        mat.solve(np.ones(shape))
 
 
 def test_two_field_matrix_shift_adds_to_c():

@@ -23,9 +23,10 @@ table gives per tree:
     step/solve   that time over the median time of the band solves the step
                  makes (every `solve_periodic_banded` call, timed alone on
                  the systems the step assembled)
+    solve us/step  that median time of one step's band solves
     march us/step  the median time of the whole `integrate` per step
 
-and, for the step and for the march, change/parent: the median over the
+and, for the step, its solves and the march, change/parent: the median over the
 rounds of each round's ratio of the change tree's time to the parent
 tree's. Both trees are timed back to back within a round, so host drift
 slower than a round cancels in its ratio, and the median discards the
@@ -116,6 +117,7 @@ def compare(trees) -> None:
     unsupported = tuple(sys.modules[f"{tree}.errors"].UnsupportedModelError for tree in trees)
     print(
         f"{'case':<30}" + "".join(f"{t + ' us/step':>22}{'step/solve':>12}" for t in trees) + f"{'change/parent':>15}"
+        + "".join(f"{t + ' solve us/step':>28}" for t in trees) + f"{'change/parent':>15}"
         + "".join(f"{t + ' march us/step':>28}" for t in trees) + f"{'change/parent':>15}"
     )
     median = statistics.median
@@ -141,10 +143,20 @@ def compare(trees) -> None:
             finally:
                 gc.enable()
             cells = "".join(f"{1e6 * median(s):>22.1f}{median(s) / median(v):>12.2f}" for s, v in zip(steps, solves))
-            ratio = median(c / p for p, c in zip(*steps))
-            march_cells = "".join(f"{1e6 * median(w):>28.1f}" for w in whole)
-            march_ratio = median(c / p for p, c in zip(*whole))
-            print(f"{preset + '/' + kind:<30}{cells}{ratio:>15.3f}{march_cells}{march_ratio:>15.3f}")
+            print(
+                f"{preset + '/' + kind:<30}{cells}{ratio(steps):>15.3f}"
+                f"{per_tree(solves)}{ratio(solves):>15.3f}{per_tree(whole)}{ratio(whole):>15.3f}"
+            )
+
+
+def ratio(times) -> float:
+    """The median over the rounds of the change tree's time over the parent tree's."""
+    return statistics.median(c / p for p, c in zip(*times))
+
+
+def per_tree(times) -> str:
+    """Each tree's median time in microseconds, in 28-wide cells."""
+    return "".join(f"{1e6 * statistics.median(t):>28.1f}" for t in times)
 
 
 def main(argv=None) -> int:
