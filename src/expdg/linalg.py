@@ -50,11 +50,10 @@ def _lapack(name: str, dtype: np.dtype):
 
 
 def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs: a tridiagonal A by bordered elimination, any other by one pivoted band LU in fold order.
+    """Solve A x = rhs: a tridiagonal A by `_solve_bordered`, any other (or one it declines) by one pivoted band LU.
 
-    Numbering the unknowns 0, n-1, 1, n-2, ... puts every entry within
-    circular distance b of the diagonal within 2b of it, so the periodic
-    matrix becomes an ordinary band matrix without wrap-around corners.
+    The band LU numbers the unknowns 0, n-1, 1, n-2, ...: every entry within circular distance b of the diagonal
+    is then within 2b of it, so the periodic matrix becomes an ordinary band matrix without wrap-around corners.
     """
     n = a.size
     rhs = np.asarray(rhs)
@@ -63,7 +62,7 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarra
     w, index, distinct, position, order = _band_plan(n, a.offsets)
     dtype = np.promote_types(np.promote_types(a.dtype, rhs.dtype), np.float64)
     x = _solve_bordered(a, rhs, dtype) if w == 2 and distinct else None  # w = 2: b = 1 and n >= 3
-    if x is None:  # b >= 2, or a tridiagonal A whose interior block gtsv found singular
+    if x is None:  # b >= 2, or a tridiagonal A whose interior block is singular or ill-conditioned
         ab = np.zeros((3 * w + 1, n), dtype=dtype, order="F")  # f2py passes it without a copy
         if distinct:
             ab.reshape(-1, order="F")[index] = a.coeff_rows
@@ -80,10 +79,11 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarra
 
 
 def _solve_bordered(a: PeriodicBandedMatrix, rhs: np.ndarray, dtype: np.dtype):
-    """Bordered elimination (Temperton 1975); None if gtsv finds A[1:, 1:] singular, NaN if the Schur pivot is 0.
+    """Bordered elimination (Temperton 1975); None if A[1:, 1:] is singular or |x_c| > 100; NaN for a 0 Schur pivot.
 
-    gtsv solves A[1:, 1:] (x_r, x_c) = (rhs[1:], A[1:, 0]), so x[1:] = x_r - x_0 x_c, and row 0 leaves
-    the Schur complement (A[0, 0] - A[0, 1:] x_c) x_0 = rhs[0] - A[0, 1:] x_r.
+    gtsv solves A[1:, 1:] (x_r, x_c) = (rhs[1:], A[1:, 0]), so x[1:] = x_r - x_0 x_c, and row 0 leaves the Schur
+    complement (A[0, 0] - A[0, 1:] x_c) x_0 = rhs[0] - A[0, 1:] x_r.  As x_r = x[1:] + x_0 x_c, the cancellation
+    costs at most a factor 1 + 2 max|x_c|: a larger x_c (an ill-conditioned A[1:, 1:], say) goes to the band LU.
     """
     if a.offsets != (-1, 0, 1) or a.coeffs.ndim == 1:  # a stencil, or a band without one of its diagonals
         a = a + PeriodicBandedMatrix(a.size, (-1, 0, 1), np.zeros((3, a.size)))
@@ -91,7 +91,7 @@ def _solve_bordered(a: PeriodicBandedMatrix, rhs: np.ndarray, dtype: np.dtype):
     b = np.zeros((2, n - 1), dtype)  # b.T: the two right-hand sides in Fortran order
     b[0], b[1, 0], b[1, -1] = rhs[1:], rows[0, 1], rows[2, -1]
     *_, y, info = _lapack("gtsv", dtype)(rows[0, 2:], rows[1, 1:], rows[2, 1:-1], b.T, overwrite_b=True)
-    if info > 0:
+    if info > 0 or not np.vdot(y[:, 1], y[:, 1]).real <= 1e4:  # the comparison is False for NaN and overflow too
         return None
     lo_0, up_0 = rows.item(0, 0), rows.item(2, 0)  # Python scalars: no numpy overhead, no warnings
     pivot = rows.item(1, 0) - up_0 * y.item(0, 1) - lo_0 * y.item(-1, 1)

@@ -207,17 +207,21 @@ def test_bordered_tridiagonal_solve_without_diagonal_dominance(n, dtype, seed):
 
 @pytest.mark.parametrize("offset", [1, -1])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_singular_interior_block_falls_back_to_the_band_lu(offset, dtype):
-    # the cyclic shift by one is a permutation, but its interior block A[1:, 1:]
-    # is strictly triangular: gtsv reports it singular and the fold solves it
-    n = 8
-    shift = PeriodicBandedMatrix(n, (offset,), [np.ones(n, dtype)])
-    rhs = np.arange(1.0, n + 1.0) * (1.0 - 2.0j if dtype is complex else 1.0)
+@pytest.mark.parametrize("n, diagonal, tolerance", [(8, 0.0, 0.0), (80, 0.5, 1e-14)])
+def test_singular_or_ill_conditioned_interior_block_falls_back_to_the_band_lu(n, diagonal, tolerance, offset, dtype):
+    # diagonal I + the cyclic shift by one.  At 0 it is a permutation whose interior
+    # block A[1:, 1:] is strictly triangular: gtsv reports it singular.  At 0.5,
+    # ||A^-1|| <= 2, but the interior block is bidiagonal with 0.5 on its diagonal,
+    # so x_c grows to about 2^79 and x_r - x_0 x_c would cancel away every digit.
+    # Either way the fold solves it, the permutation exactly
+    mat = PeriodicBandedMatrix(n, (0, offset), np.array([diagonal, 1.0], dtype))
+    rhs = np.arange(1.0, n + 1.0) * (0.6 - 0.8j if dtype is complex else 1.0)
+    expected = np.linalg.solve(mat.to_dense(), rhs)
     with mock.patch.object(linalg, "_lapack", wraps=linalg._lapack) as lapack:
-        x = solve_periodic_banded(shift, rhs)
+        x = solve_periodic_banded(mat, rhs)
     assert [call.args[0] for call in lapack.call_args_list] == ["gtsv", "gbsv"]
     assert x.dtype == np.result_type(dtype, float)
-    assert np.array_equal(x, np.roll(rhs, offset))
+    assert np.max(np.abs(x - expected)) <= tolerance * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("n", [3, 8])
