@@ -14,7 +14,11 @@ Every kind is one row of the SCHEMES table (exponential or plain, one- or
 two-step, step kernel, bootstrap companion); `step` takes one step of any
 kind and `integrate` marches with it.  Only `Scheme.advance` applies the
 prefactors: kernels step the rescaled states e^{X_k} u^k.  Every Kahan and
-quadratic-field `lie` system is built by `system.kahan_system`.
+quadratic-field `lie` system is built by `system.kahan_system`.  The midpoint
+and AVF kinds share one Newton kernel for y = a + dt (F(a, y) - gamma (a + y)/2):
+the midpoint takes F = f((a + y)/2) (or the model's as-printed pair), AVF the
+model's closed-form mean of f over the chord [a, y], `chord_average`, with
+its Jacobian `chord_jacobian`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
-from .linalg import NonlinearSolveSettings, gauss_legendre_2, newton_solve, solve_periodic_banded
+from .linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
 from .system import ConformalModel, kahan_system
 
 
@@ -83,48 +87,39 @@ def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> Nonline
     return NonlinearSolveSettings(settings.tolerance * scale, settings.max_iterations)
 
 
-# equally weighted quadrature nodes on [0, 1] for the chord average of the
-# field: the midpoint is the one-node Gauss rule, AVF uses the two Gauss
-# nodes, which integrate the cubic fields of the models exactly
-_MIDPOINT = (0.5,)
-_AVF = tuple(gauss_legendre_2()[0])
+def _implicit_step(model, a, dt, gamma, spec, pair):
+    """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (F, F_y) = pair(model, spec).
 
-
-def _implicit_step(model, a, dt, gamma, spec, nodes):
-    """Newton solve of y = a + dt * mean_k f(xi_k y + (1 - xi_k) a).
-
-    The midpoint rule in the printed variant uses the model's as-printed
-    nonlinearity instead of f at the midpoint.
+    F is the kind's mean of the field f over the chord [a, y] and F_y its Jacobian in y, so the
+    Newton matrix is (1 + dt gamma/2) I - dt F_y(a, y).
     """
-    printed = spec.scheme_variant == "printed"  # midpoint kinds only
-    if printed and model.printed_midpoint_field is None:
-        raise UnsupportedModelError(
-            f"model {model.name} has no as-printed midpoint nonlinearity"
-        )
+    field, jacobian = pair(model, spec)
+    diag = 1.0 + dt * gamma / 2.0
 
     def residual(y):
-        if printed:
-            rhs = model.printed_midpoint_field(a, y)
-        else:
-            values = [model.conservative_field(xi * y + (1.0 - xi) * a) for xi in nodes]
-            rhs = values[0] if len(nodes) == 1 else sum(values[1:], values[0]) / len(nodes)
+        rhs = field(a, y)
         if gamma:
             rhs = rhs - gamma * 0.5 * (y + a)
         return y - a - dt * rhs
 
-    def jacobian(y):
-        diag = 1.0 + (dt * gamma / 2.0 if gamma else 0.0)
-        if printed:
-            return ((-dt) * model.printed_midpoint_jacobian(a, y)).shift(diag)
-        if len(nodes) == 2 and model.quadratic_matrix is not None:
-            # f is quadratic, so J is affine in u: the mean of (xi_k/2) J at the nodes is J((2y + a)/3)/2
-            return ((-0.5 * dt) * model.jacobian_conservative((2.0 * y + a) / 3.0)).shift(diag)
-        jac = [(-dt * xi / len(nodes)) * model.jacobian_conservative(xi * y + (1.0 - xi) * a)
-               for xi in nodes]
-        return sum(jac[1:], jac[0].shift(diag))
-
-    y, iters = newton_solve(residual, jacobian, a, _scaled_solver(spec.solver, a))
+    y, iters = newton_solve(residual, lambda y: ((-dt) * jacobian(a, y)).shift(diag), a,
+                            _scaled_solver(spec.solver, a))
     return y, iters, iters
+
+
+def _midpoint_pair(model, spec):
+    """f at the midpoint and half its Jacobian there, or the model's as-printed midpoint pair."""
+    if spec.scheme_variant == "canonical":
+        return (lambda a, y: model.conservative_field(0.5 * y + 0.5 * a),
+                lambda a, y: 0.5 * model.jacobian_conservative(0.5 * y + 0.5 * a))
+    if model.printed_midpoint_field is None:
+        raise UnsupportedModelError(f"model {model.name} has no as-printed midpoint nonlinearity")
+    return model.printed_midpoint_field, model.printed_midpoint_jacobian
+
+
+def _avf_pair(model, spec):
+    """The mean of f over the chord and its Jacobian, in the model's closed form."""
+    return model.chord_average, model.chord_jacobian
 
 
 def _kahan1_step(model, a, dt, gamma, spec=None):
@@ -179,8 +174,8 @@ class Scheme:
         return StepResult(exps.inverse_factors[len(window)] * state, newton_iterations, linear_solves)
 
 
-_midpoint = partial(_implicit_step, nodes=_MIDPOINT)
-_avf = partial(_implicit_step, nodes=_AVF)
+_midpoint = partial(_implicit_step, pair=_midpoint_pair)
+_avf = partial(_implicit_step, pair=_avf_pair)
 _CIMP = Scheme(True, False, _midpoint)
 _EK1 = Scheme(True, False, _kahan1_step)
 # kind -> Scheme(exponential, two_step, kernel, bootstrap)

@@ -119,10 +119,6 @@ class TwoFieldMatrix:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "TwoFieldMatrix") -> "TwoFieldMatrix":
-        fields = (self.off + other.off, self.mid + other.mid, self.c + other.c)
-        return TwoFieldMatrix(self.rows + other.rows, *fields)
-
     def shift(self, c: float) -> "TwoFieldMatrix":
         """This matrix plus c I."""
         return TwoFieldMatrix(self.rows, self.off, self.mid, self.c + c)
@@ -192,10 +188,3 @@ def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: Nonlinea
         residual=float(res_norm),
     )
 
-
-def gauss_legendre_2():
-    """Two-point Gauss rule on [0,1]: exact for polynomials of degree <= 3."""
-    shift = np.sqrt(3.0) / 6.0
-    nodes = np.array([0.5 - shift, 0.5 + shift])
-    weights = np.array([0.5, 0.5])
-    return nodes, weights

@@ -35,8 +35,8 @@ from .spatial import (
 from .system import (
     ConformalModel,
     Invariant,
+    NODAL_CUBIC,
     PolarizedEnergy,
-    polarize_monomial,
     polarize_quadratic_form,
     polarized_kahan_system,
     quadratic_field,
@@ -61,7 +61,6 @@ def cubic_hamiltonian_model(
     d1 = derivative_operator(grid, 1)
     ghat = 2.0 * gamma
     cubic = dx * alpha / 3.0
-    nodal3 = polarize_monomial(3)
     if linear is None:
         amat = form = field_linear = None
     else:
@@ -83,11 +82,11 @@ def cubic_hamiltonian_model(
         return h if amat is None else h + 0.5 * dot(u, amat.apply(u))
 
     def pol_eval(v, w):
-        h = cubic * nodal3.evaluate(v, w).sum(axis=-1)
+        h = cubic * NODAL_CUBIC.evaluate(v, w).sum(axis=-1)
         return h if form is None else h + form.evaluate(v, w)
 
     def pol_pdg(u, v, w):
-        g = cubic * nodal3.pdg(u, v, w)
+        g = cubic * NODAL_CUBIC.pdg(u, v, w)
         return g if form is None else g + form.pdg(u, v, w)
 
     homogeneous = amat is None
@@ -181,11 +180,31 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         deriv = 0.5 * (dot(u, d2.apply(u)) + dot(v, d2.apply(v)))
         return dx * (quart + deriv)
 
-    def jacobian_conservative(x):
-        u, v = split(x)
+    def jacobian_rows(u, v):
         mod = u * u + v * v
-        rows = np.array([2.0 * alpha * u * v, alpha * (mod + 2.0 * u * u), alpha * (mod + 2.0 * v * v)])
-        return TwoFieldMatrix(rows, *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)
+        return np.array([2.0 * alpha * u * v, alpha * (mod + 2.0 * u * u), alpha * (mod + 2.0 * v * v)])
+
+    def jacobian_conservative(x):
+        return TwoFieldMatrix(jacobian_rows(*split(x)), *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)
+
+    # the chord means average the cubic part over the two Gauss nodes xi_k on [0, 1], which is exact
+    # for it; the D2 part is linear, so its means are D2 at the midpoint and D2/2 in the Jacobian
+    gauss = np.array([[0.5 - math.sqrt(3.0) / 6.0], [0.5 + math.sqrt(3.0) / 6.0]])
+
+    def at_gauss_nodes(a, y):
+        """The chord points x_k = xi_k y + (1 - xi_k) a, shaped (node, field, point)."""
+        return (gauss * y + (1.0 - gauss) * a).reshape(2, 2, m)
+
+    def chord_average(a, y):
+        x = at_gauss_nodes(a, y)
+        cubic = (0.5 * alpha) * ((x * x).sum(axis=1, keepdims=True) * x).sum(axis=0)
+        u, v = d2.apply((0.5 * (a + y)).reshape(2, m)) + cubic
+        return np.concatenate([-v, u])
+
+    def chord_jacobian(a, y):
+        x = at_gauss_nodes(a, y)
+        rows = (jacobian_rows(x[:, 0], x[:, 1]) * (0.5 * gauss)).sum(axis=1)
+        return TwoFieldMatrix(rows, *(0.5 * d2.coeffs[:2]))
 
     form = polarize_quadratic_form(lambda z: dx * np.concatenate([d2.apply(c) for c in split(z)], axis=-1), 1.0)
 
@@ -245,6 +264,8 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         hamiltonian_rate=None,
         conservative_field=conservative_field,
         jacobian_conservative=jacobian_conservative,
+        chord_average=chord_average,
+        chord_jacobian=chord_jacobian,
         invariants=invariants,
         polarized=PolarizedEnergy(
             evaluate=pol_eval, pdg=pol_pdg, theta=1.0, evaluate_printed=pol_eval_printed

@@ -82,6 +82,10 @@ class ConformalModel:
     conservative_field: Callable
     # the banded operators below are spatial.PeriodicBandedMatrix instances
     jacobian_conservative: Callable  # u -> Jacobian of the field (NLS: a linalg.TwoFieldMatrix)
+    # (a, y) -> the mean of the field over the chord [a, y], int_0^1 f(a + s (y - a)) ds, in closed
+    # form, and its Jacobian in y, int_0^1 s J(a + s (y - a)) ds, of the Jacobian's type: the AVF step
+    chord_average: Callable
+    chord_jacobian: Callable
     invariants: tuple
     quadratic_bilinear: Optional[Callable] = None  # Qb(x, y), bilinear part
     quadratic_matrix: Optional[Callable] = None  # x -> the operator Qb(x, .)
@@ -111,12 +115,15 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
     """The ConformalModel keywords of the field f(u) = scale D(u*u) + L u, D the stencil and L linear.
 
     Qb(x, y) = scale D(x*y) is its bilinear part, 2 scale D diag(u) + L its Jacobian; L may be None.
-    Its matrices and `linear_operator` live on one band, the offsets of D, 0 and those of L, so
-    every sum a step makes is one row add; Qb and the field apply D and L on their own offsets.
+    J is affine in u, so the chord mean of f is scale D(a*a + y*y + a*y)/3 + L(a + y)/2 and that of
+    s J is J((2y + a)/3)/2.  Its matrices and `linear_operator` live on one band, the offsets of D, 0
+    and those of L, so every sum a step makes is one row add; Qb and the field apply D and L on their
+    own offsets.
     """
     offsets = sorted({0, *stencil.offsets, *(() if linear is None else linear.offsets)})
     band = PeriodicBandedMatrix(stencil.size, offsets, np.zeros(len(offsets)))
     scaled, doubled = band + scale * stencil, band + (2 * scale) * stencil
+    third = (scale / 3.0) * stencil
     banded = None if linear is None else band + linear
 
     def quadratic_bilinear(x, y):
@@ -130,7 +137,16 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
         jac = doubled.scale_columns(u)
         return jac if linear is None else jac + banded
 
+    def chord_average(a, y):
+        out = third.apply(a * a + y * y + a * y)
+        return out if linear is None else out + 0.5 * linear.apply(a + y)
+
+    def chord_jacobian(a, y):
+        jac = scaled.scale_columns((2.0 * y + a) / 3.0)
+        return jac if linear is None else jac + 0.5 * banded
+
     return dict(conservative_field=conservative_field, jacobian_conservative=jacobian_conservative,
+                chord_average=chord_average, chord_jacobian=chord_jacobian,
                 quadratic_bilinear=quadratic_bilinear, quadratic_matrix=scaled.scale_columns,
                 linear_operator=banded)
 
@@ -202,38 +218,9 @@ def polarized_kahan_system(model: ConformalModel, a, b, dt: float, theta: float 
     return (*kahan_system(model, a, b, 2.0 * dt, *weights), _unchanged)
 
 
-def polarize_monomial(degree: int, theta: Optional[float] = None) -> PolarizedEnergy:
-    """Nodal polarization rules for H(u) = u^degree, degree in {2, 3, 4}.
-
-    The returned callables act componentwise.  The PDG expressions are the
-    unique affine-in-w forms satisfying the defining identity
-    H~(v, w) - H~(u, v) = 0.5 (w - u) pdg(u, v, w).
-    """
-    if degree == 2:
-        th = 0.5 if theta is None else float(theta)
-        if not 0.0 <= th <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {theta}")
-
-        def evaluate(v, w):
-            return th * (v * v + w * w) / 2.0 + (1.0 - th) * v * w
-
-        def pdg(u, v, w):
-            return th * (u + w) + 2.0 * (1.0 - th) * v
-
-        return PolarizedEnergy(evaluate=evaluate, pdg=pdg, theta=th)
-    if theta is not None:
-        raise ValueError("theta applies to degree 2 only")
-    if degree == 3:
-        return PolarizedEnergy(
-            evaluate=lambda v, w: v * w * (v + w) / 2.0,
-            pdg=lambda u, v, w: v * (u + v + w),
-        )
-    if degree == 4:
-        return PolarizedEnergy(
-            evaluate=lambda v, w: v * v * w * w,
-            pdg=lambda u, v, w: 2.0 * v * v * (u + w),
-        )
-    raise ValueError(f"degree must be 2, 3 or 4, got {degree}")
+# the nodal polarization of H(u) = u^3, acting componentwise: H~(v, w) = v w (v + w)/2, and its
+# PDG, the unique affine-in-w form with H~(v, w) - H~(u, v) = 0.5 (w - u) pdg(u, v, w)
+NODAL_CUBIC = PolarizedEnergy(evaluate=lambda v, w: v * w * (v + w) / 2.0, pdg=lambda u, v, w: v * (u + v + w))
 
 
 def polarize_quadratic_form(apply_a: Callable, theta: float) -> PolarizedEnergy:

@@ -11,7 +11,7 @@ import pytest
 from expdg.integrators import SchemeSpec, exponents, integrate
 from expdg.spatial import PeriodicBandedMatrix
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
-from expdg.system import ConformalModel, PolarizedEnergy, polarize_monomial, quadratic_field
+from expdg.system import NODAL_CUBIC, ConformalModel, PolarizedEnergy, quadratic_field
 
 
 def preset_model(name):
@@ -36,6 +36,11 @@ def two_field_dense(mat):
     d = PeriodicBandedMatrix(m, (-1, 0, 1), (mat.off, mat.mid, mat.off)).to_dense()
     eye = mat.c * np.eye(m)
     return np.block([[eye - np.diag(t), -(d + np.diag(q))], [d + np.diag(p), eye + np.diag(t)]])
+
+
+def dense(mat):
+    """The dense matrix of a PeriodicBandedMatrix or a TwoFieldMatrix."""
+    return mat.to_dense() if isinstance(mat, PeriodicBandedMatrix) else two_field_dense(mat)
 
 
 def realized_horizon(cfg):
@@ -166,7 +171,6 @@ def toy_cubic_model():
     the two-step machinery without any spatial operator.  Its energies take
     states stacked on leading axes, as `integrate` evaluates them per batch.
     """
-    nod3 = polarize_monomial(3)
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
     # the field S (u*u): at n = 2 the +1 offset wraps, covering both off-diagonal
     # entries, (0, 1) = row[0] and (1, 0) = row[1]
@@ -186,8 +190,8 @@ def toy_cubic_model():
         invariants=(),
         **field,
         polarized=PolarizedEnergy(
-            evaluate=lambda v, w: np.sum(nod3.evaluate(v, w), axis=-1) / 3.0,
-            pdg=lambda u, v, w: nod3.pdg(u, v, w) / 3.0,
+            evaluate=lambda v, w: np.sum(NODAL_CUBIC.evaluate(v, w), axis=-1) / 3.0,
+            pdg=lambda u, v, w: NODAL_CUBIC.pdg(u, v, w) / 3.0,
         ),
         polarized_degree=3,
     )

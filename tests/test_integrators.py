@@ -21,11 +21,11 @@ from expdg.integrators import (
     _kahan1_step,
     _kahan2_step,
 )
-from expdg.linalg import NonlinearSolveSettings, gauss_legendre_2, newton_solve, solve_periodic_banded
+from expdg.linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.spatial import build_grid
 
-from conftest import preset_model, toy_cubic_model
+from conftest import dense, preset_model, toy_cubic_model
 
 EXPONENTIAL_KINDS = ("cimp", "eavf", "ek1", "ek2", "lie")
 PLAIN_KINDS = ("imidpoint_plain", "avf_plain", "kahan2_plain")
@@ -204,34 +204,37 @@ def test_eavf_step_satisfies_chord_average_equation():
     assert np.max(np.abs(residual)) <= 1e-10 * max(np.max(np.abs(yt)), 1.0)
 
 
-@pytest.mark.parametrize("kind", ["burgers", "kdv", "pure-decay"])
+@pytest.mark.parametrize("kind", ["burgers", "kdv", "nls", "pure-decay", "toy"])
 def test_avf_newton_matrix_needs_one_jacobian_per_iteration(kind):
-    # a quadratic field's Jacobian is affine in u, so the mean of (xi_k/2) J(xi_k y + (1 - xi_k) a)
-    # over the two Gauss nodes is J((2y + a)/3)/2, and the Newton matrix needs J at one point
-    grid = build_grid(10.0, 64)
-    model = pure_decay_model(64, 0.3) if kind == "pure-decay" else make_model(kind, grid, gamma=0.1)
+    # chord_jacobian(a, y) is int_0^1 s J(a + s (y - a)) ds, whose integrand is a polynomial of degree
+    # <= 3 in s, so the two Gauss nodes xi_k give it exactly: the mean of (xi_k/2) J at the nodes
+    if kind == "toy":
+        model = toy_cubic_model()
+    elif kind == "pure-decay":
+        model = pure_decay_model(64, 0.3)
+    else:
+        model = make_model(kind, build_grid(10.0, 64), gamma=0.1)
     rng = np.random.default_rng(4)
-    a, y, dt = rng.uniform(-1.0, 1.0, 64), rng.uniform(-1.0, 1.0, 64), 0.01
-    nodes = gauss_legendre_2()[0]
-    mean = sum(xi / 2.0 * model.jacobian_conservative(xi * y + (1.0 - xi) * a).to_dense() for xi in nodes)
-    one = 0.5 * model.jacobian_conservative((2.0 * y + a) / 3.0).to_dense()
-    assert np.abs(one - mean).max() <= 1e-14 * np.abs(mean).max()
+    a, y, dt = rng.uniform(-1.0, 1.0, model.dim), rng.uniform(-1.0, 1.0, model.dim), 0.01
+    nodes = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+    mean = sum(xi / 2.0 * dense(model.jacobian_conservative(xi * y + (1.0 - xi) * a)) for xi in nodes)
+    assert np.abs(dense(model.chord_jacobian(a, y)) - mean).max() <= 1e-14 * np.abs(mean).max()
     calls, newton_matrices = [], []
 
-    def counted(u):
-        calls.append(u)
-        return model.jacobian_conservative(u)
+    def counted(a, y):
+        calls.append(y)
+        return model.chord_jacobian(a, y)
 
     def capture(residual, jacobian, guess, settings):
         newton_matrices.append(jacobian)
         return newton_solve(residual, jacobian, guess, settings)
 
     with mock.patch.object(integrators, "newton_solve", capture):
-        result = step(replace(model, jacobian_conservative=counted), SchemeSpec("avf_plain", dt), a)
+        result = step(replace(model, chord_jacobian=counted), SchemeSpec("avf_plain", dt), a)
     assert len(calls) == result.newton_iterations > 0
-    # the plain kind keeps the damping: (1 + dt g/2) I - dt (mean of the node terms)
-    expected = (1.0 + dt * model.gamma_eff / 2.0) * np.eye(64) - dt * mean
-    assert np.abs(newton_matrices[0](y).to_dense() - expected).max() <= 1e-14 * np.abs(expected).max()
+    # the plain kind keeps the damping: (1 + dt g/2) I - dt chord_jacobian(a, y)
+    expected = (1.0 + dt * model.gamma_eff / 2.0) * np.eye(model.dim) - dt * mean
+    assert np.abs(dense(newton_matrices[0](y)) - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_eavf_preserves_transformed_energy_per_step():

@@ -15,7 +15,6 @@ from expdg.linalg import (
     NonlinearSolveSettings,
     PeriodicBandedMatrix,
     TwoFieldMatrix,
-    gauss_legendre_2,
     newton_solve,
     solve_periodic_banded,
 )
@@ -269,17 +268,16 @@ def test_every_step_system_lives_on_the_model_band(preset, band):
 @given(
     m=st.integers(2, 32).map(lambda k: 2 * k),
     damping=st.sampled_from([0.0, 1e-3]),
-    nodes=st.sampled_from([(0.5,), tuple(gauss_legendre_2()[0])]),
     dt=st.floats(1e-4, 0.05),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_two_field_elimination_matches_dense_solve(m, damping, nodes, dt, seed):
-    # the Newton matrix exactly as _implicit_step builds it: c I - dt mean_k J_k
+def test_two_field_elimination_matches_dense_solve(m, damping, dt, seed):
+    # the Newton matrix as the implicit kernel builds it, (-dt F_y).shift(1 + dt gamma/2), here with the
+    # midpoint's F_y = J/2; the AVF chord Jacobian is a TwoFieldMatrix of the same shape, its stencil D2/2
     rng = np.random.default_rng(seed)
     d2 = derivative_operator(build_grid(5.0, m), 2)
-    jac = [(-dt * xi / len(nodes)) * TwoFieldMatrix(rng.uniform(-5.0, 5.0, (3, m)), *d2.coeffs[:2])
-           for xi in nodes]
-    mat = sum(jac[1:], jac[0].shift(1.0 + damping))
+    jac = TwoFieldMatrix(rng.uniform(-5.0, 5.0, (3, m)), *d2.coeffs[:2])
+    mat = ((-dt) * (0.5 * jac)).shift(1.0 + damping)
     assert isinstance(mat, TwoFieldMatrix)
     rhs = rng.standard_normal(2 * m)
     expected = np.linalg.solve(two_field_dense(mat), rhs)
@@ -524,34 +522,3 @@ def test_newton_nan_residual_raises():
 def test_solver_settings_validation(kwargs):
     with pytest.raises(ValueError):
         NonlinearSolveSettings(**kwargs)
-
-
-def test_gauss_legendre_2_rule():
-    nodes, weights = gauss_legendre_2()
-    shift = math.sqrt(3.0) / 6.0
-    assert nodes == pytest.approx([0.5 - shift, 0.5 + shift], abs=1e-16)
-    assert np.array_equal(weights, np.array([0.5, 0.5]))
-    for k in range(4):  # exact through cubics
-        assert np.sum(weights * nodes**k) == pytest.approx(1.0 / (k + 1), abs=1e-15)
-
-
-def test_gauss_2_equals_simpson_38_on_cubic_field():
-    # the NLS conservative field is cubic, so the two-point Gauss average
-    # over the chord must agree with any other cubic-exact rule
-    g = build_grid(2.0, 8)
-    model = make_model("nls", g, gamma=0.0, alpha=2.0)
-    rng = np.random.default_rng(31)
-    a, b = rng.standard_normal(model.dim), rng.standard_normal(model.dim)
-
-    def chord_average(nodes, weights):
-        total = np.zeros(model.dim)
-        for xi, w in zip(nodes, weights):
-            total += w * model.conservative_field(a + xi * (b - a))
-        return total
-
-    gauss = chord_average(*gauss_legendre_2())
-    simpson = chord_average(
-        np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]),
-        np.array([1.0 / 8.0, 3.0 / 8.0, 3.0 / 8.0, 1.0 / 8.0]),
-    )
-    assert np.max(np.abs(gauss - simpson)) <= 1e-14 * max(np.max(np.abs(gauss)), 1.0)

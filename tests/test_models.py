@@ -17,7 +17,7 @@ from expdg.models import (
 from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
 from expdg.system import vector_field
 
-from conftest import evaluate_invariants, toy_cubic_model, two_field_dense
+from conftest import dense, evaluate_invariants, toy_cubic_model, two_field_dense
 
 
 def test_initial_profiles_at_origin():
@@ -377,3 +377,44 @@ def test_stacked_functionals_equal_each_state_bytewise(kind, lead, scale, seed):
         rows = [evaluate(*row) for row in zip(*(s.reshape(-1, model.dim) for s in stacks[:arity]))]
         assert all(np.ndim(value) == 0 for value in rows), name
         assert np.asarray(stacked, dtype=float).tobytes() == np.array(rows, dtype=float).tobytes(), name
+
+
+# every model on a grid small enough for dense Jacobians (NLS: 2 x 32)
+CHORD_MODELS = {
+    **{kind: make_model(kind, build_grid(10.0, 32), 0.1) for kind in ("burgers", "kdv", "nls")},
+    "pure-decay": pure_decay_model(8, 0.3),
+    "toy": toy_cubic_model(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHORD_MODELS))
+def test_chord_average_equals_simpson_38_mean(kind):
+    # s -> f(a + s (y - a)) is a cubic polynomial in s, which Simpson's 3/8 rule integrates exactly:
+    # an oracle that shares nothing with the closed forms
+    model = CHORD_MODELS[kind]
+    rng = np.random.default_rng(31)
+    a, y = rng.standard_normal((2, model.dim))
+    rule = ((0.0, 1.0 / 8.0), (1.0 / 3.0, 3.0 / 8.0), (2.0 / 3.0, 3.0 / 8.0), (1.0, 1.0 / 8.0))
+    simpson = sum(w * model.conservative_field(a + s * (y - a)) for s, w in rule)
+    assert np.abs(model.chord_average(a, y) - simpson).max() <= 1e-14 * max(np.abs(simpson).max(), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(CHORD_MODELS)), scale=st.floats(1e-2, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_chord_pair_is_the_field_on_the_diagonal_symmetric_and_differentiated(kind, scale, seed):
+    model = CHORD_MODELS[kind]
+    mean = model.chord_average
+    rng = np.random.default_rng(seed)
+    a, y, e = scale * rng.standard_normal((3, model.dim))
+
+    def close(value, reference):
+        return np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def central(h):
+        return (mean(a, y + h * e) - mean(a, y - h * e)) / (2.0 * h)
+
+    assert close(mean(a, a), model.conservative_field(a))
+    assert close(mean(a, y), mean(y, a))
+    # mean(a, y) is a polynomial of degree <= 3 in y, so the central difference along e is its derivative
+    # plus h^2 times a fixed term, which Richardson extrapolation from h = 1 and h = 1/2 removes
+    assert close((4.0 * central(0.5) - central(1.0)) / 3.0, dense(model.chord_jacobian(a, y)) @ e)

@@ -10,7 +10,7 @@ from expdg.integrators import SchemeSpec, step
 from expdg.linalg import solve_periodic_banded
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
 from expdg.spatial import build_grid, derivative_operator
-from expdg.system import kahan_bilinear, kahan_system, polarize_monomial, vector_field
+from expdg.system import NODAL_CUBIC, kahan_bilinear, kahan_system, vector_field
 
 from conftest import evaluate_invariants
 
@@ -135,29 +135,12 @@ def test_kahan_system_solves_its_defining_equation(kind, row, theta, dt, gamma, 
     assert np.max(np.abs(terms[0] - terms[1] - terms[2])) <= 1e-12 * scale
 
 
-def test_polarize_monomial_worked_values():
-    nod3 = polarize_monomial(3)
-    assert nod3.evaluate(np.array([1.0]), np.array([1.0]))[0] == pytest.approx(1.0)
-
-    nod2 = polarize_monomial(2, theta=0.5)
+def test_nodal_cubic_worked_values():
+    assert NODAL_CUBIC.evaluate(np.array([1.0]), np.array([1.0]))[0] == pytest.approx(1.0)
+    # H~(2, 3) - H~(1, 2) = 15 - 3 = 0.5 (3 - 1) pdg(1, 2, 3), with pdg(1, 2, 3) = 2 (1 + 2 + 3) = 12
     u, v, w = np.array([1.0]), np.array([2.0]), np.array([3.0])
-    assert nod2.pdg(u, v, w)[0] == pytest.approx(4.0)
-    gap = nod2.evaluate(v, w)[0] - nod2.evaluate(u, v)[0]
-    assert gap == pytest.approx(0.5 * (w[0] - u[0]) * 4.0)
-
-    nod4 = polarize_monomial(4)
-    for value in (-1.0, 0.5, 2.0):
-        u = np.array([value])
-        assert nod4.pdg(u, u, u)[0] == pytest.approx(4.0 * value**3, rel=1e-14)
-
-
-def test_polarize_monomial_validation():
-    with pytest.raises(ValueError):
-        polarize_monomial(5)
-    with pytest.raises(ValueError):
-        polarize_monomial(3, theta=0.5)  # theta only parametrizes degree 2
-    with pytest.raises(ValueError):
-        polarize_monomial(2, theta=1.2)
+    assert NODAL_CUBIC.pdg(u, v, w)[0] == 12.0
+    assert NODAL_CUBIC.evaluate(v, w)[0] - NODAL_CUBIC.evaluate(u, v)[0] == 0.5 * (w[0] - u[0]) * 12.0
 
 
 @pytest.mark.parametrize("kind", ["burgers", "kdv", "nls"])

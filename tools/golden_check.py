@@ -8,9 +8,11 @@ preset x scheme kind x scheme variant, 20 steps at the preset's dt, once
 through `integrate` (record_every=1, every state stored) and through
 `expdg run` (CSV written to a file) at record_every=1 and at
 record_every=7, which records steps 0, 7, 14 and 20: a short last interval,
-and steps whose predecessor was not recorded. One long case per preset runs
-the preset's own scheme the same way for LONG_STEPS steps, enough for
-`integrate` to evaluate its recorded series in three or more batches.
+and steps whose predecessor was not recorded. Two long cases per preset run
+the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
+for `integrate` to evaluate its recorded series in three or more batches, and
+for a change in the rounding of the AVF chord mean to show its drift over a
+long horizon, not only over 20 steps.
 Per case the table gives:
 
     states   bitwise, or the max relative difference of the stored states and
@@ -48,7 +50,7 @@ import numpy as np
 
 VARIANTS = ("canonical", "printed")
 STEPS = 20
-# steps of the long case of each preset: a state of Burgers (n = 80), KdV (n = 248)
+# steps of the long cases of each preset: a state of Burgers (n = 80), KdV (n = 248)
 # and NLS (2 x 1024) takes 640, 1984 and 16384 bytes, so each long march records
 # about 1 MB of states, three or more batches of up to 256 KiB
 LONG_STEPS = {"burgers-paper": 1500, "kdv-paper": 500, "nls-paper": 60}
@@ -63,8 +65,8 @@ def _cases():
             for variant in VARIANTS:
                 yield f"{preset}/{kind}/{variant}", preset, kind, variant, STEPS
     for preset, steps in LONG_STEPS.items():
-        kind = models.PRESETS[preset]["scheme"]
-        yield f"{preset}/{kind}/{steps} steps", preset, kind, "canonical", steps
+        for kind in (models.PRESETS[preset]["scheme"], "eavf"):
+            yield f"{preset}/{kind}/{steps} steps", preset, kind, "canonical", steps
 
 
 def _library_case(preset, kind, variant, steps):
