@@ -169,9 +169,11 @@ class Scheme:
             raise ValueError(f"{spec.kind!r} steps from {1 + self.two_step} states, got {len(window)}")
         exps = exps or self.exponents(model.gamma_eff, spec.dt)
         gamma = 0.0 if self.exponential else model.gamma_eff
-        scaled = [e * u for e, u in zip(exps.factors, window)]
+        # 1.0 * u == u, so a unit prefactor is skipped: kernels never write into the window and return new arrays
+        scaled = [u if e == 1.0 else e * u for e, u in zip(exps.factors, window)]
         state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec)
-        return StepResult(exps.inverse_factors[len(window)] * state, newton_iterations, linear_solves)
+        scale = exps.inverse_factors[len(window)]
+        return StepResult(state if scale == 1.0 else scale * state, newton_iterations, linear_solves)
 
 
 _midpoint = partial(_implicit_step, pair=_midpoint_pair)

@@ -230,13 +230,23 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         return dx * (poly + deriv).sum(axis=-1)
 
     def lie_builder(a, b, dt):
-        # reduce the 2M real system to one complex M-dim periodic-banded solve
+        # (-i D2/2 + diag(h - i k)) z = h z_a + i (D2 z_a/2 + k z_a), z = u + i v, h = 1/(2 dt), k = alpha |z_b|^2/2,
+        # formed part by part in real arithmetic (exact per part), in place; D2 sums as `apply` does, on (u; v)
+        # padded row by row, and t[m:m + 2] straddles the two rows
         ub, vb = split(b)
-        mod_b = ub * ub + vb * vb
-        za = a[:m] + 1j * a[m:]
-        mat = lie_d2.shift(1.0 / (2.0 * dt) - 0.5j * alpha * mod_b)
-        rhs = za / (2.0 * dt) + 1j * (0.5 * d2.apply(za) + 0.5 * alpha * mod_b * za)
-        return mat, rhs, lambda z: np.concatenate([z.real, z.imag])
+        h, k = 1.0 / (2.0 * dt), 0.5 * alpha * (ub * ub + vb * vb)
+        rows = lie_d2.coeffs[:, None].repeat(m, axis=1)
+        rows[1].real, rows[1].imag = h, lie_d2.coeffs[1].imag - k
+        x = a.reshape(2, m)
+        padded = np.concatenate((x[:, -1:], x, x[:, :1]), axis=1).ravel()
+        t = d2.coeffs[0] * padded[:-2]
+        t += d2.coeffs[1] * padded[1:-1]
+        t += d2.coeffs[2] * padded[2:]
+        t *= 0.5
+        rhs = np.empty(m, complex)
+        np.subtract(h * x[0], t[m + 2:] + k * x[1], out=rhs.real)
+        np.add(h * x[1], t[:m] + k * x[0], out=rhs.imag)
+        return PeriodicBandedMatrix(m, lie_d2.offsets, rows), rhs, lambda z: np.concatenate([z.real, z.imag])
 
     def mass(x):
         u, v = split(x)

@@ -141,10 +141,8 @@ class PeriodicBandedMatrix:
         return PeriodicBandedMatrix(self.size, offsets, coeffs)
 
     def shift(self, c) -> "PeriodicBandedMatrix":
-        """A + diag(c), for a scalar c or a row of n entries; offset 0 must be one of the offsets."""
-        shape = (len(self.offsets), self.size)
-        rows = np.broadcast_to(self.coeff_rows, shape) if isinstance(c, np.ndarray) else self.coeffs
-        coeffs = rows.astype(np.result_type(rows, c))  # a copy
+        """A + c I for a scalar c; offset 0 must be one of the offsets."""
+        coeffs = self.coeffs.astype(np.result_type(self.coeffs, c))  # a copy
         coeffs[self.offsets.index(0)] += c
         return PeriodicBandedMatrix(self.size, self.offsets, coeffs)
 

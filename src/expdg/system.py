@@ -14,6 +14,7 @@ absorbs the compensating 1/dx so that S grad_H equals the nodal vector field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -175,6 +176,14 @@ def _combine(wa: float, a: np.ndarray, wb: float, b: np.ndarray) -> Optional[np.
     return wa * a + wb * b if wa else wb * b
 
 
+@functools.lru_cache(maxsize=64)
+def _kahan_invariant(linear: PeriodicBandedMatrix, l2: float, diag: float) -> PeriodicBandedMatrix:
+    """diag I - l2 L, read-only: the part of a Kahan matrix every step shares (keyed by L's identity)."""
+    part = ((-l2) * linear).shift(diag)
+    part.coeffs.flags.writeable = False
+    return part
+
+
 def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0):
     """Matrix and right-hand side of the Kahan-family step (a, b) -> c:
 
@@ -182,16 +191,16 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
 
     for a quadratic field Qb(u, u) + L u.  One-step schemes pass b = a.  The
     system is linear in c; right-hand-side terms with a zero weight are not formed.
+    Its step-invariant part (1/h + l2 gamma) I - l2 L is cached, so a step adds it by one row add.
     """
     if model.quadratic_bilinear is None or model.quadratic_matrix is None:
         raise UnsupportedModelError(
             f"model {model.name} has no quadratic conservative field for Kahan steps"
         )
-    # Qb(b, .) is linear in b, so the weight scales b rather than the matrix; the rest,
-    # (1/h + l2 gamma) I - l2 L, is arithmetic on a (k,) stencil plus one row add
+    # Qb(b, .) is linear in b, so the weight scales b rather than the matrix
     mat, linear = model.quadratic_matrix(-q[2] * b), model.linear_operator
     diag = 1.0 / h + l[2] * gamma
-    mat = mat.shift(diag) if linear is None else mat + ((-l[2]) * linear).shift(diag)
+    mat = mat.shift(diag) if linear is None else mat + _kahan_invariant(linear, l[2], diag)
     rhs = a / h
     qb_arg = _combine(q[0], a, q[1], b)
     if qb_arg is not None:

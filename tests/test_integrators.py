@@ -22,7 +22,7 @@ from expdg.integrators import (
     _kahan2_step,
 )
 from expdg.linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
-from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
+from expdg.models import PRESETS, initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.spatial import build_grid
 
 from conftest import dense, preset_model, toy_cubic_model
@@ -803,6 +803,34 @@ def test_step_takes_one_state_per_level_of_the_window():
         step(model, SchemeSpec("ek2", 0.009), u0)
     with pytest.raises(ValueError):
         step(model, SchemeSpec("ek1", 0.009), u0, u0)
+
+
+# every preset x kind that runs: the Kahan kinds need a quadratic field, which NLS has not
+WINDOW_CASES = [
+    (preset, kind) for preset in PRESETS for kind in integrators.SCHEMES
+    if not (PRESETS[preset]["model"] == "nls" and kind in ("ek1", "ek2", "kahan2_plain"))
+]
+
+
+@pytest.mark.parametrize("preset, kind", WINDOW_CASES)
+def test_a_step_leaves_its_window_unchanged_and_returns_a_new_array(preset, kind):
+    # integrate holds recorded states by reference, and a unit prefactor hands the window's own array
+    # to the kernel: a step that wrote into its window, or returned its memory, would change the record
+    model, u0, cfg = preset_model(preset)
+    spec = SchemeSpec(kind, cfg["dt"])
+    two_step = integrators.SCHEMES[kind].two_step
+
+    def check(window, take_step):
+        before = [u.copy() for u in window]
+        state = take_step().state
+        for u, saved in zip(window, before):
+            assert u.tobytes() == saved.tobytes()
+            assert not np.shares_memory(state, u)
+        return state
+
+    u1 = check((u0,), lambda: bootstrap(model, u0, spec) if two_step else step(model, spec, u0))
+    if two_step:
+        check((u0, u1), lambda: step(model, spec, u0, u1))
 
 
 def test_final_profile_steepens_while_decaying(burgers_ek2_run):

@@ -74,7 +74,7 @@ def test_kahan_step_matrix_matches_dense_oracle():
     model = make_model("burgers", g, gamma=0.25)
     a = np.exp(-g.nodes**2 / 2.0)
     dt = 0.009
-    mat = model.quadratic_matrix(a).shift(np.full(80, 1.0 / dt))
+    mat = model.quadratic_matrix(a).shift(1.0 / dt)
     rhs = a / dt
     x = solve_periodic_banded(mat, rhs)
     expected = np.linalg.solve(mat.to_dense(), rhs)
@@ -377,7 +377,7 @@ def test_banded_operator_matches_dense_algebra(case, scale):
     assert_close((scale * a).to_dense(), scale * dense_a)
     assert_close((a + b).to_dense(), dense_a + dense_b)
     assert_close(a.scale_columns(u).to_dense(), dense_a @ np.diag(u))
-    for c in (scale, scale.real, u, u.real):  # complex and real, scalar and row, on a band with 0
+    for c in (scale, scale.real):  # complex and real, on a band with 0
         shifted = (a + PeriodicBandedMatrix(a.size, (0,), [0.0])).shift(c)
         assert_close(shifted.to_dense(), dense_a + np.diag(np.broadcast_to(c, a.size)))
     # made diagonally dominant, the sum scatters into band storage and solves

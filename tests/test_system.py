@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from expdg.integrators import SchemeSpec, step
 from expdg.linalg import solve_periodic_banded
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
 from expdg.spatial import build_grid, derivative_operator
+from expdg import system
 from expdg.system import NODAL_CUBIC, kahan_bilinear, kahan_system, vector_field
 
 from conftest import evaluate_invariants
@@ -133,6 +135,27 @@ def test_kahan_system_solves_its_defining_equation(kind, row, theta, dt, gamma, 
     ]
     scale = max(np.max(np.abs(t)) for t in terms)
     assert np.max(np.abs(terms[0] - terms[1] - terms[2])) <= 1e-12 * scale
+
+
+def test_kahan_system_cache_keeps_every_matrix_equal_to_its_dense_assembly():
+    # in one process, two models whose L differs, each at alternating dt and gamma, called in turn
+    grid = build_grid(10.0, 12)
+    rho, q, l = -1.5, (0.5, 0.0, 0.5), (0.25, 0.5, 0.25)
+    d1, d3 = (derivative_operator(grid, k).to_dense() for k in (1, 3))
+    models = {nu: make_model("kdv", grid, gamma=0.0, rho=rho, nu=nu) for nu in (-0.5, -0.25)}
+    rng = np.random.default_rng(11)
+    a, b = rng.uniform(-2.0, 2.0, (2, grid.size))
+    returned = []
+    hits = system._kahan_invariant.cache_info().hits
+    for _, h, gamma, (nu, model) in itertools.product(range(2), (0.01, 0.02), (0.0, 0.3), models.items()):
+        mat, _ = kahan_system(model, a, b, h, q, l, gamma)
+        expected = model.quadratic_matrix(-q[2] * b).to_dense() - l[2] * (rho * d1 + nu * d3)
+        expected += (1.0 / h + l[2] * gamma) * np.eye(grid.size)
+        np.testing.assert_allclose(mat.to_dense(), expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+        returned.append((mat, mat.to_dense()))
+    assert system._kahan_invariant.cache_info().hits >= hits + 8  # the second pass is served from the cache
+    for mat, dense_then in returned:  # no later call changed a matrix returned earlier
+        assert np.array_equal(mat.to_dense(), dense_then)
 
 
 def test_nodal_cubic_worked_values():

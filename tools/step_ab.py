@@ -1,6 +1,6 @@
 """Time one step of every preset x scheme kind in two expdg source trees, interleaved in one interpreter.
 
-    python3 tools/step_ab.py PARENT_SRC CHANGE_SRC
+    python3 tools/step_ab.py PARENT_SRC CHANGE_SRC [PRESET/KIND ...]
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Both
 trees are imported into this interpreter, as the packages `expdg_parent` and
@@ -9,7 +9,8 @@ timings of one tree in two separate processes drift by far more than a
 per-step saving of 10-20% on a small shared host.
 
 For each preset x canonical scheme kind that runs (the NLS Kahan kinds are
-skipped), each tree builds the preset problem and its start window, (u0,) or
+skipped), or for each case named as PRESET/KIND (e.g. `nls-paper/lie
+kdv-paper/ek2`), each tree builds the preset problem and its start window, (u0,) or
 (u0, u1) with u1 from the tree's bootstrap. Then 25 rounds alternate between
 the trees, the first tree of a round alternating too; in each a tree times a
 block of `Scheme.advance` calls from that same window, so every call does
@@ -111,9 +112,7 @@ def calls_per_block(fn) -> int:
     return max(1, int(BLOCK_SECONDS / max(block_time(fn, 3), 1e-7)))
 
 
-def compare(trees) -> None:
-    presets = sys.modules[f"{trees[0]}.models"].PRESETS
-    kinds = sys.modules[f"{trees[0]}.integrators"].SCHEMES
+def compare(trees, cases) -> None:
     unsupported = tuple(sys.modules[f"{tree}.errors"].UnsupportedModelError for tree in trees)
     print(
         f"{'case':<30}" + "".join(f"{t + ' us/step':>22}{'step/solve':>12}" for t in trees) + f"{'change/parent':>15}"
@@ -121,32 +120,31 @@ def compare(trees) -> None:
         + "".join(f"{t + ' march us/step':>28}" for t in trees) + f"{'change/parent':>15}"
     )
     median = statistics.median
-    for preset in presets:
-        for kind in kinds:
-            try:
-                marches = [March(tree, preset, kind) for tree in trees]
-            except unsupported as exc:  # e.g. a Kahan kind on the cubic NLS field
-                print(f"{preset + '/' + kind:<30} skipped: {type(exc).__name__}")
-                continue
-            step_calls = [calls_per_block(m.advance) for m in marches]
-            solve_calls = [calls_per_block(m.solve_all) for m in marches]
-            march_steps = calls_per_block(marches[0].advance)
-            steps, solves, whole = ([], []), ([], []), ([], [])  # per tree, one time per round
-            gc.disable()
-            try:
-                for r in range(ROUNDS):
-                    for i in (0, 1) if r % 2 == 0 else (1, 0):
-                        m = marches[i]
-                        steps[i].append(block_time(m.advance, step_calls[i]))
-                        solves[i].append(block_time(m.solve_all, solve_calls[i]))
-                        whole[i].append(block_time(lambda: m.march(march_steps), 1) / march_steps)
-            finally:
-                gc.enable()
-            cells = "".join(f"{1e6 * median(s):>22.1f}{median(s) / median(v):>12.2f}" for s, v in zip(steps, solves))
-            print(
-                f"{preset + '/' + kind:<30}{cells}{ratio(steps):>15.3f}"
-                f"{per_tree(solves)}{ratio(solves):>15.3f}{per_tree(whole)}{ratio(whole):>15.3f}"
-            )
+    for preset, kind in cases:
+        try:
+            marches = [March(tree, preset, kind) for tree in trees]
+        except unsupported as exc:  # e.g. a Kahan kind on the cubic NLS field
+            print(f"{preset + '/' + kind:<30} skipped: {type(exc).__name__}")
+            continue
+        step_calls = [calls_per_block(m.advance) for m in marches]
+        solve_calls = [calls_per_block(m.solve_all) for m in marches]
+        march_steps = calls_per_block(marches[0].advance)
+        steps, solves, whole = ([], []), ([], []), ([], [])  # per tree, one time per round
+        gc.disable()
+        try:
+            for r in range(ROUNDS):
+                for i in (0, 1) if r % 2 == 0 else (1, 0):
+                    m = marches[i]
+                    steps[i].append(block_time(m.advance, step_calls[i]))
+                    solves[i].append(block_time(m.solve_all, solve_calls[i]))
+                    whole[i].append(block_time(lambda: m.march(march_steps), 1) / march_steps)
+        finally:
+            gc.enable()
+        cells = "".join(f"{1e6 * median(s):>22.1f}{median(s) / median(v):>12.2f}" for s, v in zip(steps, solves))
+        print(
+            f"{preset + '/' + kind:<30}{cells}{ratio(steps):>15.3f}"
+            f"{per_tree(solves)}{ratio(solves):>15.3f}{per_tree(whole)}{ratio(whole):>15.3f}"
+        )
 
 
 def ratio(times) -> float:
@@ -163,11 +161,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
+    parser.add_argument("cases", nargs="*", metavar="PRESET/KIND", help="the cases to time (default: all)")
     args = parser.parse_args(argv)
     trees = ("expdg_parent", "expdg_change")
     for src, name in zip((args.parent_src, args.change_src), trees):
         print(f"{name} from {os.path.dirname(load_tree(src, name).__file__)}")
-    compare(trees)
+    presets, kinds = sys.modules[f"{trees[0]}.models"].PRESETS, sys.modules[f"{trees[0]}.integrators"].SCHEMES
+    every = [(preset, kind) for preset in presets for kind in kinds]
+    cases = [tuple(case.partition("/")[::2]) for case in args.cases] or every
+    unknown = [f"{preset}/{kind}" for preset, kind in cases if (preset, kind) not in every]
+    if unknown:
+        parser.error(f"unknown case {', '.join(unknown)}: a case is PRESET/KIND, e.g. nls-paper/lie")
+    compare(trees, cases)
     return 0
 
 
