@@ -23,8 +23,10 @@ from .system import ConformalModel, vector_field
 
 @dataclass
 class RunRecord:
-    """Time series captured while a scheme marches a model.
+    """Time series captured while a scheme marches a model, one entry per recorded step.
 
+    polarized_transformed (two-step kinds) is H~(e^{x0} u^n, e^{x1} u^{n+1}), NaN where u^{n+1}
+    was not made.  The states are not kept: `integrate` hands each one to its observer.
     newton_iterations and linear_solves are cumulative counts over the
     marching loop; the two-step bootstrap's solver work is excluded (it is
     charged to wall_clock_seconds only).
@@ -43,7 +45,6 @@ class RunRecord:
     n_steps: int
     realized_time: float
     wall_clock_seconds: float
-    states: Optional[list] = None
 
 
 def residual_series(values, rate, dt):
@@ -76,15 +77,16 @@ def l2_distance(model: ConformalModel, a, b) -> float:
 
 
 def transformed_polarized_series(model, states, exps) -> np.ndarray:
-    """H~(e^{x0} u^n, e^{x1} u^{n+1}) over consecutive pairs of states."""
+    """H~(e^{x0} u^n, e^{x1} u^{n+1}) over consecutive pairs of states, evaluated on them stacked."""
     if model.polarized is None:
         raise ValueError(f"model {model.name} has no polarized energy")
     e0, e1 = exps.factors[:2]
-    return np.asarray([model.polarized.evaluate(e0 * a, e1 * b) for a, b in zip(states, states[1:])])
+    u = np.stack(states)
+    return model.polarized.evaluate(e0 * u[:-1], e1 * u[1:])
 
 
 def polarized_window_defect(model, states, exps) -> np.ndarray:
-    """|H~(b_t, c_t) - H~(a_t, b_t)| per sliding window.
+    """|H~(b_t, c_t) - H~(a_t, b_t)| per sliding window, each side evaluated on the stacked windows.
 
     Zero (to solver tolerance) for any scheme that is the discrete
     gradient of H~, independent of how degrees mix in H~.
@@ -94,8 +96,9 @@ def polarized_window_defect(model, states, exps) -> np.ndarray:
     if exps.x2 is None:
         raise ValueError("window defect needs two-step exponents")
     (e0, e1, e2), h = exps.factors, model.polarized.evaluate
-    windows = zip(states, states[1:], states[2:])
-    return np.array([abs(h(e1 * b, e2 * c) - h(e0 * a, e1 * b)) for a, b, c in windows], dtype=float)
+    u = np.stack(states)
+    middle = e1 * u[1:-1]
+    return np.abs(h(middle, e2 * u[2:]) - h(e0 * u[:-2], middle))
 
 
 def compensated_polarized_deviation(model, series, dt) -> float:

@@ -234,7 +234,6 @@ def integrate(
     u0: np.ndarray,
     T: float,
     record_every: int = 10,
-    store_states: bool = False,
     observer=None,
 ):
     """March u0 over [0, T] with the scheme in `spec`; returns a RunRecord.
@@ -243,8 +242,9 @@ def integrate(
     initial state, every record_every-th step, and the final step are
     recorded.  Solver failures, singular systems and blow-ups raise with the
     partial record up to the last finite state attached to the exception.
-    The observer is called once per recorded state, as it is recorded; the
-    invariants and energies are evaluated once per batch of recorded states.
+    observer(step, time, state) is called per recorded state as it is recorded.  state is the
+    run's own array, held by reference until the invariants and energies are evaluated on its
+    batch of recorded states: the observer may keep it, but must not write into it.
     """
     from .diagnostics import RunRecord  # deferred: diagnostics imports this module
 
@@ -262,13 +262,12 @@ def integrate(
     scheme = SCHEMES[spec.kind]
     two_step = scheme.two_step
     exps = scheme.exponents(model.gamma_eff, dt)
-    track_polarized = two_step and model.polarized is not None
+    polarized = model.polarized.evaluate if two_step and model.polarized is not None else None
 
     rows: list = []  # (step, time, Newton iterations, linear solves) per recorded state
     inv_rec: dict = {inv.name: [] for inv in model.invariants}
     ham_rec: list = []
-    pol_rec: list = []
-    states_rec: list = []
+    pol_rec: list = []  # one value per recorded step whose successor exists, in row order
     # (extend, callable) per series evaluated on the recorded states, in order
     series = [(inv_rec[inv.name].extend, inv.evaluate) for inv in model.invariants]
     series.append((ham_rec.extend, model.hamiltonian_paper))
@@ -279,7 +278,7 @@ def integrate(
     # every step returns a new array, so the recorded states are held by reference
     batch = max(1, _BATCH_BYTES // u.nbytes)
     pending: list = []  # recorded states whose series are not evaluated yet
-    pairs: list = []  # (row, u^n, u^{n+1}) per recorded step n whose polarized value is not evaluated yet
+    pairs: list = []  # (u^n, u^{n+1}) per recorded step n whose polarized value is not evaluated yet
 
     def flush():
         """Evaluate each series once on the stacked pending states and each polarized pair."""
@@ -289,18 +288,13 @@ def integrate(
                 extend(evaluate(stacked).tolist())
             pending.clear()
         if pairs:
-            at, before, after = zip(*pairs)
-            for row, value in zip(at, polarized(e0 * np.stack(before), e1 * np.stack(after)).tolist()):
-                pol_rec[row] = value
+            before, after = zip(*pairs)
+            pol_rec.extend(polarized(e0 * np.stack(before), e1 * np.stack(after)).tolist())
             pairs.clear()
 
     def record(n, state):
         add_row((n, n * dt, newton_total, solves_total))
         pending.append(state)
-        if track_polarized:
-            pol_rec.append(math.nan)  # filled by the flush after the next state exists
-        if store_states:
-            states_rec.append(state.copy())
         if observer is not None:
             observer(n, n * dt, state)
         if len(pending) == batch:  # a pair follows its row, so pairs never outnumber batch either
@@ -316,18 +310,19 @@ def integrate(
             times=np.asarray(times, dtype=float),
             invariant_series={k: np.asarray(v) for k, v in inv_rec.items()},
             hamiltonian_paper=np.asarray(ham_rec),
-            polarized_transformed=np.asarray(pol_rec) if track_polarized else None,
+            # NaN for a row without a successor: the last one, of a finished or a failed run
+            polarized_transformed=(
+                None if polarized is None else np.asarray(pol_rec + [math.nan] * (len(rows) - len(pol_rec)))
+            ),
             newton_iterations=np.asarray(newton, dtype=int),
             linear_solves=np.asarray(solves, dtype=int),
             final_state=final_state,
             n_steps=n_steps,
             realized_time=n_steps * dt,
             wall_clock_seconds=wall,
-            states=states_rec if store_states else None,
         )
 
     clock, advance = time.perf_counter, scheme.advance
-    polarized = model.polarized.evaluate if track_polarized else None
     e0, e1 = exps.factors[:2]
     record(0, u)
     prev = None  # u^{n-1}; a two-step kind bootstraps while it is None
@@ -350,8 +345,8 @@ def integrate(
                 t = step_index * dt
                 raise BlowUpError(f"state became non-finite at step {step_index}", step=step_index, time=t)
             prev, u = u, res.state
-            if track_polarized and rows[-1][0] == step_index - 1:
-                pairs.append((len(rows) - 1, prev, u))
+            if polarized is not None and rows[-1][0] == step_index - 1:
+                pairs.append((prev, u))
             if step_index == n_steps or step_index % record_every == 0:
                 record(step_index, u)
     except (NonConvergenceError, BlowUpError, SingularMatrixError) as exc:

@@ -101,7 +101,7 @@ def cubic_hamiltonian_model(
         hamiltonian=hamiltonian,
         hamiltonian_paper=hamiltonian if paper_factor == 1.0 else lambda u: paper_factor * hamiltonian(u),
         hamiltonian_rate=3.0 * ghat if homogeneous else None,
-        invariants=tuple(Invariant(n, f, exact_rate=p * ghat, degree=p) for n, p, f in invariants),
+        invariants=tuple(Invariant(n, f, exact_rate=p * ghat) for n, p, f in invariants),
         **quadratic_field(sigma * alpha, d1, field_linear),
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg, theta=theta),
         polarized_degree=3 if homogeneous else None,
@@ -258,8 +258,8 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         return dx * (dot(d1.apply(v), u) - dot(d1.apply(u), v))
 
     invariants = (
-        Invariant("mass", mass, exact_rate=2.0 * ghat, degree=2),
-        Invariant("momentum", momentum, exact_rate=2.0 * ghat, degree=2),
+        Invariant("mass", mass, exact_rate=2.0 * ghat),
+        Invariant("momentum", momentum, exact_rate=2.0 * ghat),
     )
     return ConformalModel(
         name="nls",

@@ -29,8 +29,8 @@ class Invariant:
     """A functional of the state with (optionally) an exact decay rate.
 
     exact_rate is the lambda in I(t) = exp(-lambda t) I(0) along the
-    semidiscrete flow; it equals degree * gamma_eff for invariants the
-    conservative flow preserves.  evaluate takes states stacked on leading
+    semidiscrete flow; it equals p * gamma_eff for invariants of degree p
+    that the conservative flow preserves.  evaluate takes states stacked on leading
     axes (..., dim) and returns one value per state, a scalar for a single
     state; each stacked value equals the value of its own row bitwise.
     """
@@ -38,7 +38,6 @@ class Invariant:
     name: str
     evaluate: Callable[[np.ndarray], float]
     exact_rate: Optional[float]
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -205,10 +204,11 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
     qb_arg = _combine(q[0], a, q[1], b)
     if qb_arg is not None:
         rhs = rhs + model.quadratic_bilinear(b, qb_arg)
+    weighted = _combine(l[0], a, l[1], b) if linear is not None or gamma else None
     if linear is not None:
-        rhs = rhs + linear.apply(_combine(l[0], a, l[1], b))
+        rhs = rhs + linear.apply(weighted)
     if gamma:
-        rhs = rhs - gamma * _combine(l[0], a, l[1], b)
+        rhs = rhs - gamma * weighted
     return mat, rhs
 
 

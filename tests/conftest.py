@@ -58,6 +58,17 @@ def run_preset(name, kind, record_every=10, observer=None):
     return model, u0, rec
 
 
+def integrate_states(model, spec, u0, T, record_every=1, states=None):
+    """(record, states): `integrate` with each recorded state appended to `states` by the observer.
+
+    Pass a list as `states` to keep the states of a run that raises.  Each state is the run's
+    own array, held by reference: no step writes into a state it has made.
+    """
+    states = [] if states is None else states
+    rec = integrate(model, spec, u0, T, record_every=record_every, observer=lambda n, t, u: states.append(u))
+    return rec, states
+
+
 def make_transformed_gap_observer(model, exps):
     """Track |H(e^{x1} u^{n+1}) - H(e^{x0} u^n)| per step via a closure."""
     e0, e1 = exps.factors[:2]

@@ -16,11 +16,11 @@ from expdg.diagnostics import (
     reference_solve,
     residual_series,
 )
-from expdg.integrators import SchemeSpec, integrate
+from expdg.integrators import SchemeSpec
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.system import kahan_bilinear
 
-from conftest import preset_model
+from conftest import integrate_states, preset_model
 
 
 def max_abs_residual(model, rec, name, rate):
@@ -39,15 +39,15 @@ def test_criterion_01_zero_field_exactness():
         u0 = np.linspace(1.0, 2.0, 6)
         exact = math.exp(-gamma_eff * dt)
         for kind in ("cimp", "eavf", "ek1", "ek2", "lie"):
-            rec = integrate(model, SchemeSpec(kind, dt), u0, 3 * dt, record_every=1, store_states=True)
+            _, states = integrate_states(model, SchemeSpec(kind, dt), u0, 3 * dt)
             for n in range(3):
-                ratio = rec.states[n + 1][0] / rec.states[n][0]
+                ratio = states[n + 1][0] / states[n][0]
                 worst = max(worst, abs(ratio / exact - 1.0))
         pade = (1.0 - gamma_eff * dt / 2.0) / (1.0 + gamma_eff * dt / 2.0)
         for kind in ("imidpoint_plain", "avf_plain", "kahan2_plain"):
-            rec = integrate(model, SchemeSpec(kind, dt), u0, 3 * dt, record_every=1, store_states=True)
+            _, states = integrate_states(model, SchemeSpec(kind, dt), u0, 3 * dt)
             for n in range(3):
-                ratio = rec.states[n + 1][0] / rec.states[n][0]
+                ratio = states[n + 1][0] / states[n][0]
                 assert abs(ratio / pade - 1.0) <= 1e-14
     print(f"exponential kinds: worst relative factor error {worst:.3e}")
     assert worst <= 1e-14
@@ -164,10 +164,10 @@ def test_criterion_07_conservative_reduction():
         ("eavf", "avf_plain"),
         ("ek2", "kahan2_plain"),
     ):
-        rec_e = integrate(model, SchemeSpec(exp_kind, 0.009), u0, horizon, record_every=1, store_states=True)
-        rec_p = integrate(model, SchemeSpec(plain_kind, 0.009), u0, horizon, record_every=1, store_states=True)
+        _, states_e = integrate_states(model, SchemeSpec(exp_kind, 0.009), u0, horizon)
+        _, states_p = integrate_states(model, SchemeSpec(plain_kind, 0.009), u0, horizon)
         gap = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(rec_e.states, rec_p.states)
+            float(np.max(np.abs(a - b))) for a, b in zip(states_e, states_p)
         )
         worst[exp_kind] = gap
         assert gap <= 1e-11 * scale, f"{exp_kind} vs {plain_kind}: {gap:.3e}"

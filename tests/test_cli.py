@@ -166,6 +166,13 @@ def test_build_problem_wraps_model_errors():
         build_problem(cfg)
 
 
+@pytest.mark.parametrize("grid, message", [({"M": 7}, "size must be"), ({"L": -1.0}, "half_length must be")])
+def test_build_problem_wraps_grid_errors(grid, message):
+    cfg = resolve_config("burgers-paper", grid, {})
+    with pytest.raises(ConfigError, match=message):
+        build_problem(cfg)
+
+
 def test_build_problem_printed_nls_swaps_polarization():
     canonical, _, _ = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
     printed, _, spec = build_problem(
@@ -343,7 +350,7 @@ def test_write_run_csv_equals_the_per_cell_writer_on_any_floats(columns, polariz
     times, mass, momentum, energy, pairwise = columns
     rows = times.size
     model = SimpleNamespace(
-        invariants=(Invariant("mass", None, 0.5, 2), Invariant("momentum", None, None, 2)),
+        invariants=(Invariant("mass", None, 0.5), Invariant("momentum", None, None)),
         gamma=0.25,
         hamiltonian_rate=0.75 if derived else None,
     )

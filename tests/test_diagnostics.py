@@ -15,11 +15,11 @@ from expdg.diagnostics import (
     transformed_polarized_series,
 )
 from expdg.errors import BlowUpError
-from expdg.integrators import SchemeSpec, exponents, integrate
+from expdg.integrators import SchemeSpec, exponents
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.spatial import build_grid
 
-from conftest import toy_cubic_model
+from conftest import integrate_states, preset_model, toy_cubic_model
 
 
 # ------------------------------------------------------------ residual series
@@ -101,11 +101,26 @@ def test_transformed_series_matches_recorded_series():
     g = preset_grid("burgers-paper")
     model = make_model("burgers", g, gamma=0.25)
     u0 = initial_condition("burgers", g)
-    rec = integrate(model, SchemeSpec("ek2", 0.009), u0, 0.045, record_every=1, store_states=True)
+    rec, states = integrate_states(model, SchemeSpec("ek2", 0.009), u0, 0.045)
     series = transformed_polarized_series(
-        model, rec.states, exponents("ek2", model.gamma_eff, 0.009)
+        model, states, exponents("ek2", model.gamma_eff, 0.009)
     )
-    np.testing.assert_allclose(series, rec.polarized_transformed[:-1], rtol=1e-13)
+    assert series.tobytes() == rec.polarized_transformed[:-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "preset, kind",
+    [("burgers-paper", "ek2"), ("kdv-paper", "lie"), ("nls-paper", "lie"), ("kdv-paper", "kahan2_plain")],
+)
+def test_stacked_pair_diagnostics_equal_each_pair_evaluated_alone(preset, kind):
+    model, u0, cfg = preset_model(preset)
+    _, states = integrate_states(model, SchemeSpec(kind, cfg["dt"]), u0, 12 * cfg["dt"])
+    exps = exponents(kind, model.gamma_eff, cfg["dt"])
+    (e0, e1, e2), h = exps.factors, model.polarized.evaluate
+    pairs = [h(e0 * a, e1 * b) for a, b in zip(states, states[1:])]
+    windows = [abs(h(e1 * b, e2 * c) - h(e0 * a, e1 * b)) for a, b, c in zip(states, states[1:], states[2:])]
+    assert transformed_polarized_series(model, states, exps).tobytes() == np.array(pairs).tobytes()
+    assert polarized_window_defect(model, states, exps).tobytes() == np.array(windows).tobytes()
 
 
 def test_transformed_series_requires_polarized_energy():
@@ -114,13 +129,19 @@ def test_transformed_series_requires_polarized_energy():
         transformed_polarized_series(model, [np.ones(3), np.ones(3)], exponents("ek2", 0.1, 0.01))
 
 
+def test_window_defect_requires_polarized_energy():
+    model = pure_decay_model(3, 0.1)
+    with pytest.raises(ValueError, match="no polarized energy"):
+        polarized_window_defect(model, [np.ones(3)] * 3, exponents("ek2", 0.1, 0.01))
+
+
 def test_window_defect_vanishes_for_discrete_gradient_march():
     toy = toy_cubic_model()
     u0 = np.array([0.4, 0.3])
-    rec = integrate(toy, SchemeSpec("kahan2_plain", 0.01), u0, 1.0, record_every=1, store_states=True)
+    _, states = integrate_states(toy, SchemeSpec("kahan2_plain", 0.01), u0, 1.0)
     exps = exponents("kahan2_plain", 0.0, 0.01)
-    defects = polarized_window_defect(toy, rec.states, exps)
-    scale = abs(toy.polarized.evaluate(u0, rec.states[1]))
+    defects = polarized_window_defect(toy, states, exps)
+    scale = abs(toy.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-12 * scale
 
 
@@ -128,10 +149,10 @@ def test_window_defect_on_nls_lie_march():
     g = build_grid(25.0, 128)
     model = make_model("nls", g, gamma=5e-4)
     u0 = initial_condition("nls", g)
-    rec = integrate(model, SchemeSpec("lie", 0.001), u0, 0.05, record_every=1, store_states=True)
+    _, states = integrate_states(model, SchemeSpec("lie", 0.001), u0, 0.05)
     exps = exponents("lie", model.gamma_eff, 0.001)
-    defects = polarized_window_defect(model, rec.states, exps)
-    scale = abs(model.polarized.evaluate(u0, rec.states[1]))
+    defects = polarized_window_defect(model, states, exps)
+    scale = abs(model.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-12 * scale
 
 
@@ -141,10 +162,10 @@ def test_window_defect_on_kdv_lie_march(theta):
     g = preset_grid("kdv-paper")
     model = make_model("kdv", g, gamma=1e-2, theta=theta)
     u0 = initial_condition("kdv", g)
-    rec = integrate(model, SchemeSpec("lie", 0.009), u0, 0.18, record_every=1, store_states=True)
-    assert len(rec.states) == 21
-    defects = polarized_window_defect(model, rec.states, exponents("lie", model.gamma_eff, 0.009))
-    scale = abs(model.polarized.evaluate(u0, rec.states[1]))
+    _, states = integrate_states(model, SchemeSpec("lie", 0.009), u0, 0.18)
+    assert len(states) == 21
+    defects = polarized_window_defect(model, states, exponents("lie", model.gamma_eff, 0.009))
+    scale = abs(model.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-14 * scale
 
 
@@ -246,6 +267,23 @@ def test_reference_solve_reports_blow_up():
     u0 = initial_condition("burgers", g)
     with pytest.raises(BlowUpError):
         reference_solve(model, u0, 50.0, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reference_solve_reports_a_state_that_overflows_after_finite_stages():
+    # growth at rate 1 from 3e307: every stage is finite, their weighted sum is not
+    model = pure_decay_model(2, -1.0)
+    with pytest.raises(BlowUpError, match="reference solve became non-finite at step 1") as info:
+        reference_solve(model, np.full(2, 3e307), 1.0, 1.0)
+    assert (info.value.step, info.value.time) == (1, 1.0)
+
+
+def test_reference_solve_takes_whole_steps_over_an_inexact_horizon():
+    # 0.25 is no whole number of steps 0.1: the march takes ceil(2.5) = 3 equal steps of 0.25/3
+    model = pure_decay_model(4, 0.5)
+    u0 = np.linspace(1.0, 2.0, 4)
+    expected = reference_solve(model, u0, 0.25, 0.25 / 3)
+    assert reference_solve(model, u0, 0.25, 0.1).tobytes() == expected.tobytes()
 
 
 def test_reference_solve_rejects_bad_step():

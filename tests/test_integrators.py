@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -25,7 +26,7 @@ from expdg.linalg import NonlinearSolveSettings, newton_solve, solve_periodic_ba
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.spatial import build_grid
 
-from conftest import dense, preset_model, toy_cubic_model
+from conftest import dense, integrate_states, preset_model, toy_cubic_model
 
 EXPONENTIAL_KINDS = ("cimp", "eavf", "ek1", "ek2", "lie")
 PLAIN_KINDS = ("imidpoint_plain", "avf_plain", "kahan2_plain")
@@ -105,11 +106,11 @@ def test_exponential_kinds_integrate_decay_exactly(kind, gamma_eff):
     model = pure_decay_model(6, gamma_eff)
     rng = np.random.default_rng(14)
     u0 = rng.standard_normal(6)
-    rec = integrate(model, SchemeSpec(kind, dt), u0, 3 * dt, record_every=1, store_states=True)
+    _, states = integrate_states(model, SchemeSpec(kind, dt), u0, 3 * dt)
     factor = math.exp(-gamma_eff * dt)
     for n in range(3):
         expected = factor ** (n + 1) * u0
-        assert np.max(np.abs(rec.states[n + 1] - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(states[n + 1] - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("kind", PLAIN_KINDS)
@@ -121,11 +122,11 @@ def test_plain_kinds_underdamp_at_the_pade_rate(kind):
     model = pure_decay_model(6, gamma_eff)
     rng = np.random.default_rng(15)
     u0 = rng.standard_normal(6)
-    rec = integrate(model, SchemeSpec(kind, dt), u0, 2 * dt, record_every=1, store_states=True)
+    _, states = integrate_states(model, SchemeSpec(kind, dt), u0, 2 * dt)
     pade = (1.0 - mu / 2.0) / (1.0 + mu / 2.0)
     for n in (1, 2):
         expected = pade**n * u0
-        assert np.max(np.abs(rec.states[n] - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(states[n] - expected)) <= 1e-14 * np.max(np.abs(expected))
     assert abs(pade - math.exp(-mu)) > 1e-10  # visibly not exact
 
 
@@ -379,8 +380,8 @@ def _two_step_kahan_in_v(undamped, u0, g, dt, n_steps):
 
 def _rescaled_run(model, kind, u0, g, dt, n_steps):
     """e^{g t_n} u_n of a damped run."""
-    rec = integrate(model, SchemeSpec(kind, dt), u0, n_steps * dt, record_every=1, store_states=True)
-    return np.exp(g * rec.times)[:, None] * np.array(rec.states)
+    rec, states = integrate_states(model, SchemeSpec(kind, dt), u0, n_steps * dt)
+    return np.exp(g * rec.times)[:, None] * np.array(states)
 
 
 def _relative_max_difference(a, b):
@@ -540,6 +541,13 @@ def test_integrate_rejects_bad_cadence():
         integrate(model, SchemeSpec("ek2", 0.009), u0, 0.09, record_every=0)
 
 
+@pytest.mark.parametrize("shape", [(79,), (80, 1)])
+def test_integrate_rejects_a_wrongly_shaped_initial_state(shape):
+    model, _ = burgers()
+    with pytest.raises(ValueError, match=re.escape(f"initial state has shape {shape}, expected (80,)")):
+        integrate(model, SchemeSpec("ek2", 0.009), np.ones(shape), 0.09)
+
+
 def test_integrate_recording_cadence():
     g = build_grid(math.pi, 16)
     model = make_model("burgers", g, gamma=0.1)
@@ -558,13 +566,12 @@ def test_integrate_observer_and_stored_states_align():
     seen = []
     rec = integrate(
         model, SchemeSpec("cimp", 0.01), u0, 0.1,
-        record_every=4, store_states=True,
-        observer=lambda step, t, state: seen.append((step, t, state.copy())),
+        record_every=4, observer=lambda step, t, state: seen.append((step, t, state)),
     )
     assert [s for s, _, _ in seen] == list(rec.steps)
-    assert len(rec.states) == len(rec.steps)
-    assert np.array_equal(rec.states[0], u0)
-    assert np.array_equal(seen[-1][2], rec.final_state)
+    assert [t for _, t, _ in seen] == list(rec.times)
+    assert np.array_equal(seen[0][2], u0)
+    assert seen[-1][2] is rec.final_state  # the observer receives the run's own array
 
 
 def bitwise_equal(series, values):
@@ -578,8 +585,7 @@ def bitwise_equal(series, values):
 )
 def test_recorded_series_equal_the_model_on_the_stored_states(preset, kind):
     model, u0, cfg = preset_model(preset)
-    rec = integrate(model, SchemeSpec(kind, cfg["dt"]), u0, 20 * cfg["dt"], record_every=1, store_states=True)
-    states = rec.states
+    rec, states = integrate_states(model, SchemeSpec(kind, cfg["dt"]), u0, 20 * cfg["dt"])
     assert len(states) == 21
     for inv in model.invariants:
         assert bitwise_equal(rec.invariant_series[inv.name], [inv.evaluate(u) for u in states])
@@ -683,12 +689,13 @@ def test_singular_system_carries_partial_record(monkeypatch):
 
     fail_on_solve(monkeypatch, 4, singular)
     model, u0 = burgers()
+    states = []
     with pytest.raises(SingularMatrixError) as info:
-        integrate(model, SchemeSpec("ek1", 0.009), u0, 0.09, record_every=1, store_states=True)
+        integrate_states(model, SchemeSpec("ek1", 0.009), u0, 0.09, states=states)
     partial = info.value.partial
     assert partial.n_steps == 10
     assert list(partial.steps) == [0, 1, 2, 3]  # failed during the fourth step
-    assert np.array_equal(partial.final_state, partial.states[-1])
+    assert np.array_equal(partial.final_state, states[-1])
     assert list(partial.linear_solves) == [0, 1, 2, 3]
 
 
@@ -696,13 +703,14 @@ def test_singular_system_carries_partial_record(monkeypatch):
 def test_blow_up_carries_partial_record(monkeypatch, kind):
     fail_on_solve(monkeypatch, 4, lambda x: np.full_like(x, np.nan))
     model, u0 = burgers()
+    states = []
     with pytest.raises(BlowUpError) as info:
-        integrate(model, SchemeSpec(kind, 0.009), u0, 0.09, record_every=1, store_states=True)
+        integrate_states(model, SchemeSpec(kind, 0.009), u0, 0.09, states=states)
     exc = info.value
     assert (exc.step, exc.time) == (4, pytest.approx(4 * 0.009))
     assert list(exc.partial.steps) == [0, 1, 2, 3]
     # the record ends at the last finite state, not the blown-up one
-    assert np.array_equal(exc.partial.final_state, exc.partial.states[-1])
+    assert np.array_equal(exc.partial.final_state, states[-1])
 
 
 # ---------------------------------------------------------------- batched recording
@@ -745,7 +753,7 @@ def test_batched_series_equal_each_state_evaluated_alone(kind, every):
     calls = []
     traced = replace(model, hamiltonian_paper=counting(calls, model.hamiltonian_paper))
     rec = integrate(traced, SchemeSpec(kind, dt), u0, n * dt, record_every=every)
-    states = integrate(model, SchemeSpec(kind, dt), u0, n * dt, record_every=1, store_states=True).states
+    _, states = integrate_states(model, SchemeSpec(kind, dt), u0, n * dt)
     assert np.array_equal(rec.final_state, states[-1])
     assert len(calls) >= 4 and max(calls) <= batch
     expected = per_state_series(model, kind, dt, states, rec.steps)
@@ -783,7 +791,7 @@ def test_partial_record_carries_every_recorded_row_evaluated(monkeypatch, failur
     model, u0 = burgers()
     dt = 0.009
     k = integrators._BATCH_BYTES // u0.nbytes + 7  # the march fails at step k, one batch after the first
-    states = integrate(model, SchemeSpec("ek2", dt), u0, (k - 1) * dt, record_every=1, store_states=True).states
+    _, states = integrate_states(model, SchemeSpec("ek2", dt), u0, (k - 1) * dt)
     fail_on_solve(monkeypatch, k, fail)
     with pytest.raises((BlowUpError, NonConvergenceError)) as info:
         integrate(model, SchemeSpec("ek2", dt), u0, 2 * k * dt, record_every=1)

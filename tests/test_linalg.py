@@ -306,6 +306,13 @@ def test_two_field_solve_checks_the_rhs_shape(shape):
         mat.solve(np.ones(shape))
 
 
+@pytest.mark.parametrize("shape", [(7,), (8, 1)])
+def test_periodic_banded_solve_checks_the_rhs_shape(shape):
+    mat = PeriodicBandedMatrix(8, (-1, 0, 1), (1.0, 4.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(f"rhs has shape {shape}, expected (8,)")):
+        solve_periodic_banded(mat, np.ones(shape))
+
+
 def test_two_field_matrix_shift_adds_to_c():
     mat = TwoFieldMatrix(np.ones((3, 8)), 1.0, -2.0, c=0.5)
     shifted = mat.shift(3.0)

@@ -285,6 +285,11 @@ def test_parameter_validation(kind, kwargs):
         make_model(kind, build_grid(10.0, 64), **kwargs)
 
 
+def test_make_model_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown model kind 'heat'"):
+        make_model("heat", build_grid(10.0, 64), 0.1)
+
+
 def test_pure_decay_model_field():
     model = pure_decay_model(8, 0.3)
     rng = np.random.default_rng(0)

@@ -268,3 +268,14 @@ def test_apply_rejects_wrong_length():
     d1 = derivative_operator(g, 1)
     with pytest.raises(ValueError):
         d1.apply(np.ones(7))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 7), (3, 8, 1)])
+def test_banded_matrix_rejects_a_bad_coefficient_shape(shape):
+    with pytest.raises(ValueError, match=r"3 offsets need coefficients of shape \(3,\) or \(3, 8\)"):
+        PeriodicStencilOperator(8, (-1, 0, 1), np.ones(shape))
+
+
+def test_banded_matrix_sum_rejects_mismatched_sizes():
+    with pytest.raises(ValueError, match="sizes 8 and 6 differ"):
+        PeriodicStencilOperator(8, (0,), (1.0,)) + PeriodicStencilOperator(6, (0,), (1.0,))

@@ -5,7 +5,8 @@
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Each
 tree runs in its own interpreter (with PYTHONPATH set to it) over every
 preset x scheme kind x scheme variant, 20 steps at the preset's dt, once
-through `integrate` (record_every=1, every state stored) and through
+through `integrate` (record_every=1, a copy of every recorded state
+collected through its observer) and through
 `expdg run` (CSV written to a file) at record_every=1 and at
 record_every=7, which records steps 0, 7, 14 and 20: a short last interval,
 and steps whose predecessor was not recorded. Two long cases per preset run
@@ -15,7 +16,7 @@ for a change in the rounding of the AVF chord mean to show its drift over a
 long horizon, not only over 20 steps.
 Per case the table gives:
 
-    states   bitwise, or the max relative difference of the stored states and
+    states   bitwise, or the max relative difference of the recorded states and
              the final state, or the error types
     series   the same for the recorded invariants, H_paper and polarized column
     newton/solves  the final Newton and linear-solve counts of each tree
@@ -79,13 +80,14 @@ def _library_case(preset, kind, variant, steps):
     try:
         model = models.make_model(cfg["model"], grid, cfg["gamma"], cfg.get("alpha"), cfg.get("rho"), cfg.get("nu"))
         spec = integrators.SchemeSpec(kind, cfg["dt"], scheme_variant=variant)
+        states = []
         rec = integrators.integrate(
             model, spec, models.initial_condition(cfg["model"], grid), steps * cfg["dt"],
-            record_every=1, store_states=True,
+            record_every=1, observer=lambda n, t, u: states.append(u.copy()),
         )
     except Exception as exc:  # the error type is the result of the case
         return {"error": type(exc).__name__}, {}
-    arrays = {"states": np.asarray(rec.states), "final": rec.final_state, "series/H_paper": rec.hamiltonian_paper}
+    arrays = {"states": np.asarray(states), "final": rec.final_state, "series/H_paper": rec.hamiltonian_paper}
     arrays.update({f"series/{name}": values for name, values in rec.invariant_series.items()})
     if rec.polarized_transformed is not None:
         arrays["series/polarized"] = rec.polarized_transformed
@@ -235,7 +237,7 @@ def compare(parent, change) -> bool:
             cells = ", ".join(f"{name} {ab:.2e} ({rel:.2e} rel)" for name, (ab, rel) in diffs.items())
             print(f"    record_every={every}: {cells}")
     print("every case bitwise equal" if all_equal else "cases marked * differ")
-    print(_summary("stored and final states", states))
+    print(_summary("recorded and final states", states))
     print(_summary("recorded series", series))
     if columns:
         cells = ", ".join(f"{name} {ab:.2e} ({rel:.2e} rel)" for name, (ab, rel) in columns.items())
