@@ -5,15 +5,23 @@ half-bandwidth b, or a `TwoFieldMatrix` whose diagonal u-block is eliminated
 first.  A tridiagonal one (b = 1) is bordered: one gtsv and a scalar Schur
 complement.  Any other, renumbered in fold order, is an ordinary band matrix of
 half-bandwidth 2b, scattered into LAPACK band storage and solved by one band LU.
+
+The LAPACK routines ({d,z}gbsv, {d,z}gtsv) come from scipy's extension
+`scipy/linalg/_flapack`, loaded from its file without `scipy.linalg`, whose import
+took two thirds of `import expdg`.  Without that file (an editable scipy keeps it
+in its build tree), or once `scipy.linalg` is imported, it is imported as usual.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonConvergenceError, SingularMatrixError
 from .spatial import PeriodicBandedMatrix, shift_index
@@ -44,9 +52,28 @@ def _band_plan(n: int, offsets: tuple) -> tuple:
     return w, index, 2 * b < n and len(set(offsets)) == len(offsets), position, order
 
 
+def _load_flapack(scipy_dirs):
+    """`scipy.linalg._flapack` from its file under one of scipy_dirs; imported if none is there or it is loaded."""
+    name = "scipy.linalg._flapack"
+    paths = [os.path.join(d, "linalg", "_flapack" + suffix) for d in scipy_dirs for suffix in EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None or name in sys.modules:
+        from scipy.linalg import _flapack
+        return _flapack
+    spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)  # an entry without its package would hide it from a later `scipy.linalg._flapack`
+    return module
+
+
+_FLAPACK = _load_flapack(getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", None) or ())
+
+
 @functools.lru_cache(maxsize=8)
 def _lapack(name: str, dtype: np.dtype):
-    return scipy.linalg.get_lapack_funcs(name, dtype=dtype)
+    """The routine `name` for dtype: z for a complex dtype, else d, as `scipy.linalg.get_lapack_funcs` picks."""
+    return getattr(_FLAPACK, ("z" if dtype.kind == "c" else "d") + name)
 
 
 def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarray:

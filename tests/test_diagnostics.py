@@ -15,11 +15,17 @@ from expdg.diagnostics import (
     transformed_polarized_series,
 )
 from expdg.errors import BlowUpError
-from expdg.integrators import SchemeSpec, exponents
+from expdg.integrators import SchemeSpec, exponents, integrate
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
 from expdg.spatial import build_grid
 
-from conftest import integrate_states, preset_model, toy_cubic_model
+from conftest import (
+    integrate_states,
+    make_transformed_gap_observer,
+    make_window_defect_observer,
+    preset_model,
+    toy_cubic_model,
+)
 
 
 # ------------------------------------------------------------ residual series
@@ -121,6 +127,33 @@ def test_stacked_pair_diagnostics_equal_each_pair_evaluated_alone(preset, kind):
     windows = [abs(h(e1 * b, e2 * c) - h(e0 * a, e1 * b)) for a, b, c in zip(states, states[1:], states[2:])]
     assert transformed_polarized_series(model, states, exps).tobytes() == np.array(pairs).tobytes()
     assert polarized_window_defect(model, states, exps).tobytes() == np.array(windows).tobytes()
+
+
+@pytest.mark.parametrize(
+    "preset, kind, make_observer",
+    [("kdv-paper", "lie", make_window_defect_observer), ("burgers-paper", "eavf", make_transformed_gap_observer)],
+)
+def test_chunked_fixture_observers_equal_the_per_step_loop(preset, kind, make_observer):
+    # the observers evaluate chunks of CHUNK = 8 states, so 600 steps span about 100 of them
+    model, u0, cfg = preset_model(preset)
+    exps = exponents(kind, model.gamma_eff, cfg["dt"])
+    e0, e1 = exps.factors[:2]
+    observer, finish = make_observer(model, exps)
+    states = []
+
+    def both(n, t, u):
+        observer(n, t, u)
+        states.append(u)
+
+    integrate(model, SchemeSpec(kind, cfg["dt"]), u0, 600 * cfg["dt"], record_every=1, observer=both)
+    if make_observer is make_window_defect_observer:
+        assert e1 == 1.0  # lie: the middle state b of a window is e1 b
+        e2, pol = exps.factors[2], model.polarized.evaluate
+        loop = [abs(pol(b, e2 * c) - pol(e0 * a, b)) for a, b, c in zip(states, states[1:], states[2:])]
+    else:
+        h = model.hamiltonian
+        loop = [abs(h(e1 * b) - h(e0 * a)) for a, b in zip(states, states[1:])]
+    assert finish().tobytes() == np.array(loop).tobytes()
 
 
 def test_transformed_series_requires_polarized_energy():

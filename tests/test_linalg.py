@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -239,6 +242,82 @@ def test_zero_schur_pivot_raises_without_a_warning(n):
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError, match="Schur pivot"):
             solve_periodic_banded(d2, np.ones(n))
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("name", ["gbsv", "gtsv"])
+def test_loaded_lapack_routines_equal_those_of_get_lapack_funcs(name, dtype, fallback, tmp_path):
+    # with no _flapack file under the scipy directory given, the loader imports scipy.linalg's own
+    import scipy.linalg
+
+    dtype = np.dtype(dtype)
+    flapack = linalg._load_flapack([str(tmp_path)]) if fallback else linalg._FLAPACK
+    if fallback:
+        assert flapack is scipy.linalg._flapack
+    with mock.patch.object(linalg, "_FLAPACK", flapack):
+        routine = linalg._lapack.__wrapped__(name, dtype)
+    rng = np.random.default_rng(7)
+
+    def draw(*shape):
+        values = rng.uniform(-1.0, 1.0, shape).astype(dtype)
+        return values + 1j * rng.uniform(-1.0, 1.0, shape) if dtype.kind == "c" else values
+
+    n = 12
+    if name == "gbsv":  # kl = ku = 2 in (7, n) band storage, the diagonal in row 4
+        ab = np.zeros((7, n), dtype, order="F")
+        ab[2:] = draw(5, n)
+        ab[4] += 6.0
+        args = (2, 2, ab, draw(n))
+    else:
+        args = (draw(n - 1), draw(n) + 4.0, draw(n - 1), draw(n))
+    *_, x, info = routine(*args)
+    *_, expected, expected_info = scipy.linalg.get_lapack_funcs(name, dtype=dtype)(*args)
+    assert info == expected_info == 0
+    assert x.dtype == expected.dtype == dtype
+    assert x.tobytes() == expected.tobytes()
+
+
+IMPORT_GUARD = """
+import importlib.util
+import sys
+import numpy as np
+import expdg, expdg.cli
+from expdg.linalg import PeriodicBandedMatrix, solve_periodic_banded
+
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+
+
+def solutions():
+    rng = np.random.default_rng(11)
+    out = []
+    for offsets in [(-1, 0, 1), (-2, -1, 0, 1, 2)]:
+        for dtype in (float, complex):
+            rows = rng.uniform(-1.0, 1.0, (len(offsets), 16)).astype(dtype)
+            rows[len(offsets) // 2] += 2.0 * len(offsets)
+            x = solve_periodic_banded(PeriodicBandedMatrix(16, offsets, rows), rng.standard_normal(16))
+            out.append(x.tobytes())
+    return out
+
+
+before = solutions()
+import scipy.linalg
+
+assert solutions() == before
+assert scipy.linalg._flapack.zgbsv is expdg.linalg._FLAPACK.zgbsv
+# loaded once more, as a second expdg tree would, it is scipy.linalg's own module
+scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+assert expdg.linalg._load_flapack(scipy_dirs) is scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+"""
+
+
+def test_import_leaves_scipy_linalg_unloaded_and_solves_unchanged_by_its_import():
+    # a fresh interpreter: expdg loads the LAPACK extension from its file, then scipy.linalg loads it its own way
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("preset, band", [("burgers-paper", (-1, 0, 1)), ("kdv-paper", (-2, -1, 0, 1, 2))])

@@ -31,8 +31,10 @@ errors, exit codes, stderr lines (less the wall clock) and CSV bytes, else 1.
 Closing lines count the library runs whose states, and whose recorded
 series, are bitwise equal, within 1e-15 relative and above it, each with its
 largest relative difference, and give the largest difference of each CSV
-column over all cases. The last two lines give the line count of
-`expdg/*.py` in each tree.
+column over all cases. The last two lines give, for each tree, the line
+count of `expdg/*.py` and whether `import expdg.cli`, in a fresh
+interpreter with PYTHONPATH set to the tree, puts `scipy.linalg` into
+`sys.modules`.
 """
 
 from __future__ import annotations
@@ -251,6 +253,14 @@ def _line_count(src) -> int:
     return sum(open(path, "rb").read().count(b"\n") for path in paths)
 
 
+def _loads_scipy_linalg(src) -> bool:
+    """Whether `import expdg.cli` imports scipy.linalg, in a fresh interpreter on SRC."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, expdg.cli; print('scipy.linalg' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    return run.stdout.strip() == "True"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="SRC", help="PARENT_SRC CHANGE_SRC")
@@ -269,7 +279,9 @@ def main(argv=None) -> int:
             runs.append(_run_tree(src, out_dir))
         equal = compare(*runs)
     for label, src in zip(("parent", "change"), args.trees):
-        print(f"{label}: {_line_count(src)} lines in {os.path.join(src, 'expdg', '*.py')}")
+        scipy_linalg = "loads" if _loads_scipy_linalg(src) else "does not load"
+        print(f"{label}: {_line_count(src)} lines in {os.path.join(src, 'expdg', '*.py')}; "
+              f"`import expdg.cli` {scipy_linalg} scipy.linalg")
     return 0 if equal else 1
 
 
