@@ -18,7 +18,8 @@ quadratic-field `lie` system is built by `system.kahan_system`.  The midpoint
 and AVF kinds share one Newton kernel for y = a + dt (F(a, y) - gamma (a + y)/2):
 the midpoint takes F = f((a + y)/2) (or the model's as-printed pair), AVF the
 model's closed-form mean of f over the chord [a, y], `chord_average`, with
-its Jacobian `chord_jacobian`.
+its Jacobian `chord_jacobian`.  `integrate` starts its Newton solve from
+3u^n - 3u^{n-1} + u^{n-2} after step 2; bootstraps and `step` start from u^n.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> Nonline
     return NonlinearSolveSettings(settings.tolerance * scale, settings.max_iterations)
 
 
-def _implicit_step(model, a, dt, gamma, spec, pair):
+def _implicit_step(model, a, dt, gamma, spec, pair, guess=None):
     """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (F, F_y) = pair(model, spec).
 
     F is the kind's mean of the field f over the chord [a, y] and F_y its Jacobian in y, so the
-    Newton matrix is (1 + dt gamma/2) I - dt F_y(a, y).
+    Newton matrix is (1 + dt gamma/2) I - dt F_y(a, y).  Newton starts from `guess` (default a);
+    the tolerance scales with a either way.
     """
     field, jacobian = pair(model, spec)
     diag = 1.0 + dt * gamma / 2.0
@@ -102,8 +104,8 @@ def _implicit_step(model, a, dt, gamma, spec, pair):
             rhs = rhs - gamma * 0.5 * (y + a)
         return y - a - dt * rhs
 
-    y, iters = newton_solve(residual, lambda y: ((-dt) * jacobian(a, y)).shift(diag), a,
-                            _scaled_solver(spec.solver, a))
+    y, iters = newton_solve(residual, lambda y: ((-dt) * jacobian(a, y)).shift(diag),
+                            a if guess is None else guess, _scaled_solver(spec.solver, a))
     return y, iters, iters
 
 
@@ -143,13 +145,13 @@ def _lie_step(model, a, b, dt, gamma, spec=None):
 class Scheme:
     """One row of the scheme table.
 
-    exponential: the damping goes into the prefactors e^{X}, else it stays
-    in the field.  two_step: the kernel maps (u^{n-1}, u^n) to u^{n+1}.
-    kernel(model, *window, dt, gamma, spec) takes one step on the rescaled
-    window e^{X_k} u^k and returns (rescaled next state, Newton iterations,
-    linear solves), with gamma the damping rate left in the field; `advance`
-    applies the prefactors, so no kernel sees them.  bootstrap: the one-step
-    companion that produces u^1 for a two-step scheme.
+    exponential: the damping goes into the prefactors e^{X}, else it stays in the field.
+    two_step: the kernel maps (u^{n-1}, u^n) to u^{n+1}.  kernel(model, *window, dt, gamma,
+    spec) takes one step on the rescaled window e^{X_k} u^k and returns (rescaled next
+    state, Newton iterations, linear solves), with gamma the damping rate left in the field;
+    `advance` applies the prefactors, so no kernel sees them, and rescales a Newton kernel's
+    guess of u^{n+1} alike.  bootstrap: the one-step companion that produces u^1 for a
+    two-step scheme.
     """
 
     exponential: bool
@@ -164,14 +166,15 @@ class Scheme:
             return Exponents(-gamma_eff * dt, 0.0, gamma_eff * dt)
         return Exponents(-gamma_eff * dt / 2.0, gamma_eff * dt / 2.0)
 
-    def advance(self, model, spec, window, exps=None) -> StepResult:
+    def advance(self, model, spec, window, exps=None, guess=None) -> StepResult:
         if len(window) != 1 + self.two_step:
             raise ValueError(f"{spec.kind!r} steps from {1 + self.two_step} states, got {len(window)}")
         exps = exps or self.exponents(model.gamma_eff, spec.dt)
         gamma = 0.0 if self.exponential else model.gamma_eff
         # 1.0 * u == u, so a unit prefactor is skipped: kernels never write into the window and return new arrays
         scaled = [u if e == 1.0 else e * u for e, u in zip(exps.factors, window)]
-        state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec)
+        extra = {} if guess is None else {"guess": exps.factors[len(window)] * guess}  # Newton kinds only
+        state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec, **extra)
         scale = exps.inverse_factors[len(window)]
         return StepResult(state if scale == 1.0 else scale * state, newton_iterations, linear_solves)
 
@@ -240,7 +243,9 @@ def integrate(
 
     T must be an integer multiple of spec.dt to within 1e-9 relative.  The
     initial state, every record_every-th step, and the final step are
-    recorded.  Solver failures, singular systems and blow-ups raise with the
+    recorded.  From step 3 on, a Newton kind starts from 3u^n - 3u^{n-1} + u^{n-2}, so a
+    marched step differs from `step` on the same state by at most the Newton tolerance.
+    Solver failures, singular systems and blow-ups raise with the
     partial record up to the last finite state attached to the exception.
     observer(step, time, state) is called per recorded state as it is recorded.  state is the
     run's own array, held by reference until the invariants and energies are evaluated on its
@@ -326,6 +331,8 @@ def integrate(
     e0, e1 = exps.factors[:2]
     record(0, u)
     prev = None  # u^{n-1}; a two-step kind bootstraps while it is None
+    prev2 = None  # u^{n-2}; a Newton kind predicts its step once it is set
+    predicts = scheme.kernel in (_midpoint, _avf)
     step_index = 0
     try:
         while step_index < n_steps:
@@ -333,7 +340,8 @@ def integrate(
             if two_step and prev is None:
                 res = bootstrap(model, u, spec)
             else:
-                res = advance(model, spec, (prev, u) if two_step else (u,), exps)
+                guess = 3.0 * (u - prev) + prev2 if predicts and prev2 is not None else None
+                res = advance(model, spec, (prev, u) if two_step else (u,), exps, guess)
                 # counters attribute solver work to the scheme kind itself; the
                 # one-off bootstrap cost stays in the wall clock but not here,
                 # so a linearly implicit run reports zero Newton iterations
@@ -344,7 +352,7 @@ def integrate(
             if not np.isfinite(res.state).all():
                 t = step_index * dt
                 raise BlowUpError(f"state became non-finite at step {step_index}", step=step_index, time=t)
-            prev, u = u, res.state
+            prev2, prev, u = prev, u, res.state
             if polarized is not None and rows[-1][0] == step_index - 1:
                 pairs.append((prev, u))
             if step_index == n_steps or step_index % record_every == 0:

@@ -159,6 +159,9 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     def split(x):
         return x[..., :m], x[..., m:]
 
+    def halves(x):  # x as its stacked halves (..., 2, M): one `apply` serves both
+        return x.reshape(*x.shape[:-1], 2, m)
+
     def conservative_field(x):
         u, v = split(x)
         mod = u * u + v * v
@@ -177,8 +180,8 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         u, v = split(x)
         mod = u * u + v * v
         quart = alpha / 4.0 * (mod * mod).sum(axis=-1)
-        deriv = 0.5 * (dot(u, d2.apply(u)) + dot(v, d2.apply(v)))
-        return dx * (quart + deriv)
+        deriv = dot(halves(x), d2.apply(halves(x)))  # (u . D2 u, v . D2 v)
+        return dx * (quart + 0.5 * (deriv[..., 0] + deriv[..., 1]))
 
     def jacobian_rows(u, v):
         mod = u * u + v * v
@@ -206,7 +209,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         rows = (jacobian_rows(x[:, 0], x[:, 1]) * (0.5 * gauss)).sum(axis=1)
         return TwoFieldMatrix(rows, *(0.5 * d2.coeffs[:2]))
 
-    form = polarize_quadratic_form(lambda z: dx * np.concatenate([d2.apply(c) for c in split(z)], axis=-1), 1.0)
+    form = polarize_quadratic_form(lambda z: dx * d2.apply(halves(z)).reshape(z.shape), 1.0)
 
     def pol_eval(a, b):
         ua, va = split(a)
@@ -254,8 +257,8 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
 
     def momentum(x):
         # skew-symmetrized discrete form of int (v_x u - u_x v) dx
-        u, v = split(x)
-        return dx * (dot(d1.apply(v), u) - dot(d1.apply(u), v))
+        skew = dot(d1.apply(halves(x))[..., ::-1, :], halves(x))  # (D1 v . u, D1 u . v)
+        return dx * (skew[..., 0] - skew[..., 1])
 
     invariants = (
         Invariant("mass", mass, exact_rate=2.0 * ghat),

@@ -114,10 +114,14 @@ class PeriodicBandedMatrix:
         if u.shape[-1:] != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {u.shape}")
         index = shift_index(self.size, self.offsets)
-        # take keeps a stack in C order, which the sums and dots over its rows need to stay bitwise
-        terms = self.coeff_rows * (u[index] if u.ndim == 1 else u.take(index, axis=-1))
-        # summed from zero in offset order: the arithmetic of a loop over the offsets
-        return np.add.reduce(terms, axis=-2, initial=0)
+        if u.ndim == 1:
+            # summed from zero in offset order: the arithmetic of the loop below
+            return np.add.reduce(self.coeff_rows * u[index], axis=-2, initial=0)
+        # a stack takes one offset at a time, so no temporary is k times its size
+        out = np.zeros(u.shape, np.result_type(self.coeffs, u))
+        for row, shifted in zip(self.coeff_rows, index):
+            out += row * u.take(shifted, axis=-1)
+        return out
 
     def __mul__(self, scale) -> "PeriodicBandedMatrix":
         return PeriodicBandedMatrix(self.size, self.offsets, scale * self.coeffs)

@@ -452,6 +452,25 @@ def test_ek2_drift_follows_the_start_pair_and_lie_keeps_w_from_any(burgers_ek2_r
     assert drifts["lie"] <= 1e-12
 
 
+def test_damped_ek1_keeps_the_kahan_modified_energy_of_each_step():
+    # one-step Kahan at a fixed h keeps W(x, Phi_h(x)) (Celledoni, McLachlan, Owren & Quispel 2013),
+    # and damped ek1 is v_{n+1} = Phi_{h_n}(v_n) at h_n = e^{-g t_{n+1/2}} dt, so it keeps
+    # W(v_n, v_{n+1}) = W(v_{n+1}, Phi_{h_n}(v_{n+1})) to rounding (6.8e-16 relative). An ek2 window
+    # (v_n, v_{n+1}) lies on no orbit of one Phi_h: at its own h_n = e^{-g t_n} dt the same
+    # identity fails by 2.2e-8
+    model, undamped, u0, g, dt = _burgers_in_v()
+    w = undamped.polarized.evaluate
+    phi = lambda h, x: step(undamped, SchemeSpec("ek1", h), x).state  # one-step Kahan in v
+    defects = {}
+    for kind, offset in (("ek1", 0.5), ("ek2", 0.0)):
+        v = _rescaled_run(model, kind, u0, g, dt, 30)
+        gaps = [w(v[n], v[n + 1]) - w(v[n + 1], phi(math.exp(-g * (n + offset) * dt) * dt, v[n + 1]))
+                for n in range(1, 29)]
+        defects[kind] = np.abs(gaps).max() / abs(w(v[0], v[1]))
+    assert defects["ek1"] <= 1e-15
+    assert defects["ek2"] >= 1e-9
+
+
 # ---------------------------------------------------------------- bootstrap
 
 
@@ -617,6 +636,63 @@ def test_newton_counters_track_marching_work():
     assert rec.newton_iterations[-1] >= rec.n_steps  # at least one sweep per step
     assert rec.linear_solves[-1] == rec.newton_iterations[-1]
     assert np.all(np.diff(rec.newton_iterations) >= 1)
+
+
+# --------------------------------------------- the Newton start of a march
+# from step 3 on, integrate starts each Newton kind from 3u^n - 3u^{n-1} + u^{n-2}
+
+NEWTON_KINDS = ("cimp", "eavf", "imidpoint_plain", "avf_plain")
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+@pytest.mark.parametrize("preset, unpredicted", [("burgers-paper", 2), ("kdv-paper", 3), ("nls-paper", 2)])
+def test_predicted_steps_take_one_iteration_fewer_and_stay_within_tolerance_of_step(preset, unpredicted, kind):
+    model, u0, cfg = preset_model(preset)
+    spec = SchemeSpec(kind, cfg["dt"])
+    rec, states = integrate_states(model, spec, u0, 200 * cfg["dt"])
+    # steps 1-2 start from u^n, the 198 after them from the extrapolation
+    assert rec.newton_iterations[-1] == rec.linear_solves[-1] == 2 * unpredicted + 198 * (unpredicted - 1)
+    assert np.diff(rec.newton_iterations).tolist() == [unpredicted] * 2 + [unpredicted - 1] * 198
+    e0, e1 = exponents(kind, model.gamma_eff, spec.dt).factors
+    for n, (a, b) in enumerate(zip(states, states[1:])):
+        alone = step(model, spec, a).state
+        if n < 2:
+            assert np.array_equal(alone, b)
+        else:  # both solves stop within the tolerance, 1e-12 max|e0 a|, of the same root
+            assert np.abs(e1 * (alone - b)).max() <= 2e-12 * np.abs(e0 * a).max()
+
+
+def test_the_newton_guess_is_the_rescaled_quadratic_extrapolation(monkeypatch):
+    model, u0 = burgers()
+    spec = SchemeSpec("cimp", 0.009)
+    guesses = []
+
+    def spy(residual, jacobian, guess, settings):
+        guesses.append(guess)
+        return newton_solve(residual, jacobian, guess, settings)
+
+    monkeypatch.setattr(integrators, "newton_solve", spy)
+    _, states = integrate_states(model, spec, u0, 6 * spec.dt)
+    e0, e1 = exponents("cimp", model.gamma_eff, spec.dt).factors
+    assert len(guesses) == 6
+    for n, guess in enumerate(guesses):
+        want = e0 * states[n] if n < 2 else e1 * (3.0 * (states[n] - states[n - 1]) + states[n - 2])
+        assert np.array_equal(guess, want)
+
+
+@pytest.mark.parametrize("preset, kind", [
+    ("burgers-paper", "ek1"), ("burgers-paper", "ek2"), ("kdv-paper", "kahan2_plain"), ("nls-paper", "lie"),
+])
+def test_marches_without_newton_steps_equal_step_from_each_window(preset, kind):
+    # the linearly implicit kinds take no guess, and a bootstrap (lie's is a cimp step) starts from u^0
+    model, u0, cfg = preset_model(preset)
+    spec = SchemeSpec(kind, cfg["dt"])
+    _, states = integrate_states(model, spec, u0, 20 * cfg["dt"])
+    two_step = integrators.SCHEMES[kind].two_step
+    if two_step:
+        assert np.array_equal(states[1], bootstrap(model, u0, spec).state)
+    for n in range(1 + two_step, len(states)):
+        assert np.array_equal(states[n], step(model, spec, *states[n - 1 - two_step:n]).state)
 
 
 def test_linearly_implicit_marching_never_enters_newton(monkeypatch):

@@ -16,7 +16,10 @@ the trees, the first tree of a round alternating too; in each a tree times a
 block of `Scheme.advance` calls from that same window, so every call does
 the same work, a block of the band solves of that step, and one whole
 `integrate` from u0 at record_every=1, the same number of steps (about one
-block's worth) in both trees, so that the cost of recording shows. The
+block's worth) in both trees, so that the cost of recording shows. A step
+block starts from its fixed window without the march's history, so its
+Newton solves start from u^n and cannot show the extrapolated start that
+`integrate` gives the Newton kinds from step 3 on; the march can. The
 table gives per tree:
 
     us/step      the median over the rounds of a step block's mean time of
@@ -26,6 +29,7 @@ table gives per tree:
                  the systems the step assembled)
     solve us/step  that median time of one step's band solves
     march us/step  the median time of the whole `integrate` per step
+    march newton/step  that `integrate`'s Newton iterations per step
 
 and, for the step, its solves and the march, change/parent: the median over the
 rounds of each round's ratio of the change tree's time to the parent
@@ -118,6 +122,7 @@ def compare(trees, cases) -> None:
         f"{'case':<30}" + "".join(f"{t + ' us/step':>22}{'step/solve':>12}" for t in trees) + f"{'change/parent':>15}"
         + "".join(f"{t + ' solve us/step':>28}" for t in trees) + f"{'change/parent':>15}"
         + "".join(f"{t + ' march us/step':>28}" for t in trees) + f"{'change/parent':>15}"
+        + "".join(f"{t + ' march newton/step':>32}" for t in trees)
     )
     median = statistics.median
     for preset, kind in cases:
@@ -140,10 +145,11 @@ def compare(trees, cases) -> None:
                     whole[i].append(block_time(lambda: m.march(march_steps), 1) / march_steps)
         finally:
             gc.enable()
+        iterations = "".join(f"{m.march(march_steps).newton_iterations[-1] / march_steps:>32.2f}" for m in marches)
         cells = "".join(f"{1e6 * median(s):>22.1f}{median(s) / median(v):>12.2f}" for s, v in zip(steps, solves))
         print(
             f"{preset + '/' + kind:<30}{cells}{ratio(steps):>15.3f}"
-            f"{per_tree(solves)}{ratio(solves):>15.3f}{per_tree(whole)}{ratio(whole):>15.3f}"
+            f"{per_tree(solves)}{ratio(solves):>15.3f}{per_tree(whole)}{ratio(whole):>15.3f}{iterations}"
         )
 
 
