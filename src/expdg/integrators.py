@@ -14,7 +14,9 @@ Every kind is one row of the SCHEMES table (exponential or plain, one- or
 two-step, step kernel, bootstrap companion); `step` takes one step of any
 kind and `integrate` marches with it.  Only `Scheme.advance` applies the
 prefactors: kernels step the rescaled states e^{X_k} u^k.  Every Kahan and
-quadratic-field `lie` system is built by `system.kahan_system`.  The midpoint
+quadratic-field `lie` system is built by `system.kahan_system`, and every linearly
+implicit kernel returns decode(solve(mat, rhs)) of its (mat, rhs, decode): the
+two-step rows solve for u^{n+1} + u^{n-1}, so no operator acts on u^{n-1}.  The midpoint
 and AVF kinds share one Newton kernel for y = a + dt (F(a, y) - gamma (a + y)/2):
 the midpoint takes F = f((a + y)/2) (or the model's as-printed pair), AVF the
 model's closed-form mean of f over the chord [a, y], `chord_average`, with
@@ -88,7 +90,7 @@ def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> Nonline
     return NonlinearSolveSettings(settings.tolerance * scale, settings.max_iterations)
 
 
-def _implicit_step(model, a, dt, gamma, spec, pair, guess=None):
+def _implicit_step(model, a, dt, gamma, spec, guess=None, *, pair):
     """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (F, F_y) = pair(model, spec).
 
     F is the kind's mean of the field f over the chord [a, y] and F_y its Jacobian in y, so the
@@ -125,13 +127,13 @@ def _avf_pair(model, spec):
 
 
 def _kahan1_step(model, a, dt, gamma, spec=None):
-    mat, rhs = kahan_system(model, a, a, dt, (0.0, 0.0, 1.0), (0.5, 0.0, 0.5), gamma)
-    return solve_periodic_banded(mat, rhs), 0, 1
+    mat, rhs, decode = kahan_system(model, a, a, dt, (0.0, 0.0, 1.0), (0.5, 0.0, 0.5), gamma)
+    return decode(solve_periodic_banded(mat, rhs)), 0, 1
 
 
 def _kahan2_step(model, a, b, dt, gamma, spec=None):
-    mat, rhs = kahan_system(model, a, b, 2.0 * dt, (0.5, 0.0, 0.5), (0.25, 0.5, 0.25), gamma)
-    return solve_periodic_banded(mat, rhs), 0, 1
+    mat, rhs, decode = kahan_system(model, a, b, 2.0 * dt, (0.5, 0.0, 0.5), (0.25, 0.5, 0.25), gamma)
+    return decode(solve_periodic_banded(mat, rhs)), 0, 1
 
 
 def _lie_step(model, a, b, dt, gamma, spec=None):
@@ -150,8 +152,8 @@ class Scheme:
     spec) takes one step on the rescaled window e^{X_k} u^k and returns (rescaled next
     state, Newton iterations, linear solves), with gamma the damping rate left in the field;
     `advance` applies the prefactors, so no kernel sees them, and rescales a Newton kernel's
-    guess of u^{n+1} alike.  bootstrap: the one-step companion that produces u^1 for a
-    two-step scheme.
+    guess of u^{n+1} alike, passed after spec.  bootstrap: the one-step companion that
+    produces u^1 for a two-step scheme.
     """
 
     exponential: bool
@@ -173,8 +175,9 @@ class Scheme:
         gamma = 0.0 if self.exponential else model.gamma_eff
         # 1.0 * u == u, so a unit prefactor is skipped: kernels never write into the window and return new arrays
         scaled = [u if e == 1.0 else e * u for e, u in zip(exps.factors, window)]
-        extra = {} if guess is None else {"guess": exps.factors[len(window)] * guess}  # Newton kinds only
-        state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec, **extra)
+        # the guess follows spec positionally (Newton kinds only): no keyword dict is built per step
+        extra = () if guess is None else (exps.factors[len(window)] * guess,)
+        state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec, *extra)
         scale = exps.inverse_factors[len(window)]
         return StepResult(state if scale == 1.0 else scale * state, newton_iterations, linear_solves)
 

@@ -234,22 +234,24 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
 
     def lie_builder(a, b, dt):
         # (-i D2/2 + diag(h - i k)) z = h z_a + i (D2 z_a/2 + k z_a), z = u + i v, h = 1/(2 dt), k = alpha |z_b|^2/2,
-        # formed part by part in real arithmetic (exact per part), in place; D2 sums as `apply` does, on (u; v)
-        # padded row by row, and t[m:m + 2] straddles the two rows
+        # with its rows written in place.  Adding the matrix times z_a to both sides leaves the right-hand side
+        # 2h z_a, formed part by part in real arithmetic: the system is solved for w = z + z_a, and decode writes
+        # (w.real - u_a, w.imag - v_a) into one 2M array
         ub, vb = split(b)
         h, k = 1.0 / (2.0 * dt), 0.5 * alpha * (ub * ub + vb * vb)
         rows = lie_d2.coeffs[:, None].repeat(m, axis=1)
         rows[1].real, rows[1].imag = h, lie_d2.coeffs[1].imag - k
-        x = a.reshape(2, m)
-        padded = np.concatenate((x[:, -1:], x, x[:, :1]), axis=1).ravel()
-        t = d2.coeffs[0] * padded[:-2]
-        t += d2.coeffs[1] * padded[1:-1]
-        t += d2.coeffs[2] * padded[2:]
-        t *= 0.5
         rhs = np.empty(m, complex)
-        np.subtract(h * x[0], t[m + 2:] + k * x[1], out=rhs.real)
-        np.add(h * x[1], t[:m] + k * x[0], out=rhs.imag)
-        return PeriodicBandedMatrix(m, lie_d2.offsets, rows), rhs, lambda z: np.concatenate([z.real, z.imag])
+        np.multiply(2.0 * h, a[:m], out=rhs.real)
+        np.multiply(2.0 * h, a[m:], out=rhs.imag)
+
+        def decode(w):
+            z = np.empty(2 * m)
+            np.subtract(w.real, a[:m], out=z[:m])
+            np.subtract(w.imag, a[m:], out=z[m:])
+            return z
+
+        return PeriodicBandedMatrix(m, lie_d2.offsets, rows), rhs, decode
 
     def mass(x):
         u, v = split(x)

@@ -92,8 +92,8 @@ class ConformalModel:
     linear_operator: Optional[PeriodicBandedMatrix] = None  # conservative linear part L
     polarized: Optional[PolarizedEnergy] = None
     polarized_degree: Optional[int] = None  # homogeneity degree of H~, if any
-    # (a, b, dt) -> (mat, rhs, decode): the lie step on rescaled states a, b
-    # solves mat x = rhs, and decode(x) is the rescaled next state
+    # (a, b, dt) -> (mat, rhs, decode): the lie step on rescaled states a, b solves mat x = rhs for
+    # x = c + a, c the rescaled next state, and decode(x) subtracts a from the fresh x to give c
     lie_system_builder: Optional[Callable] = None
     # as-printed midpoint nonlinearity (mean of squares), kept for comparison
     printed_midpoint_field: Optional[Callable] = None
@@ -151,23 +151,6 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
                 linear_operator=banded)
 
 
-def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric bilinear extension of the conservative field.
-
-    Defined for quadratic fields f = Q + L: returns Qb(a, b) + L(a + b)/2,
-    which satisfies fbar(u, u) = f(u) and the Kahan average identity
-    fbar(a, b) = 2 f((a+b)/2) - f(a)/2 - f(b)/2.
-    """
-    if model.quadratic_bilinear is None:
-        raise UnsupportedModelError(
-            f"model {model.name} has no quadratic conservative field"
-        )
-    out = model.quadratic_bilinear(a, b)
-    if model.linear_operator is not None:
-        out = out + 0.5 * model.linear_operator.apply(a + b)
-    return out
-
-
 def _combine(wa: float, a: np.ndarray, wb: float, b: np.ndarray) -> Optional[np.ndarray]:
     """wa a + wb b without its zero terms; None when both weights are zero."""
     if not wb:
@@ -184,13 +167,17 @@ def _kahan_invariant(linear: PeriodicBandedMatrix, l2: float, diag: float) -> Pe
 
 
 def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0):
-    """Matrix and right-hand side of the Kahan-family step (a, b) -> c:
+    """(mat, rhs, decode) of the Kahan-family step (a, b) -> c = decode(solve(mat, rhs)):
 
         (c - a)/h = Qb(b, q0 a + q1 b + q2 c) + (L - gamma)(l0 a + l1 b + l2 c)
 
-    for a quadratic field Qb(u, u) + L u.  One-step schemes pass b = a.  The
-    system is linear in c; right-hand-side terms with a zero weight are not formed.
-    Its step-invariant part (1/h + l2 gamma) I - l2 L is cached, so a step adds it by one row add.
+    for a quadratic field Qb(u, u) + L u.  One-step schemes pass b = a.  The system is linear in c,
+    with mat = (1/h + l2 gamma) I - q2 Qb(b, .) - l2 L.  With symmetric weights (q0 = q2, l0 = l2)
+    adding mat a to both sides leaves mat (c + a) = (2/h) a + q1 Qb(b, b) + l1 (L - gamma) b, which
+    applies nothing to a: the system is solved for c + a, and decode subtracts a in place from the
+    fresh solution.  Other weights (ek1) solve for c itself, and decode returns it unchanged.
+    Right-hand-side terms with a zero weight are not formed.  The step-invariant part
+    (1/h + l2 gamma) I - l2 L is cached, so a step adds it by one row add.
     """
     if model.quadratic_bilinear is None or model.quadratic_matrix is None:
         raise UnsupportedModelError(
@@ -200,16 +187,19 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
     mat, linear = model.quadratic_matrix(-q[2] * b), model.linear_operator
     diag = 1.0 / h + l[2] * gamma
     mat = mat.shift(diag) if linear is None else mat + _kahan_invariant(linear, l[2], diag)
-    rhs = a / h
-    qb_arg = _combine(q[0], a, q[1], b)
+    symmetric = q[0] == q[2] and l[0] == l[2]
+    # symmetric weights: the terms in a cancel against mat a, so their weights drop to zero
+    rhs, qa, la = ((2.0 / h) * a, 0.0, 0.0) if symmetric else (a / h, q[0], l[0])
+    qb_arg = _combine(qa, a, q[1], b)
     if qb_arg is not None:
-        rhs = rhs + model.quadratic_bilinear(b, qb_arg)
-    weighted = _combine(l[0], a, l[1], b) if linear is not None or gamma else None
-    if linear is not None:
-        rhs = rhs + linear.apply(weighted)
-    if gamma:
-        rhs = rhs - gamma * weighted
-    return mat, rhs
+        rhs += model.quadratic_bilinear(b, qb_arg)
+    weighted = _combine(la, a, l[1], b) if linear is not None or gamma else None
+    if weighted is not None:  # None without L and gamma, or at l1 = 0 on symmetric weights (lie, theta = 1)
+        if linear is not None:
+            rhs += linear.apply(weighted)
+        if gamma:
+            rhs -= gamma * weighted
+    return mat, rhs, (lambda x: np.subtract(x, a, out=x)) if symmetric else _unchanged
 
 
 def _unchanged(x):
@@ -220,11 +210,10 @@ def polarized_kahan_system(model: ConformalModel, a, b, dt: float, theta: float 
     """The lie_system_builder of a quadratic field.
 
     The discrete gradient of the theta-polarized energy is the kahan_system
-    with h = 2 dt and the weights below; the solution needs no decoding.
+    with h = 2 dt and the symmetric weights below, so it is solved for c + a.
     """
     third = 1.0 / 3.0
-    weights = (third, third, third), (theta / 2.0, 1.0 - theta, theta / 2.0)
-    return (*kahan_system(model, a, b, 2.0 * dt, *weights), _unchanged)
+    return kahan_system(model, a, b, 2.0 * dt, (third, third, third), (theta / 2.0, 1.0 - theta, theta / 2.0))
 
 
 # the nodal polarization of H(u) = u^3, acting componentwise: H~(v, w) = v w (v + w)/2, and its

@@ -18,9 +18,9 @@ from expdg.diagnostics import (
 )
 from expdg.integrators import SchemeSpec
 from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
-from expdg.system import kahan_bilinear
 
 from conftest import integrate_states, preset_model
+from oracles import kahan_bilinear
 
 
 def max_abs_residual(model, rec, name, rate):

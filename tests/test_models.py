@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expdg.diagnostics import reference_solve
+from expdg.linalg import solve_periodic_banded
 from expdg.models import (
     MODELS,
     PRESETS,
@@ -189,6 +190,27 @@ def _written_out_fields(kind, grid):
         lambda x, y: alpha * d1.apply(x * y),
         lambda x: _scaled_columns(alpha, d1, x),
     )
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+def test_nls_lie_builder_solves_its_written_out_system(m, dt):
+    # (-i D2/2 + diag(h - i k)) z = h z_a + i (D2 z_a/2 + k z_a), z = u + i v, h = 1/(2 dt),
+    # k = alpha |z_b|^2/2, assembled densely: the builder solves for z + z_a instead
+    alpha = 2.0
+    model = make_model("nls", build_grid(25.0, m), gamma=5e-4, alpha=alpha)
+    rng = np.random.default_rng(m)
+    a, b = rng.uniform(-1.0, 1.0, (2, 2 * m))
+    mat, rhs, decode = model.lie_system_builder(a, b, dt)
+    x = decode(solve_periodic_banded(mat, rhs))
+    assert x.shape == (2 * m,) and x.dtype == float
+    z, z_a, z_b = (v[:m] + 1j * v[m:] for v in (x, a, b))
+    h, k = 1.0 / (2.0 * dt), 0.5 * alpha * np.abs(z_b) ** 2
+    d2 = derivative_operator(model.grid, 2).to_dense()
+    lhs = (-0.5j * d2 + np.diag(h - 1j * k)) @ z
+    expected = h * z_a + 1j * (d2 @ z_a / 2.0 + k * z_a)
+    scale = max(np.abs(lhs).max(), np.abs(expected).max())
+    assert np.abs(lhs - expected).max() <= 1e-12 * scale
 
 
 MODEL_BANDS = {"burgers": (-1, 0, 1), "kdv": (-2, -1, 0, 1, 2), "pure-decay": (0,)}

@@ -1,20 +1,23 @@
+import collections
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expdg.errors import BlowUpError, UnsupportedModelError
 from expdg.integrators import SchemeSpec, step
 from expdg.linalg import solve_periodic_banded
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
-from expdg.spatial import build_grid, derivative_operator
+from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
 from expdg import system
-from expdg.system import NODAL_CUBIC, kahan_bilinear, kahan_system, vector_field
+from expdg.system import NODAL_CUBIC, kahan_system, vector_field
 
 from conftest import evaluate_invariants
+from oracles import kahan_bilinear
 
 GRIDS = {
     "burgers": (math.pi, 80),
@@ -112,6 +115,8 @@ SMALL_QUADRATIC = {
     gamma=st.sampled_from([0.0, 0.3]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(kind="kdv", row="lie", theta=0.0, dt=0.01, gamma=0.3, seed=7)
+@example(kind="kdv", row="lie", theta=1.0, dt=0.01, gamma=0.3, seed=7)  # no L or gamma term is formed
 def test_kahan_system_solves_its_defining_equation(kind, row, theta, dt, gamma, seed):
     # (c - a)/h = Qb(b, q0 a + q1 b + q2 c) + (L - gamma)(l0 a + l1 b + l2 c),
     # rebuilt from the dense Qb(b, .) and L, for every weight row in use
@@ -124,7 +129,8 @@ def test_kahan_system_solves_its_defining_equation(kind, row, theta, dt, gamma, 
     rng = np.random.default_rng(seed)
     a = rng.uniform(-2.0, 2.0, model.dim)
     b = a if row == "ek1" else rng.uniform(-2.0, 2.0, model.dim)
-    c = solve_periodic_banded(*kahan_system(model, a, b, h, q, l, gamma))
+    mat, rhs, decode = kahan_system(model, a, b, h, q, l, gamma)
+    c = decode(solve_periodic_banded(mat, rhs))
     qb = model.quadratic_matrix(b).to_dense()
     lin = model.linear_operator.to_dense() if model.linear_operator is not None else 0.0
     lin = lin - gamma * np.eye(model.dim)
@@ -135,6 +141,41 @@ def test_kahan_system_solves_its_defining_equation(kind, row, theta, dt, gamma, 
     ]
     scale = max(np.max(np.abs(t)) for t in terms)
     assert np.max(np.abs(terms[0] - terms[1] - terms[2])) <= 1e-12 * scale
+
+
+def test_symmetric_weights_apply_no_operator_to_a():
+    # q0 = q2 and l0 = l2: the system is solved for c + a, with the right-hand side
+    # (2/h) a + q1 Qb(b, b) + l1 (L - gamma) b, so nothing is applied to a
+    h, q, l = 0.018, (0.5, 0.0, 0.5), (0.25, 0.5, 0.25)  # the ek2 row
+    rng = np.random.default_rng(5)
+    burgers = build("burgers", gamma=0.1)
+    a, b = rng.standard_normal((2, burgers.dim))
+    _, rhs, _ = kahan_system(burgers, a, b, h, q, l)
+    assert rhs.tobytes() == ((2.0 / h) * a).tobytes()
+
+    calls = collections.Counter()
+
+    class CountedL(PeriodicBandedMatrix):
+        def apply(self, u):
+            calls["L"] += 1
+            return super().apply(u)
+
+    kdv = build("kdv", gamma=0.1)
+    linear = kdv.linear_operator
+
+    def counted_qb(x, y):
+        calls["Qb"] += 1
+        return kdv.quadratic_bilinear(x, y)
+
+    counted = dataclasses.replace(
+        kdv, linear_operator=CountedL(linear.size, linear.offsets, linear.coeffs), quadratic_bilinear=counted_qb
+    )
+    a, b = rng.standard_normal((2, kdv.dim))
+    mat, rhs, decode = kahan_system(counted, a, b, h, q, l)
+    assert calls == {"L": 1}
+    c = decode(solve_periodic_banded(mat, rhs))
+    mat, rhs, decode = kahan_system(kdv, a, b, h, q, l)
+    assert c.tobytes() == decode(solve_periodic_banded(mat, rhs)).tobytes()
 
 
 def test_kahan_system_cache_keeps_every_matrix_equal_to_its_dense_assembly():
@@ -148,7 +189,7 @@ def test_kahan_system_cache_keeps_every_matrix_equal_to_its_dense_assembly():
     returned = []
     hits = system._kahan_invariant.cache_info().hits
     for _, h, gamma, (nu, model) in itertools.product(range(2), (0.01, 0.02), (0.0, 0.3), models.items()):
-        mat, _ = kahan_system(model, a, b, h, q, l, gamma)
+        mat, _, _ = kahan_system(model, a, b, h, q, l, gamma)
         expected = model.quadratic_matrix(-q[2] * b).to_dense() - l[2] * (rho * d1 + nu * d3)
         expected += (1.0 / h + l[2] * gamma) * np.eye(grid.size)
         np.testing.assert_allclose(mat.to_dense(), expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
