@@ -8,11 +8,11 @@ from .errors import (
     SingularMatrixError,
     UnsupportedModelError,
 )
-from .spatial import Grid, PeriodicStencilOperator, build_grid, derivative_operator, quadrature
+from .spatial import Grid, build_grid, derivative_operator, quadrature
 from .linalg import NonlinearSolveSettings, PeriodicBandedMatrix, newton_solve, solve_periodic_banded
 from .system import ConformalModel, Invariant, PolarizedEnergy
 from .models import PRESETS, initial_condition, make_model
-from .integrators import Exponents, SchemeSpec, StepResult, exponents, integrate
+from .integrators import Exponents, SchemeSpec, StepResult, integrate
 from .diagnostics import (
     OrderFit,
     RunRecord,
@@ -37,7 +37,6 @@ __all__ = [
     "OrderFit",
     "PRESETS",
     "PeriodicBandedMatrix",
-    "PeriodicStencilOperator",
     "PolarizedEnergy",
     "RunRecord",
     "SchemeSpec",
@@ -46,7 +45,6 @@ __all__ = [
     "UnsupportedModelError",
     "build_grid",
     "derivative_operator",
-    "exponents",
     "initial_condition",
     "integrate",
     "make_model",

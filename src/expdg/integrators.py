@@ -71,11 +71,6 @@ class Exponents:
         """The prefactors e^{x_k}, one per exponent that is set; cached, as every step applies them."""
         return tuple(math.exp(x) for x in (self.x0, self.x1, self.x2) if x is not None)
 
-    @cached_property
-    def inverse_factors(self) -> tuple:
-        """e^{-x_k} for the same exponents; `advance` scales a step's result by the last one it uses."""
-        return tuple(math.exp(-x) for x in (self.x0, self.x1, self.x2) if x is not None)
-
 
 class StepResult(NamedTuple):  # a tuple: built once per step
     state: np.ndarray
@@ -178,7 +173,7 @@ class Scheme:
         # the guess follows spec positionally (Newton kinds only): no keyword dict is built per step
         extra = () if guess is None else (exps.factors[len(window)] * guess,)
         state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec, *extra)
-        scale = exps.inverse_factors[len(window)]
+        scale = exps.factors[0]  # e^{-X_last}: every row's exponents are antisymmetric, X_last = -X_0
         return StepResult(state if scale == 1.0 else scale * state, newton_iterations, linear_solves)
 
 
@@ -197,12 +192,6 @@ SCHEMES = {
     "avf_plain": Scheme(False, False, _avf),
     "kahan2_plain": Scheme(False, True, _kahan2_step, bootstrap=Scheme(False, False, _kahan1_step)),
 }
-
-
-def exponents(kind: str, gamma_eff: float, dt: float) -> Exponents:
-    if kind not in SCHEMES:
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    return SCHEMES[kind].exponents(gamma_eff, dt)
 
 
 def step(model, spec: SchemeSpec, *window, exps: Optional[Exponents] = None) -> StepResult:

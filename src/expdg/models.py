@@ -19,7 +19,7 @@ KdV is sigma = 1 with A.  NLS, whose H is quartic, states its own.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -290,60 +290,36 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     )
 
 
-def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) -> ConformalModel:
-    """grad_H = 0: the flow is exact exponential decay.  Test fixture."""
-    zeros = lambda u: np.zeros_like(u)
-    zero = lambda u: np.zeros(np.shape(u)[:-1])[()]  # H = 0, one value per state
-    model = ConformalModel(
-        name="pure-decay",
-        dim=dim,
-        grid=grid,
-        gamma=gamma_eff,
-        gamma_eff=gamma_eff,
-        apply_S=zeros,
-        grad_H=zeros,
-        hamiltonian=zero,
-        hamiltonian_paper=zero,
-        hamiltonian_rate=None,
-        invariants=(),
-        **quadratic_field(0.0, PeriodicBandedMatrix(dim)),
-        polarized=None,
-        polarized_degree=None,
-        lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
-    )
-    return model
-
-
-# model kind -> constructor; make_model checks and dispatches on it
-MODELS = {"burgers": burgers_model, "kdv": kdv_model, "nls": nls_model}
-
-
 def _nls_profile(x):
     sech = 1.0 / np.cosh(x)
     return np.concatenate([sech * np.cos(2.0 * x), sech * np.sin(2.0 * x)])
 
 
-# model kind -> its initial state on the grid nodes x; initial_condition dispatches on it
-PROFILES = {
-    "burgers": lambda x: np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi),
-    "kdv": lambda x: 2.0 * np.exp(-2.0 * x**2) / math.sqrt(2.0 * math.pi),
-    "nls": _nls_profile,
+class ModelKind(NamedTuple):
+    """A model kind: its constructor, its initial state on the grid nodes x, its parameter defaults."""
+
+    build: Callable
+    profile: Callable
+    defaults: dict
+
+
+# model kind -> ModelKind: the one table that make_model, initial_condition and the CLI's choices read
+MODELS = {
+    "burgers": ModelKind(burgers_model, lambda x: np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi), {}),
+    "kdv": ModelKind(kdv_model, lambda x: 2.0 * np.exp(-2.0 * x**2) / math.sqrt(2.0 * math.pi),
+                     {"alpha": -0.375, "rho": -10.0, "nu": -1e-5, "theta": 0.5}),
+    "nls": ModelKind(nls_model, _nls_profile, {"alpha": 2.0}),
 }
+
+
+def _model_kind(name: str) -> ModelKind:
+    if name not in MODELS:
+        raise ValueError(f"unknown model kind {name!r}")
+    return MODELS[name]
 
 
 def initial_condition(model_kind: str, grid: Grid) -> np.ndarray:
-    if model_kind not in PROFILES:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    return PROFILES[model_kind](grid.nodes)
-
-
-# the parameters besides gamma: the default of each in every model that reads it
-_PARAMETERS = {
-    "alpha": {"kdv": -0.375, "nls": 2.0},
-    "rho": {"kdv": -10.0},
-    "nu": {"kdv": -1e-5},
-    "theta": {"kdv": 0.5},
-}
+    return _model_kind(model_kind).profile(grid.nodes)
 
 
 def make_model(
@@ -356,15 +332,14 @@ def make_model(
     theta: Optional[float] = None,
 ) -> ConformalModel:
     """Dispatch a model by name; a parameter that the model does not read, or a bad value, is refused."""
-    if model_kind not in MODELS:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    given = {"alpha": alpha, "rho": rho, "nu": nu, "theta": theta}
+    kind = _model_kind(model_kind)
     values = {}
-    for name, defaults in _PARAMETERS.items():
-        if model_kind in defaults:
-            values[name] = defaults[model_kind] if given[name] is None else given[name]
-        elif given[name] is not None:
-            raise ValueError(f"{name} applies to the {'/'.join(defaults)} model only, not {model_kind!r}")
+    for name, given in {"alpha": alpha, "rho": rho, "nu": nu, "theta": theta}.items():
+        if name in kind.defaults:
+            values[name] = kind.defaults[name] if given is None else given
+        elif given is not None:
+            readers = "/".join(k for k, entry in MODELS.items() if name in entry.defaults)
+            raise ValueError(f"{name} applies to the {readers} model only, not {model_kind!r}")
     if model_kind == "nls" and not (np.isfinite(values["alpha"]) and values["alpha"] > 0):
         raise ValueError(f"alpha must be finite and > 0, got {values['alpha']}")
     for name in ("alpha", "rho", "nu"):
@@ -372,10 +347,10 @@ def make_model(
             raise ValueError(f"{name} must be finite, got {values[name]}")
     if not (np.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    return MODELS[model_kind](grid, gamma, **values)
+    return kind.build(grid, gamma, **values)
 
 
-# experiment presets; flags can override any entry
+# experiment presets, each at its model's parameter defaults; flags can override any entry
 PRESETS = {
     "burgers-paper": {
         "model": "burgers",
@@ -389,9 +364,6 @@ PRESETS = {
     "kdv-paper": {
         "model": "kdv",
         "scheme": "ek2",
-        "alpha": -0.375,
-        "rho": -10.0,
-        "nu": -1e-5,
         "gamma": 1e-2,
         "L": 10.0,
         "M": 248,
@@ -401,7 +373,6 @@ PRESETS = {
     "nls-paper": {
         "model": "nls",
         "scheme": "lie",
-        "alpha": 2.0,
         "gamma": 5e-4,
         "L": 25.0,
         "M": 1024,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from expdg.diagnostics import polarized_window_defect
-from expdg.integrators import SchemeSpec, exponents, integrate
+from expdg.integrators import SCHEMES, SchemeSpec, integrate
 from expdg.spatial import PeriodicBandedMatrix
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
 from expdg.system import NODAL_CUBIC, ConformalModel, PolarizedEnergy, quadratic_field
@@ -16,10 +16,7 @@ from expdg.system import NODAL_CUBIC, ConformalModel, PolarizedEnergy, quadratic
 def preset_model(name):
     cfg = PRESETS[name]
     grid = preset_grid(name)
-    model = make_model(
-        cfg["model"], grid, cfg["gamma"],
-        cfg.get("alpha"), cfg.get("rho"), cfg.get("nu"),
-    )
+    model = make_model(cfg["model"], grid, cfg["gamma"])
     return model, initial_condition(cfg["model"], grid), cfg
 
 
@@ -152,7 +149,7 @@ def kdv_ek2_run(preset_runs):
 def nls_lie_run():
     """LIE on the NLS preset plus the per-window pairwise-energy defects."""
     model, u0, cfg = preset_model("nls-paper")
-    exps = exponents("lie", model.gamma_eff, cfg["dt"])
+    exps = SCHEMES["lie"].exponents(model.gamma_eff, cfg["dt"])
     observer, defects = make_window_defect_observer(model, exps)
     n, horizon = realized_horizon(cfg)
     rec = integrate(
@@ -165,7 +162,7 @@ def nls_lie_run():
 @pytest.fixture(scope="session")
 def burgers_eavf_run():
     model, u0, cfg = preset_model("burgers-paper")
-    exps = exponents("eavf", model.gamma_eff, cfg["dt"])
+    exps = SCHEMES["eavf"].exponents(model.gamma_eff, cfg["dt"])
     observer, gaps = make_transformed_gap_observer(model, exps)
     n, horizon = realized_horizon(cfg)
     rec = integrate(
@@ -178,7 +175,7 @@ def burgers_eavf_run():
 @pytest.fixture(scope="session")
 def nls_eavf_run():
     model, u0, cfg = preset_model("nls-paper")
-    exps = exponents("eavf", model.gamma_eff, cfg["dt"])
+    exps = SCHEMES["eavf"].exponents(model.gamma_eff, cfg["dt"])
     observer, gaps = make_transformed_gap_observer(model, exps)
     n, horizon = realized_horizon(cfg)
     rec = integrate(

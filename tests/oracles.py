@@ -1,8 +1,11 @@
-"""Reference implementations that only the tests use."""
+"""Reference implementations and fixtures that only the tests use."""
+from typing import Optional
+
 import numpy as np
 
 from expdg.errors import UnsupportedModelError
-from expdg.system import ConformalModel
+from expdg.spatial import Grid, PeriodicBandedMatrix
+from expdg.system import ConformalModel, polarized_kahan_system, quadratic_field
 
 
 def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -20,3 +23,27 @@ def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.nd
     if model.linear_operator is not None:
         out = out + 0.5 * model.linear_operator.apply(a + b)
     return out
+
+
+def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) -> ConformalModel:
+    """grad_H = 0: the flow is exact exponential decay."""
+    zeros = lambda u: np.zeros_like(u)
+    zero = lambda u: np.zeros(np.shape(u)[:-1])[()]  # H = 0, one value per state
+    model = ConformalModel(
+        name="pure-decay",
+        dim=dim,
+        grid=grid,
+        gamma=gamma_eff,
+        gamma_eff=gamma_eff,
+        apply_S=zeros,
+        grad_H=zeros,
+        hamiltonian=zero,
+        hamiltonian_paper=zero,
+        hamiltonian_rate=None,
+        invariants=(),
+        **quadratic_field(0.0, PeriodicBandedMatrix(dim)),
+        polarized=None,
+        polarized_degree=None,
+        lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
+    )
+    return model

@@ -17,10 +17,10 @@ from expdg.diagnostics import (
     residual_series,
 )
 from expdg.integrators import SchemeSpec
-from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
+from expdg.models import initial_condition, make_model, preset_grid
 
 from conftest import integrate_states, preset_model
-from oracles import kahan_bilinear
+from oracles import kahan_bilinear, pure_decay_model
 
 
 def max_abs_residual(model, rec, name, rate):

@@ -409,6 +409,14 @@ def test_exit_2_parameter_the_model_does_not_read(flag, capsys):
     assert f"{flag[2:]} applies to the " in capsys.readouterr().err
 
 
+def test_a_preset_with_another_model_runs_that_model_at_its_defaults():
+    # the presets hold no model parameters, so the kdv preset's grid and dt carry over to burgers
+    model, _, _ = build_problem(resolve_config("kdv-paper", {"model": "burgers"}, {}))
+    assert model.name == "burgers"
+    model, _, _ = build_problem(resolve_config("kdv-paper", {"model": "nls", "scheme": "lie"}, {}))
+    assert (model.name, model.gamma_eff) == ("nls", 0.5 * PRESETS["kdv-paper"]["gamma"])
+
+
 def test_run_kdv_accepts_theta(tmp_path):
     argv = ["run", "--preset", "kdv-paper", "--scheme", "lie", "--T", "0.018", "--output"]
     assert main(argv + [str(tmp_path / "default.csv")]) == 0

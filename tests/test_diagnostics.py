@@ -15,8 +15,8 @@ from expdg.diagnostics import (
     transformed_polarized_series,
 )
 from expdg.errors import BlowUpError
-from expdg.integrators import SchemeSpec, exponents, integrate
-from expdg.models import initial_condition, make_model, preset_grid, pure_decay_model
+from expdg.integrators import SCHEMES, SchemeSpec, integrate
+from expdg.models import initial_condition, make_model, preset_grid
 from expdg.spatial import build_grid
 
 from conftest import (
@@ -26,6 +26,7 @@ from conftest import (
     preset_model,
     toy_cubic_model,
 )
+from oracles import pure_decay_model
 
 
 # ------------------------------------------------------------ residual series
@@ -109,7 +110,7 @@ def test_transformed_series_matches_recorded_series():
     u0 = initial_condition("burgers", g)
     rec, states = integrate_states(model, SchemeSpec("ek2", 0.009), u0, 0.045)
     series = transformed_polarized_series(
-        model, states, exponents("ek2", model.gamma_eff, 0.009)
+        model, states, SCHEMES["ek2"].exponents(model.gamma_eff, 0.009)
     )
     assert series.tobytes() == rec.polarized_transformed[:-1].tobytes()
 
@@ -121,7 +122,7 @@ def test_transformed_series_matches_recorded_series():
 def test_stacked_pair_diagnostics_equal_each_pair_evaluated_alone(preset, kind):
     model, u0, cfg = preset_model(preset)
     _, states = integrate_states(model, SchemeSpec(kind, cfg["dt"]), u0, 12 * cfg["dt"])
-    exps = exponents(kind, model.gamma_eff, cfg["dt"])
+    exps = SCHEMES[kind].exponents(model.gamma_eff, cfg["dt"])
     (e0, e1, e2), h = exps.factors, model.polarized.evaluate
     pairs = [h(e0 * a, e1 * b) for a, b in zip(states, states[1:])]
     windows = [abs(h(e1 * b, e2 * c) - h(e0 * a, e1 * b)) for a, b, c in zip(states, states[1:], states[2:])]
@@ -136,7 +137,7 @@ def test_stacked_pair_diagnostics_equal_each_pair_evaluated_alone(preset, kind):
 def test_chunked_fixture_observers_equal_the_per_step_loop(preset, kind, make_observer):
     # the observers evaluate chunks of CHUNK = 8 states, so 600 steps span about 100 of them
     model, u0, cfg = preset_model(preset)
-    exps = exponents(kind, model.gamma_eff, cfg["dt"])
+    exps = SCHEMES[kind].exponents(model.gamma_eff, cfg["dt"])
     e0, e1 = exps.factors[:2]
     observer, finish = make_observer(model, exps)
     states = []
@@ -159,20 +160,20 @@ def test_chunked_fixture_observers_equal_the_per_step_loop(preset, kind, make_ob
 def test_transformed_series_requires_polarized_energy():
     model = pure_decay_model(3, 0.1)
     with pytest.raises(ValueError):
-        transformed_polarized_series(model, [np.ones(3), np.ones(3)], exponents("ek2", 0.1, 0.01))
+        transformed_polarized_series(model, [np.ones(3), np.ones(3)], SCHEMES["ek2"].exponents(0.1, 0.01))
 
 
 def test_window_defect_requires_polarized_energy():
     model = pure_decay_model(3, 0.1)
     with pytest.raises(ValueError, match="no polarized energy"):
-        polarized_window_defect(model, [np.ones(3)] * 3, exponents("ek2", 0.1, 0.01))
+        polarized_window_defect(model, [np.ones(3)] * 3, SCHEMES["ek2"].exponents(0.1, 0.01))
 
 
 def test_window_defect_vanishes_for_discrete_gradient_march():
     toy = toy_cubic_model()
     u0 = np.array([0.4, 0.3])
     _, states = integrate_states(toy, SchemeSpec("kahan2_plain", 0.01), u0, 1.0)
-    exps = exponents("kahan2_plain", 0.0, 0.01)
+    exps = SCHEMES["kahan2_plain"].exponents(0.0, 0.01)
     defects = polarized_window_defect(toy, states, exps)
     scale = abs(toy.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-12 * scale
@@ -183,7 +184,7 @@ def test_window_defect_on_nls_lie_march():
     model = make_model("nls", g, gamma=5e-4)
     u0 = initial_condition("nls", g)
     _, states = integrate_states(model, SchemeSpec("lie", 0.001), u0, 0.05)
-    exps = exponents("lie", model.gamma_eff, 0.001)
+    exps = SCHEMES["lie"].exponents(model.gamma_eff, 0.001)
     defects = polarized_window_defect(model, states, exps)
     scale = abs(model.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-12 * scale
@@ -197,7 +198,7 @@ def test_window_defect_on_kdv_lie_march(theta):
     u0 = initial_condition("kdv", g)
     _, states = integrate_states(model, SchemeSpec("lie", 0.009), u0, 0.18)
     assert len(states) == 21
-    defects = polarized_window_defect(model, states, exponents("lie", model.gamma_eff, 0.009))
+    defects = polarized_window_defect(model, states, SCHEMES["lie"].exponents(model.gamma_eff, 0.009))
     scale = abs(model.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-14 * scale
 
@@ -205,7 +206,7 @@ def test_window_defect_on_kdv_lie_march(theta):
 def test_window_defect_needs_two_step_exponents():
     toy = toy_cubic_model()
     with pytest.raises(ValueError):
-        polarized_window_defect(toy, [np.ones(2)] * 3, exponents("cimp", 0.1, 0.01))
+        polarized_window_defect(toy, [np.ones(2)] * 3, SCHEMES["cimp"].exponents(0.1, 0.01))
 
 
 def test_compensated_deviation_on_pure_scaling_series():

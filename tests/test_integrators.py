@@ -13,20 +13,21 @@ import expdg.integrators as integrators
 from expdg.diagnostics import compensated_polarized_deviation
 from expdg.errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from expdg.integrators import (
+    SCHEMES,
     Exponents,
     SchemeSpec,
     bootstrap,
-    exponents,
     integrate,
     step,
     _kahan1_step,
     _kahan2_step,
 )
 from expdg.linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
-from expdg.models import PRESETS, initial_condition, make_model, preset_grid, pure_decay_model
+from expdg.models import PRESETS, initial_condition, make_model, preset_grid
 from expdg.spatial import build_grid
 
 from conftest import dense, integrate_states, preset_model, toy_cubic_model
+from oracles import pure_decay_model
 
 EXPONENTIAL_KINDS = ("cimp", "eavf", "ek1", "ek2", "lie")
 PLAIN_KINDS = ("imidpoint_plain", "avf_plain", "kahan2_plain")
@@ -42,39 +43,45 @@ def burgers(gamma=0.25):
 
 def test_exponents_vanish_without_damping():
     for kind in integrators.SCHEMES:
-        e = exponents(kind, 0.0, 0.009)
+        e = SCHEMES[kind].exponents(0.0, 0.009)
         assert e.x0 == 0.0 and e.x1 == 0.0
         assert e.x2 in (None, 0.0)
 
 
 def test_exponents_one_step_split():
-    e = exponents("cimp", 0.5, 0.009)
+    e = SCHEMES["cimp"].exponents(0.5, 0.009)
     assert e.x0 == pytest.approx(-0.5 * 0.009 / 2.0, rel=1e-15)
     assert e.x1 == -e.x0
     assert e.x2 is None
 
 
 def test_exponents_two_step_split():
-    e = exponents("ek2", 0.5, 0.009)
+    e = SCHEMES["ek2"].exponents(0.5, 0.009)
     assert (e.x0, e.x1, e.x2) == (pytest.approx(-0.0045), 0.0, pytest.approx(0.0045))
 
 
 def test_exponents_nls_preset_magnitudes():
     # gamma_eff = gamma/2 for the Schroedinger split
     gamma_eff = 5e-4 / 2.0
-    assert exponents("eavf", gamma_eff, 0.001).x1 == pytest.approx(1.25e-7, rel=1e-12)
-    assert exponents("lie", gamma_eff, 0.001).x2 == pytest.approx(2.5e-7, rel=1e-12)
+    assert SCHEMES["eavf"].exponents(gamma_eff, 0.001).x1 == pytest.approx(1.25e-7, rel=1e-12)
+    assert SCHEMES["lie"].exponents(gamma_eff, 0.001).x2 == pytest.approx(2.5e-7, rel=1e-12)
 
 
 def test_exponents_plain_kinds_are_identity_weights():
     for kind in PLAIN_KINDS:
-        e = exponents(kind, 0.7, 0.05)
+        e = SCHEMES[kind].exponents(0.7, 0.05)
         assert e.x0 == 0.0 and e.x1 == 0.0
 
 
-def test_exponents_unknown_kind():
-    with pytest.raises(ValueError):
-        exponents("rk4", 0.1, 0.01)
+@pytest.mark.parametrize("kind", sorted(SCHEMES))
+def test_exponents_are_antisymmetric_so_the_first_factor_undoes_the_last(kind):
+    # Scheme.advance rescales a step's result by factors[0] in place of e^{-X_last}
+    presets = [(preset_model(name)[0].gamma_eff, PRESETS[name]["dt"]) for name in PRESETS]
+    for gamma_eff, dt in presets + [(0.0, 0.009), (0.7, 0.05), (1e-9, 1e-4), (3.0, 0.3), (0.1, 1 / 3)]:
+        e = SCHEMES[kind].exponents(gamma_eff, dt)
+        last = e.x1 if e.x2 is None else e.x2
+        assert last == -e.x0
+        assert math.exp(-last) == e.factors[0]
 
 
 @pytest.mark.parametrize(
@@ -148,7 +155,7 @@ def test_cimp_matches_tight_fixed_point_oracle():
     newton = step(model, SchemeSpec("cimp", dt), u0).state
     # the exponential midpoint equation y = a + dt f((a + y)/2), swept by
     # y <- y - residual(y) to 1e-14 relative to the state scale
-    exps = exponents("cimp", model.gamma_eff, dt)
+    exps = SCHEMES["cimp"].exponents(model.gamma_eff, dt)
     at = math.exp(exps.x0) * u0
     y = at.copy()
     for _ in range(500):
@@ -192,7 +199,7 @@ def test_eavf_step_satisfies_chord_average_equation():
     model = make_model("nls", g, gamma=5e-4)
     u0 = initial_condition("nls", g)
     dt = 0.001
-    exps = exponents("eavf", model.gamma_eff, dt)
+    exps = SCHEMES["eavf"].exponents(model.gamma_eff, dt)
     u1 = step(model, SchemeSpec("eavf", dt), u0).state
     at, yt = math.exp(exps.x0) * u0, math.exp(exps.x1) * u1
     xs = np.linspace(0.0, 1.0, 10001)
@@ -241,7 +248,7 @@ def test_avf_newton_matrix_needs_one_jacobian_per_iteration(kind):
 def test_eavf_preserves_transformed_energy_per_step():
     model, u0 = burgers()
     dt = 0.009
-    exps = exponents("eavf", model.gamma_eff, dt)
+    exps = SCHEMES["eavf"].exponents(model.gamma_eff, dt)
     u1 = step(model, SchemeSpec("eavf", dt), u0).state
     gap = abs(
         model.hamiltonian(math.exp(exps.x1) * u1) - model.hamiltonian(math.exp(exps.x0) * u0)
@@ -252,7 +259,7 @@ def test_eavf_preserves_transformed_energy_per_step():
 def test_ek1_matches_dense_assembly_oracle():
     model, u0 = burgers()
     n, dt = model.dim, 0.009
-    exps = exponents("ek1", model.gamma_eff, dt)
+    exps = SCHEMES["ek1"].exponents(model.gamma_eff, dt)
     at = math.exp(exps.x0) * u0
     assert model.linear_operator is None  # Burgers has no linear part L
     L = np.zeros((n, n))
@@ -270,7 +277,7 @@ def test_ek1_on_linear_kdv_is_transformed_trapezoid():
     model = make_model("kdv", g, gamma=0.05, alpha=0.0, rho=-10.0, nu=0.0)
     u0 = initial_condition("kdv", g)
     dt = 0.004
-    exps = exponents("ek1", model.gamma_eff, dt)
+    exps = SCHEMES["ek1"].exponents(model.gamma_eff, dt)
     L = np.zeros((64, 64))
     for d, c in zip(model.linear_operator.offsets, model.linear_operator.coeffs):
         L[np.arange(64), (np.arange(64) + d) % 64] += c
@@ -284,7 +291,7 @@ def test_ek1_on_linear_kdv_is_transformed_trapezoid():
 def test_ek1_step_is_self_adjoint():
     model, u0 = burgers()
     dt = 0.009
-    exps = exponents("ek1", model.gamma_eff, dt)
+    exps = SCHEMES["ek1"].exponents(model.gamma_eff, dt)
     forward = step(model, SchemeSpec("ek1", dt), u0).state
     # SchemeSpec rejects dt <= 0, so the reverse step calls the kernel, which
     # maps the rescaled e^{x1} u^1 back to e^{x0} u^0
@@ -312,7 +319,7 @@ def test_ek2_step_is_self_adjoint():
     spec = SchemeSpec("ek2", dt)
     u1 = bootstrap(model, u0, spec).state
     u2 = step(model, spec, u0, u1).state
-    exps = exponents("ek2", model.gamma_eff, dt)
+    exps = SCHEMES["ek2"].exponents(model.gamma_eff, dt)
     # on rescaled states the reverse step maps (e^{x2} u^2, e^{x1} u^1) to e^{x0} u^0
     back, _, _ = _kahan2_step(model, math.exp(exps.x2) * u2, math.exp(exps.x1) * u1, -dt, 0.0)
     assert np.max(np.abs(math.exp(-exps.x0) * back - u0)) <= 1e-12 * np.max(np.abs(u0))
@@ -337,7 +344,7 @@ def test_lie_marching_is_reversible_through_the_builder():
     spec = SchemeSpec("lie", dt)
     u1 = bootstrap(model, u0, spec).state
     u2 = step(model, spec, u0, u1).state
-    exps = exponents("lie", model.gamma_eff, dt)
+    exps = SCHEMES["lie"].exponents(model.gamma_eff, dt)
     # the builder takes rescaled states: (e^{x2} u^2, e^{x1} u^1) -> e^{x0} u^0
     mat, rhs, decode = model.lie_system_builder(math.exp(exps.x2) * u2, math.exp(exps.x1) * u1, -dt)
     back = math.exp(-exps.x0) * decode(solve_periodic_banded(mat, rhs))
@@ -425,7 +432,7 @@ def test_two_step_kahan_keeps_the_polarized_energy_at_a_constant_step(h):
 
 def _compensated_drift_from(model, kind, u0, u1, dt, n_steps):
     """Criterion 05's compensated polarized drift of a two-step march started from the pair (u0, u1)."""
-    exps = exponents(kind, model.gamma_eff, dt)
+    exps = SCHEMES[kind].exponents(model.gamma_eff, dt)
     e0, e1 = exps.factors[:2]
     spec = SchemeSpec(kind, dt)
     window, w = (u0, u1), [model.polarized.evaluate(e0 * u0, e1 * u1)]
@@ -527,7 +534,7 @@ def test_halved_exponents_break_the_mass_rate():
     u1 = bootstrap(model, u0, spec).state
     rate = 2.0 * model.gamma_eff * dt
 
-    good = step(model, spec, u0, u1, exps=exponents("ek2", model.gamma_eff, dt)).state
+    good = step(model, spec, u0, u1, exps=SCHEMES["ek2"].exponents(model.gamma_eff, dt)).state
     residual = math.log(np.sum(good) / np.sum(u0)) + rate
     assert abs(residual) <= 1e-12
 
@@ -612,7 +619,7 @@ def test_recorded_series_equal_the_model_on_the_stored_states(preset, kind):
     if not integrators.SCHEMES[kind].two_step:
         assert rec.polarized_transformed is None
         return
-    e0, e1 = exponents(kind, model.gamma_eff, cfg["dt"]).factors[:2]
+    e0, e1 = SCHEMES[kind].exponents(model.gamma_eff, cfg["dt"]).factors[:2]
     pairs = [model.polarized.evaluate(e0 * a, e1 * b) for a, b in zip(states, states[1:])]
     assert bitwise_equal(rec.polarized_transformed, pairs + [math.nan])
 
@@ -653,7 +660,7 @@ def test_predicted_steps_take_one_iteration_fewer_and_stay_within_tolerance_of_s
     # steps 1-2 start from u^n, the 198 after them from the extrapolation
     assert rec.newton_iterations[-1] == rec.linear_solves[-1] == 2 * unpredicted + 198 * (unpredicted - 1)
     assert np.diff(rec.newton_iterations).tolist() == [unpredicted] * 2 + [unpredicted - 1] * 198
-    e0, e1 = exponents(kind, model.gamma_eff, spec.dt).factors
+    e0, e1 = SCHEMES[kind].exponents(model.gamma_eff, spec.dt).factors
     for n, (a, b) in enumerate(zip(states, states[1:])):
         alone = step(model, spec, a).state
         if n < 2:
@@ -673,7 +680,7 @@ def test_the_newton_guess_is_the_rescaled_quadratic_extrapolation(monkeypatch):
 
     monkeypatch.setattr(integrators, "newton_solve", spy)
     _, states = integrate_states(model, spec, u0, 6 * spec.dt)
-    e0, e1 = exponents("cimp", model.gamma_eff, spec.dt).factors
+    e0, e1 = SCHEMES["cimp"].exponents(model.gamma_eff, spec.dt).factors
     assert len(guesses) == 6
     for n, guess in enumerate(guesses):
         want = e0 * states[n] if n < 2 else e1 * (3.0 * (states[n] - states[n - 1]) + states[n - 2])
@@ -797,7 +804,7 @@ def per_state_series(model, kind, dt, states, steps):
 
     states holds u^0 .. u^N of the march; a step without a successor there gets a NaN polarized value.
     """
-    e0, e1 = exponents(kind, model.gamma_eff, dt).factors[:2]
+    e0, e1 = SCHEMES[kind].exponents(model.gamma_eff, dt).factors[:2]
     series = {inv.name: [inv.evaluate(states[n]) for n in steps] for inv in model.invariants}
     series["H_paper"] = [model.hamiltonian_paper(states[n]) for n in steps]
     series["polarized"] = [

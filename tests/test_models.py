@@ -13,12 +13,12 @@ from expdg.models import (
     initial_condition,
     make_model,
     preset_grid,
-    pure_decay_model,
 )
 from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
 from expdg.system import vector_field
 
 from conftest import dense, evaluate_invariants, toy_cubic_model, two_field_dense
+from oracles import pure_decay_model
 
 
 def test_initial_profiles_at_origin():
@@ -275,12 +275,13 @@ def test_preset_tables():
     assert (bp["gamma"], bp["L"], bp["M"], bp["dt"], bp["T"]) == (0.25, math.pi, 80, 0.009, 50.0)
 
     kp = PRESETS["kdv-paper"]
-    assert (kp["alpha"], kp["rho"], kp["nu"], kp["gamma"]) == (-0.375, -10.0, -1e-5, 1e-2)
+    kd = MODELS["kdv"].defaults  # the presets run each model at its parameter defaults
+    assert (kd["alpha"], kd["rho"], kd["nu"], kp["gamma"]) == (-0.375, -10.0, -1e-5, 1e-2)
     assert (kp["L"], kp["M"], kp["dt"], kp["T"]) == (10.0, 248, 0.009, 50.0)
 
     np_ = PRESETS["nls-paper"]
     assert (np_["model"], np_["scheme"]) == ("nls", "lie")
-    assert (np_["alpha"], np_["gamma"], np_["L"], np_["M"]) == (2.0, 5e-4, 25.0, 1024)
+    assert (MODELS["nls"].defaults["alpha"], np_["gamma"], np_["L"], np_["M"]) == (2.0, 5e-4, 25.0, 1024)
     assert (np_["dt"], np_["T"]) == (0.001, 10.0)
 
     assert preset_grid("burgers-paper").spacing == pytest.approx(math.pi / 40.0)

@@ -80,7 +80,7 @@ def _library_case(preset, kind, variant, steps):
     cfg = models.PRESETS[preset]
     grid = build_grid(cfg["L"], cfg["M"])
     try:
-        model = models.make_model(cfg["model"], grid, cfg["gamma"], cfg.get("alpha"), cfg.get("rho"), cfg.get("nu"))
+        model = models.make_model(cfg["model"], grid, cfg["gamma"])
         spec = integrators.SchemeSpec(kind, cfg["dt"], scheme_variant=variant)
         states = []
         rec = integrators.integrate(

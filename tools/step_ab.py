@@ -74,7 +74,7 @@ class March:
         self.integrators = integrators
         cfg = models.PRESETS[preset]
         grid = models.preset_grid(preset)
-        model = models.make_model(cfg["model"], grid, cfg["gamma"], cfg.get("alpha"), cfg.get("rho"), cfg.get("nu"))
+        model = models.make_model(cfg["model"], grid, cfg["gamma"])
         spec = integrators.SchemeSpec(kind, cfg["dt"])
         u0 = models.initial_condition(cfg["model"], grid)
         scheme = integrators.SCHEMES[kind]
