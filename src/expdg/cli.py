@@ -6,11 +6,13 @@ fields of `RunConfig`: every config key is also a flag, with ``_`` written
 as ``-`` (``record_every`` is ``--record-every``), and ``-o`` is short for
 ``--output``; ``expdg run --help`` lists them.  Resolution order is
 preset < config file < command-line flags.  Exit codes: 0 success,
-2 configuration problem, 3 solver non-convergence or a singular linear
+2 configuration problem (among them an unwritable output and a horizon
+T/dt that overflows), 3 solver non-convergence or a singular linear
 system, 4 numeric blow-up.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -125,6 +127,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"dt must be positive, got {cfg.dt}")
     if cfg.T <= 0 or not math.isfinite(cfg.T):
         raise ConfigError(f"T must be positive, got {cfg.T}")
+    try:
+        integrators.step_count(cfg.T, cfg.dt)  # T/dt must count its steps
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {cfg.record_every}")
     if cfg.newton_tol <= 0 or not math.isfinite(cfg.newton_tol) or cfg.newton_max_iter < 1:
@@ -167,7 +173,7 @@ def _fmt(value) -> str:
 
 def _residual_columns(model, record):
     """Residual series per diagnostic quantity, aligned to arrival rows."""
-    gaps = diagnostics.interval_widths(record.times)
+    gaps = np.diff(record.times)
     cols = {}
     for inv in model.invariants:
         series = record.invariant_series[inv.name]
@@ -225,23 +231,25 @@ def _config_file_values(args) -> dict:
         raise ConfigError(f"cannot read config file: {exc}") from None
 
 
+def _sink(output):
+    """The CSV stream, stdout for None or '-'; opened after the march, so a failed run writes no file."""
+    if output is None or output == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def cmd_run(args) -> int:
     cfg = resolve_config(args.preset, _config_file_values(args), _flag_values(args))
     model, u0, spec = build_problem(cfg)
     n_steps, realized, exact = _realized_horizon(cfg)
     print(f"model={cfg.model} scheme={cfg.scheme} dt={cfg.dt!r} n_steps={n_steps}", file=sys.stderr)
-    if exact:
-        print(f"realized_T={realized!r}", file=sys.stderr)
-    else:
-        print(f"realized_T={realized!r} (requested T={cfg.T!r})", file=sys.stderr)
-    record = integrators.integrate(
-        model, spec, u0, realized, record_every=cfg.record_every
-    )
-    if cfg.output is None or cfg.output == "-":
-        write_run_csv(sys.stdout, model, record)
-    else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            write_run_csv(fh, model, record)
+    print(f"realized_T={realized!r}" + ("" if exact else f" (requested T={cfg.T!r})"), file=sys.stderr)
+    record = integrators.integrate(model, spec, u0, realized, record_every=cfg.record_every)
+    with _sink(cfg.output) as out:
+        write_run_csv(out, model, record)
     print(f"wall_clock_seconds={record.wall_clock_seconds!r}", file=sys.stderr)
     return 0
 
@@ -281,15 +289,9 @@ def cmd_compare(args) -> int:
     header = ["scheme", "status"]
     header += ["max_R_" + name for name in inv_names]
     header += ["final_H_paper", "wall_clock_seconds", "newton_iters", "linear_solves"]
-    text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
-    if cfg.output is None or cfg.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    if len(failures) == len(schemes):
-        return failures[0]
-    return 0
+    with _sink(cfg.output) as out:
+        out.write(",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows))
+    return failures[0] if len(failures) == len(schemes) else 0
 
 
 def _flag_values(args) -> dict:

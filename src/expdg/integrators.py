@@ -218,7 +218,14 @@ _BATCH_BYTES = 1 << 16
 
 
 def step_count(T: float, dt: float) -> tuple[int, bool]:
-    """The number n of steps dt nearest to the horizon T, and whether n*dt is T to 1e-9 relative."""
+    """The number n of steps dt nearest to the horizon T, and whether n*dt is T to 1e-9 relative.
+
+    The one horizon check: T must be finite and >= 0, and T/dt finite.
+    """
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and >= 0, got {T}")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T must be finite and >= 0 with T/dt finite, got T={T}, dt={dt}")
     n = int(round(T / dt))
     return n, abs(n * dt - T) <= 1e-9 * max(abs(T), dt)
 
@@ -233,7 +240,7 @@ def integrate(
 ):
     """March u0 over [0, T] with the scheme in `spec`; returns a RunRecord.
 
-    T must be an integer multiple of spec.dt to within 1e-9 relative.  The
+    T must be finite, >= 0 and an integer multiple of spec.dt to within 1e-9 relative.  The
     initial state, every record_every-th step, and the final step are
     recorded.  From step 3 on, a Newton kind starts from 3u^n - 3u^{n-1} + u^{n-2}, so a
     marched step differs from `step` on the same state by at most the Newton tolerance.

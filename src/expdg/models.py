@@ -144,11 +144,13 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     """i psi_t = -psi_xx - alpha |psi|^2 psi - i (gamma/2) psi, psi = u + i v.
 
     State is the stacked real pair (u; v) of length 2M.  The effective
-    damping rate is gamma/2.  The Jacobian is a TwoFieldMatrix: its u-block
-    is diagonal, so a Newton system is solved by eliminating u and solving
-    one M x M periodic pentadiagonal Schur complement for v.  The polarized
-    energy has theta = 1: the lie system below is the discrete gradient of
-    that polarization only.
+    damping rate is gamma/2.  With the gradient g = D2 psi + alpha |psi|^2 psi
+    of the halves and the rotation J (g_u; g_v) = (-g_v; g_u), the field is
+    J g, grad_H = dx g and S = J/dx.  The Jacobian is a TwoFieldMatrix: its
+    u-block is diagonal, so a Newton system is solved by eliminating u and
+    solving one M x M periodic pentadiagonal Schur complement for v.  The
+    polarized energy has theta = 1: the lie system below is the discrete
+    gradient of that polarization only.
     """
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
@@ -156,39 +158,39 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     lie_d2 = -0.5j * d2
     ghat = 0.5 * gamma
 
-    def split(x):
-        return x[..., :m], x[..., m:]
-
     def halves(x):  # x as its stacked halves (..., 2, M): one `apply` serves both
         return x.reshape(*x.shape[:-1], 2, m)
 
+    def modulus(h):  # |psi|^2 = u u + v v of the stacked halves h
+        return h[..., 0, :] * h[..., 0, :] + h[..., 1, :] * h[..., 1, :]
+
+    def gradient(h):  # g = D2 psi + alpha |psi|^2 psi on the stacked halves
+        return d2.apply(h) + alpha * modulus(h)[..., None, :] * h
+
+    def rotate(g):  # J g = (-g_v; g_u), from the stacked halves to a state
+        return np.concatenate([-g[..., 1, :], g[..., 0, :]], axis=-1)
+
     def conservative_field(x):
-        u, v = split(x)
-        mod = u * u + v * v
-        return np.concatenate([-d2.apply(v) - alpha * mod * v, d2.apply(u) + alpha * mod * u])
+        return rotate(gradient(halves(x)))
 
     def grad_h(x):
-        u, v = split(x)
-        mod = u * u + v * v
-        return dx * np.concatenate([alpha * mod * u + d2.apply(u), alpha * mod * v + d2.apply(v)])
+        return dx * gradient(halves(x)).reshape(x.shape)
 
     def apply_s(g):
-        gu, gv = split(g)
-        return np.concatenate([-gv, gu]) / dx
+        return rotate(halves(g)) / dx
 
     def hamiltonian(x):
-        u, v = split(x)
-        mod = u * u + v * v
+        mod = modulus(halves(x))
         quart = alpha / 4.0 * (mod * mod).sum(axis=-1)
         deriv = dot(halves(x), d2.apply(halves(x)))  # (u . D2 u, v . D2 v)
         return dx * (quart + 0.5 * (deriv[..., 0] + deriv[..., 1]))
 
-    def jacobian_rows(u, v):
-        mod = u * u + v * v
+    def jacobian_rows(h):
+        u, v, mod = h[..., 0, :], h[..., 1, :], modulus(h)
         return np.array([2.0 * alpha * u * v, alpha * (mod + 2.0 * u * u), alpha * (mod + 2.0 * v * v)])
 
     def jacobian_conservative(x):
-        return TwoFieldMatrix(jacobian_rows(*split(x)), *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)
+        return TwoFieldMatrix(jacobian_rows(halves(x)), *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)
 
     # the chord means average the cubic part over the two Gauss nodes xi_k on [0, 1], which is exact
     # for it; the D2 part is linear, so its means are D2 at the midpoint and D2/2 in the Jacobian
@@ -200,34 +202,28 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
 
     def chord_average(a, y):
         x = at_gauss_nodes(a, y)
-        cubic = (0.5 * alpha) * ((x * x).sum(axis=1, keepdims=True) * x).sum(axis=0)
-        u, v = d2.apply((0.5 * (a + y)).reshape(2, m)) + cubic
-        return np.concatenate([-v, u])
+        cubic = (0.5 * alpha) * (modulus(x)[:, None] * x).sum(axis=0)
+        return rotate(d2.apply(halves(0.5 * (a + y))) + cubic)
 
     def chord_jacobian(a, y):
-        x = at_gauss_nodes(a, y)
-        rows = (jacobian_rows(x[:, 0], x[:, 1]) * (0.5 * gauss)).sum(axis=1)
+        rows = (jacobian_rows(at_gauss_nodes(a, y)) * (0.5 * gauss)).sum(axis=1)
         return TwoFieldMatrix(rows, *(0.5 * d2.coeffs[:2]))
 
     form = polarize_quadratic_form(lambda z: dx * d2.apply(halves(z)).reshape(z.shape), 1.0)
 
     def pol_eval(a, b):
-        ua, va = split(a)
-        ub, vb = split(b)
-        quart = alpha / 4.0 * dx * ((ua * ua + va * va) * (ub * ub + vb * vb)).sum(axis=-1)
+        quart = alpha / 4.0 * dx * (modulus(halves(a)) * modulus(halves(b))).sum(axis=-1)
         return quart + form.evaluate(a, b)
 
     def pol_pdg(a, b, c):
-        ub, vb = split(b)
-        mod_b = ub * ub + vb * vb
+        mod_b = modulus(halves(b))
         quart = alpha / 2.0 * dx * np.concatenate([mod_b, mod_b]) * (a + c)
         return quart + form.pdg(a, b, c)
 
     def pol_eval_printed(a, b):
         # literal transcription of the displayed polarized Hamiltonian; the
         # derivative pieces integrate to zero on the periodic grid
-        ua, va = split(a)
-        ub, vb = split(b)
+        ua, va, ub, vb = a[..., :m], a[..., m:], b[..., :m], b[..., m:]
         poly = alpha / 4.0 * (ua * ua * ub * ub + va * va * ub * ub + ua * va + ub * vb)
         deriv = -0.5 * d1.apply(ua * ua + ub * ub) - 0.5 * d1.apply(va * va + vb * vb)
         return dx * (poly + deriv).sum(axis=-1)
@@ -237,8 +233,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         # with its rows written in place.  Adding the matrix times z_a to both sides leaves the right-hand side
         # 2h z_a, formed part by part in real arithmetic: the system is solved for w = z + z_a, and decode writes
         # (w.real - u_a, w.imag - v_a) into one 2M array
-        ub, vb = split(b)
-        h, k = 1.0 / (2.0 * dt), 0.5 * alpha * (ub * ub + vb * vb)
+        h, k = 1.0 / (2.0 * dt), 0.5 * alpha * modulus(halves(b))
         rows = lie_d2.coeffs[:, None].repeat(m, axis=1)
         rows[1].real, rows[1].imag = h, lie_d2.coeffs[1].imag - k
         rhs = np.empty(m, complex)
@@ -254,7 +249,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         return PeriodicBandedMatrix(m, lie_d2.offsets, rows), rhs, decode
 
     def mass(x):
-        u, v = split(x)
+        u, v = x[..., :m], x[..., m:]
         return dx * ((u * u).sum(axis=-1) + (v * v).sum(axis=-1))
 
     def momentum(x):

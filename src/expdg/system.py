@@ -122,7 +122,7 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
     """
     offsets = sorted({0, *stencil.offsets, *(() if linear is None else linear.offsets)})
     band = PeriodicBandedMatrix(stencil.size, offsets, np.zeros(len(offsets)))
-    scaled, doubled = band + scale * stencil, band + (2 * scale) * stencil
+    scaled = band + scale * stencil
     third = (scale / 3.0) * stencil
     banded = None if linear is None else band + linear
 
@@ -134,7 +134,7 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
         return out if linear is None else out + linear.apply(u)
 
     def jacobian_conservative(u):
-        jac = doubled.scale_columns(u)
+        jac = scaled.scale_columns(2.0 * u)  # exact: scaling by 2 rounds nothing
         return jac if linear is None else jac + banded
 
     def chord_average(a, y):

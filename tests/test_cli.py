@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import expdg
 import expdg.integrators as integrators
 from expdg.cli import (
     RunConfig,
@@ -424,9 +428,37 @@ def test_run_kdv_accepts_theta(tmp_path):
     assert (tmp_path / "default.csv").read_text() != (tmp_path / "quarter.csv").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--T", "0.018", "-o", "missing/out.csv"],
+        ["compare", "--schemes", "ek1,ek2", "--T", "0.018", "-o", "missing/out.csv"],
+        ["run", "--T", "1e308"],
+        ["compare", "--schemes", "ek1", "--T", "1e308"],
+        ["run", "--dt", "1e-320"],
+    ],
+    ids=["run-unwritable-output", "compare-unwritable-output", "run-T-1e308", "compare-T-1e308", "run-dt-1e-320"],
+)
+def test_exit_2_without_traceback_for_an_unwritable_output_or_a_horizon_beyond_counting(argv, tmp_path):
+    # in a fresh interpreter, as the installed command runs: an uncaught error would print a traceback, exit 1
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(expdg.__file__)))
+    cmd = [sys.executable, "-m", "expdg.cli", argv[0], "--preset", "burgers-paper", *argv[1:]]
+    run = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines()[-1].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_3_nonconvergence(capsys):
     assert main(["run"] + STARVED) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_failed_run_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["run"] + STARVED + ["-o", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_exit_4_blow_up(monkeypatch, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from expdg.diagnostics import (
     compensated_polarized_deviation,
-    interval_widths,
     l2_distance,
     observed_order,
     polarized_window_defect,
@@ -68,7 +67,7 @@ def test_residual_accepts_per_interval_widths():
     lam = 0.5
     times = np.array([0.0, 0.1, 0.2, 0.26])  # trailing short interval
     vals = 2.0 * np.exp(-lam * times)
-    r = residual_series(vals, lam, interval_widths(times))
+    r = residual_series(vals, lam, np.diff(times))
     assert np.max(np.abs(r)) <= 1e-14
     # a scalar dt would misjudge the short interval
     r_bad = residual_series(vals, lam, 0.1)
@@ -80,10 +79,6 @@ def test_residual_input_validation():
         residual_series([1.0], 0.1, 0.01)
     with pytest.raises(ValueError):
         residual_series(np.ones((3, 2)), 0.1, 0.01)
-
-
-def test_interval_widths():
-    assert np.allclose(interval_widths([0.0, 0.09, 0.18, 0.23]), [0.09, 0.09, 0.05])
 
 
 # ------------------------------------------------------------------ distances
@@ -368,7 +363,7 @@ def test_rec_every_keeps_roughly_fifty_rows():
 def drift_stats(model, rec, name):
     lam = next(inv.exact_rate for inv in model.invariants if inv.name == name)
     times = np.asarray(rec.times)
-    r = residual_series(rec.invariant_series[name], lam, interval_widths(times))
+    r = residual_series(rec.invariant_series[name], lam, np.diff(times))
     ok = np.isfinite(r)
     assert ok.sum() >= 3
     slope = np.polyfit(times[1:][ok], r[ok], 1)[0]

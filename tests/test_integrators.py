@@ -567,6 +567,14 @@ def test_integrate_rejects_bad_cadence():
         integrate(model, SchemeSpec("ek2", 0.009), u0, 0.09, record_every=0)
 
 
+@pytest.mark.parametrize("T", [-0.9, math.nan, math.inf, 1e308], ids=["negative", "nan", "inf", "T/dt-overflows"])
+def test_integrate_refuses_a_negative_or_non_finite_horizon(T):
+    # -0.9 rounds to -100 whole steps of 0.009, and 1e308 / 0.009 overflows to inf
+    model, u0 = burgers()
+    with pytest.raises(ValueError, match=re.escape("T must be finite and >= 0")):
+        integrate(model, SchemeSpec("ek2", 0.009), u0, T)
+
+
 @pytest.mark.parametrize("shape", [(79,), (80, 1)])
 def test_integrate_rejects_a_wrongly_shaped_initial_state(shape):
     model, _ = burgers()

@@ -13,15 +13,18 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps.
+long horizon, not only over 20 steps. Two bad-input cases run only `expdg
+run`: an output under a missing directory, and --T 1e308, whose T/dt
+overflows.
 Per case the table gives:
 
     states   bitwise, or the max relative difference of the recorded states and
              the final state, or the error types
     series   the same for the recorded invariants, H_paper and polarized column
     newton/solves  the final Newton and linear-solve counts of each tree
-    exit     the exit codes of `expdg run` at each cadence, with the other
-             tree's after a | where they differ
+    exit     the exit codes of `expdg run` at each cadence, or the type of the
+             error it let escape, with the other tree's after a | where
+             they differ
     csv      whether the CSVs of both cadences are byte-equal; below a DIFF
              row, each cadence whose CSV differs lists the columns that
              differ with their largest absolute and relative difference
@@ -58,6 +61,12 @@ STEPS = 20
 # about 1 MB of states, three or more batches of up to 256 KiB
 LONG_STEPS = {"burgers-paper": 1500, "kdv-paper": 500, "nls-paper": 60}
 CADENCES = (1, 7)  # record_every of the `expdg run` cases
+# case -> argv of an `expdg run` on bad input, run in the tree's output directory; no library run
+BAD_INPUTS = {
+    "burgers-paper/unwritable output": ["run", "--preset", "burgers-paper", "--T", "0.018",
+                                        "--output", "missing/out.csv"],
+    "burgers-paper/T 1e308": ["run", "--preset", "burgers-paper", "--T", "1e308", "--output", "t1e308.csv"],
+}
 
 
 def _cases():
@@ -97,17 +106,27 @@ def _library_case(preset, kind, variant, steps):
     return {"error": None, "counters": counters}, arrays
 
 
-def _cli_case(preset, kind, variant, steps, record_every, csv_path):
-    from expdg import cli, models
+def _cli_argv(preset, kind, variant, steps, record_every, csv_path):
+    from expdg import models
 
-    argv = [
+    return [
         "run", "--preset", preset, "--scheme", kind, "--scheme-variant", variant,
         "--T", repr(steps * models.PRESETS[preset]["dt"]), "--record-every", str(record_every),
         "--output", csv_path,
     ]
+
+
+def _cli_case(argv):
+    """Exit code (or the type of the error that escaped), stderr lines and CSV bytes of one `expdg` run."""
+    from expdg import cli
+
+    csv_path = argv[argv.index("--output") + 1]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # the error type is the result of the case
+            code = type(exc).__name__
     lines = [ln for ln in err.getvalue().splitlines() if not ln.startswith("wall_clock_seconds=")]
     csv = open(csv_path, "rb").read().hex() if os.path.exists(csv_path) else None
     return {"exit": code, "stderr": lines, "csv": csv}
@@ -125,8 +144,10 @@ def dump(out_dir):
         cli = []
         for every in CADENCES:
             csv_path = os.path.join(out_dir, f"{case.replace('/', '_').replace(' ', '_')}_every{every}.csv")
-            cli.append(_cli_case(preset, kind, variant, steps, every, csv_path))
+            cli.append(_cli_case(_cli_argv(preset, kind, variant, steps, every, csv_path)))
         results[case] = {"lib": lib, "cli": cli}
+    for case, argv in BAD_INPUTS.items():
+        results[case] = {"lib": None, "cli": [_cli_case(argv)]}
     with open(os.path.join(out_dir, "cases.json"), "w") as fh:
         json.dump(results, fh)
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
@@ -204,7 +225,10 @@ def compare(parent, change) -> bool:
     for case, p in cases_p.items():
         c = cases_c[case]
         lib_p, lib_c = p["lib"], c["lib"]
-        if lib_p["error"] or lib_c["error"]:
+        if lib_p is None:  # a bad-input case: no library run
+            equal, lib = True, "-"
+            recorded = counters = "-"
+        elif lib_p["error"] or lib_c["error"]:
             equal = lib_p["error"] == lib_c["error"]
             lib = lib_p["error"] if equal else f"{lib_p['error']}|{lib_c['error']}"
             recorded = counters = "-"
