@@ -12,15 +12,8 @@ from .spatial import Grid, build_grid, derivative_operator, quadrature
 from .linalg import NonlinearSolveSettings, PeriodicBandedMatrix, newton_solve, solve_periodic_banded
 from .system import ConformalModel, Invariant, PolarizedEnergy
 from .models import PRESETS, initial_condition, make_model
-from .integrators import Exponents, SchemeSpec, StepResult, integrate
-from .diagnostics import (
-    OrderFit,
-    RunRecord,
-    observed_order,
-    reference_solve,
-    residual_series,
-    transformed_polarized_series,
-)
+from .integrators import Exponents, RunRecord, SchemeSpec, StepResult, integrate
+from .diagnostics import OrderFit, observed_order, reference_solve, residual_series
 
 __version__ = "0.1.0"
 
@@ -54,6 +47,5 @@ __all__ = [
     "reference_solve",
     "residual_series",
     "solve_periodic_banded",
-    "transformed_polarized_series",
     "__version__",
 ]

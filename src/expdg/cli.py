@@ -6,9 +6,10 @@ fields of `RunConfig`: every config key is also a flag, with ``_`` written
 as ``-`` (``record_every`` is ``--record-every``), and ``-o`` is short for
 ``--output``; ``expdg run --help`` lists them.  Resolution order is
 preset < config file < command-line flags.  Exit codes: 0 success,
-2 configuration problem (among them an unwritable output and a horizon
-T/dt that overflows), 3 solver non-convergence or a singular linear
-system, 4 numeric blow-up.
+2 configuration problem (among them an unwritable output, a horizon T/dt
+that overflows or exceeds int64, and damping whose prefactors e^X
+overflow), 3 solver non-convergence or a singular linear system,
+4 numeric blow-up.
 """
 
 import argparse
@@ -145,6 +146,7 @@ def build_problem(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
     try:
         model = models.make_model(cfg.model, grid, cfg.gamma, cfg.alpha, cfg.rho, cfg.nu, cfg.theta)
+        integrators.SCHEMES[cfg.scheme].exponents(model.gamma_eff, cfg.dt)  # refuses prefactors that overflow
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     variant = cfg.scheme_variant
@@ -181,9 +183,9 @@ def _residual_columns(model, record):
     cols["R_H_paper_gamma"] = diagnostics.residual_series(
         record.hamiltonian_paper, model.gamma, gaps
     )
-    if model.hamiltonian_rate is not None:
+    if model.degree is not None:
         cols["R_H_derived"] = diagnostics.residual_series(
-            record.hamiltonian_paper, model.hamiltonian_rate, gaps
+            record.hamiltonian_paper, model.degree * model.gamma_eff, gaps
         )
     return cols
 

@@ -12,40 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError
 from .linalg import NonlinearSolveSettings
 from . import integrators
+from .integrators import RunRecord  # re-exported: callers and tools read it here
 from .system import ConformalModel, vector_field
-
-
-@dataclass
-class RunRecord:
-    """Time series captured while a scheme marches a model, one entry per recorded step.
-
-    polarized_transformed (two-step kinds) is H~(e^{x0} u^n, e^{x1} u^{n+1}), NaN where u^{n+1}
-    was not made.  The states are not kept: `integrate` hands each one to its observer.
-    newton_iterations and linear_solves are cumulative counts over the
-    marching loop; the two-step bootstrap's solver work is excluded (it is
-    charged to wall_clock_seconds only).
-    """
-
-    scheme_kind: str
-    dt: float
-    steps: np.ndarray
-    times: np.ndarray
-    invariant_series: dict
-    hamiltonian_paper: np.ndarray
-    polarized_transformed: Optional[np.ndarray]
-    newton_iterations: np.ndarray
-    linear_solves: np.ndarray
-    final_state: np.ndarray
-    n_steps: int
-    realized_time: float
-    wall_clock_seconds: float
 
 
 def residual_series(values, rate, dt):
@@ -72,15 +47,6 @@ def l2_distance(model: ConformalModel, a, b) -> float:
     return math.sqrt(dx * float(np.dot(d, d)))
 
 
-def transformed_polarized_series(model, states, exps) -> np.ndarray:
-    """H~(e^{x0} u^n, e^{x1} u^{n+1}) over consecutive pairs of states, evaluated on them stacked."""
-    if model.polarized is None:
-        raise ValueError(f"model {model.name} has no polarized energy")
-    e0, e1 = exps.factors[:2]
-    u = np.stack(states)
-    return model.polarized.evaluate(e0 * u[:-1], e1 * u[1:])
-
-
 def polarized_window_defect(model, states, exps) -> np.ndarray:
     """|H~(b_t, c_t) - H~(a_t, b_t)| per sliding window, each side evaluated on the stacked windows.
 
@@ -103,13 +69,13 @@ def compensated_polarized_deviation(model, series, dt) -> float:
     Only defined when every polarized term has the same homogeneity degree;
     mixed-degree models (KdV, NLS) have no single compensation rate.
     """
-    if model.polarized_degree is None:
+    if model.degree is None:
         raise ValueError(f"model {model.name} has no homogeneous polarized degree")
     w = np.asarray(series, dtype=float)
     n = np.flatnonzero(np.isfinite(w))  # each finite value keeps its own time n dt
     if n.size < 2:
         raise ValueError("need at least two finite polarized values")
-    rate = model.polarized_degree * model.gamma_eff
+    rate = model.degree * model.gamma_eff
     comp = w[n] * np.exp(rate * dt * n)
     return float(np.max(np.abs(comp - comp[0])) / abs(comp[0]))
 

@@ -157,11 +157,17 @@ class Scheme:
     bootstrap: Optional["Scheme"] = None
 
     def exponents(self, gamma_eff: float, dt: float) -> Exponents:
+        """The row's exponents at (gamma_eff, dt); ValueError when a prefactor e^{X} overflows."""
         if not self.exponential:
             return Exponents(0.0, 0.0, 0.0 if self.two_step else None)
-        if self.two_step:
-            return Exponents(-gamma_eff * dt, 0.0, gamma_eff * dt)
-        return Exponents(-gamma_eff * dt / 2.0, gamma_eff * dt / 2.0)
+        g = gamma_eff * dt
+        exps = Exponents(-g, 0.0, g) if self.two_step else Exponents(-g / 2.0, g / 2.0)
+        try:
+            if all(map(math.isfinite, exps.factors)):
+                return exps
+        except OverflowError:  # math.exp raises on a finite overflow, and returns inf for inf
+            pass
+        raise ValueError(f"the prefactors e^X overflow at gamma_eff*dt = {g!r}")
 
     def advance(self, model, spec, window, exps=None, guess=None) -> StepResult:
         if len(window) != 1 + self.two_step:
@@ -212,21 +218,51 @@ def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
     return companion.advance(model, replace(spec, solver=solver), (u0,))
 
 
+@dataclass
+class RunRecord:
+    """Time series captured while a scheme marches a model, one entry per recorded step.
+
+    polarized_transformed (two-step kinds) is H~(e^{x0} u^n, e^{x1} u^{n+1}), NaN where u^{n+1}
+    was not made.  The states are not kept: `integrate` hands each one to its observer.
+    newton_iterations and linear_solves are cumulative counts over the
+    marching loop; the two-step bootstrap's solver work is excluded (it is
+    charged to wall_clock_seconds only).
+    """
+
+    scheme_kind: str
+    dt: float
+    steps: np.ndarray
+    times: np.ndarray
+    invariant_series: dict
+    hamiltonian_paper: np.ndarray
+    polarized_transformed: Optional[np.ndarray]
+    newton_iterations: np.ndarray
+    linear_solves: np.ndarray
+    final_state: np.ndarray
+    n_steps: int
+    realized_time: float
+    wall_clock_seconds: float
+
+
 # bytes of recorded states that integrate holds before it evaluates their
 # series, one call per series: no call is handed more states than fit in it
 _BATCH_BYTES = 1 << 16
+_MAX_STEPS = np.iinfo(np.int64).max  # RunRecord.steps is int64
 
 
 def step_count(T: float, dt: float) -> tuple[int, bool]:
     """The number n of steps dt nearest to the horizon T, and whether n*dt is T to 1e-9 relative.
 
-    The one horizon check: T must be finite and >= 0, and T/dt finite.
+    The one horizon check: T must be finite and >= 0, and T/dt finite, with n at most the int64
+    maximum, since the record counts its steps in int64.
     """
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"T must be finite and >= 0, got {T}")
     if not math.isfinite(T / dt):
         raise ValueError(f"T must be finite and >= 0 with T/dt finite, got T={T}, dt={dt}")
     n = int(round(T / dt))
+    if n > _MAX_STEPS:
+        raise ValueError(f"T/dt = {T / dt!r} steps exceed the {_MAX_STEPS} a record can count")
     return n, abs(n * dt - T) <= 1e-9 * max(abs(T), dt)
 
 
@@ -250,8 +286,6 @@ def integrate(
     run's own array, held by reference until the invariants and energies are evaluated on its
     batch of recorded states: the observer may keep it, but must not write into it.
     """
-    from .diagnostics import RunRecord  # deferred: diagnostics imports this module
-
     dt = spec.dt
     n_steps, exact = step_count(T, dt)
     if not exact:

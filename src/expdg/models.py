@@ -89,7 +89,6 @@ def cubic_hamiltonian_model(
         g = cubic * NODAL_CUBIC.pdg(u, v, w)
         return g if form is None else g + form.pdg(u, v, w)
 
-    homogeneous = amat is None
     model = ConformalModel(
         name=name,
         dim=m,
@@ -100,11 +99,10 @@ def cubic_hamiltonian_model(
         grad_H=grad_h,
         hamiltonian=hamiltonian,
         hamiltonian_paper=hamiltonian if paper_factor == 1.0 else lambda u: paper_factor * hamiltonian(u),
-        hamiltonian_rate=3.0 * ghat if homogeneous else None,
         invariants=tuple(Invariant(n, f, exact_rate=p * ghat) for n, p, f in invariants),
         **quadratic_field(sigma * alpha, d1, field_linear),
         polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg, theta=theta),
-        polarized_degree=3 if homogeneous else None,
+        degree=3 if amat is None else None,
         lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt, theta),
         **printed,
     )
@@ -271,7 +269,6 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         grad_H=grad_h,
         hamiltonian=hamiltonian,
         hamiltonian_paper=hamiltonian,
-        hamiltonian_rate=None,
         conservative_field=conservative_field,
         jacobian_conservative=jacobian_conservative,
         chord_average=chord_average,
@@ -280,7 +277,6 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         polarized=PolarizedEnergy(
             evaluate=pol_eval, pdg=pol_pdg, theta=1.0, evaluate_printed=pol_eval_printed
         ),
-        polarized_degree=None,
         lie_system_builder=lie_builder,
     )
 

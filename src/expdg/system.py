@@ -78,7 +78,6 @@ class ConformalModel:
     grad_H: Callable
     hamiltonian: Callable  # generator: S grad(hamiltonian) = conservative field
     hamiltonian_paper: Callable  # the reported energy (may differ by scaling)
-    hamiltonian_rate: Optional[float]  # exact decay rate of the reported energy
     conservative_field: Callable
     # the banded operators below are spatial.PeriodicBandedMatrix instances
     jacobian_conservative: Callable  # u -> Jacobian of the field (NLS: a linalg.TwoFieldMatrix)
@@ -91,7 +90,7 @@ class ConformalModel:
     quadratic_matrix: Optional[Callable] = None  # x -> the operator Qb(x, .)
     linear_operator: Optional[PeriodicBandedMatrix] = None  # conservative linear part L
     polarized: Optional[PolarizedEnergy] = None
-    polarized_degree: Optional[int] = None  # homogeneity degree of H~, if any
+    degree: Optional[int] = None  # homogeneity degree p of H and H~, if any: both decay at p gamma_eff
     # (a, b, dt) -> (mat, rhs, decode): the lie step on rescaled states a, b solves mat x = rhs for
     # x = c + a, c the rescaled next state, and decode(x) subtracts a from the fresh x to give c
     lie_system_builder: Optional[Callable] = None
@@ -151,13 +150,6 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
                 linear_operator=banded)
 
 
-def _combine(wa: float, a: np.ndarray, wb: float, b: np.ndarray) -> Optional[np.ndarray]:
-    """wa a + wb b without its zero terms; None when both weights are zero."""
-    if not wb:
-        return wa * a if wa else None
-    return wa * a + wb * b if wa else wb * b
-
-
 @functools.lru_cache(maxsize=64)
 def _kahan_invariant(linear: PeriodicBandedMatrix, l2: float, diag: float) -> PeriodicBandedMatrix:
     """diag I - l2 L, read-only: the part of a Kahan matrix every step shares (keyed by L's identity)."""
@@ -175,9 +167,10 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
     with mat = (1/h + l2 gamma) I - q2 Qb(b, .) - l2 L.  With symmetric weights (q0 = q2, l0 = l2)
     adding mat a to both sides leaves mat (c + a) = (2/h) a + q1 Qb(b, b) + l1 (L - gamma) b, which
     applies nothing to a: the system is solved for c + a, and decode subtracts a in place from the
-    fresh solution.  Other weights (ek1) solve for c itself, and decode returns it unchanged.
-    Right-hand-side terms with a zero weight are not formed.  The step-invariant part
-    (1/h + l2 gamma) I - l2 L is cached, so a step adds it by one row add.
+    fresh solution.  Other weights (ek1) must be one-step, b = a, so the right-hand side is
+    a/h + (q0 + q1) Qb(b, b) + (l0 + l1) (L - gamma) b; they solve for c itself, and decode returns
+    it unchanged.  Right-hand-side terms with a zero weight are not formed.  The step-invariant
+    part (1/h + l2 gamma) I - l2 L is cached, so a step adds it by one row add.
     """
     if model.quadratic_bilinear is None or model.quadratic_matrix is None:
         raise UnsupportedModelError(
@@ -188,13 +181,12 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
     diag = 1.0 / h + l[2] * gamma
     mat = mat.shift(diag) if linear is None else mat + _kahan_invariant(linear, l[2], diag)
     symmetric = q[0] == q[2] and l[0] == l[2]
-    # symmetric weights: the terms in a cancel against mat a, so their weights drop to zero
-    rhs, qa, la = ((2.0 / h) * a, 0.0, 0.0) if symmetric else (a / h, q[0], l[0])
-    qb_arg = _combine(qa, a, q[1], b)
-    if qb_arg is not None:
-        rhs += model.quadratic_bilinear(b, qb_arg)
-    weighted = _combine(la, a, l[1], b) if linear is not None or gamma else None
-    if weighted is not None:  # None without L and gamma, or at l1 = 0 on symmetric weights (lie, theta = 1)
+    # symmetric weights: the terms in a cancel against mat a; other weights are one-step, a is b
+    rhs, qw, lw = ((2.0 / h) * a, q[1], l[1]) if symmetric else (a / h, q[0] + q[1], l[0] + l[1])
+    if qw:
+        rhs += model.quadratic_bilinear(b, qw * b)
+    if lw and (linear is not None or gamma):  # not formed at l1 = 0 on symmetric weights (lie, theta = 1)
+        weighted = lw * b
         if linear is not None:
             rhs += linear.apply(weighted)
         if gamma:

@@ -208,12 +208,11 @@ def toy_cubic_model():
         grad_H=lambda u: u * u,
         hamiltonian=lambda u: np.sum(u**3, axis=-1) / 3.0,
         hamiltonian_paper=lambda u: np.sum(u**3, axis=-1) / 3.0,
-        hamiltonian_rate=None,
         invariants=(),
         **field,
         polarized=PolarizedEnergy(
             evaluate=lambda v, w: np.sum(NODAL_CUBIC.evaluate(v, w), axis=-1) / 3.0,
             pdg=lambda u, v, w: NODAL_CUBIC.pdg(u, v, w) / 3.0,
         ),
-        polarized_degree=3,
+        degree=3,
     )

@@ -39,11 +39,9 @@ def pure_decay_model(dim: int, gamma_eff: float, grid: Optional[Grid] = None) ->
         grad_H=zeros,
         hamiltonian=zero,
         hamiltonian_paper=zero,
-        hamiltonian_rate=None,
         invariants=(),
         **quadratic_field(0.0, PeriodicBandedMatrix(dim)),
         polarized=None,
-        polarized_degree=None,
         lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt),
     )
     return model

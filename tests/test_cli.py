@@ -26,8 +26,8 @@ from expdg.cli import (
     resolve_config,
     write_run_csv,
 )
-from expdg.diagnostics import RunRecord
 from expdg.errors import BlowUpError, ConfigError, SingularMatrixError
+from expdg.integrators import RunRecord
 from expdg.models import PRESETS
 from expdg.system import Invariant
 
@@ -356,7 +356,8 @@ def test_write_run_csv_equals_the_per_cell_writer_on_any_floats(columns, polariz
     model = SimpleNamespace(
         invariants=(Invariant("mass", None, 0.5), Invariant("momentum", None, None)),
         gamma=0.25,
-        hamiltonian_rate=0.75 if derived else None,
+        gamma_eff=0.25,
+        degree=3 if derived else None,
     )
     record = RunRecord(
         scheme_kind="lie", dt=0.5, steps=np.arange(rows), times=times,
@@ -436,14 +437,18 @@ def test_run_kdv_accepts_theta(tmp_path):
         ["run", "--T", "1e308"],
         ["compare", "--schemes", "ek1", "--T", "1e308"],
         ["run", "--dt", "1e-320"],
+        ["run", "--T", "1e300", "--dt", "1"],
+        ["run", "--gamma", "1e305", "--T", "0.018", "-o", "out.csv"],
     ],
-    ids=["run-unwritable-output", "compare-unwritable-output", "run-T-1e308", "compare-T-1e308", "run-dt-1e-320"],
+    ids=["run-unwritable-output", "compare-unwritable-output", "run-T-1e308", "compare-T-1e308", "run-dt-1e-320",
+         "run-T-1e300-dt-1", "run-gamma-1e305"],
 )
 def test_exit_2_without_traceback_for_an_unwritable_output_or_a_horizon_beyond_counting(argv, tmp_path):
-    # in a fresh interpreter, as the installed command runs: an uncaught error would print a traceback, exit 1
+    # in a fresh interpreter, as the installed command runs: an uncaught error would print a traceback, exit 1;
+    # the timeout turns a march that never ends (T/dt = 1e300 steps) into a failure
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(expdg.__file__)))
     cmd = [sys.executable, "-m", "expdg.cli", argv[0], "--preset", "burgers-paper", *argv[1:]]
-    run = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+    run = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.splitlines()[-1].startswith("error: ")

@@ -11,7 +11,6 @@ from expdg.diagnostics import (
     rec_every,
     reference_solve,
     residual_series,
-    transformed_polarized_series,
 )
 from expdg.errors import BlowUpError
 from expdg.integrators import SCHEMES, SchemeSpec, integrate
@@ -99,17 +98,6 @@ def test_l2_distance_defaults_to_unit_measure():
 # ------------------------------------------------------ polarized diagnostics
 
 
-def test_transformed_series_matches_recorded_series():
-    g = preset_grid("burgers-paper")
-    model = make_model("burgers", g, gamma=0.25)
-    u0 = initial_condition("burgers", g)
-    rec, states = integrate_states(model, SchemeSpec("ek2", 0.009), u0, 0.045)
-    series = transformed_polarized_series(
-        model, states, SCHEMES["ek2"].exponents(model.gamma_eff, 0.009)
-    )
-    assert series.tobytes() == rec.polarized_transformed[:-1].tobytes()
-
-
 @pytest.mark.parametrize(
     "preset, kind",
     [("burgers-paper", "ek2"), ("kdv-paper", "lie"), ("nls-paper", "lie"), ("kdv-paper", "kahan2_plain")],
@@ -119,9 +107,7 @@ def test_stacked_pair_diagnostics_equal_each_pair_evaluated_alone(preset, kind):
     _, states = integrate_states(model, SchemeSpec(kind, cfg["dt"]), u0, 12 * cfg["dt"])
     exps = SCHEMES[kind].exponents(model.gamma_eff, cfg["dt"])
     (e0, e1, e2), h = exps.factors, model.polarized.evaluate
-    pairs = [h(e0 * a, e1 * b) for a, b in zip(states, states[1:])]
     windows = [abs(h(e1 * b, e2 * c) - h(e0 * a, e1 * b)) for a, b, c in zip(states, states[1:], states[2:])]
-    assert transformed_polarized_series(model, states, exps).tobytes() == np.array(pairs).tobytes()
     assert polarized_window_defect(model, states, exps).tobytes() == np.array(windows).tobytes()
 
 
@@ -150,12 +136,6 @@ def test_chunked_fixture_observers_equal_the_per_step_loop(preset, kind, make_ob
         h = model.hamiltonian
         loop = [abs(h(e1 * b) - h(e0 * a)) for a, b in zip(states, states[1:])]
     assert finish().tobytes() == np.array(loop).tobytes()
-
-
-def test_transformed_series_requires_polarized_energy():
-    model = pure_decay_model(3, 0.1)
-    with pytest.raises(ValueError):
-        transformed_polarized_series(model, [np.ones(3), np.ones(3)], SCHEMES["ek2"].exponents(0.1, 0.01))
 
 
 def test_window_defect_requires_polarized_energy():
@@ -207,7 +187,7 @@ def test_window_defect_needs_two_step_exponents():
 def test_compensated_deviation_on_pure_scaling_series():
     g = preset_grid("burgers-paper")
     model = make_model("burgers", g, gamma=0.25)
-    rate = model.polarized_degree * model.gamma_eff
+    rate = model.degree * model.gamma_eff
     series = 2.7 * np.exp(-rate * 0.009 * np.arange(12))
     assert compensated_polarized_deviation(model, series, 0.009) <= 1e-13
 
@@ -215,7 +195,7 @@ def test_compensated_deviation_on_pure_scaling_series():
 def test_compensated_deviation_skips_non_finite_entries():
     g = preset_grid("burgers-paper")
     model = make_model("burgers", g, gamma=0.25)
-    rate = model.polarized_degree * model.gamma_eff
+    rate = model.degree * model.gamma_eff
     clean = 2.7 * np.exp(-rate * 0.009 * np.arange(6))
     holed = np.concatenate([clean, [np.nan]])
     assert compensated_polarized_deviation(model, holed, 0.009) == pytest.approx(
@@ -228,7 +208,7 @@ def test_compensated_deviation_skips_non_finite_entries():
 def test_compensated_deviation_dates_values_after_an_interior_hole():
     g = preset_grid("burgers-paper")
     model = make_model("burgers", g, gamma=0.25)
-    rate = model.polarized_degree * model.gamma_eff
+    rate = model.degree * model.gamma_eff
     series = 2.7 * np.exp(-rate * 0.009 * np.arange(12))
     series[2] = np.nan
     assert compensated_polarized_deviation(model, series, 0.009) <= 1e-13

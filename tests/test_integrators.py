@@ -68,9 +68,11 @@ def test_exponents_nls_preset_magnitudes():
 
 
 def test_exponents_plain_kinds_are_identity_weights():
+    # a plain kind has no prefactors, so even a gamma_eff dt whose e^X overflows is accepted
     for kind in PLAIN_KINDS:
-        e = SCHEMES[kind].exponents(0.7, 0.05)
-        assert e.x0 == 0.0 and e.x1 == 0.0
+        for gamma_eff, dt in ((0.7, 0.05), (2e305, 0.009)):
+            e = SCHEMES[kind].exponents(gamma_eff, dt)
+            assert e.x0 == 0.0 and e.x1 == 0.0
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMES))
@@ -567,12 +569,21 @@ def test_integrate_rejects_bad_cadence():
         integrate(model, SchemeSpec("ek2", 0.009), u0, 0.09, record_every=0)
 
 
-@pytest.mark.parametrize("T", [-0.9, math.nan, math.inf, 1e308], ids=["negative", "nan", "inf", "T/dt-overflows"])
-def test_integrate_refuses_a_negative_or_non_finite_horizon(T):
-    # -0.9 rounds to -100 whole steps of 0.009, and 1e308 / 0.009 overflows to inf
-    model, u0 = burgers()
-    with pytest.raises(ValueError, match=re.escape("T must be finite and >= 0")):
-        integrate(model, SchemeSpec("ek2", 0.009), u0, T)
+@pytest.mark.parametrize(
+    "T, gamma, message",
+    [(-0.9, 0.25, "T must be finite and >= 0"), (math.nan, 0.25, "T must be finite and >= 0"),
+     (math.inf, 0.25, "T must be finite and >= 0"), (1e308, 0.25, "T must be finite and >= 0"),
+     (1e300, 0.25, "steps exceed the 9223372036854775807 a record can count"),
+     (0.018, 1e305, "the prefactors e^X overflow at gamma_eff*dt = 1.7999999999999998e+303")],
+    ids=["negative", "nan", "inf", "T/dt-overflows", "T/dt-beyond-int64", "prefactors-overflow"],
+)
+def test_integrate_refuses_a_negative_or_non_finite_horizon(T, gamma, message):
+    # -0.9 rounds to -100 whole steps of 0.009, 1e308 / 0.009 overflows to inf, 1e300 / 0.009
+    # steps are finite but more than RunRecord.steps (int64) can count, and at gamma = 1e305 the
+    # prefactor e^{gamma_eff dt} overflows: each is refused before the first step is recorded
+    model, u0 = burgers(gamma)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate(model, SchemeSpec("ek2", 0.009), u0, T, observer=lambda *state: pytest.fail("a state was recorded"))
 
 
 @pytest.mark.parametrize("shape", [(79,), (80, 1)])
@@ -615,7 +626,7 @@ def bitwise_equal(series, values):
 @pytest.mark.parametrize(
     "preset,kind",
     [("burgers-paper", "ek1"), ("burgers-paper", "ek2"), ("kdv-paper", "cimp"),
-     ("kdv-paper", "lie"), ("nls-paper", "cimp"), ("nls-paper", "lie")],
+     ("kdv-paper", "lie"), ("kdv-paper", "kahan2_plain"), ("nls-paper", "cimp"), ("nls-paper", "lie")],
 )
 def test_recorded_series_equal_the_model_on_the_stored_states(preset, kind):
     model, u0, cfg = preset_model(preset)

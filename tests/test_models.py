@@ -63,7 +63,7 @@ def test_burgers_frozen_invariant_values():
     assert h_paper == pytest.approx(1.0 / (6.0 * math.pi * math.sqrt(3.0)), abs=5e-9)
     # generator Hamiltonian carries the 1/6 nodal weight, reported H the 1/3
     assert model.hamiltonian(u0) == pytest.approx(0.5 * h_paper, rel=1e-14)
-    assert model.hamiltonian_rate == pytest.approx(6.0 * 0.25)
+    assert model.degree * model.gamma_eff == pytest.approx(6.0 * 0.25)
 
 
 def test_kdv_frozen_invariant_values():

@@ -66,6 +66,8 @@ BAD_INPUTS = {
     "burgers-paper/unwritable output": ["run", "--preset", "burgers-paper", "--T", "0.018",
                                         "--output", "missing/out.csv"],
     "burgers-paper/T 1e308": ["run", "--preset", "burgers-paper", "--T", "1e308", "--output", "t1e308.csv"],
+    "burgers-paper/gamma 1e305": ["run", "--preset", "burgers-paper", "--gamma", "1e305", "--T", "0.018",
+                                  "--output", "gamma1e305.csv"],
 }
 
 
