@@ -13,7 +13,7 @@ from .linalg import NonlinearSolveSettings, PeriodicBandedMatrix, newton_solve, 
 from .system import ConformalModel, Invariant, PolarizedEnergy
 from .models import PRESETS, initial_condition, make_model
 from .integrators import Exponents, RunRecord, SchemeSpec, StepResult, integrate
-from .diagnostics import OrderFit, observed_order, reference_solve, residual_series
+from .diagnostics import observed_order, reference_solve, residual_series
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "Invariant",
     "NonConvergenceError",
     "NonlinearSolveSettings",
-    "OrderFit",
     "PRESETS",
     "PeriodicBandedMatrix",
     "PolarizedEnergy",

@@ -11,13 +11,11 @@ cells by the command-line layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError
-from .linalg import NonlinearSolveSettings
 from . import integrators
 from .integrators import RunRecord  # re-exported: callers and tools read it here
 from .system import ConformalModel, vector_field
@@ -108,50 +106,33 @@ def reference_solve(model: ConformalModel, u0, T: float, dt_ref: float) -> np.nd
     return u
 
 
-@dataclass(frozen=True)
-class OrderFit:
-    slope: Optional[float]
-    dts: tuple
-    errors: tuple
-    floor_reached: bool
-
-
 def observed_order(
     model: ConformalModel,
     kind: str,
     dts: Sequence[float],
     T: float,
-    solver: NonlinearSolveSettings = NonlinearSolveSettings(),
-    scheme_variant: str = "canonical",
-    u0=None,
+    u0,
     reference: Optional[np.ndarray] = None,
-) -> OrderFit:
+) -> Optional[float]:
     """Least-squares slope of log endpoint error against log step size.
 
     The reference endpoint comes from reference_solve at dt <= min(dts)/64
     unless one is supplied.  When any error sits at the rounding floor
-    the slope is meaningless and reported as None.
+    the slope is meaningless and None is returned.
     """
     if len(dts) < 2:
         raise ValueError("need at least two step sizes")
-    if u0 is None:
-        raise ValueError("observed_order needs an initial state")
     if reference is None:
         n_ref = max(int(math.ceil(64.0 * T / min(dts))), 1)
         reference = reference_solve(model, u0, T, T / n_ref)
     errors = []
-    dts_sorted = tuple(sorted(dts, reverse=True))
+    dts_sorted = sorted(dts, reverse=True)
     for dt in dts_sorted:
-        spec = integrators.SchemeSpec(kind, dt, solver, scheme_variant)
-        rec = integrators.integrate(model, spec, u0, T, record_every=rec_every(T, dt))
+        # only the final state is read: record the first and last rows
+        every = max(integrators.step_count(T, dt)[0], 1)
+        rec = integrators.integrate(model, integrators.SchemeSpec(kind, dt), u0, T, record_every=every)
         errors.append(l2_distance(model, rec.final_state, reference))
     scale = max(math.sqrt(float(np.dot(reference, reference))), 1.0)
     if any(e < 1e-12 * scale for e in errors):
-        return OrderFit(slope=None, dts=dts_sorted, errors=tuple(errors), floor_reached=True)
-    slope = float(np.polyfit(np.log(dts_sorted), np.log(errors), 1)[0])
-    return OrderFit(slope=slope, dts=dts_sorted, errors=tuple(errors), floor_reached=False)
-
-
-def rec_every(T: float, dt: float) -> int:
-    # recording cadence only affects memory here; keep roughly 50 rows
-    return max(integrators.step_count(T, dt)[0] // 50, 1)
+        return None
+    return float(np.polyfit(np.log(dts_sorted), np.log(errors), 1)[0])

@@ -78,22 +78,19 @@ class StepResult(NamedTuple):  # a tuple: built once per step
     linear_solves: int
 
 
-def _scaled_solver(settings: NonlinearSolveSettings, ref: np.ndarray) -> NonlinearSolveSettings:
-    # tolerance follows the state scale: Burgers states decay below 1e-11
-    # over the preset horizon and an absolute tolerance would stall there
-    scale = max(float(np.abs(ref).max()), 1e-30)
-    return NonlinearSolveSettings(settings.tolerance * scale, settings.max_iterations)
-
-
 def _implicit_step(model, a, dt, gamma, spec, guess=None, *, pair):
     """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (F, F_y) = pair(model, spec).
 
     F is the kind's mean of the field f over the chord [a, y] and F_y its Jacobian in y, so the
-    Newton matrix is (1 + dt gamma/2) I - dt F_y(a, y).  Newton starts from `guess` (default a);
-    the tolerance scales with a either way.
+    Newton matrix is (1 + dt gamma/2) I - dt F_y(a, y).  Newton starts from `guess` (default a)
+    and stops at residual tolerance * (1 + dt gamma/2) max|a|.
     """
     field, jacobian = pair(model, spec)
     diag = 1.0 + dt * gamma / 2.0
+    # relative to the size of the terms: an absolute tolerance stalls on the Burgers decay below
+    # 1e-11, and at stiff damping the rounding of dt gamma (a + y)/2 grows with diag
+    scale = diag * max(float(np.abs(a).max()), 1e-30)
+    solver = NonlinearSolveSettings(spec.solver.tolerance * scale, spec.solver.max_iterations)
 
     def residual(y):
         rhs = field(a, y)
@@ -102,7 +99,7 @@ def _implicit_step(model, a, dt, gamma, spec, guess=None, *, pair):
         return y - a - dt * rhs
 
     y, iters = newton_solve(residual, lambda y: ((-dt) * jacobian(a, y)).shift(diag),
-                            a if guess is None else guess, _scaled_solver(spec.solver, a))
+                            a if guess is None else guess, solver)
     return y, iters, iters
 
 

@@ -8,7 +8,6 @@ from expdg.diagnostics import (
     l2_distance,
     observed_order,
     polarized_window_defect,
-    rec_every,
     reference_solve,
     residual_series,
 )
@@ -304,26 +303,27 @@ def test_reference_solve_rejects_bad_step():
 # ------------------------------------------------------------- observed order
 
 
-def test_observed_order_reports_rounding_floor():
+@pytest.mark.parametrize(
+    "kind, slope",
+    [("imidpoint_plain", 2.0), ("avf_plain", 2.0), ("kahan2_plain", 2.0), ("ek1", None)],
+)
+def test_observed_order_reports_slope_or_rounding_floor(kind, slope):
+    # on pure decay a plain kind errs at second order; an exponential kind is exact to rounding
     model = pure_decay_model(4, 0.3)
     u0 = np.ones(4)
-    fit = observed_order(model, "ek1", [0.01, 0.005], 0.1, u0=u0)
-    assert fit.floor_reached
-    assert fit.slope is None
-    assert len(fit.errors) == 2
+    fit = observed_order(model, kind, (0.02, 0.01, 0.005), 1.0, u0, reference=math.exp(-0.3) * u0)
+    if slope is None:
+        assert fit is None
+    else:
+        assert abs(fit - slope) <= 1e-4
 
 
 def test_observed_order_validation():
     model = pure_decay_model(4, 0.3)
     with pytest.raises(ValueError):
-        observed_order(model, "ek1", [0.01], 0.1, u0=np.ones(4))
-    with pytest.raises(ValueError):
+        observed_order(model, "ek1", [0.01], 0.1, np.ones(4))
+    with pytest.raises(TypeError):
         observed_order(model, "ek1", [0.01, 0.005], 0.1)
-
-
-def test_rec_every_keeps_roughly_fifty_rows():
-    assert rec_every(50.004, 0.009) == 111
-    assert rec_every(0.5, 0.1) == 1
 
 
 # ------------------------------------------------------------------ drift law

@@ -13,9 +13,10 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps. Two bad-input cases run only `expdg
-run`: an output under a missing directory, and --T 1e308, whose T/dt
-overflows.
+long horizon, not only over 20 steps. Five cases run only `expdg run`: three
+bad inputs (an output under a missing directory, --T 1e308, whose T/dt
+overflows, and --gamma 1e305, whose prefactors overflow) and two plain Newton
+kinds at the stiff damping --gamma 1e7.
 Per case the table gives:
 
     states   bitwise, or the max relative difference of the recorded states and
@@ -61,13 +62,18 @@ STEPS = 20
 # about 1 MB of states, three or more batches of up to 256 KiB
 LONG_STEPS = {"burgers-paper": 1500, "kdv-paper": 500, "nls-paper": 60}
 CADENCES = (1, 7)  # record_every of the `expdg run` cases
-# case -> argv of an `expdg run` on bad input, run in the tree's output directory; no library run
+# case -> argv of an `expdg run` on bad input or at stiff damping, run in the tree's output
+# directory; no library run
 BAD_INPUTS = {
     "burgers-paper/unwritable output": ["run", "--preset", "burgers-paper", "--T", "0.018",
                                         "--output", "missing/out.csv"],
     "burgers-paper/T 1e308": ["run", "--preset", "burgers-paper", "--T", "1e308", "--output", "t1e308.csv"],
     "burgers-paper/gamma 1e305": ["run", "--preset", "burgers-paper", "--gamma", "1e305", "--T", "0.018",
                                   "--output", "gamma1e305.csv"],
+    "burgers-paper/imidpoint_plain gamma 1e7": ["run", "--preset", "burgers-paper", "--scheme", "imidpoint_plain",
+                                                "--gamma", "1e7", "--T", "0.09", "--output", "burgers1e7.csv"],
+    "kdv-paper/avf_plain gamma 1e7": ["run", "--preset", "kdv-paper", "--scheme", "avf_plain", "--gamma", "1e7",
+                                      "--T", "0.09", "--output", "kdv1e7.csv"],
 }
 
 
@@ -227,7 +233,7 @@ def compare(parent, change) -> bool:
     for case, p in cases_p.items():
         c = cases_c[case]
         lib_p, lib_c = p["lib"], c["lib"]
-        if lib_p is None:  # a bad-input case: no library run
+        if lib_p is None:  # a run-only case: no library run
             equal, lib = True, "-"
             recorded = counters = "-"
         elif lib_p["error"] or lib_c["error"]:
@@ -252,7 +258,7 @@ def compare(parent, change) -> bool:
         equal = equal and cli_p == cli_c
         all_equal = all_equal and equal
         print(f"{case:40s} {lib:>21s} {recorded:>9s} {counters:>13s} {exit_code:>5s} {csv:>5s}{'' if equal else '  *'}")
-        for every, a, b in zip(CADENCES, cli_p, cli_c):
+        for every, a, b in zip(CADENCES if lib_p is not None else ("preset",), cli_p, cli_c):
             if a["csv"] == b["csv"]:
                 continue
             diffs = _column_differences(a["csv"], b["csv"])
