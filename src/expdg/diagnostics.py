@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BlowUpError
 from . import integrators
 from .integrators import RunRecord  # re-exported: callers and tools read it here
-from .system import ConformalModel, vector_field
+from .system import ConformalModel
 
 
 def residual_series(values, rate, dt):
@@ -87,9 +87,12 @@ def reference_solve(model: ConformalModel, u0, T: float, dt_ref: float) -> np.nd
         n = max(int(math.ceil(T / dt_ref)), 1)
     h = T / max(n, 1)  # T = 0 takes no step
     u = np.array(u0, dtype=float)
+    if u.shape != (model.dim,):
+        raise ValueError(f"initial state has shape {u.shape}, expected ({model.dim},)")
+    field, gamma = model.conservative_field, model.gamma_eff
 
-    def f(state):
-        return vector_field(model, state)
+    def f(state):  # the full field S grad_H - gamma_eff u; the step checks each state it makes
+        return field(state) - gamma * state
 
     for k in range(n):
         k1 = f(u)

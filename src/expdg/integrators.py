@@ -51,11 +51,11 @@ class SchemeSpec:
 
     def __post_init__(self):
         if self.kind not in SCHEMES:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
+            raise ValueError(f"unknown scheme kind {self.kind!r} (known: {', '.join(SCHEMES)})")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.scheme_variant not in SCHEME_VARIANTS:
-            raise ValueError(f"unknown scheme_variant {self.scheme_variant!r}")
+            raise ValueError(f"unknown scheme_variant {self.scheme_variant!r} (known: {', '.join(SCHEME_VARIANTS)})")
         if self.scheme_variant == "printed" and SCHEMES[self.kind].kernel is not _midpoint:
             raise ValueError(f"scheme_variant 'printed' is for the midpoint kinds, not {self.kind!r}")
 

@@ -305,7 +305,7 @@ MODELS = {
 
 def _model_kind(name: str) -> ModelKind:
     if name not in MODELS:
-        raise ValueError(f"unknown model kind {name!r}")
+        raise ValueError(f"unknown model kind {name!r} (known: {', '.join(MODELS)})")
     return MODELS[name]
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .spatial import PeriodicBandedMatrix, dot
 
 
@@ -97,17 +97,6 @@ class ConformalModel:
     # as-printed midpoint nonlinearity (mean of squares), kept for comparison
     printed_midpoint_field: Optional[Callable] = None
     printed_midpoint_jacobian: Optional[Callable] = None
-
-
-def vector_field(model: ConformalModel, u: np.ndarray) -> np.ndarray:
-    """Full right-hand side S grad_H(u) - gamma_eff * u."""
-    u = np.asarray(u)
-    if u.shape != (model.dim,):
-        raise ValueError(f"state length {u.shape} does not match model dim {model.dim}")
-    out = model.conservative_field(u) - model.gamma_eff * u
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError(f"non-finite vector field for model {model.name}")
-    return out
 
 
 def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) -> dict:

@@ -3,9 +3,20 @@ from typing import Optional
 
 import numpy as np
 
-from expdg.errors import UnsupportedModelError
+from expdg.errors import BlowUpError, UnsupportedModelError
 from expdg.spatial import Grid, PeriodicBandedMatrix
 from expdg.system import ConformalModel, polarized_kahan_system, quadratic_field
+
+
+def vector_field(model: ConformalModel, u: np.ndarray) -> np.ndarray:
+    """Full right-hand side S grad_H(u) - gamma_eff * u."""
+    u = np.asarray(u)
+    if u.shape != (model.dim,):
+        raise ValueError(f"state length {u.shape} does not match model dim {model.dim}")
+    out = model.conservative_field(u) - model.gamma_eff * u
+    if not np.all(np.isfinite(out)):
+        raise BlowUpError(f"non-finite vector field for model {model.name}")
+    return out
 
 
 def kahan_bilinear(model: ConformalModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:

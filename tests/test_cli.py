@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import math
@@ -26,7 +27,7 @@ from expdg.cli import (
     resolve_config,
     write_run_csv,
 )
-from expdg.errors import BlowUpError, ConfigError, SingularMatrixError
+from expdg.errors import BlowUpError, ConfigError, SingularMatrixError, UnsupportedModelError
 from expdg.integrators import RunRecord
 from expdg.models import PRESETS
 from expdg.system import Invariant
@@ -95,23 +96,25 @@ def test_resolve_config_unknown_preset():
     "overrides,match",
     [
         ({"model": None}, "missing required setting 'model'"),
-        ({"model": "heat"}, "unknown model 'heat'"),
-        ({"scheme": "rk4"}, "unknown scheme 'rk4'"),
-        ({"scheme_variant": "fancy"}, "unknown scheme_variant"),
-        ({"scheme_variant": "printed"}, "printed"),  # burgers + ek2
+        ({"model": "heat"}, r"unknown model kind 'heat' \(known: burgers, kdv, nls\)"),
+        ({"scheme": "rk4"}, r"unknown scheme kind 'rk4' \(known: cimp, eavf, ek1, "),
+        ({"scheme_variant": "fancy"}, r"unknown scheme_variant 'fancy' \(known: canonical, printed\)"),
+        ({"scheme_variant": "printed"}, "'printed' is for the midpoint kinds, not 'ek2'"),  # burgers + ek2
         ({"dt": -0.1}, "dt must be positive"),
         ({"T": 0.0}, "T must be positive"),
         ({"record_every": 0}, "record_every"),
-        ({"newton_tol": -1.0}, "newton_tol"),
-        ({"newton_tol": math.nan}, "newton_tol"),
-        ({"newton_tol": math.inf}, "newton_tol"),
+        ({"newton_tol": -1.0}, "tolerance must be finite and positive"),
+        ({"newton_tol": math.nan}, "tolerance must be finite and positive"),
+        ({"newton_tol": math.inf}, "tolerance must be finite and positive"),
+        ({"newton_max_iter": 0}, "max_iterations must be >= 1"),
     ],
 )
-def test_validate_rejects_bad_settings(overrides, match):
+def test_resolve_and_build_reject_bad_settings(overrides, match):
+    # resolve_config makes the checks the library does not; build_problem turns the library's into ConfigError
     base = dict(PRESETS["burgers-paper"])
     base.update(overrides)
     with pytest.raises(ConfigError, match=match):
-        resolve_config(None, {k: v for k, v in base.items() if v is not None}, {})
+        build_problem(resolve_config(None, {k: v for k, v in base.items() if v is not None}, {}))
 
 
 # a value of each type that differs from every burgers-paper setting and default
@@ -145,23 +148,24 @@ def test_every_setting_is_a_config_key_and_a_flag(command, setting):
 
 
 @pytest.mark.parametrize(
-    "preset,scheme,ok",
+    "preset,scheme,refusal",
     [
-        ("burgers-paper", "cimp", True),
-        ("burgers-paper", "imidpoint_plain", True),
-        ("nls-paper", "lie", True),
-        ("kdv-paper", "cimp", False),
-        ("burgers-paper", "ek2", False),
+        ("burgers-paper", "cimp", None),
+        ("burgers-paper", "imidpoint_plain", None),
+        ("nls-paper", "lie", None),
+        ("kdv-paper", "cimp", UnsupportedModelError),  # no as-printed pair: refused at the first step
+        ("burgers-paper", "ek2", ConfigError),  # not a midpoint kind: refused by the spec
     ],
 )
-def test_printed_variant_combinations(preset, scheme, ok):
-    values = {"scheme": scheme, "scheme_variant": "printed"}
-    if ok:
-        cfg = resolve_config(preset, values, {})
-        assert cfg.scheme_variant == "printed"
-    else:
-        with pytest.raises(ConfigError):
-            resolve_config(preset, values, {})
+def test_printed_variant_combinations(preset, scheme, refusal):
+    cfg = resolve_config(preset, {"scheme": scheme, "scheme_variant": "printed"}, {})
+    if refusal is ConfigError:
+        with pytest.raises(ConfigError, match="midpoint kinds"):
+            build_problem(cfg)
+        return
+    model, u0, spec = build_problem(cfg)
+    with pytest.raises(UnsupportedModelError) if refusal else contextlib.nullcontext():
+        integrators.integrate(model, spec, u0, 2 * cfg.dt, record_every=1)
 
 
 def test_build_problem_wraps_model_errors():
@@ -381,9 +385,32 @@ def test_exit_2_unknown_preset(capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
-def test_exit_2_invalid_parameter(capsys):
-    assert main(["run", "--preset", "burgers-paper", "--gamma", "-1"]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--gamma", "-1"], None),
+        (["--dt", "0"], None),
+        (["--dt", "nan"], None),
+        (["--newton-tol", "-1"], None),
+        (["--newton-max-iter", "0"], None),
+        (["--record-every", "0"], None),
+        ([], "model = heat\n"),
+        ([], "scheme = rk4\n"),
+        (["--preset", "kdv-paper", "--scheme", "cimp", "--scheme-variant", "printed"], None),
+    ],
+    ids=["gamma-negative", "dt-0", "dt-nan", "newton-tol-negative", "newton-max-iter-0", "record-every-0",
+         "config-model-heat", "config-scheme-rk4", "kdv-cimp-printed"],
+)
+def test_exit_2_invalid_setting(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config)
+        argv = argv + ["--config", "bad.cfg"]
+    assert main(["run", "--preset", "burgers-paper", "--T", "0.018", "-o", "out.csv", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert os.listdir(tmp_path) == ([] if config is None else ["bad.cfg"])
 
 
 def test_exit_2_bad_config_file(tmp_path, capsys):
@@ -566,7 +593,16 @@ def test_compare_all_singular_exit_3(monkeypatch, capsys):
     assert "ek1,singular" in capsys.readouterr().out
 
 
-def test_compare_checks_every_scheme_before_the_first_march(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "preset, schemes, marched, message",
+    [
+        ("burgers-paper", "cimp,ek2", [], "'printed' is for the midpoint kinds, not 'ek2'"),
+        # nls has no as-printed midpoint pair: cimp is refused at its first step, after lie marched
+        ("nls-paper", "lie,cimp", ["lie", "cimp"], "nls has no as-printed midpoint nonlinearity"),
+    ],
+)
+def test_compare_refuses_a_printed_variant_the_scheme_or_model_lacks(preset, schemes, marched, message,
+                                                                     tmp_path, monkeypatch, capsys):
     marches, integrate = [], integrators.integrate
 
     def counted(model, spec, *args, **kwargs):
@@ -574,12 +610,15 @@ def test_compare_checks_every_scheme_before_the_first_march(monkeypatch, capsys)
         return integrate(model, spec, *args, **kwargs)
 
     monkeypatch.setattr(integrators, "integrate", counted)
-    argv = ["compare", "--preset", "burgers-paper", "--T", "0.09", "--scheme-variant", "printed"]
-    assert main(argv + ["--schemes", "cimp,ek2"]) == 2  # printed is defined for cimp, not ek2
-    assert marches == []
+    out = tmp_path / "out.csv"
+    argv = ["compare", "--preset", preset, "--T", "0.018", "--scheme-variant", "printed", "-o", str(out)]
+    assert main(argv + ["--schemes", schemes]) == 2
+    assert marches == marched
     captured = capsys.readouterr()
-    assert "scheme_variant=printed is defined for" in captured.err
-    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_compare_requires_schemes(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +293,15 @@ def test_reference_solve_takes_whole_steps_over_an_inexact_horizon():
     u0 = np.linspace(1.0, 2.0, 4)
     expected = reference_solve(model, u0, 0.25, 0.25 / 3)
     assert reference_solve(model, u0, 0.25, 0.1).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0])
+def test_reference_solve_rejects_a_wrong_length_state_before_any_step(T):
+    calls = []
+    model = dataclasses.replace(pure_decay_model(4, 0.5), conservative_field=lambda u: calls.append(u) or 0.0 * u)
+    with pytest.raises(ValueError, match=r"initial state has shape \(5,\), expected \(4,\)"):
+        reference_solve(model, np.ones(5), T, 0.1)
+    assert calls == []
 
 
 def test_reference_solve_rejects_bad_step():

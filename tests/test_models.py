@@ -15,10 +15,9 @@ from expdg.models import (
     preset_grid,
 )
 from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
-from expdg.system import vector_field
 
 from conftest import dense, evaluate_invariants, toy_cubic_model, two_field_dense
-from oracles import pure_decay_model
+from oracles import pure_decay_model, vector_field
 
 
 def test_initial_profiles_at_origin():

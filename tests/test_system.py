@@ -14,10 +14,10 @@ from expdg.linalg import solve_periodic_banded
 from expdg.models import PRESETS, initial_condition, make_model, preset_grid
 from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
 from expdg import system
-from expdg.system import NODAL_CUBIC, kahan_system, vector_field
+from expdg.system import NODAL_CUBIC, kahan_system
 
 from conftest import evaluate_invariants
-from oracles import kahan_bilinear
+from oracles import kahan_bilinear, vector_field
 
 GRIDS = {
     "burgers": (math.pi, 80),

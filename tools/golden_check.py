@@ -13,10 +13,11 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps. Five cases run only `expdg run`: three
+long horizon, not only over 20 steps. Nine cases run only `expdg run`: seven
 bad inputs (an output under a missing directory, --T 1e308, whose T/dt
-overflows, and --gamma 1e305, whose prefactors overflow) and two plain Newton
-kinds at the stiff damping --gamma 1e7.
+overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --newton-tol -1,
+--record-every 0 and KdV cimp --scheme-variant printed, which has no
+as-printed pair) and two plain Newton kinds at the stiff damping --gamma 1e7.
 Per case the table gives:
 
     states   bitwise, or the max relative difference of the recorded states and
@@ -70,6 +71,13 @@ BAD_INPUTS = {
     "burgers-paper/T 1e308": ["run", "--preset", "burgers-paper", "--T", "1e308", "--output", "t1e308.csv"],
     "burgers-paper/gamma 1e305": ["run", "--preset", "burgers-paper", "--gamma", "1e305", "--T", "0.018",
                                   "--output", "gamma1e305.csv"],
+    "burgers-paper/dt 0": ["run", "--preset", "burgers-paper", "--dt", "0", "--T", "0.018", "--output", "dt0.csv"],
+    "burgers-paper/newton-tol -1": ["run", "--preset", "burgers-paper", "--newton-tol", "-1", "--T", "0.018",
+                                    "--output", "tol.csv"],
+    "burgers-paper/record-every 0": ["run", "--preset", "burgers-paper", "--record-every", "0", "--T", "0.018",
+                                     "--output", "every0.csv"],
+    "kdv-paper/cimp printed": ["run", "--preset", "kdv-paper", "--scheme", "cimp", "--scheme-variant", "printed",
+                               "--T", "0.018", "--output", "kdvprinted.csv"],
     "burgers-paper/imidpoint_plain gamma 1e7": ["run", "--preset", "burgers-paper", "--scheme", "imidpoint_plain",
                                                 "--gamma", "1e7", "--T", "0.09", "--output", "burgers1e7.csv"],
     "kdv-paper/avf_plain gamma 1e7": ["run", "--preset", "kdv-paper", "--scheme", "avf_plain", "--gamma", "1e7",
