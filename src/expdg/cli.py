@@ -6,11 +6,11 @@ fields of `RunConfig`: every config key is also a flag, with ``_`` written
 as ``-`` (``record_every`` is ``--record-every``), and ``-o`` is short for
 ``--output``; ``expdg run --help`` lists them.  Resolution order is
 preset < config file < command-line flags.  Exit codes: 0 success,
-2 configuration problem (among them an unwritable output, a horizon T/dt
-that overflows or exceeds int64, damping whose prefactors e^X overflow,
-and a printed midpoint kind on a model without an as-printed pair, which
-the library refuses at its first step), 3 solver non-convergence or a
-singular linear system, 4 numeric blow-up.
+2 configuration problem (among them a horizon T/dt that overflows or
+exceeds int64, damping whose prefactors e^X overflow, a kind the model
+cannot step and a printed variant the model lacks, all refused before any
+march, and an output that cannot be opened, found after the marches),
+3 solver non-convergence or a singular linear system, 4 numeric blow-up.
 """
 
 import argparse
@@ -63,7 +63,8 @@ class RunConfig:
     record_every: int = 10
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    scheme_variant: str = field(default="canonical", metadata={"choices": integrators.SCHEME_VARIANTS})
+    # printed: the model's as-printed variant for the scheme kind (models.MODELS lists the pairs)
+    scheme_variant: str = field(default="canonical", metadata={"choices": ("canonical", "printed")})
     output: str = field(default=None, metadata={"help": "CSV destination, '-' for stdout"})
 
 
@@ -117,26 +118,27 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"T must be positive, got {cfg.T}")
     if cfg.record_every < 1:  # integrate checks it only when a march starts
         raise ConfigError(f"record_every must be >= 1, got {cfg.record_every}")
+    variants = _SETTINGS["scheme_variant"].metadata["choices"]
+    if cfg.scheme_variant not in variants:  # a config file is not held to the flag's choices
+        raise ConfigError(f"unknown scheme_variant {cfg.scheme_variant!r} (known: {', '.join(variants)})")
 
 
 def build_problem(cfg: RunConfig):
-    """Model, initial state, and scheme spec for a resolved config."""
+    """Model, initial state, and scheme spec for a resolved config; every library refusal comes here."""
+    try:
+        solver = NonlinearSolveSettings(tolerance=cfg.newton_tol, max_iterations=cfg.newton_max_iter)
+    except ValueError as exc:  # the library names its parameters, not the settings that gave them
+        raise ConfigError(f"newton_tol={cfg.newton_tol!r}, newton_max_iter={cfg.newton_max_iter!r}: {exc}") from None
     try:
         grid = build_grid(cfg.L, cfg.M)
-        model = models.make_model(cfg.model, grid, cfg.gamma, cfg.alpha, cfg.rho, cfg.nu, cfg.theta)
-        printed_nls = cfg.scheme_variant == "printed" and cfg.model == "nls" and cfg.scheme == "lie"
-        solver = NonlinearSolveSettings(tolerance=cfg.newton_tol, max_iterations=cfg.newton_max_iter)
-        spec = integrators.SchemeSpec(kind=cfg.scheme, dt=cfg.dt, solver=solver,
-                                      scheme_variant="canonical" if printed_nls else cfg.scheme_variant)
-        integrators.SCHEMES[cfg.scheme].exponents(model.gamma_eff, cfg.dt)  # refuses prefactors that overflow
+        spec = integrators.SchemeSpec(kind=cfg.scheme, dt=cfg.dt, solver=solver)
+        printed_for = cfg.scheme if cfg.scheme_variant == "printed" else None
+        model = models.make_model(cfg.model, grid, cfg.gamma, cfg.alpha, cfg.rho, cfg.nu, cfg.theta,
+                                  printed_for=printed_for)
+        integrators.bind(model, spec)  # refuses a kind the model cannot step, and prefactors that overflow
         integrators.step_count(cfg.T, cfg.dt)  # T/dt must count its steps
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if printed_nls:
-        # scheme unchanged; the pairwise energy column switches to the
-        # as-printed polarization
-        pol = dataclasses.replace(model.polarized, evaluate=model.polarized.evaluate_printed)
-        model = dataclasses.replace(model, polarized=pol)
     return model, models.initial_condition(cfg.model, grid), spec
 
 
@@ -240,8 +242,7 @@ def cmd_compare(args) -> int:
     if not schemes:
         raise ConfigError("compare needs at least one scheme (--schemes a,b,...)")
     flags = _flag_values(args)
-    # every scheme's config error comes before the first march; a printed midpoint kind on a model
-    # without an as-printed pair is refused at its first step, after the schemes before it marched
+    # every scheme's refusal comes before the first march
     configs = [resolve_config(args.preset, file_values, dict(flags, scheme=scheme)) for scheme in schemes]
     problems = [build_problem(cfg) for cfg in configs]
     inv_names = [inv.name for inv in problems[0][0].invariants]

@@ -18,10 +18,11 @@ quadratic-field `lie` system is built by `system.kahan_system`, and every linear
 implicit kernel returns decode(solve(mat, rhs)) of its (mat, rhs, decode): the
 two-step rows solve for u^{n+1} + u^{n-1}, so no operator acts on u^{n-1}.  The midpoint
 and AVF kinds share one Newton kernel for y = a + dt (F(a, y) - gamma (a + y)/2):
-the midpoint takes F = f((a + y)/2) (or the model's as-printed pair), AVF the
+the midpoint takes F = f((a + y)/2) (or the model's own midpoint pair), AVF the
 model's closed-form mean of f over the chord [a, y], `chord_average`, with
 its Jacobian `chord_jacobian`.  `integrate` starts its Newton solve from
-3u^n - 3u^{n-1} + u^{n-2} after step 2; bootstraps and `step` start from u^n.
+3u^n - 3u^{n-1} + u^{n-2} after step 2; bootstraps and `step` start from u^n.  No kernel
+checks the model: `bind` refuses, before any step, a model that lacks a field the kind calls.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -39,25 +41,17 @@ from .linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
 from .system import ConformalModel, kahan_system
 
 
-SCHEME_VARIANTS = ("canonical", "printed")  # printed: the midpoint kinds' as-printed nonlinearity
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     kind: str
     dt: float
     solver: NonlinearSolveSettings = field(default_factory=NonlinearSolveSettings)
-    scheme_variant: str = "canonical"
 
     def __post_init__(self):
         if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r} (known: {', '.join(SCHEMES)})")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.scheme_variant not in SCHEME_VARIANTS:
-            raise ValueError(f"unknown scheme_variant {self.scheme_variant!r} (known: {', '.join(SCHEME_VARIANTS)})")
-        if self.scheme_variant == "printed" and SCHEMES[self.kind].kernel is not _midpoint:
-            raise ValueError(f"scheme_variant 'printed' is for the midpoint kinds, not {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +73,13 @@ class StepResult(NamedTuple):  # a tuple: built once per step
 
 
 def _implicit_step(model, a, dt, gamma, spec, guess=None, *, pair):
-    """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (F, F_y) = pair(model, spec).
+    """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (F, F_y) = pair(model).
 
     F is the kind's mean of the field f over the chord [a, y] and F_y its Jacobian in y, so the
     Newton matrix is (1 + dt gamma/2) I - dt F_y(a, y).  Newton starts from `guess` (default a)
     and stops at residual tolerance * (1 + dt gamma/2) max|a|.
     """
-    field, jacobian = pair(model, spec)
+    field, jacobian = pair(model)
     diag = 1.0 + dt * gamma / 2.0
     # relative to the size of the terms: an absolute tolerance stalls on the Burgers decay below
     # 1e-11, and at stiff damping the rounding of dt gamma (a + y)/2 grows with diag
@@ -103,19 +97,10 @@ def _implicit_step(model, a, dt, gamma, spec, guess=None, *, pair):
     return y, iters, iters
 
 
-def _midpoint_pair(model, spec):
-    """f at the midpoint and half its Jacobian there, or the model's as-printed midpoint pair."""
-    if spec.scheme_variant == "canonical":
-        return (lambda a, y: model.conservative_field(0.5 * y + 0.5 * a),
-                lambda a, y: 0.5 * model.jacobian_conservative(0.5 * y + 0.5 * a))
-    if model.printed_midpoint_field is None:
-        raise UnsupportedModelError(f"model {model.name} has no as-printed midpoint nonlinearity")
-    return model.printed_midpoint_field, model.printed_midpoint_jacobian
-
-
-def _avf_pair(model, spec):
-    """The mean of f over the chord and its Jacobian, in the model's closed form."""
-    return model.chord_average, model.chord_jacobian
+def _midpoint_pair(model):
+    """f at the midpoint and half its Jacobian there, unless the model has its own midpoint pair."""
+    return model.midpoint_pair or (lambda a, y: model.conservative_field(0.5 * y + 0.5 * a),
+                                   lambda a, y: 0.5 * model.jacobian_conservative(0.5 * y + 0.5 * a))
 
 
 def _kahan1_step(model, a, dt, gamma, spec=None):
@@ -129,8 +114,6 @@ def _kahan2_step(model, a, b, dt, gamma, spec=None):
 
 
 def _lie_step(model, a, b, dt, gamma, spec=None):
-    if model.lie_system_builder is None:
-        raise UnsupportedModelError(f"model {model.name} has no polarized linear system")
     mat, rhs, decode = model.lie_system_builder(a, b, dt)
     return decode(solve_periodic_banded(mat, rhs)), 0, 1
 
@@ -145,13 +128,14 @@ class Scheme:
     state, Newton iterations, linear solves), with gamma the damping rate left in the field;
     `advance` applies the prefactors, so no kernel sees them, and rescales a Newton kernel's
     guess of u^{n+1} alike, passed after spec.  bootstrap: the one-step companion that
-    produces u^1 for a two-step scheme.
+    produces u^1 for a two-step scheme.  needs: the optional model fields its kernel and bootstrap call.
     """
 
     exponential: bool
     two_step: bool
     kernel: Callable
     bootstrap: Optional["Scheme"] = None
+    needs: tuple = ()
 
     def exponents(self, gamma_eff: float, dt: float) -> Exponents:
         """The row's exponents at (gamma_eff, dt); ValueError when a prefactor e^{X} overflows."""
@@ -166,10 +150,9 @@ class Scheme:
             pass
         raise ValueError(f"the prefactors e^X overflow at gamma_eff*dt = {g!r}")
 
-    def advance(self, model, spec, window, exps=None, guess=None) -> StepResult:
+    def advance(self, model, spec, window, exps, guess=None) -> StepResult:
         if len(window) != 1 + self.two_step:
             raise ValueError(f"{spec.kind!r} steps from {1 + self.two_step} states, got {len(window)}")
-        exps = exps or self.exponents(model.gamma_eff, spec.dt)
         gamma = 0.0 if self.exponential else model.gamma_eff
         # 1.0 * u == u, so a unit prefactor is skipped: kernels never write into the window and return new arrays
         scaled = [u if e == 1.0 else e * u for e, u in zip(exps.factors, window)]
@@ -181,25 +164,38 @@ class Scheme:
 
 
 _midpoint = partial(_implicit_step, pair=_midpoint_pair)
-_avf = partial(_implicit_step, pair=_avf_pair)
+_avf = partial(_implicit_step, pair=attrgetter("chord_average", "chord_jacobian"))  # the model's closed form
+_QUADRATIC = ("quadratic_bilinear", "quadratic_matrix")  # what system.kahan_system calls
 _CIMP = Scheme(True, False, _midpoint)
-_EK1 = Scheme(True, False, _kahan1_step)
-# kind -> Scheme(exponential, two_step, kernel, bootstrap)
+_EK1 = Scheme(True, False, _kahan1_step, needs=_QUADRATIC)
+# kind -> Scheme(exponential, two_step, kernel, bootstrap, needs)
 SCHEMES = {
     "cimp": _CIMP,
     "eavf": Scheme(True, False, _avf),
     "ek1": _EK1,
-    "ek2": Scheme(True, True, _kahan2_step, bootstrap=_EK1),
-    "lie": Scheme(True, True, _lie_step, bootstrap=_CIMP),
+    "ek2": Scheme(True, True, _kahan2_step, bootstrap=_EK1, needs=_QUADRATIC),
+    "lie": Scheme(True, True, _lie_step, bootstrap=_CIMP, needs=("lie_system_builder",)),
     "imidpoint_plain": Scheme(False, False, _midpoint),
     "avf_plain": Scheme(False, False, _avf),
-    "kahan2_plain": Scheme(False, True, _kahan2_step, bootstrap=Scheme(False, False, _kahan1_step)),
+    "kahan2_plain": Scheme(False, True, _kahan2_step, bootstrap=Scheme(False, False, _kahan1_step), needs=_QUADRATIC),
 }
 
 
+def bind(model, spec: SchemeSpec) -> Exponents:
+    """spec.kind's exponents on model: the check `step`, `bootstrap`, `integrate` and the CLI make first.
+
+    UnsupportedModelError when the model lacks a field the kind needs; ValueError when a prefactor overflows.
+    """
+    scheme = SCHEMES[spec.kind]
+    missing = [name for name in scheme.needs if getattr(model, name) is None]
+    if missing:
+        raise UnsupportedModelError(f"model {model.name} has no {' or '.join(missing)}, which {spec.kind!r} steps call")
+    return scheme.exponents(model.gamma_eff, spec.dt)
+
+
 def step(model, spec: SchemeSpec, *window, exps: Optional[Exponents] = None) -> StepResult:
-    """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds."""
-    return SCHEMES[spec.kind].advance(model, spec, window, exps)
+    """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds; exps default to bind's."""
+    return SCHEMES[spec.kind].advance(model, spec, window, exps or bind(model, spec))
 
 
 def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
@@ -211,8 +207,9 @@ def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
     companion = SCHEMES[spec.kind].bootstrap
     if companion is None:
         raise ValueError(f"{spec.kind!r} is not a two-step kind")
+    bind(model, spec)
     solver = replace(spec.solver, tolerance=min(spec.solver.tolerance, 1e-13))
-    return companion.advance(model, replace(spec, solver=solver), (u0,))
+    return companion.advance(model, replace(spec, solver=solver), (u0,), companion.exponents(model.gamma_eff, spec.dt))
 
 
 @dataclass
@@ -296,7 +293,7 @@ def integrate(
 
     scheme = SCHEMES[spec.kind]
     two_step = scheme.two_step
-    exps = scheme.exponents(model.gamma_eff, dt)
+    exps = bind(model, spec)
     polarized = model.polarized.evaluate if two_step and model.polarized is not None else None
 
     rows: list = []  # (step, time, Newton iterations, linear solves) per recorded state

@@ -45,7 +45,7 @@ from .system import (
 
 def cubic_hamiltonian_model(
     name: str, grid: Grid, gamma: float, sigma: float, alpha: float, invariants: tuple,
-    linear: Optional[tuple] = None, theta: float = 1.0, paper_factor: float = 1.0, **printed,
+    linear: Optional[tuple] = None, theta: float = 1.0, paper_factor: float = 1.0, midpoint_pair=None,
 ) -> ConformalModel:
     """The model of H(u) = dx sum(alpha u^3/3) + u^T A u/2 with S = sigma D1/dx, damped at 2 gamma.
 
@@ -55,7 +55,7 @@ def cubic_hamiltonian_model(
     of A) and its PDG, the lie system with the same theta, and, when there is no A, the
     homogeneity degree 3 of H and H~.  invariants holds (name, degree, functional)
     triples, each decaying at degree * 2 gamma; the reported energy is paper_factor H;
-    printed holds the as-printed midpoint callables, if any.
+    midpoint_pair is the model's own midpoint pair (F, F_y), if any.
     """
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
@@ -101,27 +101,26 @@ def cubic_hamiltonian_model(
         hamiltonian_paper=hamiltonian if paper_factor == 1.0 else lambda u: paper_factor * hamiltonian(u),
         invariants=tuple(Invariant(n, f, exact_rate=p * ghat) for n, p, f in invariants),
         **quadratic_field(sigma * alpha, d1, field_linear),
-        polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg, theta=theta),
+        polarized=PolarizedEnergy(evaluate=pol_eval, pdg=pol_pdg),
         degree=3 if amat is None else None,
         lie_system_builder=lambda a, b, dt: polarized_kahan_system(model, a, b, dt, theta),
-        **printed,
+        midpoint_pair=midpoint_pair,
     )
     return model
 
 
-def burgers_model(grid: Grid, gamma: float) -> ConformalModel:
+def burgers_model(grid: Grid, gamma: float, printed: bool = False) -> ConformalModel:
     """u_t = -u u_x - 2 gamma u on a periodic grid: sigma = -1, alpha = 1/2, no A.
 
     The reported energy follows the u^3/3 integral convention and is exactly
-    twice the generator dx sum(u^3)/6.
+    twice the generator dx sum(u^3)/6.  As printed, the midpoint kinds average
+    the nonlinearity as a mean of squares instead of a squared mean.
     """
     d1 = derivative_operator(grid, 1)
+    printed_pair = (lambda a, b: -0.25 * d1.apply(a * a + b * b), lambda a, b: model.quadratic_matrix(b))
     model = cubic_hamiltonian_model(
         "burgers", grid, gamma, -1.0, 0.5, (("mass", 1, lambda u: quadrature(grid, u)),),
-        paper_factor=2.0,
-        # the as-printed average: mean of squares instead of squared mean
-        printed_midpoint_field=lambda a, b: -0.25 * d1.apply(a * a + b * b),
-        printed_midpoint_jacobian=lambda a, b: model.quadratic_matrix(b),
+        paper_factor=2.0, midpoint_pair=printed_pair if printed else None,
     )
     return model
 
@@ -138,7 +137,7 @@ def kdv_model(grid: Grid, gamma: float, alpha: float, rho: float, nu: float, the
     return cubic_hamiltonian_model("kdv", grid, gamma, 1.0, alpha, invariants, (rho, nu), theta)
 
 
-def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
+def nls_model(grid: Grid, gamma: float, alpha: float, printed: bool = False) -> ConformalModel:
     """i psi_t = -psi_xx - alpha |psi|^2 psi - i (gamma/2) psi, psi = u + i v.
 
     State is the stacked real pair (u; v) of length 2M.  The effective
@@ -148,7 +147,8 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
     u-block is diagonal, so a Newton system is solved by eliminating u and
     solving one M x M periodic pentadiagonal Schur complement for v.  The
     polarized energy has theta = 1: the lie system below is the discrete
-    gradient of that polarization only.
+    gradient of that polarization only.  As printed, the polarized energy is
+    the displayed H~, not a polarization of H; only the record uses it.
     """
     m, dx = grid.size, grid.spacing
     d1 = derivative_operator(grid, 1)
@@ -274,9 +274,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float) -> ConformalModel:
         chord_average=chord_average,
         chord_jacobian=chord_jacobian,
         invariants=invariants,
-        polarized=PolarizedEnergy(
-            evaluate=pol_eval, pdg=pol_pdg, theta=1.0, evaluate_printed=pol_eval_printed
-        ),
+        polarized=PolarizedEnergy(evaluate=pol_eval_printed if printed else pol_eval, pdg=pol_pdg),
         lie_system_builder=lie_builder,
     )
 
@@ -287,19 +285,22 @@ def _nls_profile(x):
 
 
 class ModelKind(NamedTuple):
-    """A model kind: its constructor, its initial state on the grid nodes x, its parameter defaults."""
+    """A model kind: its constructor, its initial state on the grid nodes x, its parameter defaults,
+    and the scheme kinds whose steps or records its as-printed variant, build(..., printed=True), changes."""
 
     build: Callable
     profile: Callable
     defaults: dict
+    printed: tuple = ()
 
 
 # model kind -> ModelKind: the one table that make_model, initial_condition and the CLI's choices read
 MODELS = {
-    "burgers": ModelKind(burgers_model, lambda x: np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi), {}),
+    "burgers": ModelKind(burgers_model, lambda x: np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi), {},
+                         ("cimp", "imidpoint_plain")),
     "kdv": ModelKind(kdv_model, lambda x: 2.0 * np.exp(-2.0 * x**2) / math.sqrt(2.0 * math.pi),
                      {"alpha": -0.375, "rho": -10.0, "nu": -1e-5, "theta": 0.5}),
-    "nls": ModelKind(nls_model, _nls_profile, {"alpha": 2.0}),
+    "nls": ModelKind(nls_model, _nls_profile, {"alpha": 2.0}, ("lie",)),
 }
 
 
@@ -321,10 +322,15 @@ def make_model(
     rho: Optional[float] = None,
     nu: Optional[float] = None,
     theta: Optional[float] = None,
+    printed_for: Optional[str] = None,
 ) -> ConformalModel:
-    """Dispatch a model by name; a parameter that the model does not read, or a bad value, is refused."""
+    """Dispatch a model by name, as printed for the scheme kind printed_for if given; a parameter that the
+    model does not read, a bad value, or a printed_for outside the model's `printed` kinds is refused."""
     kind = _model_kind(model_kind)
-    values = {}
+    values = {} if printed_for is None else {"printed": True}
+    if printed_for not in (None, *kind.printed):
+        known = ", ".join(kind.printed) or "no scheme kind"
+        raise ValueError(f"the {model_kind} model has an as-printed variant for {known}, not {printed_for!r}")
     for name, given in {"alpha": alpha, "rho": rho, "nu": nu, "theta": theta}.items():
         if name in kind.defaults:
             values[name] = kind.defaults[name] if given is None else given

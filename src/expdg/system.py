@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnsupportedModelError
 from .spatial import PeriodicBandedMatrix, dot
 
 
@@ -46,16 +45,13 @@ class PolarizedEnergy:
 
     evaluate(a, b): H~ with H~(u, u) = H(u) and H~(a, b) = H~(b, a); like
         Invariant.evaluate it takes pairs stacked on leading axes (..., dim)
-        and returns one value per pair, bitwise that of the pair alone, and so
-        does evaluate_printed.
+        and returns one value per pair, bitwise that of the pair alone.
     pdg(u, v, w): three-point gradient satisfying
         H~(v, w) - H~(u, v) = 0.5 * (w - u)^T pdg(u, v, w).
     """
 
     evaluate: Callable
     pdg: Callable
-    theta: Optional[float] = None
-    evaluate_printed: Optional[Callable] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +90,8 @@ class ConformalModel:
     # (a, b, dt) -> (mat, rhs, decode): the lie step on rescaled states a, b solves mat x = rhs for
     # x = c + a, c the rescaled next state, and decode(x) subtracts a from the fresh x to give c
     lie_system_builder: Optional[Callable] = None
-    # as-printed midpoint nonlinearity (mean of squares), kept for comparison
-    printed_midpoint_field: Optional[Callable] = None
-    printed_midpoint_jacobian: Optional[Callable] = None
+    # (F, F_y) that the midpoint kinds take in place of f((a + y)/2) and J((a + y)/2)/2, if set
+    midpoint_pair: Optional[tuple] = None
 
 
 def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) -> dict:
@@ -152,19 +147,16 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
 
         (c - a)/h = Qb(b, q0 a + q1 b + q2 c) + (L - gamma)(l0 a + l1 b + l2 c)
 
-    for a quadratic field Qb(u, u) + L u.  One-step schemes pass b = a.  The system is linear in c,
-    with mat = (1/h + l2 gamma) I - q2 Qb(b, .) - l2 L.  With symmetric weights (q0 = q2, l0 = l2)
-    adding mat a to both sides leaves mat (c + a) = (2/h) a + q1 Qb(b, b) + l1 (L - gamma) b, which
-    applies nothing to a: the system is solved for c + a, and decode subtracts a in place from the
-    fresh solution.  Other weights (ek1) must be one-step, b = a, so the right-hand side is
-    a/h + (q0 + q1) Qb(b, b) + (l0 + l1) (L - gamma) b; they solve for c itself, and decode returns
-    it unchanged.  Right-hand-side terms with a zero weight are not formed.  The step-invariant
-    part (1/h + l2 gamma) I - l2 L is cached, so a step adds it by one row add.
+    for a quadratic field Qb(u, u) + L u, which `integrators.bind` checks the model has before any step.
+    One-step schemes pass b = a.  The system is linear in c, with mat = (1/h + l2 gamma) I - q2 Qb(b, .)
+    - l2 L.  With symmetric weights (q0 = q2, l0 = l2) adding mat a to both sides leaves
+    mat (c + a) = (2/h) a + q1 Qb(b, b) + l1 (L - gamma) b, which applies nothing to a: the system is
+    solved for c + a, and decode subtracts a in place from the fresh solution.  Other weights (ek1)
+    must be one-step, b = a, so the right-hand side is a/h + (q0 + q1) Qb(b, b) + (l0 + l1) (L - gamma) b;
+    they solve for c itself, and decode returns it unchanged.  Right-hand-side terms with a zero weight
+    are not formed.  The step-invariant part (1/h + l2 gamma) I - l2 L is cached, so a step adds it by
+    one row add.
     """
-    if model.quadratic_bilinear is None or model.quadratic_matrix is None:
-        raise UnsupportedModelError(
-            f"model {model.name} has no quadratic conservative field for Kahan steps"
-        )
     # Qb(b, .) is linear in b, so the weight scales b rather than the matrix
     mat, linear = model.quadratic_matrix(-q[2] * b), model.linear_operator
     diag = 1.0 / h + l[2] * gamma
@@ -221,4 +213,4 @@ def polarize_quadratic_form(apply_a: Callable, theta: float) -> PolarizedEnergy:
     def pdg(u, v, w):
         return apply_a(theta * (u + w) / 2.0 + (1.0 - theta) * v)
 
-    return PolarizedEnergy(evaluate=evaluate, pdg=pdg, theta=theta)
+    return PolarizedEnergy(evaluate=evaluate, pdg=pdg)

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import io
 import math
@@ -15,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import expdg
 import expdg.integrators as integrators
+import expdg.models as models
 from expdg.cli import (
     RunConfig,
     _flag_values,
@@ -27,7 +27,7 @@ from expdg.cli import (
     resolve_config,
     write_run_csv,
 )
-from expdg.errors import BlowUpError, ConfigError, SingularMatrixError, UnsupportedModelError
+from expdg.errors import BlowUpError, ConfigError, SingularMatrixError
 from expdg.integrators import RunRecord
 from expdg.models import PRESETS
 from expdg.system import Invariant
@@ -99,14 +99,15 @@ def test_resolve_config_unknown_preset():
         ({"model": "heat"}, r"unknown model kind 'heat' \(known: burgers, kdv, nls\)"),
         ({"scheme": "rk4"}, r"unknown scheme kind 'rk4' \(known: cimp, eavf, ek1, "),
         ({"scheme_variant": "fancy"}, r"unknown scheme_variant 'fancy' \(known: canonical, printed\)"),
-        ({"scheme_variant": "printed"}, "'printed' is for the midpoint kinds, not 'ek2'"),  # burgers + ek2
+        # burgers + ek2
+        ({"scheme_variant": "printed"}, "burgers model has an as-printed variant for cimp, imidpoint_plain, not 'ek2'"),
         ({"dt": -0.1}, "dt must be positive"),
         ({"T": 0.0}, "T must be positive"),
         ({"record_every": 0}, "record_every"),
-        ({"newton_tol": -1.0}, "tolerance must be finite and positive"),
-        ({"newton_tol": math.nan}, "tolerance must be finite and positive"),
-        ({"newton_tol": math.inf}, "tolerance must be finite and positive"),
-        ({"newton_max_iter": 0}, "max_iterations must be >= 1"),
+        ({"newton_tol": -1.0}, "newton_tol=-1.0, newton_max_iter=50: tolerance must be finite and positive"),
+        ({"newton_tol": math.nan}, "newton_tol=nan, newton_max_iter=50: tolerance must be finite and positive"),
+        ({"newton_tol": math.inf}, "newton_tol=inf, newton_max_iter=50: tolerance must be finite and positive"),
+        ({"newton_max_iter": 0}, "newton_tol=1e-12, newton_max_iter=0: max_iterations must be >= 1"),
     ],
 )
 def test_resolve_and_build_reject_bad_settings(overrides, match):
@@ -153,19 +154,55 @@ def test_every_setting_is_a_config_key_and_a_flag(command, setting):
         ("burgers-paper", "cimp", None),
         ("burgers-paper", "imidpoint_plain", None),
         ("nls-paper", "lie", None),
-        ("kdv-paper", "cimp", UnsupportedModelError),  # no as-printed pair: refused at the first step
-        ("burgers-paper", "ek2", ConfigError),  # not a midpoint kind: refused by the spec
+        ("kdv-paper", "cimp", "the kdv model has an as-printed variant for no scheme kind, not 'cimp'"),
+        ("burgers-paper", "ek2", "the burgers model has an as-printed variant for cimp, imidpoint_plain, not 'ek2'"),
     ],
 )
 def test_printed_variant_combinations(preset, scheme, refusal):
+    # make_model refuses a pair outside models.MODELS, inside build_problem
     cfg = resolve_config(preset, {"scheme": scheme, "scheme_variant": "printed"}, {})
-    if refusal is ConfigError:
-        with pytest.raises(ConfigError, match="midpoint kinds"):
+    if refusal is not None:
+        with pytest.raises(ConfigError, match=refusal):
             build_problem(cfg)
         return
     model, u0, spec = build_problem(cfg)
-    with pytest.raises(UnsupportedModelError) if refusal else contextlib.nullcontext():
-        integrators.integrate(model, spec, u0, 2 * cfg.dt, record_every=1)
+    integrators.integrate(model, spec, u0, 2 * cfg.dt, record_every=1)
+
+
+PRESET_OF_MODEL = {cfg["model"]: name for name, cfg in PRESETS.items()}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("kind", integrators.SCHEMES)
+@pytest.mark.parametrize("model_kind", models.MODELS)
+def test_printed_variant_over_every_model_and_kind(model_kind, kind, command, tmp_path, monkeypatch, capsys):
+    # a pair that models.MODELS lists marches and differs from canonical; any other exits 2 with no march
+    # and no file, even where compare lists the model's printed kinds before it
+    marches, integrate = [], integrators.integrate
+
+    def counted(model, spec, *args, **kwargs):
+        marches.append(spec.kind)
+        return integrate(model, spec, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "integrate", counted)
+    preset, printed = PRESET_OF_MODEL[model_kind], models.MODELS[model_kind].printed
+    schemes = [kind] if kind in printed else [*printed, kind]
+
+    def main_to(out, variant):
+        argv = [command, "--preset", preset, "--M", "32", "--T", repr(2 * PRESETS[preset]["dt"]),
+                "--scheme-variant", variant, "-o", str(out)]
+        return main(argv + (["--scheme", kind] if command == "run" else ["--schemes", ",".join(schemes)]))
+
+    out = tmp_path / "printed.csv"
+    code, err = main_to(out, "printed"), capsys.readouterr().err
+    if kind not in printed:
+        assert (code, marches, out.exists()) == (2, [], False)
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+        return
+    assert (code, marches) == (0, [kind])
+    if command == "run":  # compare's columns do not show the nls polarized energy
+        assert main_to(tmp_path / "canonical.csv", "canonical") == 0
+        assert out.read_text() != (tmp_path / "canonical.csv").read_text()
 
 
 def test_build_problem_wraps_model_errors():
@@ -182,15 +219,15 @@ def test_build_problem_wraps_grid_errors(grid, message):
 
 
 def test_build_problem_printed_nls_swaps_polarization():
-    canonical, _, _ = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
+    canonical, _, canonical_spec = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
     printed, _, spec = build_problem(
         resolve_config("nls-paper", {"M": 64, "scheme_variant": "printed"}, {})
     )
-    assert spec.scheme_variant == "canonical"  # the lie scheme itself is unchanged
+    assert spec == canonical_spec  # the lie scheme itself is unchanged
     rng = np.random.default_rng(3)
-    v, w = rng.standard_normal(128), rng.standard_normal(128)
-    assert printed.polarized.evaluate(v, w) == canonical.polarized.evaluate_printed(v, w)
+    u, v, w = rng.standard_normal((3, 128))
     assert printed.polarized.evaluate(v, w) != canonical.polarized.evaluate(v, w)
+    assert printed.polarized.pdg(u, v, w).tobytes() == canonical.polarized.pdg(u, v, w).tobytes()
 
 
 def test_fmt_cells():
@@ -427,7 +464,7 @@ def test_exit_2_missing_config_file(capsys):
 
 def test_exit_2_scheme_needs_quadratic_field(capsys):
     assert main(["run", "--preset", "nls-paper", "--scheme", "ek2", "--T", "0.01"]) == 2
-    assert "no quadratic conservative field" in capsys.readouterr().err
+    assert "model nls has no quadratic_bilinear or quadratic_matrix, which 'ek2' steps call" in capsys.readouterr().err
 
 
 def test_exit_2_theta_outside_kdv(capsys):
@@ -594,15 +631,15 @@ def test_compare_all_singular_exit_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "preset, schemes, marched, message",
+    "preset, schemes, variant, message",
     [
-        ("burgers-paper", "cimp,ek2", [], "'printed' is for the midpoint kinds, not 'ek2'"),
-        # nls has no as-printed midpoint pair: cimp is refused at its first step, after lie marched
-        ("nls-paper", "lie,cimp", ["lie", "cimp"], "nls has no as-printed midpoint nonlinearity"),
+        ("burgers-paper", "cimp,ek2", "printed", "as-printed variant for cimp, imidpoint_plain, not 'ek2'"),
+        ("nls-paper", "lie,cimp", "printed", "the nls model has an as-printed variant for lie, not 'cimp'"),
+        ("nls-paper", "lie,ek2", "canonical", "model nls has no quadratic_bilinear or quadratic_matrix"),
     ],
 )
-def test_compare_refuses_a_printed_variant_the_scheme_or_model_lacks(preset, schemes, marched, message,
-                                                                     tmp_path, monkeypatch, capsys):
+def test_compare_refuses_what_the_library_cannot_step_before_any_march(preset, schemes, variant, message,
+                                                                       tmp_path, monkeypatch, capsys):
     marches, integrate = [], integrators.integrate
 
     def counted(model, spec, *args, **kwargs):
@@ -611,9 +648,9 @@ def test_compare_refuses_a_printed_variant_the_scheme_or_model_lacks(preset, sch
 
     monkeypatch.setattr(integrators, "integrate", counted)
     out = tmp_path / "out.csv"
-    argv = ["compare", "--preset", preset, "--T", "0.018", "--scheme-variant", "printed", "-o", str(out)]
+    argv = ["compare", "--preset", preset, "--T", "0.018", "--scheme-variant", variant, "-o", str(out)]
     assert main(argv + ["--schemes", schemes]) == 2
-    assert marches == marched
+    assert marches == []
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1].startswith("error: ")
     assert message in captured.err

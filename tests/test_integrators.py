@@ -92,12 +92,6 @@ def test_exponents_are_antisymmetric_so_the_first_factor_undoes_the_last(kind):
         {"kind": "heun", "dt": 0.01},
         {"kind": "cimp", "dt": 0.0},
         {"kind": "cimp", "dt": -0.1},
-        {"kind": "cimp", "dt": 0.01, "scheme_variant": "fancy"},
-        # only the midpoint kinds have an as-printed variant
-        *(
-            {"kind": kind, "dt": 0.01, "scheme_variant": "printed"}
-            for kind in ("eavf", "ek1", "ek2", "lie", "avf_plain", "kahan2_plain")
-        ),
     ],
 )
 def test_scheme_spec_validation(kwargs):
@@ -180,21 +174,20 @@ def test_cimp_reduces_to_plain_midpoint_without_damping():
     assert np.array_equal(a, b)
 
 
-def test_printed_midpoint_variant_differs_but_stays_close():
+@pytest.mark.parametrize("kind", ["cimp", "imidpoint_plain"])
+def test_printed_midpoint_variant_differs_but_stays_close(kind):
     model, u0 = burgers()
-    canonical = step(model, SchemeSpec("cimp", 0.009), u0).state
-    printed = step(model, SchemeSpec("cimp", 0.009, scheme_variant="printed"), u0).state
+    printed_model = make_model("burgers", model.grid, gamma=0.25, printed_for=kind)
+    canonical = step(model, SchemeSpec(kind, 0.009), u0).state
+    printed = step(printed_model, SchemeSpec(kind, 0.009), u0).state
     gap = np.max(np.abs(printed - canonical))
     assert 1e-12 < gap < 1e-4  # same order of accuracy, different scheme
     assert np.all(np.isfinite(printed))
 
 
 def test_printed_variant_rejected_for_kdv():
-    g = preset_grid("kdv-paper")
-    model = make_model("kdv", g, gamma=1e-2)
-    u0 = initial_condition("kdv", g)
-    with pytest.raises(UnsupportedModelError):
-        step(model, SchemeSpec("cimp", 0.009, scheme_variant="printed"), u0)
+    with pytest.raises(ValueError, match="the kdv model has an as-printed variant for no scheme kind, not 'cimp'"):
+        make_model("kdv", preset_grid("kdv-paper"), gamma=1e-2, printed_for="cimp")
 
 
 def test_eavf_step_satisfies_chord_average_equation():
@@ -355,18 +348,28 @@ def test_lie_marching_is_reversible_through_the_builder():
     assert np.max(np.abs(back - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 
+def entry_points(model, spec, u0):
+    """step, integrate and, for a two-step kind, bootstrap of spec on model from u0."""
+    two_step = SCHEMES[spec.kind].two_step
+    calls = [lambda: step(model, spec, *[u0] * (1 + two_step)), lambda: integrate(model, spec, u0, 2 * spec.dt)]
+    return calls + [lambda: bootstrap(model, u0, spec)] * two_step
+
+
 def test_lie_requires_a_system_builder():
-    toy = toy_cubic_model()
-    with pytest.raises(UnsupportedModelError):
-        step(toy, SchemeSpec("lie", 0.01), np.ones(2), np.ones(2))
+    # no kernel checks the model: bind refuses it where the scheme meets it
+    for call in entry_points(toy_cubic_model(), SchemeSpec("lie", 0.01), np.ones(2)):
+        with pytest.raises(UnsupportedModelError, match="model toy has no lie_system_builder, which 'lie' steps call"):
+            call()
 
 
-def test_kahan_steps_reject_cubic_fields():
+@pytest.mark.parametrize("kind", ["ek1", "ek2", "kahan2_plain"])
+def test_kahan_steps_reject_cubic_fields(kind):
     g = build_grid(25.0, 64)
     model = make_model("nls", g, gamma=0.0)
-    u0 = initial_condition("nls", g)
-    with pytest.raises(UnsupportedModelError):
-        step(model, SchemeSpec("ek1", 0.001), u0)
+    message = f"model nls has no quadratic_bilinear or quadratic_matrix, which {kind!r} steps call"
+    for call in entry_points(model, SchemeSpec(kind, 0.001), initial_condition("nls", g)):
+        with pytest.raises(UnsupportedModelError, match=message):
+            call()
 
 
 # ------------------------------ damped Kahan steps as undamped Kahan in v = e^{gt} u

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expdg import integrators, linalg
+from expdg import integrators, linalg, models
 from expdg.cli import build_problem, resolve_config
 from expdg.errors import NonConvergenceError, SingularMatrixError
 from expdg.linalg import (
@@ -330,15 +330,13 @@ def test_every_step_system_lives_on_the_model_band(preset, band):
         return solve_periodic_banded(mat, rhs)
 
     cfg = resolve_config(preset, {}, {})
-    model, u0, _ = build_problem(cfg)
     keys = [(kind, "canonical") for kind in integrators.SCHEMES]
-    if preset == "burgers-paper":
-        keys += [("cimp", "printed"), ("imidpoint_plain", "printed")]
+    keys += [(kind, "printed") for kind in models.MODELS[cfg.model].printed]
     with mock.patch.object(linalg, "solve_periodic_banded", record), mock.patch.object(
         integrators, "solve_periodic_banded", record
     ):
         for key in keys:
-            spec = integrators.SchemeSpec(key[0], cfg.dt, scheme_variant=key[1])
+            model, u0, spec = build_problem(resolve_config(preset, {}, {"scheme": key[0], "scheme_variant": key[1]}))
             integrators.integrate(model, spec, u0, 3 * cfg.dt)
     assert offsets == {key: {band} for key in keys}
 

@@ -236,10 +236,13 @@ def test_quadratic_field_equals_the_written_out_formulas_bitwise(kind):
 
 
 def test_theta_defaults():
-    kdv = make_model("kdv", build_grid(10.0, 64), gamma=0.0)
-    assert kdv.polarized.theta == 0.5
-    nls = make_model("nls", build_grid(25.0, 64), gamma=0.0)
-    assert nls.polarized.theta == 1.0
+    # the kdv default is theta = 1/2, bitwise; the nls theta = 1 is pinned by the lie discrete-gradient
+    # equation of its polarized energy (tests/test_system.py)
+    grid = build_grid(10.0, 64)
+    v, w = np.random.default_rng(0).standard_normal((2, 64))
+    default = make_model("kdv", grid, gamma=0.0).polarized.evaluate(v, w)
+    assert default == make_model("kdv", grid, gamma=0.0, theta=0.5).polarized.evaluate(v, w)
+    assert default != make_model("kdv", grid, gamma=0.0, theta=1.0).polarized.evaluate(v, w)
 
 
 def test_theta_is_refused_where_it_has_no_effect():
@@ -248,8 +251,11 @@ def test_theta_is_refused_where_it_has_no_effect():
         make_model("nls", build_grid(25.0, 64), gamma=0.0, theta=0.5)
     with pytest.raises(ValueError, match="theta applies to the kdv model only"):
         make_model("burgers", build_grid(math.pi, 16), gamma=0.0, theta=0.5)
-    kdv = make_model("kdv", build_grid(10.0, 64), gamma=0.0, theta=0.25)
-    assert kdv.polarized.theta == 0.25
+    grid = build_grid(10.0, 64)
+    v, w = np.random.default_rng(1).standard_normal((2, 64))
+    energies = {theta: make_model("kdv", grid, gamma=0.0, theta=theta).polarized.evaluate(v, w)
+                for theta in (0.25, 0.5)}
+    assert energies[0.25] != energies[0.5]
 
 
 @pytest.mark.parametrize(
@@ -371,9 +377,10 @@ def test_conservative_limit_preserves_hamiltonian(kind, dt_ref):
     assert abs(model.hamiltonian_paper(ref) - h0) <= 1e-8 * abs(h0)
 
 
-# the presets' models at their own sizes (n = 80, 248 and 2 x 1024), pure decay and the toy
+# the presets' models at their own sizes (n = 80, 248 and 2 x 1024), the as-printed nls, pure decay and the toy
 STACKED_MODELS = {
     **{kind: make_model(kind, preset_grid(f"{kind}-paper"), 0.1) for kind in ("burgers", "kdv", "nls")},
+    "nls printed": make_model("nls", preset_grid("nls-paper"), 0.1, printed_for="lie"),
     "pure-decay": pure_decay_model(8, 0.3),
     "toy": toy_cubic_model(),
 }
@@ -385,8 +392,6 @@ def recorded_functionals(model):
     out += [("hamiltonian", model.hamiltonian, 1), ("hamiltonian_paper", model.hamiltonian_paper, 1)]
     if model.polarized is not None:
         out.append(("polarized", model.polarized.evaluate, 2))
-        if model.polarized.evaluate_printed is not None:
-            out.append(("polarized printed", model.polarized.evaluate_printed, 2))
     return out
 
 

@@ -5,8 +5,9 @@
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Each
 tree runs in its own interpreter (with PYTHONPATH set to it) over every
 preset x scheme kind x scheme variant, 20 steps at the preset's dt, once
-through `integrate` (record_every=1, a copy of every recorded state
-collected through its observer) and through
+through `integrate` on the problem that `cli.resolve_config` and
+`cli.build_problem` make of the preset, kind and variant (record_every=1,
+a copy of every recorded state collected through its observer) and through
 `expdg run` (CSV written to a file) at record_every=1 and at
 record_every=7, which records steps 0, 7, 14 and 20: a short last interval,
 and steps whose predecessor was not recorded. Two long cases per preset run
@@ -17,7 +18,7 @@ long horizon, not only over 20 steps. Nine cases run only `expdg run`: seven
 bad inputs (an output under a missing directory, --T 1e308, whose T/dt
 overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --newton-tol -1,
 --record-every 0 and KdV cimp --scheme-variant printed, which has no
-as-printed pair) and two plain Newton kinds at the stiff damping --gamma 1e7.
+as-printed variant) and two plain Newton kinds at the stiff damping --gamma 1e7.
 Per case the table gives:
 
     states   bitwise, or the max relative difference of the recorded states and
@@ -98,20 +99,14 @@ def _cases():
 
 
 def _library_case(preset, kind, variant, steps):
-    """Arrays of one integrate run, or the name of the error it raised."""
-    from expdg import integrators, models
-    from expdg.spatial import build_grid
+    """Arrays of one integrate run on the problem `expdg run` builds, or the name of the error it raised."""
+    from expdg import cli, integrators
 
-    cfg = models.PRESETS[preset]
-    grid = build_grid(cfg["L"], cfg["M"])
     try:
-        model = models.make_model(cfg["model"], grid, cfg["gamma"])
-        spec = integrators.SchemeSpec(kind, cfg["dt"], scheme_variant=variant)
+        model, u0, spec = cli.build_problem(cli.resolve_config(preset, {}, {"scheme": kind, "scheme_variant": variant}))
         states = []
-        rec = integrators.integrate(
-            model, spec, models.initial_condition(cfg["model"], grid), steps * cfg["dt"],
-            record_every=1, observer=lambda n, t, u: states.append(u.copy()),
-        )
+        rec = integrators.integrate(model, spec, u0, steps * spec.dt, record_every=1,
+                                    observer=lambda n, t, u: states.append(u.copy()))
     except Exception as exc:  # the error type is the result of the case
         return {"error": type(exc).__name__}, {}
     arrays = {"states": np.asarray(states), "final": rec.final_state, "series/H_paper": rec.hamiltonian_paper}

@@ -82,10 +82,10 @@ class March:
         exps = scheme.exponents(model.gamma_eff, spec.dt)
         self.advance = lambda: scheme.advance(model, spec, window, exps)
         self.march = lambda steps: integrators.integrate(model, spec, u0, steps * spec.dt, record_every=1)
-        self.systems = self._systems()
+        self.systems = self._systems(lambda: integrators.step(model, spec, *window))
 
-    def _systems(self) -> list:
-        """The (matrix, rhs) of every band solve one step makes."""
+    def _systems(self, one_step) -> list:
+        """The (matrix, rhs) of every band solve one step makes; `step` refuses a kind the model cannot step."""
         solve, systems = self.linalg.solve_periodic_banded, []
 
         def record(mat, rhs):
@@ -95,7 +95,7 @@ class March:
         with mock.patch.object(self.linalg, "solve_periodic_banded", record), mock.patch.object(
             self.integrators, "solve_periodic_banded", record
         ):
-            self.advance()
+            one_step()
         return systems
 
     def solve_all(self):
