@@ -20,7 +20,11 @@ two-step rows solve for u^{n+1} + u^{n-1}, so no operator acts on u^{n-1}.  The 
 and AVF kinds share one Newton kernel for y = a + dt (F(a, y) - gamma (a + y)/2):
 the midpoint takes F = f((a + y)/2) (or the model's own midpoint pair), AVF the
 model's closed-form mean of f over the chord [a, y], `chord_average`, with
-its Jacobian `chord_jacobian`.  `integrate` starts its Newton solve from
+its Jacobian `chord_jacobian`.  A Newton iterate forms its midpoint once, for
+its residual and its matrix.  Every matrix a step solves is one new coefficient
+array: the Newton matrix one scaled `shift` of the fresh Jacobian, a Kahan
+matrix the fresh `quadratic_matrix` with its diagonal added in place.  A step
+writes only into the new arrays made for it.  `integrate` starts its Newton solve from
 3u^n - 3u^{n-1} + u^{n-2} after step 2; bootstraps and `step` start from u^n.  No kernel
 checks the model: `bind` refuses, before any step, a model that lacks a field the kind calls.
 """
@@ -31,7 +35,6 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -72,35 +75,50 @@ class StepResult(NamedTuple):  # a tuple: built once per step
     linear_solves: int
 
 
-def _implicit_step(model, a, dt, gamma, spec, guess=None, *, pair):
-    """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (F, F_y) = pair(model).
+def _implicit_step(model, a, dt, gamma, spec, guess=None, *, terms):
+    """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (point, field, jacobian, w) = terms(model).
 
-    F is the kind's mean of the field f over the chord [a, y] and F_y its Jacobian in y, so the
-    Newton matrix is (1 + dt gamma/2) I - dt F_y(a, y).  Newton starts from `guess` (default a)
-    and stops at residual tolerance * (1 + dt gamma/2) max|a|.
+    F = field(*point(a, y)) is the kind's mean of the field f over the chord [a, y], and its Jacobian in y
+    is F_y = w jacobian(*point(a, y)).  The point is formed once per Newton iterate and shared by the
+    residual and the Newton matrix there, (1 + dt gamma/2) I - dt w jacobian, which `shift` builds in one
+    new array from the fresh Jacobian.  Newton starts from `guess` (default a) and stops at residual
+    tolerance * (1 + dt gamma/2) max|a|.
     """
-    field, jacobian = pair(model)
+    point, field, jacobian, weight = terms(model)
     diag = 1.0 + dt * gamma / 2.0
     # relative to the size of the terms: an absolute tolerance stalls on the Burgers decay below
     # 1e-11, and at stiff damping the rounding of dt gamma (a + y)/2 grows with diag
     scale = diag * max(float(np.abs(a).max()), 1e-30)
-    solver = NonlinearSolveSettings(spec.solver.tolerance * scale, spec.solver.max_iterations)
+    last = at = None  # the iterate the residual last took, and point(a, y) there
 
     def residual(y):
-        rhs = field(a, y)
+        nonlocal last, at
+        last, at = y, point(a, y)
+        rhs = field(*at)
         if gamma:
             rhs = rhs - gamma * 0.5 * (y + a)
         return y - a - dt * rhs
 
-    y, iters = newton_solve(residual, lambda y: ((-dt) * jacobian(a, y)).shift(diag),
-                            a if guess is None else guess, solver)
+    def matrix(y):  # -dt w is exact for w = 1/2 or 1: (-dt w) J is (-dt)(w J) bitwise
+        return jacobian(*(at if y is last else point(a, y))).shift(diag, -dt * weight)
+
+    y, iters = newton_solve(residual, matrix, a if guess is None else guess, spec.solver, scale)
     return y, iters, iters
 
 
-def _midpoint_pair(model):
-    """f at the midpoint and half its Jacobian there, unless the model has its own midpoint pair."""
-    return model.midpoint_pair or (lambda a, y: model.conservative_field(0.5 * y + 0.5 * a),
-                                   lambda a, y: 0.5 * model.jacobian_conservative(0.5 * y + 0.5 * a))
+def _at_midpoint(a, y):
+    return (0.5 * y + 0.5 * a,)
+
+
+def _on_chord(a, y):
+    return a, y
+
+
+def _midpoint_terms(model):
+    """f and J at the midpoint with w = 1/2, or the model's own midpoint pair (F, F_y) on the chord with w = 1."""
+    if model.midpoint_pair is None:
+        return _at_midpoint, model.conservative_field, model.jacobian_conservative, 0.5
+    return (_on_chord, *model.midpoint_pair, 1.0)
 
 
 def _kahan1_step(model, a, dt, gamma, spec=None):
@@ -163,8 +181,9 @@ class Scheme:
         return StepResult(state if scale == 1.0 else scale * state, newton_iterations, linear_solves)
 
 
-_midpoint = partial(_implicit_step, pair=_midpoint_pair)
-_avf = partial(_implicit_step, pair=attrgetter("chord_average", "chord_jacobian"))  # the model's closed form
+_midpoint = partial(_implicit_step, terms=_midpoint_terms)
+# the model's closed-form chord mean and its Jacobian, with w = 1
+_avf = partial(_implicit_step, terms=lambda model: (_on_chord, model.chord_average, model.chord_jacobian, 1.0))
 _QUADRATIC = ("quadratic_bilinear", "quadratic_matrix")  # what system.kahan_system calls
 _CIMP = Scheme(True, False, _midpoint)
 _EK1 = Scheme(True, False, _kahan1_step, needs=_QUADRATIC)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -146,9 +147,9 @@ class TwoFieldMatrix:
 
     __rmul__ = __mul__
 
-    def shift(self, c: float) -> "TwoFieldMatrix":
-        """This matrix plus c I."""
-        return TwoFieldMatrix(self.rows, self.off, self.mid, self.c + c)
+    def shift(self, c: float, scale: float = 1.0) -> "TwoFieldMatrix":
+        """scale times this matrix plus c I, in one new `rows` array."""
+        return TwoFieldMatrix(scale * self.rows, scale * self.off, scale * self.mid, scale * self.c + c)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Eliminate u, solve (diag(c + t) + A W B) v = r_v - A W r_u by one band LU, u = W (r_u + B v),
@@ -165,8 +166,13 @@ class TwoFieldMatrix:
         # row i of A W B is off (W B)_{i-1} + diag_p[i] (W B)_i + off (W B)_{i+1}
         z, p_off_w, ss = w * diag_q, (off * w) * diag_p, off * off
         (w_prev, w_next), (z_prev, z_next) = _shifts(w), _shifts(z)
-        rows = (ss * w_prev, off * z_prev + p_off_w, self.c + t + ss * (w_prev + w_next) + diag_p * z,
-                p_off_w + off * z_next, ss * w_next)
+        rows = np.empty((5, m), np.result_type(z, diag_p))  # the band's five rows, each written in place
+        np.multiply(ss, w_prev, out=rows[0])
+        np.add(off * z_prev, p_off_w, out=rows[1])
+        np.add(self.c + t, ss * (w_prev + w_next), out=rows[2])
+        rows[2] += diag_p * z
+        np.add(p_off_w, off * z_next, out=rows[3])
+        np.multiply(ss, w_next, out=rows[4])
         wr_u = w * rhs[:m]
         rhs_v = rhs[m:] - (off * np.add(*_shifts(wr_u)) + diag_p * wr_u)
         v = solve_periodic_banded(PeriodicBandedMatrix(m, (-2, -1, 0, 1, 2), rows), rhs_v)
@@ -191,14 +197,18 @@ class NonlinearSolveSettings:
             raise ValueError("max_iterations must be >= 1")
 
 
-def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: NonlinearSolveSettings):
-    """Drive residual_fn to zero by Newton steps; returns (solution, iterations).
+def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: NonlinearSolveSettings, scale: float = 1.0):
+    """Drive residual_fn to max|residual| <= settings.tolerance * scale by Newton steps; returns (solution, iterations).
 
-    jacobian_fn(x) returns the Jacobian at x, a PeriodicBandedMatrix or a TwoFieldMatrix.
+    jacobian_fn(x) returns the Newton matrix at x, the Jacobian of residual_fn there, a PeriodicBandedMatrix or a
+    TwoFieldMatrix.  It is called only at the x that residual_fn was last called at.
     """
+    tolerance = settings.tolerance * scale
+    if not 0.0 < tolerance < math.inf:  # a scale that overflows or underflows it, or NaN
+        NonlinearSolveSettings(tolerance, settings.max_iterations)  # raises the settings' own ValueError
     x = np.array(guess, dtype=float)
     r = residual_fn(x)
-    if np.abs(r).max() <= settings.tolerance:
+    if np.abs(r).max() <= tolerance:
         return x, 0
     for it in range(1, settings.max_iterations + 1):
         mat = jacobian_fn(x)
@@ -207,7 +217,7 @@ def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: Nonlinea
         res_norm = np.abs(r).max()
         if not np.isfinite(res_norm):
             raise NonConvergenceError("residual became non-finite", iterations=it, residual=float("nan"))
-        if res_norm <= settings.tolerance:
+        if res_norm <= tolerance:
             return x, it
     raise NonConvergenceError(
         f"no convergence after {settings.max_iterations} iterations (residual {res_norm:.3e})",

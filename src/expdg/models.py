@@ -183,9 +183,14 @@ def nls_model(grid: Grid, gamma: float, alpha: float, printed: bool = False) -> 
         deriv = dot(halves(x), d2.apply(halves(x)))  # (u . D2 u, v . D2 v)
         return dx * (quart + 0.5 * (deriv[..., 0] + deriv[..., 1]))
 
-    def jacobian_rows(h):
+    def jacobian_rows(h):  # (2 alpha u v, alpha (mod + 2 u u), alpha (mod + 2 v v)), written into one array
         u, v, mod = h[..., 0, :], h[..., 1, :], modulus(h)
-        return np.array([2.0 * alpha * u * v, alpha * (mod + 2.0 * u * u), alpha * (mod + 2.0 * v * v)])
+        rows = np.empty((3, *mod.shape))
+        np.multiply(2.0 * alpha * u, v, out=rows[0])
+        np.add(mod, 2.0 * u * u, out=rows[1])
+        np.add(mod, 2.0 * v * v, out=rows[2])
+        rows[1:] *= alpha
+        return rows
 
     def jacobian_conservative(x):
         return TwoFieldMatrix(jacobian_rows(halves(x)), *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)

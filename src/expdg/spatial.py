@@ -144,9 +144,9 @@ class PeriodicBandedMatrix:
                 coeffs[i] += c
         return PeriodicBandedMatrix(self.size, offsets, coeffs)
 
-    def shift(self, c) -> "PeriodicBandedMatrix":
-        """A + c I for a scalar c; offset 0 must be one of the offsets."""
-        coeffs = self.coeffs.astype(np.result_type(self.coeffs, c))  # a copy
+    def shift(self, c, scale=1.0) -> "PeriodicBandedMatrix":
+        """scale A + c I for scalars c and scale, in one new coefficient array; offset 0 must be one of the offsets."""
+        coeffs = (scale * self.coeffs).astype(np.result_type(self.coeffs, c), copy=False)
         coeffs[self.offsets.index(0)] += c
         return PeriodicBandedMatrix(self.size, self.offsets, coeffs)
 

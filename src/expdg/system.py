@@ -83,7 +83,9 @@ class ConformalModel:
     chord_jacobian: Callable
     invariants: tuple
     quadratic_bilinear: Optional[Callable] = None  # Qb(x, y), bilinear part
-    quadratic_matrix: Optional[Callable] = None  # x -> the operator Qb(x, .)
+    # x -> the operator Qb(x, .), a new matrix on each call, on the offsets of linear_operator if that is
+    # set: `kahan_system` adds into its rows
+    quadratic_matrix: Optional[Callable] = None
     linear_operator: Optional[PeriodicBandedMatrix] = None  # conservative linear part L
     polarized: Optional[PolarizedEnergy] = None
     degree: Optional[int] = None  # homogeneity degree p of H and H~, if any: both decay at p gamma_eff
@@ -157,10 +159,14 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
     are not formed.  The step-invariant part (1/h + l2 gamma) I - l2 L is cached, so a step adds it by
     one row add.
     """
-    # Qb(b, .) is linear in b, so the weight scales b rather than the matrix
+    # Qb(b, .) is linear in b, so the weight scales b rather than the matrix; the matrix is new and on
+    # the band of L, so the rest goes into its rows in place
     mat, linear = model.quadratic_matrix(-q[2] * b), model.linear_operator
     diag = 1.0 / h + l[2] * gamma
-    mat = mat.shift(diag) if linear is None else mat + _kahan_invariant(linear, l[2], diag)
+    if linear is None:
+        mat.coeffs[mat.offsets.index(0)] += diag
+    else:
+        mat.coeffs += _kahan_invariant(linear, l[2], diag).coeff_rows
     symmetric = q[0] == q[2] and l[0] == l[2]
     # symmetric weights: the terms in a cancel against mat a; other weights are one-step, a is b
     rhs, qw, lw = ((2.0 / h) * a, q[1], l[1]) if symmetric else (a / h, q[0] + q[1], l[0] + l[1])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import expdg.integrators as integrators
+from expdg import linalg, system
 from expdg.diagnostics import compensated_polarized_deviation
 from expdg.errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from expdg.integrators import (
@@ -23,8 +24,8 @@ from expdg.integrators import (
     _kahan2_step,
 )
 from expdg.linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
-from expdg.models import PRESETS, initial_condition, make_model, preset_grid
-from expdg.spatial import build_grid
+from expdg.models import MODELS, PRESETS, initial_condition, make_model, preset_grid
+from expdg.spatial import PeriodicBandedMatrix, build_grid
 
 from conftest import dense, integrate_states, preset_model, toy_cubic_model
 from oracles import pure_decay_model
@@ -230,9 +231,9 @@ def test_avf_newton_matrix_needs_one_jacobian_per_iteration(kind):
         calls.append(y)
         return model.chord_jacobian(a, y)
 
-    def capture(residual, jacobian, guess, settings):
+    def capture(residual, jacobian, guess, settings, scale):
         newton_matrices.append(jacobian)
-        return newton_solve(residual, jacobian, guess, settings)
+        return newton_solve(residual, jacobian, guess, settings, scale)
 
     with mock.patch.object(integrators, "newton_solve", capture):
         result = step(replace(model, chord_jacobian=counted), SchemeSpec("avf_plain", dt), a)
@@ -240,6 +241,138 @@ def test_avf_newton_matrix_needs_one_jacobian_per_iteration(kind):
     # the plain kind keeps the damping: (1 + dt g/2) I - dt chord_jacobian(a, y)
     expected = (1.0 + dt * model.gamma_eff / 2.0) * np.eye(model.dim) - dt * mean
     assert np.abs(dense(newton_matrices[0](y)) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def _bits(mat):
+    """Everything a PeriodicBandedMatrix or TwoFieldMatrix is made of, as comparable bytes."""
+    if isinstance(mat, PeriodicBandedMatrix):
+        return type(mat), mat.offsets, mat.coeffs.dtype, mat.coeffs.shape, mat.coeffs.tobytes()
+    return type(mat), np.array([mat.off, mat.mid, mat.c]).tobytes(), mat.rows.shape, mat.rows.tobytes()
+
+
+# name -> (model, u0, dt): every shape of Newton matrix, with the as-printed Burgers midpoint pair
+NEWTON_MODELS = {
+    "burgers": lambda: (*preset_model("burgers-paper")[:2], 0.009),
+    "burgers-printed": lambda: (make_model("burgers", preset_grid("burgers-paper"), 0.25, printed_for="cimp"),
+                                initial_condition("burgers", preset_grid("burgers-paper")), 0.009),
+    "kdv": lambda: (*preset_model("kdv-paper")[:2], 0.009),
+    "nls": lambda: (*preset_model("nls-paper")[:2], 0.001),
+    "toy": lambda: (toy_cubic_model(), np.array([0.3, -0.2]), 0.05),
+}
+
+
+@pytest.mark.parametrize("kind", ["cimp", "eavf", "imidpoint_plain", "avf_plain"])
+@pytest.mark.parametrize("name", NEWTON_MODELS)
+def test_newton_matrix_is_bitwise_the_shifted_jacobian_built_in_two_scalings(name, kind):
+    # the kernel scales the fresh Jacobian once, by -dt w, and adds the diagonal in place; -dt w is exact
+    # for w = 1/2 and 1, so it equals -dt times F_y = w J, then shifted, bit for bit
+    model, u0, dt = NEWTON_MODELS[name]()
+    built = []  # (a, iterate, Newton matrix) per matrix the kernel hands to the solve
+
+    def capture(residual, jacobian, guess, settings, scale):
+        def recorded(x):
+            built.append((guess, x, jacobian(x)))
+            return built[-1][2]
+
+        return newton_solve(residual, recorded, guess, settings, scale)
+
+    with mock.patch.object(integrators, "newton_solve", capture):
+        result = step(model, SchemeSpec(kind, dt), u0)  # no guess: Newton starts from a itself
+    assert len(built) == result.newton_iterations > 0
+    diag = 1.0 + dt * (0.0 if SCHEMES[kind].exponential else model.gamma_eff) / 2.0
+    for a, y, mat in built:
+        if kind in ("eavf", "avf_plain"):
+            f_y = model.chord_jacobian(a, y)
+        elif model.midpoint_pair is not None:  # the model's own F_y, in full
+            f_y = model.midpoint_pair[1](a, y)
+        else:
+            f_y = 0.5 * model.jacobian_conservative(0.5 * y + 0.5 * a)
+        assert _bits(mat) == _bits(((-dt) * f_y).shift(diag))
+
+
+@pytest.mark.parametrize("kind", ["ek1", "ek2", "lie", "kahan2_plain"])
+@pytest.mark.parametrize("name", ["burgers", "kdv", "toy"])
+def test_kahan_matrix_is_bitwise_the_fresh_quadratic_matrix_plus_its_diagonal_part(name, kind, monkeypatch):
+    model, u0, dt = NEWTON_MODELS[name]()
+    kahan_system, calls = system.kahan_system, []  # the arguments and the matrix of every kahan_system call
+
+    def recording(model, a, b, h, q, l, gamma=0.0):
+        out = kahan_system(model, a, b, h, q, l, gamma)
+        calls.append((model, b, h, q, l, gamma, out[0]))
+        return out
+
+    monkeypatch.setattr(integrators, "kahan_system", recording)
+    monkeypatch.setattr(system, "kahan_system", recording)  # the lie builder's polarized_kahan_system calls it
+    if kind == "lie" and model.lie_system_builder is None:
+        model = replace(model, lie_system_builder=lambda a, b, dt: system.polarized_kahan_system(model, a, b, dt))
+    integrate(model, SchemeSpec(kind, dt), u0, 4 * dt)
+    assert len(calls) >= 3
+    for model, b, h, q, l, gamma, mat in calls:
+        fresh, linear = model.quadratic_matrix(-q[2] * b), model.linear_operator
+        diag = 1.0 / h + l[2] * gamma
+        expected = fresh.shift(diag) if linear is None else fresh + system._kahan_invariant(linear, l[2], diag)
+        assert _bits(mat) == _bits(expected)
+
+
+def _probes(model):
+    """The bytes of what the model's field, Jacobian and operator callables return at one fixed probe."""
+    p, q = np.random.default_rng(12).uniform(-1.0, 1.0, (2, model.dim))
+    out = {"field": model.conservative_field(p).tobytes(), "jacobian": _bits(model.jacobian_conservative(p)),
+           "chord_average": model.chord_average(p, q).tobytes(), "chord_jacobian": _bits(model.chord_jacobian(p, q))}
+    if model.quadratic_matrix is not None:
+        out["quadratic_matrix"] = _bits(model.quadratic_matrix(p))
+        out["quadratic_bilinear"] = model.quadratic_bilinear(p, q).tobytes()
+    if model.linear_operator is not None:
+        out["linear_operator"] = _bits(model.linear_operator)
+    return out
+
+
+def _steppable():
+    """(preset, kind, printed) for every preset x kind the preset model can step, and its printed variants."""
+    for preset, cfg in PRESETS.items():
+        model = preset_model(preset)[0]
+        for kind, scheme in SCHEMES.items():
+            if all(getattr(model, name) is not None for name in scheme.needs):
+                yield preset, kind, False
+                if kind in MODELS[cfg["model"]].printed:
+                    yield preset, kind, True
+
+
+@pytest.mark.parametrize("preset, kind, printed", list(_steppable()))
+def test_marches_write_only_into_arrays_their_steps_allocate(preset, kind, printed, monkeypatch):
+    model, u0, cfg = preset_model(preset)
+    if printed:
+        model = make_model(cfg["model"], preset_grid(preset), cfg["gamma"], printed_for=kind)
+    before = _probes(model)
+    cached, invariants = system._kahan_invariant, []  # the cached diag I - l2 L each step took, with its key
+
+    def recording_invariant(linear, l2, diag):
+        invariants.append((linear, l2, diag, cached(linear, l2, diag)))
+        return invariants[-1][3]
+
+    solve, two_field_solve, matrices = linalg.solve_periodic_banded, linalg.TwoFieldMatrix.solve, []
+
+    def recording_solve(mat, rhs):
+        matrices.append(mat)
+        return solve(mat, rhs)
+
+    def recording_two_field_solve(mat, rhs):
+        matrices.append(mat)
+        return two_field_solve(mat, rhs)
+
+    monkeypatch.setattr(system, "_kahan_invariant", recording_invariant)
+    monkeypatch.setattr(integrators, "solve_periodic_banded", recording_solve)
+    monkeypatch.setattr(linalg, "solve_periodic_banded", recording_solve)  # newton_solve's and the Schur band's
+    monkeypatch.setattr(linalg.TwoFieldMatrix, "solve", recording_two_field_solve)
+    integrate(model, SchemeSpec(kind, cfg["dt"]), u0, 5 * cfg["dt"])
+    assert _probes(model) == before
+    for linear, l2, diag, part in invariants:
+        assert _bits(part) == _bits(((-l2) * linear).shift(diag))
+    # every matrix is kept alive, so no later one can reuse the memory of an earlier one
+    arrays = [mat.coeffs if isinstance(mat, PeriodicBandedMatrix) else mat.rows for mat in matrices]
+    assert len(arrays) >= 5
+    for i, later in enumerate(arrays):
+        assert not any(np.shares_memory(earlier, later) for earlier in arrays[:i])
 
 
 def test_eavf_preserves_transformed_energy_per_step():
@@ -698,9 +831,9 @@ def test_the_newton_guess_is_the_rescaled_quadratic_extrapolation(monkeypatch):
     spec = SchemeSpec("cimp", 0.009)
     guesses = []
 
-    def spy(residual, jacobian, guess, settings):
+    def spy(residual, jacobian, guess, settings, scale):
         guesses.append(guess)
-        return newton_solve(residual, jacobian, guess, settings)
+        return newton_solve(residual, jacobian, guess, settings, scale)
 
     monkeypatch.setattr(integrators, "newton_solve", spy)
     _, states = integrate_states(model, spec, u0, 6 * spec.dt)

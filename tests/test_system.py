@@ -16,8 +16,8 @@ from expdg.spatial import PeriodicBandedMatrix, build_grid, derivative_operator
 from expdg import system
 from expdg.system import NODAL_CUBIC, kahan_system
 
-from conftest import evaluate_invariants
-from oracles import kahan_bilinear, vector_field
+from conftest import evaluate_invariants, toy_cubic_model
+from oracles import kahan_bilinear, pure_decay_model, vector_field
 
 GRIDS = {
     "burgers": (math.pi, 80),
@@ -197,6 +197,20 @@ def test_kahan_system_cache_keeps_every_matrix_equal_to_its_dense_assembly():
     assert system._kahan_invariant.cache_info().hits >= hits + 8  # the second pass is served from the cache
     for mat, dense_then in returned:  # no later call changed a matrix returned earlier
         assert np.array_equal(mat.to_dense(), dense_then)
+
+
+@pytest.mark.parametrize("kind", ["burgers", "kdv", "toy", "pure-decay"])
+def test_quadratic_matrix_returns_a_new_matrix_on_the_band_of_the_linear_operator(kind):
+    # kahan_system adds its diagonal part, or the cached diag I - l2 L, into the rows quadratic_matrix returns
+    model = {"toy": toy_cubic_model, "pure-decay": lambda: pure_decay_model(16, 0.3)}.get(kind, lambda: build(kind))()
+    x = random_states(model, 1, 5)[0]
+    first, second = model.quadratic_matrix(x), model.quadratic_matrix(x)
+    assert first.coeffs.flags.writeable and not np.shares_memory(first.coeffs, second.coeffs)
+    if model.linear_operator is not None:
+        assert first.offsets == model.linear_operator.offsets
+        assert not np.shares_memory(first.coeffs, model.linear_operator.coeffs)
+    first.coeffs += 1.0
+    assert model.quadratic_matrix(x).coeffs.tobytes() == second.coeffs.tobytes()
 
 
 def test_nodal_cubic_worked_values():

@@ -232,7 +232,7 @@ def compare(parent, change) -> bool:
     all_equal = True
     states, series = [], []  # (bitwise, max relative difference) per library run that both trees completed
     columns = {}  # CSV column -> largest (absolute, relative) difference over all cases
-    print(f"{'case':40s} {'states':>21s} {'series':>9s} {'newton/solves':>13s} {'exit':>5s} {'csv':>5s}")
+    table = []  # per case: its cells, whether it is equal, and the lines that describe its CSV differences
     for case, p in cases_p.items():
         c = cases_c[case]
         lib_p, lib_c = p["lib"], c["lib"]
@@ -260,19 +260,32 @@ def compare(parent, change) -> bool:
         csv = "equal" if all(a["csv"] == b["csv"] for a, b in zip(cli_p, cli_c)) else "DIFF"
         equal = equal and cli_p == cli_c
         all_equal = all_equal and equal
-        print(f"{case:40s} {lib:>21s} {recorded:>9s} {counters:>13s} {exit_code:>5s} {csv:>5s}{'' if equal else '  *'}")
+        details = []
         for every, a, b in zip(CADENCES if lib_p is not None else ("preset",), cli_p, cli_c):
             if a["csv"] == b["csv"]:
                 continue
             diffs = _column_differences(a["csv"], b["csv"])
             if isinstance(diffs, str):
-                print(f"    record_every={every}: {diffs}")
+                details.append(f"    record_every={every}: {diffs}")
                 continue
             for name, (absolute, relative) in diffs.items():
                 old = columns.get(name, (0.0, 0.0))
                 columns[name] = (max(old[0], absolute), max(old[1], relative))
             cells = ", ".join(f"{name} {ab:.2e} ({rel:.2e} rel)" for name, (ab, rel) in diffs.items())
-            print(f"    record_every={every}: {cells}")
+            details.append(f"    record_every={every}: {cells}")
+        table.append(((case, lib, recorded, counters, exit_code, csv), equal, details))
+    # each column as wide as its widest cell or header: the case left-aligned, the others right-aligned
+    header = ("case", "states", "series", "newton/solves", "exit", "csv")
+    widths = [max(len(cell) for cell in column) for column in zip(header, *(cells for cells, _, _ in table))]
+
+    def line(cells):
+        return " ".join([cells[0].ljust(widths[0])] + [cell.rjust(width) for cell, width in zip(cells[1:], widths[1:])])
+
+    print(line(header))
+    for cells, equal, details in table:
+        print(line(cells) + ("" if equal else "  *"))
+        for detail in details:
+            print(detail)
     print("every case bitwise equal" if all_equal else "cases marked * differ")
     print(_summary("recorded and final states", states))
     print(_summary("recorded series", series))
