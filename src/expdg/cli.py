@@ -142,17 +142,6 @@ def build_problem(cfg: RunConfig):
     return model, models.initial_condition(cfg.model, grid), spec
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return ""
-    return repr(v)
-
-
 def _residual_columns(model, record):
     """Residual series per diagnostic quantity, aligned to arrival rows."""
     gaps = np.diff(record.times)
@@ -171,7 +160,7 @@ def _residual_columns(model, record):
 
 
 def _cells(values: np.ndarray) -> list:
-    """The cells of one series as _fmt writes them: repr of each value, NaN as an empty cell."""
+    """The CSV cells of float values: repr of each value, NaN as an empty cell."""
     cells = list(map(repr, values.tolist()))
     for i in np.flatnonzero(np.isnan(values)).tolist():
         cells[i] = ""
@@ -258,15 +247,14 @@ def cmd_compare(args) -> int:
             failures.append(code)
             continue
         residuals = _residual_columns(model, record)
-        cells = [cfg.scheme, "ok"]
+        floats = []  # max |R| over each invariant's finite residuals, NaN (an empty cell) if none; final H; wall
         for name in inv_names:
             r = residuals["R_" + name]
             finite = r[np.isfinite(r)]
-            cells.append(_fmt(np.max(np.abs(finite))) if finite.size else "")
-        cells.append(_fmt(record.hamiltonian_paper[-1]))
-        cells.append(_fmt(record.wall_clock_seconds))
-        cells.append(str(int(record.newton_iterations[-1])))
-        cells.append(str(int(record.linear_solves[-1])))
+            floats.append(np.max(np.abs(finite)) if finite.size else math.nan)
+        floats += [record.hamiltonian_paper[-1], record.wall_clock_seconds]
+        cells = [cfg.scheme, "ok", *_cells(np.array(floats))]
+        cells += [str(int(record.newton_iterations[-1])), str(int(record.linear_solves[-1]))]
         rows.append(cells)
     header = ["scheme", "status"]
     header += ["max_R_" + name for name in inv_names]

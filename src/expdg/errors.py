@@ -4,6 +4,11 @@
 class ExpdgError(Exception):
     """Base class for all package-specific errors."""
 
+    def __init__(self, message, partial=None):
+        super().__init__(message)
+        # partial integration record, when the failure happened mid-run
+        self.partial = partial
+
 
 class ConfigError(ExpdgError):
     """Invalid or unparsable run configuration."""
@@ -13,29 +18,22 @@ class NonConvergenceError(ExpdgError):
     """Nonlinear solve failed to reach tolerance within the iteration budget."""
 
     def __init__(self, message, iterations=None, residual=None, partial=None):
-        super().__init__(message)
+        super().__init__(message, partial)
         self.iterations = iterations
         self.residual = residual
-        # partial integration record, when the failure happened mid-run
-        self.partial = partial
 
 
 class BlowUpError(ExpdgError):
     """Numerical solution became non-finite."""
 
     def __init__(self, message, step=None, time=None, partial=None):
-        super().__init__(message)
+        super().__init__(message, partial)
         self.step = step
         self.time = time
-        self.partial = partial
 
 
 class SingularMatrixError(ExpdgError):
     """Linear system matrix is singular to working precision."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class UnsupportedModelError(ExpdgError):

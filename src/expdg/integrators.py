@@ -79,28 +79,28 @@ def _implicit_step(model, a, dt, gamma, spec, guess=None, *, terms):
     """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (point, field, jacobian, w) = terms(model).
 
     F = field(*point(a, y)) is the kind's mean of the field f over the chord [a, y], and its Jacobian in y
-    is F_y = w jacobian(*point(a, y)).  The point is formed once per Newton iterate and shared by the
-    residual and the Newton matrix there, (1 + dt gamma/2) I - dt w jacobian, which `shift` builds in one
-    new array from the fresh Jacobian.  Newton starts from `guess` (default a) and stops at residual
-    tolerance * (1 + dt gamma/2) max|a|.
+    is F_y = w jacobian(*point(a, y)).  The point is formed once per Newton iterate, by the residual, and
+    the Newton matrix (1 + dt gamma/2) I - dt w jacobian is built there: `newton_solve` asks for it only
+    at the iterate its residual last took.  `shift` builds it in one new array from the fresh Jacobian.
+    Newton starts from `guess` (default a) and stops at residual tolerance * (1 + dt gamma/2) max|a|.
     """
     point, field, jacobian, weight = terms(model)
     diag = 1.0 + dt * gamma / 2.0
     # relative to the size of the terms: an absolute tolerance stalls on the Burgers decay below
     # 1e-11, and at stiff damping the rounding of dt gamma (a + y)/2 grows with diag
     scale = diag * max(float(np.abs(a).max()), 1e-30)
-    last = at = None  # the iterate the residual last took, and point(a, y) there
+    at = None  # point(a, y) at the iterate the residual last took
 
     def residual(y):
-        nonlocal last, at
-        last, at = y, point(a, y)
+        nonlocal at
+        at = point(a, y)
         rhs = field(*at)
         if gamma:
             rhs = rhs - gamma * 0.5 * (y + a)
         return y - a - dt * rhs
 
-    def matrix(y):  # -dt w is exact for w = 1/2 or 1: (-dt w) J is (-dt)(w J) bitwise
-        return jacobian(*(at if y is last else point(a, y))).shift(diag, -dt * weight)
+    def matrix(y):  # at y, the residual's last iterate; -dt w is exact for w = 1/2 or 1: (-dt w) J is (-dt)(w J)
+        return jacobian(*at).shift(diag, -dt * weight)
 
     y, iters = newton_solve(residual, matrix, a if guess is None else guess, spec.solver, scale)
     return y, iters, iters
@@ -169,8 +169,6 @@ class Scheme:
         raise ValueError(f"the prefactors e^X overflow at gamma_eff*dt = {g!r}")
 
     def advance(self, model, spec, window, exps, guess=None) -> StepResult:
-        if len(window) != 1 + self.two_step:
-            raise ValueError(f"{spec.kind!r} steps from {1 + self.two_step} states, got {len(window)}")
         gamma = 0.0 if self.exponential else model.gamma_eff
         # 1.0 * u == u, so a unit prefactor is skipped: kernels never write into the window and return new arrays
         scaled = [u if e == 1.0 else e * u for e, u in zip(exps.factors, window)]
@@ -214,7 +212,10 @@ def bind(model, spec: SchemeSpec) -> Exponents:
 
 def step(model, spec: SchemeSpec, *window, exps: Optional[Exponents] = None) -> StepResult:
     """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds; exps default to bind's."""
-    return SCHEMES[spec.kind].advance(model, spec, window, exps or bind(model, spec))
+    scheme, exps = SCHEMES[spec.kind], exps or bind(model, spec)
+    if len(window) != 1 + scheme.two_step:  # `integrate` and `bootstrap` build their windows themselves
+        raise ValueError(f"{spec.kind!r} steps from {1 + scheme.two_step} states, got {len(window)}")
+    return scheme.advance(model, spec, window, exps)
 
 
 def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:

@@ -142,11 +142,6 @@ class TwoFieldMatrix:
     mid: float
     c: float = 0.0
 
-    def __mul__(self, scale) -> "TwoFieldMatrix":
-        return TwoFieldMatrix(scale * self.rows, scale * self.off, scale * self.mid, scale * self.c)
-
-    __rmul__ = __mul__
-
     def shift(self, c: float, scale: float = 1.0) -> "TwoFieldMatrix":
         """scale times this matrix plus c I, in one new `rows` array."""
         return TwoFieldMatrix(scale * self.rows, scale * self.off, scale * self.mid, scale * self.c + c)
@@ -201,7 +196,7 @@ def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: Nonlinea
     """Drive residual_fn to max|residual| <= settings.tolerance * scale by Newton steps; returns (solution, iterations).
 
     jacobian_fn(x) returns the Newton matrix at x, the Jacobian of residual_fn there, a PeriodicBandedMatrix or a
-    TwoFieldMatrix.  It is called only at the x that residual_fn was last called at.
+    TwoFieldMatrix.  It is called only with the array that residual_fn was last called with.
     """
     tolerance = settings.tolerance * scale
     if not 0.0 < tolerance < math.inf:  # a scale that overflows or underflows it, or NaN

@@ -66,7 +66,6 @@ def shift_index(n: int, offsets: tuple) -> np.ndarray:
     return index
 
 
-@functools.lru_cache(maxsize=256)
 def _union(a: tuple, b: tuple) -> tuple:
     """The sorted union of two offset tuples, and where the offsets of each sit in it."""
     union = tuple(sorted(set(a).union(b)))
@@ -145,9 +144,12 @@ class PeriodicBandedMatrix:
         return PeriodicBandedMatrix(self.size, offsets, coeffs)
 
     def shift(self, c, scale=1.0) -> "PeriodicBandedMatrix":
-        """scale A + c I for scalars c and scale, in one new coefficient array; offset 0 must be one of the offsets."""
-        coeffs = (scale * self.coeffs).astype(np.result_type(self.coeffs, c), copy=False)
-        coeffs[self.offsets.index(0)] += c
+        """scale A + c I for scalars c and scale, in one new coefficient array; offset 0 must be one of the offsets.
+
+        c is added in place, so it must not promote the dtype of scale A: a complex c on a real band raises TypeError.
+        """
+        coeffs = scale * self.coeffs
+        coeffs[self.offsets.index(0), ...] += c  # an in-place add on a stencil's scalar too, so the cast is checked
         return PeriodicBandedMatrix(self.size, self.offsets, coeffs)
 
     def scale_columns(self, w: np.ndarray) -> "PeriodicBandedMatrix":

@@ -139,7 +139,7 @@ def quadratic_field(scale: float, stencil: PeriodicBandedMatrix, linear=None) ->
 @functools.lru_cache(maxsize=64)
 def _kahan_invariant(linear: PeriodicBandedMatrix, l2: float, diag: float) -> PeriodicBandedMatrix:
     """diag I - l2 L, read-only: the part of a Kahan matrix every step shares (keyed by L's identity)."""
-    part = ((-l2) * linear).shift(diag)
+    part = linear.shift(diag, -l2)
     part.coeffs.flags.writeable = False
     return part
 

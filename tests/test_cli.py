@@ -17,8 +17,8 @@ import expdg.integrators as integrators
 import expdg.models as models
 from expdg.cli import (
     RunConfig,
+    _cells,
     _flag_values,
-    _fmt,
     _residual_columns,
     build_parser,
     build_problem,
@@ -230,13 +230,16 @@ def test_build_problem_printed_nls_swaps_polarization():
     assert printed.polarized.pdg(u, v, w).tobytes() == canonical.polarized.pdg(u, v, w).tobytes()
 
 
+def _fmt(value) -> str:
+    """One float cell at a time, the oracle for the writers' cells: repr of the value, NaN as an empty cell."""
+    v = float(value)
+    return "" if math.isnan(v) else repr(v)
+
+
 def test_fmt_cells():
-    assert _fmt(None) == ""
-    assert _fmt(float("nan")) == ""
-    assert _fmt(7) == "7"
-    assert _fmt(np.int64(7)) == "7"
-    assert _fmt(0.25) == "0.25"
-    assert _fmt(1.3836777871933497e-11) == "1.3836777871933497e-11"
+    values = np.array([math.nan, 0.25, 1.3836777871933497e-11, 7.0, -0.0, math.inf])
+    assert _cells(values) == ["", "0.25", "1.3836777871933497e-11", "7.0", "-0.0", "inf"]
+    assert _cells(values) == [_fmt(v) for v in values]
 
 
 # ------------------------------------------------------------------- run mode
@@ -596,6 +599,27 @@ def test_compare_counts_solver_work(tmp_path):
     # two iterations on each of the first two steps, from u^n; one on each later step, from
     # the quadratic extrapolation of the last three states
     assert eavf[col["newton_iters"]] == eavf[col["linear_solves"]] == "1002"
+
+
+@pytest.mark.parametrize("preset, schemes", [("burgers-paper", "ek2,cimp"), ("nls-paper", "lie,eavf")])
+def test_compare_cells_equal_the_per_cell_oracle(preset, schemes, capsys):
+    horizon = 20 * PRESETS[preset]["dt"]
+    assert main(["compare", "--preset", preset, "--schemes", schemes, "--T", repr(horizon), "-o", "-"]) == 0
+    header, *rows = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    for kind, row in zip(schemes.split(","), rows):
+        cfg = resolve_config(preset, {}, {"scheme": kind, "T": horizon})
+        model, u0, spec = build_problem(cfg)
+        record = integrators.integrate(model, spec, u0, horizon, record_every=cfg.record_every)
+        residuals = _residual_columns(model, record)
+        expected = [kind, "ok"]
+        for inv in model.invariants:
+            r = residuals["R_" + inv.name]
+            expected.append(_fmt(np.max(np.abs(r[np.isfinite(r)]))))
+        expected.append(_fmt(record.hamiltonian_paper[-1]))
+        expected += [str(int(record.newton_iterations[-1])), str(int(record.linear_solves[-1]))]
+        wall = header.index("wall_clock_seconds")
+        assert row[:wall] + row[wall + 1:] == expected
+        assert row[wall] == _fmt(float(row[wall]))
 
 
 def test_compare_keeps_going_after_a_failure(capsys):

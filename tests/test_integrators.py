@@ -17,13 +17,14 @@ from expdg.integrators import (
     SCHEMES,
     Exponents,
     SchemeSpec,
+    bind,
     bootstrap,
     integrate,
     step,
     _kahan1_step,
     _kahan2_step,
 )
-from expdg.linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
+from expdg.linalg import NonlinearSolveSettings, TwoFieldMatrix, newton_solve, solve_periodic_banded
 from expdg.models import MODELS, PRESETS, initial_condition, make_model, preset_grid
 from expdg.spatial import PeriodicBandedMatrix, build_grid
 
@@ -225,22 +226,28 @@ def test_avf_newton_matrix_needs_one_jacobian_per_iteration(kind):
     nodes = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
     mean = sum(xi / 2.0 * dense(model.jacobian_conservative(xi * y + (1.0 - xi) * a)) for xi in nodes)
     assert np.abs(dense(model.chord_jacobian(a, y)) - mean).max() <= 1e-14 * np.abs(mean).max()
-    calls, newton_matrices = [], []
+    calls, built = [], []  # the chord Jacobian's iterates; (iterate, Newton matrix) per matrix the solve takes
 
     def counted(a, y):
         calls.append(y)
         return model.chord_jacobian(a, y)
 
     def capture(residual, jacobian, guess, settings, scale):
-        newton_matrices.append(jacobian)
-        return newton_solve(residual, jacobian, guess, settings, scale)
+        def recorded(x):
+            built.append((x, jacobian(x)))
+            return built[-1][1]
 
-    with mock.patch.object(integrators, "newton_solve", capture):
-        result = step(replace(model, chord_jacobian=counted), SchemeSpec("avf_plain", dt), a)
-    assert len(calls) == result.newton_iterations > 0
+        return newton_solve(residual, recorded, guess, settings, scale)
+
+    spec = SchemeSpec("avf_plain", dt)
+    with mock.patch.object(integrators, "newton_solve", capture):  # Newton starts from y, so its chord is [a, y]
+        result = SCHEMES["avf_plain"].advance(replace(model, chord_jacobian=counted), spec, (a,), bind(model, spec), y)
+    assert len(calls) == len(built) == result.newton_iterations > 0
     # the plain kind keeps the damping: (1 + dt g/2) I - dt chord_jacobian(a, y)
     expected = (1.0 + dt * model.gamma_eff / 2.0) * np.eye(model.dim) - dt * mean
-    assert np.abs(dense(newton_matrices[0](y)) - expected).max() <= 1e-14 * np.abs(expected).max()
+    x, mat = built[0]
+    assert x.tobytes() == y.tobytes()  # the plain kind's unit prefactor leaves the guess as it is
+    assert np.abs(dense(mat) - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def _bits(mat):
@@ -248,6 +255,13 @@ def _bits(mat):
     if isinstance(mat, PeriodicBandedMatrix):
         return type(mat), mat.offsets, mat.coeffs.dtype, mat.coeffs.shape, mat.coeffs.tobytes()
     return type(mat), np.array([mat.off, mat.mid, mat.c]).tobytes(), mat.rows.shape, mat.rows.tobytes()
+
+
+def _times(scale, mat):
+    """scale times a PeriodicBandedMatrix or a TwoFieldMatrix, entry by entry."""
+    if isinstance(mat, PeriodicBandedMatrix):
+        return scale * mat
+    return TwoFieldMatrix(scale * mat.rows, scale * mat.off, scale * mat.mid, scale * mat.c)
 
 
 # name -> (model, u0, dt): every shape of Newton matrix, with the as-printed Burgers midpoint pair
@@ -286,8 +300,8 @@ def test_newton_matrix_is_bitwise_the_shifted_jacobian_built_in_two_scalings(nam
         elif model.midpoint_pair is not None:  # the model's own F_y, in full
             f_y = model.midpoint_pair[1](a, y)
         else:
-            f_y = 0.5 * model.jacobian_conservative(0.5 * y + 0.5 * a)
-        assert _bits(mat) == _bits(((-dt) * f_y).shift(diag))
+            f_y = _times(0.5, model.jacobian_conservative(0.5 * y + 0.5 * a))
+        assert _bits(mat) == _bits(_times(-dt, f_y).shift(diag))
 
 
 @pytest.mark.parametrize("kind", ["ek1", "ek2", "lie", "kahan2_plain"])

@@ -350,11 +350,12 @@ def test_every_step_system_lives_on_the_model_band(preset, band):
 )
 def test_two_field_elimination_matches_dense_solve(m, damping, dt, seed):
     # the Newton matrix as the implicit kernel builds it, (-dt F_y).shift(1 + dt gamma/2), here with the
-    # midpoint's F_y = J/2; the AVF chord Jacobian is a TwoFieldMatrix of the same shape, its stencil D2/2
+    # midpoint's F_y = J/2, scaled entry by entry; the AVF chord Jacobian is a TwoFieldMatrix of the same
+    # shape, its stencil D2/2
     rng = np.random.default_rng(seed)
     d2 = derivative_operator(build_grid(5.0, m), 2)
-    jac = TwoFieldMatrix(rng.uniform(-5.0, 5.0, (3, m)), *d2.coeffs[:2])
-    mat = ((-dt) * (0.5 * jac)).shift(1.0 + damping)
+    rows, off, mid = rng.uniform(-5.0, 5.0, (3, m)), *d2.coeffs[:2]
+    mat = TwoFieldMatrix((-dt) * (0.5 * rows), (-dt) * (0.5 * off), (-dt) * (0.5 * mid)).shift(1.0 + damping)
     assert isinstance(mat, TwoFieldMatrix)
     rhs = rng.standard_normal(2 * m)
     expected = np.linalg.solve(two_field_dense(mat), rhs)
@@ -461,9 +462,12 @@ def test_banded_operator_matches_dense_algebra(case, scale):
     assert_close((scale * a).to_dense(), scale * dense_a)
     assert_close((a + b).to_dense(), dense_a + dense_b)
     assert_close(a.scale_columns(u).to_dense(), dense_a @ np.diag(u))
-    for c in (scale, scale.real):  # complex and real, on a band with 0
-        shifted = (a + PeriodicBandedMatrix(a.size, (0,), [0.0])).shift(c)
+    for c in (scale, scale.real):  # complex and real, on a band with 0 that is complex for a complex c
+        shifted = (a + PeriodicBandedMatrix(a.size, (0,), [0.0 * c])).shift(c)
         assert_close(shifted.to_dense(), dense_a + np.diag(np.broadcast_to(c, a.size)))
+    for coeffs in ([0.0], [np.zeros(a.size)]):  # shift does not promote: a complex c on a real band raises
+        with pytest.raises(TypeError):
+            PeriodicBandedMatrix(a.size, (0,), coeffs).shift(scale)
     # made diagonally dominant, the sum scatters into band storage and solves
     # like the dense matrix, with the dense matrix never built
     system = a + b + PeriodicBandedMatrix(a.size, (0,), [1.0 + np.abs(dense_a + dense_b).sum(axis=1)])
@@ -554,6 +558,31 @@ def test_newton_scalar_quadratic():
     assert iterations <= 6
     assert norms == sorted(norms, reverse=True)
     assert norms[-1] <= 1e-12
+
+
+@pytest.mark.parametrize("max_iterations", [50, 2])
+def test_newton_asks_for_the_matrix_only_at_the_iterate_its_residual_last_took(max_iterations):
+    # the implicit kernels build the matrix from the point their residual formed last, so newton_solve must
+    # call jacobian_fn with the very array residual_fn last received: on every iteration, and when it gives up
+    last, matrices = [], []
+
+    def residual(x):
+        last.append(x)
+        return x * x - 4.0
+
+    def jacobian(x):
+        assert x is last[-1]
+        matrices.append(x)
+        return PeriodicBandedMatrix(3, (0,), [2.0 * x])
+
+    settings = NonlinearSolveSettings(max_iterations=max_iterations)
+    if max_iterations == 2:  # x * x = 4 from x = 3 takes more than two iterations
+        with pytest.raises(NonConvergenceError):
+            newton_solve(residual, jacobian, np.full(3, 3.0), settings)
+        iterations = 2
+    else:
+        iterations = newton_solve(residual, jacobian, np.full(3, 3.0), settings)[1]
+    assert len(matrices) == iterations == len(last) - 1 > 0
 
 
 def test_newton_zero_initial_residual_returns_immediately():

@@ -14,11 +14,16 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps. Nine cases run only `expdg run`: seven
+long horizon, not only over 20 steps. Twelve cases run only `expdg run`: seven
 bad inputs (an output under a missing directory, --T 1e308, whose T/dt
 overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --newton-tol -1,
 --record-every 0 and KdV cimp --scheme-variant printed, which has no
-as-printed variant) and two plain Newton kinds at the stiff damping --gamma 1e7.
+as-printed variant), Burgers cimp at --newton-max-iter 1, which exits 3 with
+the partial record of `integrate`, --T 0.001, below dt/2, a --config file, and
+two plain Newton kinds at the stiff damping --gamma 1e7. Four cases run only
+`expdg compare`: each preset over every kind its model can step, 20 steps, and
+Burgers ek2,cimp at --newton-max-iter 1, whose cimp row fails; the cells of
+their wall_clock_seconds column are emptied before the CSVs are compared.
 Per case the table gives:
 
     states   bitwise, or the max relative difference of the recorded states and
@@ -37,15 +42,22 @@ errors, exit codes, stderr lines (less the wall clock) and CSV bytes, else 1.
 Closing lines count the library runs whose states, and whose recorded
 series, are bitwise equal, within 1e-15 relative and above it, each with its
 largest relative difference, and give the largest difference of each CSV
-column over all cases. The last two lines give, for each tree, the line
-count of `expdg/*.py` and whether `import expdg.cli`, in a fresh
+column over all cases. The lines after them give, for each tree, the line
+count of `expdg/*.py`, whether `import expdg.cli`, in a fresh
 interpreter with PYTHONPATH set to the tree, puts `scipy.linalg` into
-`sys.modules`.
+`sys.modules`, and how many statements of `expdg/*.py` no case reaches, with
+`raise` statements counted apart. The last lines list the change tree's other
+unreached statements as file:line. The dump child installs a line tracer
+(`sys.settrace`) on the package's modules before it imports `expdg`, so
+import-time lines count as reached; a statement is reached when any of its own
+lines ran. Tracing slows the child's cases by about a factor of two.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import collections
 import contextlib
 import glob
 import io
@@ -64,9 +76,9 @@ STEPS = 20
 # about 1 MB of states, three or more batches of up to 256 KiB
 LONG_STEPS = {"burgers-paper": 1500, "kdv-paper": 500, "nls-paper": 60}
 CADENCES = (1, 7)  # record_every of the `expdg run` cases
-# case -> argv of an `expdg run` on bad input or at stiff damping, run in the tree's output
-# directory; no library run
-BAD_INPUTS = {
+# case -> argv of an `expdg run` on bad input, a solver failure, a horizon below dt/2, a config
+# file or at stiff damping, run in the tree's output directory; no library run
+RUN_ONLY = {
     "burgers-paper/unwritable output": ["run", "--preset", "burgers-paper", "--T", "0.018",
                                         "--output", "missing/out.csv"],
     "burgers-paper/T 1e308": ["run", "--preset", "burgers-paper", "--T", "1e308", "--output", "t1e308.csv"],
@@ -79,11 +91,42 @@ BAD_INPUTS = {
                                      "--output", "every0.csv"],
     "kdv-paper/cimp printed": ["run", "--preset", "kdv-paper", "--scheme", "cimp", "--scheme-variant", "printed",
                                "--T", "0.018", "--output", "kdvprinted.csv"],
+    "burgers-paper/cimp newton-max-iter 1": ["run", "--preset", "burgers-paper", "--scheme", "cimp",
+                                             "--newton-max-iter", "1", "--T", "0.018", "--output", "maxiter1.csv"],
+    "burgers-paper/T 0.001": ["run", "--preset", "burgers-paper", "--T", "0.001", "--output", "t0001.csv"],
+    "burgers-paper/config file": ["run", "--preset", "burgers-paper", "--config", "golden.cfg", "--T", "0.09",
+                                  "--output", "config.csv"],
     "burgers-paper/imidpoint_plain gamma 1e7": ["run", "--preset", "burgers-paper", "--scheme", "imidpoint_plain",
                                                 "--gamma", "1e7", "--T", "0.09", "--output", "burgers1e7.csv"],
     "kdv-paper/avf_plain gamma 1e7": ["run", "--preset", "kdv-paper", "--scheme", "avf_plain", "--gamma", "1e7",
                                       "--T", "0.09", "--output", "kdv1e7.csv"],
 }
+
+# golden.cfg of the config file case, written into the tree's output directory
+CONFIG_TEXT = "[run]\nscheme = ek2  # a comment\n\nrecord_every = 4\n"
+
+
+def _compare_cases():
+    """case -> argv of an `expdg compare` of each preset over every kind its model can step, and of a failing row."""
+    from expdg import cli, integrators, models
+    from expdg.errors import UnsupportedModelError
+
+    cases = {}
+    for preset in models.PRESETS:
+        kinds = []
+        for kind in integrators.SCHEMES:
+            try:
+                cli.build_problem(cli.resolve_config(preset, {}, {"scheme": kind}))
+            except UnsupportedModelError:
+                continue
+            kinds.append(kind)
+        horizon = repr(STEPS * models.PRESETS[preset]["dt"])
+        cases[f"{preset}/compare"] = ["compare", "--preset", preset, "--schemes", ",".join(kinds), "--T", horizon,
+                                      "--output", f"{preset}_compare.csv"]
+    cases["burgers-paper/compare newton-max-iter 1"] = [
+        "compare", "--preset", "burgers-paper", "--schemes", "ek2,cimp", "--newton-max-iter", "1", "--T", "0.018",
+        "--output", "compare_maxiter1.csv"]
+    return cases
 
 
 def _cases():
@@ -139,12 +182,50 @@ def _cli_case(argv):
         except Exception as exc:  # the error type is the result of the case
             code = type(exc).__name__
     lines = [ln for ln in err.getvalue().splitlines() if not ln.startswith("wall_clock_seconds=")]
-    csv = open(csv_path, "rb").read().hex() if os.path.exists(csv_path) else None
-    return {"exit": code, "stderr": lines, "csv": csv}
+    csv = open(csv_path, "rb").read() if os.path.exists(csv_path) else None
+    if csv is not None and argv[0] == "compare":
+        csv = _without_wall_clock(csv)
+    return {"exit": code, "stderr": lines, "csv": None if csv is None else csv.hex()}
+
+
+def _without_wall_clock(csv: bytes) -> bytes:
+    """The CSV with the cells of its wall_clock_seconds column emptied: the one column that differs run to run."""
+    header, *rows = csv.split(b"\n")
+    column = header.split(b",").index(b"wall_clock_seconds")
+    out = [header]
+    for row in rows:
+        cells = row.split(b",")
+        if len(cells) > column:
+            cells[column] = b""
+        out.append(b",".join(cells))
+    return b"\n".join(out)
+
+
+def _trace_package():
+    """Install a tracer that records the lines run in the importable expdg's modules; returns its {file: lines}.
+
+    Only frames of code in the package's directory are traced line by line, so other code pays one call event.
+    """
+    import importlib.util
+
+    package = os.path.dirname(importlib.util.find_spec("expdg").origin)  # found, not imported
+    reached = collections.defaultdict(set)
+
+    def local(frame, event, arg):
+        if event == "line":
+            reached[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def on_call(frame, event, arg):
+        return local if os.path.dirname(frame.f_code.co_filename) == package else None
+
+    sys.settrace(on_call)
+    return reached
 
 
 def dump(out_dir):
-    """Run every case on the expdg importable here; write cases.json and arrays.npz to out_dir."""
+    """Run every case on the expdg importable here; write cases.json, arrays.npz and reached.json to out_dir."""
+    reached = _trace_package()  # before expdg is imported, so its import-time lines are recorded too
     import expdg
 
     print(f"expdg from {os.path.dirname(expdg.__file__)}")
@@ -157,19 +238,61 @@ def dump(out_dir):
             csv_path = os.path.join(out_dir, f"{case.replace('/', '_').replace(' ', '_')}_every{every}.csv")
             cli.append(_cli_case(_cli_argv(preset, kind, variant, steps, every, csv_path)))
         results[case] = {"lib": lib, "cli": cli}
-    for case, argv in BAD_INPUTS.items():
+    with open(os.path.join(out_dir, "golden.cfg"), "w") as fh:
+        fh.write(CONFIG_TEXT)
+    for case, argv in {**RUN_ONLY, **_compare_cases()}.items():
         results[case] = {"lib": None, "cli": [_cli_case(argv)]}
     with open(os.path.join(out_dir, "cases.json"), "w") as fh:
         json.dump(results, fh)
     np.savez(os.path.join(out_dir, "arrays.npz"), **arrays)
+    sys.settrace(None)
+    with open(os.path.join(out_dir, "reached.json"), "w") as fh:
+        json.dump({os.path.basename(path): sorted(lines) for path, lines in reached.items()}, fh)
 
 
 def _run_tree(src, out_dir):
+    """(cases, arrays) of the dump of one tree, and the lines its cases reached per module."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     cmd = [sys.executable, os.path.abspath(__file__), "--dump", out_dir]
     subprocess.run(cmd, env=env, check=True, cwd=out_dir)
-    with open(os.path.join(out_dir, "cases.json")) as fh:
-        return json.load(fh), np.load(os.path.join(out_dir, "arrays.npz"))
+    with open(os.path.join(out_dir, "cases.json")) as fh, open(os.path.join(out_dir, "reached.json")) as rh:
+        return (json.load(fh), np.load(os.path.join(out_dir, "arrays.npz"))), json.load(rh)
+
+
+def _statements(source):
+    """{first line: statement} of the statements of a module that run code, and {line: the innermost of them}.
+
+    Docstrings and `global`/`nonlocal` declarations run nothing and are left out.  A statement's lines are
+    its decorators and its own lines less those of the statements in its body.
+    """
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0]) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body
+        and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+    statements, owner = {}, {}
+    for node in ast.walk(tree):  # breadth first: a nested statement is visited after the one holding it
+        if not isinstance(node, ast.stmt) or id(node) in docstrings or isinstance(node, (ast.Global, ast.Nonlocal)):
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
+        statements[first] = node
+        for line in range(first, node.end_lineno + 1):
+            owner[line] = first
+    return statements, owner
+
+
+def _unreached(src, reached):
+    """{module: [(first line, is a raise), ...]} of the statements of SRC/expdg/*.py that no case ran."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(src, "expdg", "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as fh:
+            statements, owner = _statements(fh.read())
+        ran = {owner[line] for line in reached.get(name, ()) if line in owner}
+        out[name] = [(line, isinstance(node, ast.Raise)) for line, node in statements.items() if line not in ran]
+    return out
 
 
 def _relative_difference(a, b):
@@ -320,16 +443,26 @@ def main(argv=None) -> int:
     if len(args.trees) != 2:
         parser.error("give PARENT_SRC and CHANGE_SRC")
     with tempfile.TemporaryDirectory() as tmp:
-        runs = []
+        runs, unreached = [], []
         for label, src in zip(("parent", "change"), args.trees):
             out_dir = os.path.join(tmp, label)
             os.mkdir(out_dir)
-            runs.append(_run_tree(src, out_dir))
+            run, reached = _run_tree(src, out_dir)
+            runs.append(run)
+            unreached.append(_unreached(src, reached))
         equal = compare(*runs)
-    for label, src in zip(("parent", "change"), args.trees):
+    for label, src, missed in zip(("parent", "change"), args.trees, unreached):
         scipy_linalg = "loads" if _loads_scipy_linalg(src) else "does not load"
         print(f"{label}: {_line_count(src)} lines in {os.path.join(src, 'expdg', '*.py')}; "
               f"`import expdg.cli` {scipy_linalg} scipy.linalg")
+        raises = sum(is_raise for statements in missed.values() for _, is_raise in statements)
+        total = sum(map(len, missed.values()))
+        print(f"{label}: {total - raises} statements that no case reaches, and {raises} raise statements")
+    print("change: the statements other than raise that no case reaches:")
+    for name, statements in unreached[1].items():
+        lines = [f"{name}:{line}" for line, is_raise in sorted(statements) if not is_raise]
+        if lines:
+            print("    " + " ".join(lines))
     return 0 if equal else 1
 
 
