@@ -12,7 +12,7 @@ from .spatial import Grid, build_grid, derivative_operator, quadrature
 from .linalg import NonlinearSolveSettings, PeriodicBandedMatrix, newton_solve, solve_periodic_banded
 from .system import ConformalModel, Invariant, PolarizedEnergy
 from .models import PRESETS, initial_condition, make_model
-from .integrators import Exponents, RunRecord, SchemeSpec, StepResult, integrate
+from .integrators import RunRecord, SchemeSpec, StepResult, integrate
 from .diagnostics import observed_order, reference_solve, residual_series
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "BlowUpError",
     "ConfigError",
     "ConformalModel",
-    "Exponents",
     "ExpdgError",
     "Grid",
     "Invariant",

@@ -7,10 +7,12 @@ as ``-`` (``record_every`` is ``--record-every``), and ``-o`` is short for
 ``--output``; ``expdg run --help`` lists them.  Resolution order is
 preset < config file < command-line flags.  Exit codes: 0 success,
 2 configuration problem (among them a horizon T/dt that overflows or
-exceeds int64, damping whose prefactors e^X overflow, a kind the model
-cannot step and a printed variant the model lacks, all refused before any
-march, and an output that cannot be opened, found after the marches),
-3 solver non-convergence or a singular linear system, 4 numeric blow-up.
+exceeds int64, damping whose prefactors e^X overflow, a grid too fine or
+too coarse for its difference stencils, a kind the model cannot step and a
+printed variant the model lacks, all refused before any march, and an
+output that cannot be opened, found after the marches), 3 solver
+non-convergence (a Newton tolerance that under- or overflows at the
+state's scale too) or a singular linear system, 4 numeric blow-up.
 """
 
 import argparse

@@ -45,17 +45,17 @@ def l2_distance(model: ConformalModel, a, b) -> float:
     return math.sqrt(dx * float(np.dot(d, d)))
 
 
-def polarized_window_defect(model, states, exps) -> np.ndarray:
+def polarized_window_defect(model, states, prefactors) -> np.ndarray:
     """|H~(b_t, c_t) - H~(a_t, b_t)| per sliding window, each side evaluated on the stacked windows.
 
-    Zero (to solver tolerance) for any scheme that is the discrete
-    gradient of H~, independent of how degrees mix in H~.
+    prefactors are a two-step kind's (e^{X_0}, e^{X_1}, e^{X_2}).  Zero (to solver tolerance) for any
+    scheme that is the discrete gradient of H~, independent of how degrees mix in H~.
     """
     if model.polarized is None:
         raise ValueError(f"model {model.name} has no polarized energy")
-    if exps.x2 is None:
-        raise ValueError("window defect needs two-step exponents")
-    (e0, e1, e2), h = exps.factors, model.polarized.evaluate
+    if len(prefactors) != 3:
+        raise ValueError("window defect needs two-step prefactors")
+    (e0, e1, e2), h = prefactors, model.polarized.evaluate
     u = np.stack(states)
     middle = e1 * u[1:-1]
     return np.abs(h(middle, e2 * u[2:]) - h(e0 * u[:-2], middle))

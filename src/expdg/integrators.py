@@ -8,7 +8,8 @@ vector field.  Two-step kinds advance a sliding overlapping window
 
 Exponent magnitudes follow from requiring exactness on grad_H = 0:
 one-step (X0, X1) = (-g dt/2, +g dt/2), two-step (X0, X1, X2) =
-(-g dt, 0, +g dt) with g the effective damping rate.
+(-g dt, 0, +g dt) with g the effective damping rate.  `Scheme.prefactors` gives
+them as the tuple (e^{X0}, e^{X1}[, e^{X2}]) that `bind` returns and every step reads.
 
 Every kind is one row of the SCHEMES table (exponential or plain, one- or
 two-step, step kernel, bootstrap companion); `step` takes one step of any
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -55,18 +56,6 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme kind {self.kind!r} (known: {', '.join(SCHEMES)})")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-
-
-@dataclass(frozen=True)
-class Exponents:
-    x0: float
-    x1: float
-    x2: Optional[float] = None
-
-    @cached_property
-    def factors(self) -> tuple:
-        """The prefactors e^{x_k}, one per exponent that is set; cached, as every step applies them."""
-        return tuple(math.exp(x) for x in (self.x0, self.x1, self.x2) if x is not None)
 
 
 class StepResult(NamedTuple):  # a tuple: built once per step
@@ -155,27 +144,27 @@ class Scheme:
     bootstrap: Optional["Scheme"] = None
     needs: tuple = ()
 
-    def exponents(self, gamma_eff: float, dt: float) -> Exponents:
-        """The row's exponents at (gamma_eff, dt); ValueError when a prefactor e^{X} overflows."""
+    def prefactors(self, gamma_eff: float, dt: float) -> tuple:
+        """The row's prefactors (e^{X_0}, e^{X_1}[, e^{X_2}]) at (gamma_eff, dt); ValueError when one overflows."""
         if not self.exponential:
-            return Exponents(0.0, 0.0, 0.0 if self.two_step else None)
+            return (1.0,) * (2 + self.two_step)
         g = gamma_eff * dt
-        exps = Exponents(-g, 0.0, g) if self.two_step else Exponents(-g / 2.0, g / 2.0)
         try:
-            if all(map(math.isfinite, exps.factors)):
-                return exps
+            factors = tuple(map(math.exp, (-g, 0.0, g) if self.two_step else (-g / 2.0, g / 2.0)))
+            if all(map(math.isfinite, factors)):
+                return factors
         except OverflowError:  # math.exp raises on a finite overflow, and returns inf for inf
             pass
         raise ValueError(f"the prefactors e^X overflow at gamma_eff*dt = {g!r}")
 
-    def advance(self, model, spec, window, exps, guess=None) -> StepResult:
+    def advance(self, model, spec, window, prefactors, guess=None) -> StepResult:
         gamma = 0.0 if self.exponential else model.gamma_eff
         # 1.0 * u == u, so a unit prefactor is skipped: kernels never write into the window and return new arrays
-        scaled = [u if e == 1.0 else e * u for e, u in zip(exps.factors, window)]
+        scaled = [u if e == 1.0 else e * u for e, u in zip(prefactors, window)]
         # the guess follows spec positionally (Newton kinds only): no keyword dict is built per step
-        extra = () if guess is None else (exps.factors[len(window)] * guess,)
+        extra = () if guess is None else (prefactors[len(window)] * guess,)
         state, newton_iterations, linear_solves = self.kernel(model, *scaled, spec.dt, gamma, spec, *extra)
-        scale = exps.factors[0]  # e^{-X_last}: every row's exponents are antisymmetric, X_last = -X_0
+        scale = prefactors[0]  # e^{-X_last}: every row's exponents are antisymmetric, X_last = -X_0
         return StepResult(state if scale == 1.0 else scale * state, newton_iterations, linear_solves)
 
 
@@ -198,8 +187,8 @@ SCHEMES = {
 }
 
 
-def bind(model, spec: SchemeSpec) -> Exponents:
-    """spec.kind's exponents on model: the check `step`, `bootstrap`, `integrate` and the CLI make first.
+def bind(model, spec: SchemeSpec) -> tuple:
+    """spec.kind's prefactors on model: the check `step`, `bootstrap`, `integrate` and the CLI make first.
 
     UnsupportedModelError when the model lacks a field the kind needs; ValueError when a prefactor overflows.
     """
@@ -207,15 +196,15 @@ def bind(model, spec: SchemeSpec) -> Exponents:
     missing = [name for name in scheme.needs if getattr(model, name) is None]
     if missing:
         raise UnsupportedModelError(f"model {model.name} has no {' or '.join(missing)}, which {spec.kind!r} steps call")
-    return scheme.exponents(model.gamma_eff, spec.dt)
+    return scheme.prefactors(model.gamma_eff, spec.dt)
 
 
-def step(model, spec: SchemeSpec, *window, exps: Optional[Exponents] = None) -> StepResult:
-    """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds; exps default to bind's."""
-    scheme, exps = SCHEMES[spec.kind], exps or bind(model, spec)
+def step(model, spec: SchemeSpec, *window, prefactors: Optional[tuple] = None) -> StepResult:
+    """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds; prefactors default to bind's."""
+    scheme, prefactors = SCHEMES[spec.kind], prefactors or bind(model, spec)
     if len(window) != 1 + scheme.two_step:  # `integrate` and `bootstrap` build their windows themselves
         raise ValueError(f"{spec.kind!r} steps from {1 + scheme.two_step} states, got {len(window)}")
-    return scheme.advance(model, spec, window, exps)
+    return scheme.advance(model, spec, window, prefactors)
 
 
 def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
@@ -229,7 +218,7 @@ def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
         raise ValueError(f"{spec.kind!r} is not a two-step kind")
     bind(model, spec)
     solver = replace(spec.solver, tolerance=min(spec.solver.tolerance, 1e-13))
-    return companion.advance(model, replace(spec, solver=solver), (u0,), companion.exponents(model.gamma_eff, spec.dt))
+    return companion.advance(model, replace(spec, solver=solver), (u0,), companion.prefactors(model.gamma_eff, spec.dt))
 
 
 @dataclass
@@ -313,7 +302,7 @@ def integrate(
 
     scheme = SCHEMES[spec.kind]
     two_step = scheme.two_step
-    exps = bind(model, spec)
+    prefactors = bind(model, spec)
     polarized = model.polarized.evaluate if two_step and model.polarized is not None else None
 
     rows: list = []  # (step, time, Newton iterations, linear solves) per recorded state
@@ -375,7 +364,7 @@ def integrate(
         )
 
     clock, advance = time.perf_counter, scheme.advance
-    e0, e1 = exps.factors[:2]
+    e0, e1 = prefactors[:2]
     record(0, u)
     prev = None  # u^{n-1}; a two-step kind bootstraps while it is None
     prev2 = None  # u^{n-2}; a Newton kind predicts its step once it is set
@@ -388,7 +377,7 @@ def integrate(
                 res = bootstrap(model, u, spec)
             else:
                 guess = 3.0 * (u - prev) + prev2 if predicts and prev2 is not None else None
-                res = advance(model, spec, (prev, u) if two_step else (u,), exps, guess)
+                res = advance(model, spec, (prev, u) if two_step else (u,), prefactors, guess)
                 # counters attribute solver work to the scheme kind itself; the
                 # one-off bootstrap cost stays in the wall clock but not here,
                 # so a linearly implicit run reports zero Newton iterations

@@ -93,9 +93,9 @@ def solve_periodic_banded(a: PeriodicBandedMatrix, rhs: np.ndarray) -> np.ndarra
     if x is None:  # b >= 2, or a tridiagonal A whose interior block is singular or ill-conditioned
         ab = np.zeros((3 * w + 1, n), dtype=dtype, order="F")  # f2py passes it without a copy
         if distinct:
-            ab.reshape(-1, order="F")[index] = a.coeff_rows
+            ab.reshape(-1, order="F")[index] = a.coeffs
         else:  # offsets that name one entry (equal, or equal modulo n when 2b >= n) add up
-            np.add.at(ab.reshape(-1, order="F"), index, np.broadcast_to(a.coeff_rows, index.shape))
+            np.add.at(ab.reshape(-1, order="F"), index, a.coeffs)
         rhs_folded = rhs.take(order).astype(dtype, copy=False)
         *_, y, info = _lapack("gbsv", dtype)(w, w, ab, rhs_folded, overwrite_ab=True, overwrite_b=True)
         if info > 0:
@@ -113,7 +113,8 @@ def _solve_bordered(a: PeriodicBandedMatrix, rhs: np.ndarray, dtype: np.dtype):
     complement (A[0, 0] - A[0, 1:] x_c) x_0 = rhs[0] - A[0, 1:] x_r.  As x_r = x[1:] + x_0 x_c, the cancellation
     costs at most a factor 1 + 2 max|x_c|: a larger x_c (an ill-conditioned A[1:, 1:], say) goes to the band LU.
     """
-    if a.offsets != (-1, 0, 1) or a.coeffs.ndim == 1:  # a stencil, or a band without one of its diagonals
+    # gtsv reads three rows: a stencil's column, or a band without one of its diagonals, is re-banded onto them
+    if a.offsets != (-1, 0, 1) or a.coeffs.shape != (3, a.size):
         a = a + PeriodicBandedMatrix(a.size, (-1, 0, 1), np.zeros((3, a.size)))
     n, rows = a.size, a.coeffs
     b = np.zeros((2, n - 1), dtype)  # b.T: the two right-hand sides in Fortran order
@@ -199,8 +200,9 @@ def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: Nonlinea
     TwoFieldMatrix.  It is called only with the array that residual_fn was last called with.
     """
     tolerance = settings.tolerance * scale
-    if not 0.0 < tolerance < math.inf:  # a scale that overflows or underflows it, or NaN
-        NonlinearSolveSettings(tolerance, settings.max_iterations)  # raises the settings' own ValueError
+    if not 0.0 < tolerance < math.inf:  # a scale that overflows or underflows it, or NaN: no residual can meet it
+        message = f"tolerance {settings.tolerance!r} times the state's scale {scale!r} is {tolerance!r}"
+        raise NonConvergenceError(message + ", not finite and positive", iterations=0)
     x = np.array(guess, dtype=float)
     r = residual_fn(x)
     if np.abs(r).max() <= tolerance:

@@ -193,7 +193,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float, printed: bool = False) -> 
         return rows
 
     def jacobian_conservative(x):
-        return TwoFieldMatrix(jacobian_rows(halves(x)), *d2.coeffs[:2])  # D2 is the stencil (off, mid, off)
+        return TwoFieldMatrix(jacobian_rows(halves(x)), *d2.coeffs[:2, 0])  # D2 is the stencil (off, mid, off)
 
     # the chord means average the cubic part over the two Gauss nodes xi_k on [0, 1], which is exact
     # for it; the D2 part is linear, so its means are D2 at the midpoint and D2/2 in the Jacobian
@@ -210,7 +210,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float, printed: bool = False) -> 
 
     def chord_jacobian(a, y):
         rows = (jacobian_rows(at_gauss_nodes(a, y)) * (0.5 * gauss)).sum(axis=1)
-        return TwoFieldMatrix(rows, *(0.5 * d2.coeffs[:2]))
+        return TwoFieldMatrix(rows, *(0.5 * d2.coeffs[:2, 0]))
 
     form = polarize_quadratic_form(lambda z: dx * d2.apply(halves(z)).reshape(z.shape), 1.0)
 
@@ -237,7 +237,7 @@ def nls_model(grid: Grid, gamma: float, alpha: float, printed: bool = False) -> 
         # 2h z_a, formed part by part in real arithmetic: the system is solved for w = z + z_a, and decode writes
         # (w.real - u_a, w.imag - v_a) into one 2M array
         h, k = 1.0 / (2.0 * dt), 0.5 * alpha * modulus(halves(b))
-        rows = lie_d2.coeffs[:, None].repeat(m, axis=1)
+        rows = lie_d2.coeffs.repeat(m, axis=1)
         rows[1].real, rows[1].imag = h, lie_d2.coeffs[1].imag - k
         rhs = np.empty(m, complex)
         np.multiply(2.0 * h, a[:m], out=rhs.real)

@@ -2,12 +2,13 @@
 
 The mesh is the set of M equispaced nodes on [-L, L) with the right endpoint
 identified with the left one.  Every linear operator in the package is one
-`PeriodicBandedMatrix`: a list of offsets with one coefficient each, a scalar
-(a circulant stencil such as a difference operator) or a row of n entries (a
-variable-coefficient matrix such as a Kahan system or a Newton Jacobian).  It
-applies by one gather of shifted copies of the vector, combines by row
-arithmetic (scale, sum, diagonal shift, column scaling; a sum on one band is
-one add), and `linalg.solve_periodic_banded` writes its rows into band storage.
+`PeriodicBandedMatrix`: a list of offsets with one coefficient row each, a
+(k, 1) column of scalars (a circulant stencil such as a difference operator) or
+(k, n) rows (a variable-coefficient matrix such as a Kahan system or a Newton
+Jacobian), so that every operation broadcasts both alike.  It applies by one
+gather of shifted copies of the vector, combines by row arithmetic (scale, sum,
+diagonal shift, column scaling; a sum on one band is one add), and
+`linalg.solve_periodic_banded` writes its rows into band storage.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ def build_grid(half_length: float, size: int) -> Grid:
         raise ValueError(f"size must be an even integer >= 4, got {size}")
     size = int(size)
     spacing = 2.0 * half_length / size
+    if not 0.0 < spacing < np.inf:
+        raise ValueError(f"the spacing 2L/M = {spacing!r} of half_length {half_length!r} must be positive and finite")
     nodes = -half_length + spacing * np.arange(size, dtype=float)
     return Grid(half_length=float(half_length), size=size, spacing=spacing, nodes=nodes)
 
@@ -77,9 +80,9 @@ class PeriodicBandedMatrix:
 
     `offsets` are the integers d_k. Two that name the same entry (equal, or
     equal modulo n on sizes below twice the half-bandwidth) add up.
-    `coeffs` holds one coefficient per offset, either a (k,) array of
-    scalars (a circulant stencil) or a (k, n) array of rows read along the
-    matrix rows.
+    `coeffs` holds one row per offset, read along the matrix rows: a (k, 1)
+    column of scalars (a circulant stencil, also given as k scalars) or a
+    (k, n) array of rows.
     """
 
     __slots__ = ("size", "offsets", "coeffs")
@@ -87,11 +90,12 @@ class PeriodicBandedMatrix:
     def __init__(self, size: int, offsets=(), coeffs=()):
         self.size = size
         self.offsets = tuple(offsets)
-        self.coeffs = np.asarray(coeffs)
-        if self.coeffs.shape not in ((len(self.offsets),), (len(self.offsets), size)):
+        coeffs = np.asarray(coeffs)
+        self.coeffs = coeffs[:, None] if coeffs.ndim == 1 else coeffs
+        if self.coeffs.shape not in ((len(self.offsets), 1), (len(self.offsets), size)):
             raise ValueError(
                 f"{len(self.offsets)} offsets need coefficients of shape ({len(self.offsets)},) "
-                f"or ({len(self.offsets)}, {size}), got {self.coeffs.shape}"
+                f"or ({len(self.offsets)}, {size}), got {coeffs.shape}"
             )
 
     @property
@@ -102,11 +106,6 @@ class PeriodicBandedMatrix:
     def half_bandwidth(self) -> int:
         return max(map(abs, self.offsets), default=0)
 
-    @property
-    def coeff_rows(self) -> np.ndarray:
-        """The coefficients shaped to broadcast against a (k, n) array."""
-        return self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u for one vector, or for vectors stacked on leading axes (..., n); the result is C-contiguous."""
         u = np.asarray(u)
@@ -115,10 +114,10 @@ class PeriodicBandedMatrix:
         index = shift_index(self.size, self.offsets)
         if u.ndim == 1:
             # summed from zero in offset order: the arithmetic of the loop below
-            return np.add.reduce(self.coeff_rows * u[index], axis=-2, initial=0)
+            return np.add.reduce(self.coeffs * u[index], axis=-2, initial=0)
         # a stack takes one offset at a time, so no temporary is k times its size
         out = np.zeros(u.shape, np.result_type(self.coeffs, u))
-        for row, shifted in zip(self.coeff_rows, index):
+        for row, shifted in zip(self.coeffs, index):
             out += row * u.take(shifted, axis=-1)
         return out
 
@@ -131,16 +130,12 @@ class PeriodicBandedMatrix:
         if other.size != self.size:
             raise ValueError(f"sizes {self.size} and {other.size} differ")
         if other.offsets == self.offsets:  # one band: every per-step sum
-            same = self.coeffs.ndim == other.coeffs.ndim
-            coeffs = self.coeffs + other.coeffs if same else self.coeff_rows + other.coeff_rows
-            return PeriodicBandedMatrix(self.size, self.offsets, coeffs)
+            return PeriodicBandedMatrix(self.size, self.offsets, self.coeffs + other.coeffs)
         offsets, *where = _union(self.offsets, other.offsets)
-        stencil = self.coeffs.ndim == other.coeffs.ndim == 1
-        shape = (len(offsets),) if stencil else (len(offsets), self.size)
-        coeffs = np.zeros(shape, dtype=np.promote_types(self.dtype, other.dtype))
+        width = max(self.coeffs.shape[1], other.coeffs.shape[1])  # 1 when both are stencils
+        coeffs = np.zeros((len(offsets), width), dtype=np.promote_types(self.dtype, other.dtype))
         for term, positions in zip((self, other), where):
-            for i, c in zip(positions, term.coeffs):
-                coeffs[i] += c
+            np.add.at(coeffs, list(positions), term.coeffs)  # in offset order, so a repeated offset adds up
         return PeriodicBandedMatrix(self.size, offsets, coeffs)
 
     def shift(self, c, scale=1.0) -> "PeriodicBandedMatrix":
@@ -149,13 +144,13 @@ class PeriodicBandedMatrix:
         c is added in place, so it must not promote the dtype of scale A: a complex c on a real band raises TypeError.
         """
         coeffs = scale * self.coeffs
-        coeffs[self.offsets.index(0), ...] += c  # an in-place add on a stencil's scalar too, so the cast is checked
+        coeffs[self.offsets.index(0)] += c
         return PeriodicBandedMatrix(self.size, self.offsets, coeffs)
 
     def scale_columns(self, w: np.ndarray) -> "PeriodicBandedMatrix":
         """A diag(w): entry (i, i + d) times w[(i + d) % n]."""
         w_shifted = w[shift_index(self.size, self.offsets)]
-        return PeriodicBandedMatrix(self.size, self.offsets, self.coeff_rows * w_shifted)
+        return PeriodicBandedMatrix(self.size, self.offsets, self.coeffs * w_shifted)
 
     def to_dense(self) -> np.ndarray:
         """The full matrix: the oracle the band solve is checked against."""
@@ -173,17 +168,22 @@ apply_stencil = PeriodicBandedMatrix.apply
 
 
 def derivative_operator(grid: Grid, order: int) -> PeriodicBandedMatrix:
-    """Centered difference operator D1, D2 or their product D3 = D1 D2."""
+    """Centered difference D1, D2 or their product D3 = D1 D2; ValueError where a coefficient is not finite."""
     dx = grid.spacing
-    if order == 1:
-        op = PeriodicBandedMatrix(grid.size, (-1, 1), (-1.0 / (2.0 * dx), 1.0 / (2.0 * dx)))
-    elif order == 2:
-        op = PeriodicBandedMatrix(grid.size, (-1, 0, 1), (1.0 / dx**2, -2.0 / dx**2, 1.0 / dx**2))
-    elif order == 3:  # D1 D2, written out
-        k = (1.0 / (2.0 * dx)) * (1.0 / dx**2)
-        op = PeriodicBandedMatrix(grid.size, (-2, -1, 1, 2), (-k, 2.0 * k, -2.0 * k, k))
-    else:
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    try:  # on Python floats, dx**2 raises where it overflows, and 1.0 / dx**2 where it underflows to 0
+        if order == 1:
+            op = PeriodicBandedMatrix(grid.size, (-1, 1), (-1.0 / (2.0 * dx), 1.0 / (2.0 * dx)))
+        elif order == 2:
+            op = PeriodicBandedMatrix(grid.size, (-1, 0, 1), (1.0 / dx**2, -2.0 / dx**2, 1.0 / dx**2))
+        elif order == 3:  # D1 D2, written out
+            k = (1.0 / (2.0 * dx)) * (1.0 / dx**2)
+            op = PeriodicBandedMatrix(grid.size, (-2, -1, 1, 2), (-k, 2.0 * k, -2.0 * k, k))
+        else:
+            raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    except (ZeroDivisionError, OverflowError):
+        op = None
+    if op is None or not np.isfinite(op.coeffs).all():
+        raise ValueError(f"the order-{order} difference stencil's coefficients over- or underflow at spacing {dx!r}")
     if 2 * op.half_bandwidth >= grid.size:
         raise ValueError("grid too small for the stencil width")
     return op

@@ -166,7 +166,7 @@ def kahan_system(model: ConformalModel, a, b, h: float, q, l, gamma: float = 0.0
     if linear is None:
         mat.coeffs[mat.offsets.index(0)] += diag
     else:
-        mat.coeffs += _kahan_invariant(linear, l[2], diag).coeff_rows
+        mat.coeffs += _kahan_invariant(linear, l[2], diag).coeffs
     symmetric = q[0] == q[2] and l[0] == l[2]
     # symmetric weights: the terms in a cancel against mat a; other weights are one-step, a is b
     rhs, qw, lw = ((2.0 / h) * a, q[1], l[1]) if symmetric else (a / h, q[0] + q[1], l[0] + l[1])

@@ -95,9 +95,9 @@ def chunked_observer(evaluate, overlap):
     return observer, finish
 
 
-def make_transformed_gap_observer(model, exps):
+def make_transformed_gap_observer(model, prefactors):
     """(observer, finish): |H(e^{x1} u^{n+1}) - H(e^{x0} u^n)| per step, H evaluated on stacked states."""
-    e0, e1 = exps.factors[:2]
+    e0, e1 = prefactors[:2]
 
     def gaps(states):
         u = np.stack(states)
@@ -106,9 +106,9 @@ def make_transformed_gap_observer(model, exps):
     return chunked_observer(gaps, overlap=1)
 
 
-def make_window_defect_observer(model, exps):
+def make_window_defect_observer(model, prefactors):
     """(observer, finish): `polarized_window_defect` per window of the run, without storing the whole run."""
-    return chunked_observer(lambda states: polarized_window_defect(model, states, exps), overlap=2)
+    return chunked_observer(lambda states: polarized_window_defect(model, states, prefactors), overlap=2)
 
 
 @pytest.fixture(scope="session")
@@ -149,8 +149,8 @@ def kdv_ek2_run(preset_runs):
 def nls_lie_run():
     """LIE on the NLS preset plus the per-window pairwise-energy defects."""
     model, u0, cfg = preset_model("nls-paper")
-    exps = SCHEMES["lie"].exponents(model.gamma_eff, cfg["dt"])
-    observer, defects = make_window_defect_observer(model, exps)
+    prefactors = SCHEMES["lie"].prefactors(model.gamma_eff, cfg["dt"])
+    observer, defects = make_window_defect_observer(model, prefactors)
     n, horizon = realized_horizon(cfg)
     rec = integrate(
         model, SchemeSpec("lie", cfg["dt"]), u0, horizon,
@@ -162,8 +162,8 @@ def nls_lie_run():
 @pytest.fixture(scope="session")
 def burgers_eavf_run():
     model, u0, cfg = preset_model("burgers-paper")
-    exps = SCHEMES["eavf"].exponents(model.gamma_eff, cfg["dt"])
-    observer, gaps = make_transformed_gap_observer(model, exps)
+    prefactors = SCHEMES["eavf"].prefactors(model.gamma_eff, cfg["dt"])
+    observer, gaps = make_transformed_gap_observer(model, prefactors)
     n, horizon = realized_horizon(cfg)
     rec = integrate(
         model, SchemeSpec("eavf", cfg["dt"]), u0, horizon,
@@ -175,8 +175,8 @@ def burgers_eavf_run():
 @pytest.fixture(scope="session")
 def nls_eavf_run():
     model, u0, cfg = preset_model("nls-paper")
-    exps = SCHEMES["eavf"].exponents(model.gamma_eff, cfg["dt"])
-    observer, gaps = make_transformed_gap_observer(model, exps)
+    prefactors = SCHEMES["eavf"].prefactors(model.gamma_eff, cfg["dt"])
+    observer, gaps = make_transformed_gap_observer(model, prefactors)
     n, horizon = realized_horizon(cfg)
     rec = integrate(
         model, SchemeSpec("eavf", cfg["dt"]), u0, horizon,

@@ -218,6 +218,20 @@ def test_build_problem_wraps_grid_errors(grid, message):
         build_problem(cfg)
 
 
+@pytest.mark.parametrize(
+    "preset, L, message",
+    [("kdv-paper", 1e-300, "order-2 difference stencil"), ("nls-paper", 1e-300, "order-2 difference stencil"),
+     ("kdv-paper", 1e-155, "order-2 difference stencil"), ("burgers-paper", 5e-324, "spacing 2L/M = 0.0")],
+)
+def test_a_grid_too_fine_for_its_stencils_exits_2_before_any_march(preset, L, message, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match=message):
+        build_problem(resolve_config(preset, {"L": L}, {}))
+    monkeypatch.setattr(integrators, "integrate", None)  # a march would raise TypeError
+    assert main(["run", "--preset", preset, "--L", repr(L), "--T", "0.018"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
 def test_build_problem_printed_nls_swaps_polarization():
     canonical, _, canonical_spec = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
     printed, _, spec = build_problem(
@@ -527,6 +541,16 @@ def test_exit_3_nonconvergence(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--scheme", "cimp", "--newton-tol", "5e-324"],
+                                  ["--scheme", "imidpoint_plain", "--gamma", "1e7", "--newton-tol", "1e308"]])
+def test_exit_3_for_a_newton_tolerance_that_under_or_overflows_at_the_state_scale(argv, tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["run", "--preset", "burgers-paper", "--T", "0.018", "-o", str(out), *argv]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "not finite and positive" in errors[0]
+    assert not out.exists()
+
+
 def test_a_failed_run_leaves_no_output_file(tmp_path, capsys):
     out = tmp_path / "a.csv"
     assert main(["run"] + STARVED + ["-o", str(out)]) == 3
@@ -628,6 +652,14 @@ def test_compare_keeps_going_after_a_failure(capsys):
     out = capsys.readouterr().out
     lines = out.splitlines()
     assert lines[1].startswith("ek1,ok,")
+    assert lines[2] == "cimp,nonconvergence,,,,,"
+
+
+def test_compare_writes_a_nonconvergence_row_for_a_tolerance_that_underflows(capsys):
+    argv = ["compare", "--preset", "burgers-paper", "--schemes", "ek2,cimp", "--newton-tol", "5e-324", "--T", "0.018"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("ek2,ok,")
     assert lines[2] == "cimp,nonconvergence,,,,,"
 
 

@@ -105,10 +105,10 @@ def test_l2_distance_defaults_to_unit_measure():
 def test_stacked_pair_diagnostics_equal_each_pair_evaluated_alone(preset, kind):
     model, u0, cfg = preset_model(preset)
     _, states = integrate_states(model, SchemeSpec(kind, cfg["dt"]), u0, 12 * cfg["dt"])
-    exps = SCHEMES[kind].exponents(model.gamma_eff, cfg["dt"])
-    (e0, e1, e2), h = exps.factors, model.polarized.evaluate
+    prefactors = SCHEMES[kind].prefactors(model.gamma_eff, cfg["dt"])
+    (e0, e1, e2), h = prefactors, model.polarized.evaluate
     windows = [abs(h(e1 * b, e2 * c) - h(e0 * a, e1 * b)) for a, b, c in zip(states, states[1:], states[2:])]
-    assert polarized_window_defect(model, states, exps).tobytes() == np.array(windows).tobytes()
+    assert polarized_window_defect(model, states, prefactors).tobytes() == np.array(windows).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -118,9 +118,9 @@ def test_stacked_pair_diagnostics_equal_each_pair_evaluated_alone(preset, kind):
 def test_chunked_fixture_observers_equal_the_per_step_loop(preset, kind, make_observer):
     # the observers evaluate chunks of CHUNK = 8 states, so 600 steps span about 100 of them
     model, u0, cfg = preset_model(preset)
-    exps = SCHEMES[kind].exponents(model.gamma_eff, cfg["dt"])
-    e0, e1 = exps.factors[:2]
-    observer, finish = make_observer(model, exps)
+    prefactors = SCHEMES[kind].prefactors(model.gamma_eff, cfg["dt"])
+    e0, e1 = prefactors[:2]
+    observer, finish = make_observer(model, prefactors)
     states = []
 
     def both(n, t, u):
@@ -130,7 +130,7 @@ def test_chunked_fixture_observers_equal_the_per_step_loop(preset, kind, make_ob
     integrate(model, SchemeSpec(kind, cfg["dt"]), u0, 600 * cfg["dt"], record_every=1, observer=both)
     if make_observer is make_window_defect_observer:
         assert e1 == 1.0  # lie: the middle state b of a window is e1 b
-        e2, pol = exps.factors[2], model.polarized.evaluate
+        e2, pol = prefactors[2], model.polarized.evaluate
         loop = [abs(pol(b, e2 * c) - pol(e0 * a, b)) for a, b, c in zip(states, states[1:], states[2:])]
     else:
         h = model.hamiltonian
@@ -141,15 +141,15 @@ def test_chunked_fixture_observers_equal_the_per_step_loop(preset, kind, make_ob
 def test_window_defect_requires_polarized_energy():
     model = pure_decay_model(3, 0.1)
     with pytest.raises(ValueError, match="no polarized energy"):
-        polarized_window_defect(model, [np.ones(3)] * 3, SCHEMES["ek2"].exponents(0.1, 0.01))
+        polarized_window_defect(model, [np.ones(3)] * 3, SCHEMES["ek2"].prefactors(0.1, 0.01))
 
 
 def test_window_defect_vanishes_for_discrete_gradient_march():
     toy = toy_cubic_model()
     u0 = np.array([0.4, 0.3])
     _, states = integrate_states(toy, SchemeSpec("kahan2_plain", 0.01), u0, 1.0)
-    exps = SCHEMES["kahan2_plain"].exponents(0.0, 0.01)
-    defects = polarized_window_defect(toy, states, exps)
+    prefactors = SCHEMES["kahan2_plain"].prefactors(0.0, 0.01)
+    defects = polarized_window_defect(toy, states, prefactors)
     scale = abs(toy.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-12 * scale
 
@@ -159,8 +159,8 @@ def test_window_defect_on_nls_lie_march():
     model = make_model("nls", g, gamma=5e-4)
     u0 = initial_condition("nls", g)
     _, states = integrate_states(model, SchemeSpec("lie", 0.001), u0, 0.05)
-    exps = SCHEMES["lie"].exponents(model.gamma_eff, 0.001)
-    defects = polarized_window_defect(model, states, exps)
+    prefactors = SCHEMES["lie"].prefactors(model.gamma_eff, 0.001)
+    defects = polarized_window_defect(model, states, prefactors)
     scale = abs(model.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-12 * scale
 
@@ -173,7 +173,7 @@ def test_window_defect_on_kdv_lie_march(theta):
     u0 = initial_condition("kdv", g)
     _, states = integrate_states(model, SchemeSpec("lie", 0.009), u0, 0.18)
     assert len(states) == 21
-    defects = polarized_window_defect(model, states, SCHEMES["lie"].exponents(model.gamma_eff, 0.009))
+    defects = polarized_window_defect(model, states, SCHEMES["lie"].prefactors(model.gamma_eff, 0.009))
     scale = abs(model.polarized.evaluate(u0, states[1]))
     assert np.max(defects) <= 1e-14 * scale
 
@@ -181,7 +181,7 @@ def test_window_defect_on_kdv_lie_march(theta):
 def test_window_defect_needs_two_step_exponents():
     toy = toy_cubic_model()
     with pytest.raises(ValueError):
-        polarized_window_defect(toy, [np.ones(2)] * 3, SCHEMES["cimp"].exponents(0.1, 0.01))
+        polarized_window_defect(toy, [np.ones(2)] * 3, SCHEMES["cimp"].prefactors(0.1, 0.01))
 
 
 def test_compensated_deviation_on_pure_scaling_series():

@@ -15,7 +15,6 @@ from expdg.diagnostics import compensated_polarized_deviation
 from expdg.errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from expdg.integrators import (
     SCHEMES,
-    Exponents,
     SchemeSpec,
     bind,
     bootstrap,
@@ -45,47 +44,49 @@ def burgers(gamma=0.25):
 
 def test_exponents_vanish_without_damping():
     for kind in integrators.SCHEMES:
-        e = SCHEMES[kind].exponents(0.0, 0.009)
-        assert e.x0 == 0.0 and e.x1 == 0.0
-        assert e.x2 in (None, 0.0)
+        p = SCHEMES[kind].prefactors(0.0, 0.009)  # e^{X_k}
+        assert p[0] == 1.0 and p[1] == 1.0
+        assert p[2:] in ((), (1.0,))
 
 
 def test_exponents_one_step_split():
-    e = SCHEMES["cimp"].exponents(0.5, 0.009)
-    assert e.x0 == pytest.approx(-0.5 * 0.009 / 2.0, rel=1e-15)
-    assert e.x1 == -e.x0
-    assert e.x2 is None
+    p = SCHEMES["cimp"].prefactors(0.5, 0.009)
+    assert p[0] == pytest.approx(math.exp(-0.5 * 0.009 / 2.0), rel=1e-15)
+    assert p[1] == math.exp(0.5 * 0.009 / 2.0)  # X_1 = -X_0
+    assert len(p) == 2
 
 
 def test_exponents_two_step_split():
-    e = SCHEMES["ek2"].exponents(0.5, 0.009)
-    assert (e.x0, e.x1, e.x2) == (pytest.approx(-0.0045), 0.0, pytest.approx(0.0045))
+    p = SCHEMES["ek2"].prefactors(0.5, 0.009)
+    assert p == (pytest.approx(math.exp(-0.0045)), 1.0, pytest.approx(math.exp(0.0045)))
 
 
 def test_exponents_nls_preset_magnitudes():
     # gamma_eff = gamma/2 for the Schroedinger split
     gamma_eff = 5e-4 / 2.0
-    assert SCHEMES["eavf"].exponents(gamma_eff, 0.001).x1 == pytest.approx(1.25e-7, rel=1e-12)
-    assert SCHEMES["lie"].exponents(gamma_eff, 0.001).x2 == pytest.approx(2.5e-7, rel=1e-12)
+    assert SCHEMES["eavf"].prefactors(gamma_eff, 0.001)[1] == pytest.approx(math.exp(1.25e-7), rel=1e-12)
+    assert SCHEMES["lie"].prefactors(gamma_eff, 0.001)[2] == pytest.approx(math.exp(2.5e-7), rel=1e-12)
 
 
 def test_exponents_plain_kinds_are_identity_weights():
     # a plain kind has no prefactors, so even a gamma_eff dt whose e^X overflows is accepted
     for kind in PLAIN_KINDS:
         for gamma_eff, dt in ((0.7, 0.05), (2e305, 0.009)):
-            e = SCHEMES[kind].exponents(gamma_eff, dt)
-            assert e.x0 == 0.0 and e.x1 == 0.0
+            p = SCHEMES[kind].prefactors(gamma_eff, dt)
+            assert p[0] == 1.0 and p[1] == 1.0
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMES))
 def test_exponents_are_antisymmetric_so_the_first_factor_undoes_the_last(kind):
-    # Scheme.advance rescales a step's result by factors[0] in place of e^{-X_last}
+    # Scheme.advance rescales a step's result by prefactors[0] in place of e^{-X_last}
+    scheme = SCHEMES[kind]
     presets = [(preset_model(name)[0].gamma_eff, PRESETS[name]["dt"]) for name in PRESETS]
     for gamma_eff, dt in presets + [(0.0, 0.009), (0.7, 0.05), (1e-9, 1e-4), (3.0, 0.3), (0.1, 1 / 3)]:
-        e = SCHEMES[kind].exponents(gamma_eff, dt)
-        last = e.x1 if e.x2 is None else e.x2
-        assert last == -e.x0
-        assert math.exp(-last) == e.factors[0]
+        p = scheme.prefactors(gamma_eff, dt)
+        g = gamma_eff * dt if scheme.exponential else 0.0
+        last = g if scheme.two_step else g / 2.0  # X_last
+        assert p[-1] == math.exp(last)
+        assert math.exp(-last) == p[0]
 
 
 @pytest.mark.parametrize(
@@ -155,8 +156,8 @@ def test_cimp_matches_tight_fixed_point_oracle():
     newton = step(model, SchemeSpec("cimp", dt), u0).state
     # the exponential midpoint equation y = a + dt f((a + y)/2), swept by
     # y <- y - residual(y) to 1e-14 relative to the state scale
-    exps = SCHEMES["cimp"].exponents(model.gamma_eff, dt)
-    at = math.exp(exps.x0) * u0
+    prefactors = SCHEMES["cimp"].prefactors(model.gamma_eff, dt)
+    at = prefactors[0] * u0
     y = at.copy()
     for _ in range(500):
         residual = y - at - dt * model.conservative_field(0.5 * (y + at))
@@ -165,7 +166,7 @@ def test_cimp_matches_tight_fixed_point_oracle():
         y = y - residual
     else:
         pytest.fail("fixed-point sweep did not converge in 500 iterations")
-    oracle = math.exp(-exps.x1) * y
+    oracle = prefactors[0] * y  # e^{-X_1} = e^{X_0}
     assert np.max(np.abs(newton - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
 
@@ -198,9 +199,9 @@ def test_eavf_step_satisfies_chord_average_equation():
     model = make_model("nls", g, gamma=5e-4)
     u0 = initial_condition("nls", g)
     dt = 0.001
-    exps = SCHEMES["eavf"].exponents(model.gamma_eff, dt)
+    prefactors = SCHEMES["eavf"].prefactors(model.gamma_eff, dt)
     u1 = step(model, SchemeSpec("eavf", dt), u0).state
-    at, yt = math.exp(exps.x0) * u0, math.exp(exps.x1) * u1
+    at, yt = prefactors[0] * u0, prefactors[1] * u1
     xs = np.linspace(0.0, 1.0, 10001)
     avg = np.zeros(model.dim)
     for xi in xs:
@@ -392,10 +393,10 @@ def test_marches_write_only_into_arrays_their_steps_allocate(preset, kind, print
 def test_eavf_preserves_transformed_energy_per_step():
     model, u0 = burgers()
     dt = 0.009
-    exps = SCHEMES["eavf"].exponents(model.gamma_eff, dt)
+    prefactors = SCHEMES["eavf"].prefactors(model.gamma_eff, dt)
     u1 = step(model, SchemeSpec("eavf", dt), u0).state
     gap = abs(
-        model.hamiltonian(math.exp(exps.x1) * u1) - model.hamiltonian(math.exp(exps.x0) * u0)
+        model.hamiltonian(prefactors[1] * u1) - model.hamiltonian(prefactors[0] * u0)
     )
     assert gap <= 1e-11
 
@@ -403,13 +404,13 @@ def test_eavf_preserves_transformed_energy_per_step():
 def test_ek1_matches_dense_assembly_oracle():
     model, u0 = burgers()
     n, dt = model.dim, 0.009
-    exps = SCHEMES["ek1"].exponents(model.gamma_eff, dt)
-    at = math.exp(exps.x0) * u0
+    prefactors = SCHEMES["ek1"].prefactors(model.gamma_eff, dt)
+    at = prefactors[0] * u0
     assert model.linear_operator is None  # Burgers has no linear part L
     L = np.zeros((n, n))
     dense = np.eye(n) / dt - model.quadratic_matrix(at).to_dense() - 0.5 * L
     bt = np.linalg.solve(dense, at / dt + 0.5 * (L @ at))
-    expected = math.exp(-exps.x1) * bt
+    expected = prefactors[0] * bt  # e^{-X_1} = e^{X_0}
     result = step(model, SchemeSpec("ek1", dt), u0).state
     assert np.max(np.abs(result - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -421,13 +422,13 @@ def test_ek1_on_linear_kdv_is_transformed_trapezoid():
     model = make_model("kdv", g, gamma=0.05, alpha=0.0, rho=-10.0, nu=0.0)
     u0 = initial_condition("kdv", g)
     dt = 0.004
-    exps = SCHEMES["ek1"].exponents(model.gamma_eff, dt)
+    prefactors = SCHEMES["ek1"].prefactors(model.gamma_eff, dt)
     L = np.zeros((64, 64))
     for d, c in zip(model.linear_operator.offsets, model.linear_operator.coeffs):
         L[np.arange(64), (np.arange(64) + d) % 64] += c
-    at = math.exp(exps.x0) * u0
+    at = prefactors[0] * u0
     bt = np.linalg.solve(np.eye(64) - 0.5 * dt * L, (np.eye(64) + 0.5 * dt * L) @ at)
-    expected = math.exp(-exps.x1) * bt
+    expected = prefactors[0] * bt  # e^{-X_1} = e^{X_0}
     result = step(model, SchemeSpec("ek1", dt), u0).state
     assert np.max(np.abs(result - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -435,12 +436,12 @@ def test_ek1_on_linear_kdv_is_transformed_trapezoid():
 def test_ek1_step_is_self_adjoint():
     model, u0 = burgers()
     dt = 0.009
-    exps = SCHEMES["ek1"].exponents(model.gamma_eff, dt)
+    prefactors = SCHEMES["ek1"].prefactors(model.gamma_eff, dt)
     forward = step(model, SchemeSpec("ek1", dt), u0).state
     # SchemeSpec rejects dt <= 0, so the reverse step calls the kernel, which
     # maps the rescaled e^{x1} u^1 back to e^{x0} u^0
-    back, _, _ = _kahan1_step(model, math.exp(exps.x1) * forward, -dt, 0.0)
-    assert np.max(np.abs(math.exp(-exps.x0) * back - u0)) <= 1e-12 * np.max(np.abs(u0))
+    back, _, _ = _kahan1_step(model, prefactors[1] * forward, -dt, 0.0)
+    assert np.max(np.abs(prefactors[1] * back - u0)) <= 1e-12 * np.max(np.abs(u0))  # e^{-X_0} = e^{X_1}
 
 
 UNDAMPED_BURGERS_8 = make_model("burgers", build_grid(math.pi, 8), gamma=0.0)
@@ -463,10 +464,10 @@ def test_ek2_step_is_self_adjoint():
     spec = SchemeSpec("ek2", dt)
     u1 = bootstrap(model, u0, spec).state
     u2 = step(model, spec, u0, u1).state
-    exps = SCHEMES["ek2"].exponents(model.gamma_eff, dt)
+    prefactors = SCHEMES["ek2"].prefactors(model.gamma_eff, dt)
     # on rescaled states the reverse step maps (e^{x2} u^2, e^{x1} u^1) to e^{x0} u^0
-    back, _, _ = _kahan2_step(model, math.exp(exps.x2) * u2, math.exp(exps.x1) * u1, -dt, 0.0)
-    assert np.max(np.abs(math.exp(-exps.x0) * back - u0)) <= 1e-12 * np.max(np.abs(u0))
+    back, _, _ = _kahan2_step(model, prefactors[2] * u2, prefactors[1] * u1, -dt, 0.0)
+    assert np.max(np.abs(prefactors[2] * back - u0)) <= 1e-12 * np.max(np.abs(u0))  # e^{-X_0} = e^{X_2}
 
 
 def test_lie_double_step_contracts_mass_exactly():
@@ -488,10 +489,10 @@ def test_lie_marching_is_reversible_through_the_builder():
     spec = SchemeSpec("lie", dt)
     u1 = bootstrap(model, u0, spec).state
     u2 = step(model, spec, u0, u1).state
-    exps = SCHEMES["lie"].exponents(model.gamma_eff, dt)
+    prefactors = SCHEMES["lie"].prefactors(model.gamma_eff, dt)
     # the builder takes rescaled states: (e^{x2} u^2, e^{x1} u^1) -> e^{x0} u^0
-    mat, rhs, decode = model.lie_system_builder(math.exp(exps.x2) * u2, math.exp(exps.x1) * u1, -dt)
-    back = math.exp(-exps.x0) * decode(solve_periodic_banded(mat, rhs))
+    mat, rhs, decode = model.lie_system_builder(prefactors[2] * u2, prefactors[1] * u1, -dt)
+    back = prefactors[2] * decode(solve_periodic_banded(mat, rhs))  # e^{-X_0} = e^{X_2}
     assert np.max(np.abs(back - u0)) <= 1e-12 * np.max(np.abs(u0))
 
 
@@ -586,12 +587,12 @@ def test_two_step_kahan_keeps_the_polarized_energy_at_a_constant_step(h):
 
 def _compensated_drift_from(model, kind, u0, u1, dt, n_steps):
     """Criterion 05's compensated polarized drift of a two-step march started from the pair (u0, u1)."""
-    exps = SCHEMES[kind].exponents(model.gamma_eff, dt)
-    e0, e1 = exps.factors[:2]
+    prefactors = SCHEMES[kind].prefactors(model.gamma_eff, dt)
+    e0, e1 = prefactors[:2]
     spec = SchemeSpec(kind, dt)
     window, w = (u0, u1), [model.polarized.evaluate(e0 * u0, e1 * u1)]
     for _ in range(1, n_steps):
-        window = (window[1], step(model, spec, *window, exps=exps).state)
+        window = (window[1], step(model, spec, *window, prefactors=prefactors).state)
         w.append(model.polarized.evaluate(e0 * window[0], e1 * window[1]))
     return compensated_polarized_deviation(model, np.array(w), dt)
 
@@ -688,12 +689,12 @@ def test_halved_exponents_break_the_mass_rate():
     u1 = bootstrap(model, u0, spec).state
     rate = 2.0 * model.gamma_eff * dt
 
-    good = step(model, spec, u0, u1, exps=SCHEMES["ek2"].exponents(model.gamma_eff, dt)).state
+    good = step(model, spec, u0, u1, prefactors=SCHEMES["ek2"].prefactors(model.gamma_eff, dt)).state
     residual = math.log(np.sum(good) / np.sum(u0)) + rate
     assert abs(residual) <= 1e-12
 
-    halved = Exponents(-model.gamma_eff * dt / 2.0, 0.0, model.gamma_eff * dt / 2.0)
-    bad = step(model, spec, u0, u1, exps=halved).state
+    halved = tuple(map(math.exp, (-model.gamma_eff * dt / 2.0, 0.0, model.gamma_eff * dt / 2.0)))
+    bad = step(model, spec, u0, u1, prefactors=halved).state
     residual_bad = math.log(np.sum(bad) / np.sum(u0)) + rate
     assert abs(residual_bad) > 1e-6
 
@@ -790,7 +791,7 @@ def test_recorded_series_equal_the_model_on_the_stored_states(preset, kind):
     if not integrators.SCHEMES[kind].two_step:
         assert rec.polarized_transformed is None
         return
-    e0, e1 = SCHEMES[kind].exponents(model.gamma_eff, cfg["dt"]).factors[:2]
+    e0, e1 = SCHEMES[kind].prefactors(model.gamma_eff, cfg["dt"])[:2]
     pairs = [model.polarized.evaluate(e0 * a, e1 * b) for a, b in zip(states, states[1:])]
     assert bitwise_equal(rec.polarized_transformed, pairs + [math.nan])
 
@@ -831,7 +832,7 @@ def test_predicted_steps_take_one_iteration_fewer_and_stay_within_tolerance_of_s
     # steps 1-2 start from u^n, the 198 after them from the extrapolation
     assert rec.newton_iterations[-1] == rec.linear_solves[-1] == 2 * unpredicted + 198 * (unpredicted - 1)
     assert np.diff(rec.newton_iterations).tolist() == [unpredicted] * 2 + [unpredicted - 1] * 198
-    e0, e1 = SCHEMES[kind].exponents(model.gamma_eff, spec.dt).factors
+    e0, e1 = SCHEMES[kind].prefactors(model.gamma_eff, spec.dt)
     for n, (a, b) in enumerate(zip(states, states[1:])):
         alone = step(model, spec, a).state
         if n < 2:
@@ -851,7 +852,7 @@ def test_the_newton_guess_is_the_rescaled_quadratic_extrapolation(monkeypatch):
 
     monkeypatch.setattr(integrators, "newton_solve", spy)
     _, states = integrate_states(model, spec, u0, 6 * spec.dt)
-    e0, e1 = SCHEMES["cimp"].exponents(model.gamma_eff, spec.dt).factors
+    e0, e1 = SCHEMES["cimp"].prefactors(model.gamma_eff, spec.dt)
     assert len(guesses) == 6
     for n, guess in enumerate(guesses):
         want = e0 * states[n] if n < 2 else e1 * (3.0 * (states[n] - states[n - 1]) + states[n - 2])
@@ -975,7 +976,7 @@ def per_state_series(model, kind, dt, states, steps):
 
     states holds u^0 .. u^N of the march; a step without a successor there gets a NaN polarized value.
     """
-    e0, e1 = SCHEMES[kind].exponents(model.gamma_eff, dt).factors[:2]
+    e0, e1 = SCHEMES[kind].prefactors(model.gamma_eff, dt)[:2]
     series = {inv.name: [inv.evaluate(states[n]) for n in steps] for inv in model.invariants}
     series["H_paper"] = [model.hamiltonian_paper(states[n]) for n in steps]
     series["polarized"] = [

@@ -232,7 +232,7 @@ def test_zero_schur_pivot_raises_without_a_warning(n):
     # interior block is not, so gtsv succeeds and the Schur pivot of unknown 0
     # is the zero; at these sizes its arithmetic is exact
     d2 = PeriodicBandedMatrix(n, (-1, 0, 1), (1.0, -2.0, 1.0))
-    lo, mid, up = np.broadcast_to(d2.coeff_rows, (3, n))
+    lo, mid, up = np.broadcast_to(d2.coeffs, (3, n))
     border = np.zeros((n - 1, 2))
     border[0, 1], border[-1, 1] = lo[1], up[-1]
     *_, y, info = linalg._lapack("gtsv", np.dtype(float))(lo[2:], mid[1:], up[1:-1], border)
@@ -620,6 +620,15 @@ def test_newton_nan_residual_raises():
         newton_solve(residual, lambda x: PeriodicBandedMatrix(3, (0,), [1.0]), np.zeros(3), NonlinearSolveSettings())
     assert info.value.iterations == 1
     assert math.isnan(info.value.residual)
+
+
+@pytest.mark.parametrize("tolerance, scale", [(5e-324, 0.4), (1e308, 3.6e4), (1e-12, math.nan)])
+def test_newton_tolerance_that_under_or_overflows_at_the_scale_is_a_nonconvergence(tolerance, scale):
+    # settings that pass their own check, at a state whose scale takes the product to 0, inf or NaN
+    residuals = []
+    with pytest.raises(NonConvergenceError, match="not finite and positive") as info:
+        newton_solve(residuals.append, None, np.ones(3), NonlinearSolveSettings(tolerance), scale)
+    assert (info.value.iterations, residuals) == (0, [])
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expdg.linalg import solve_periodic_banded
 from expdg.spatial import (
     PeriodicStencilOperator,
     apply_stencil,
@@ -30,11 +31,24 @@ def test_build_grid_spacing_and_nodes():
 
 @pytest.mark.parametrize(
     "half_length,size",
-    [(1.0, 5), (1.0, 2), (1.0, 3.5), (0.0, 8), (-2.0, 8), (math.inf, 8)],
+    [(1.0, 5), (1.0, 2), (1.0, 3.5), (0.0, 8), (-2.0, 8), (math.inf, 8), (5e-324, 256), (1e-322, 256), (1e308, 8)],
 )
 def test_build_grid_rejects_bad_arguments(half_length, size):
     with pytest.raises(ValueError):
         build_grid(half_length, size)
+
+
+@pytest.mark.parametrize("half_length, refused", [(1e-307, (1, 2, 3)), (1e-300, (2, 3)), (1e-155, (2, 3)),
+                                                  (1e300, (2, 3))])
+def test_derivative_operator_refuses_coefficients_that_over_or_underflow(half_length, refused):
+    # 1e-300: dx**2 underflows to 0; 1e-155: 1/dx**2 overflows; 1e300: dx**2 overflows
+    g = build_grid(half_length, 256)
+    for order in (1, 2, 3):
+        if order in refused:
+            with pytest.raises(ValueError, match=f"order-{order} difference stencil"):
+                derivative_operator(g, order)
+        else:
+            assert np.isfinite(derivative_operator(g, order).coeffs).all()
 
 
 def test_quadrature_constant_is_domain_length():
@@ -279,3 +293,34 @@ def test_banded_matrix_rejects_a_bad_coefficient_shape(shape):
 def test_banded_matrix_sum_rejects_mismatched_sizes():
     with pytest.raises(ValueError, match="sizes 8 and 6 differ"):
         PeriodicStencilOperator(8, (0,), (1.0,)) + PeriodicStencilOperator(6, (0,), (1.0,))
+
+
+@pytest.mark.parametrize("n", [8, 80, 1024])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_stencil_is_a_column_that_acts_bitwise_as_its_constant_rows(order, n):
+    stencil = derivative_operator(build_grid(math.pi, n), order)
+    k = len(stencil.offsets)
+    assert stencil.coeffs.shape == (k, 1)
+    rows = PeriodicStencilOperator(n, stencil.offsets, np.repeat(stencil.coeffs, n, axis=1))
+    eye = PeriodicStencilOperator(n, (0,), (0.75,))  # a stencil on another band: its sum is a union
+
+    def same(a, b):  # bitwise, a stencil result read as the rows it stands for
+        if isinstance(a, PeriodicStencilOperator):
+            assert a.offsets == b.offsets
+            a, b = np.broadcast_to(a.coeffs, (len(a.offsets), n)), b.coeffs
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    rng = np.random.default_rng(n + order)
+    u, stack, w = rng.standard_normal(n), rng.standard_normal((4, 2, n)), rng.standard_normal(n)
+    for op in (
+        lambda a: a.apply(u),
+        lambda a: a.apply(stack),
+        lambda a: a.scale_columns(w),
+        lambda a: (a + eye).shift(1.5, -0.5),
+        lambda a: a + a,
+        lambda a: a + eye,
+        lambda a: a + rows,
+        lambda a: a.to_dense(),
+        lambda a: solve_periodic_banded(a + eye, u),
+    ):
+        same(op(stencil), op(rows))

@@ -14,16 +14,21 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps. Twelve cases run only `expdg run`: seven
+long horizon, not only over 20 steps. Seventeen cases run only `expdg run`: ten
 bad inputs (an output under a missing directory, --T 1e308, whose T/dt
 overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --newton-tol -1,
---record-every 0 and KdV cimp --scheme-variant printed, which has no
-as-printed variant), Burgers cimp at --newton-max-iter 1, which exits 3 with
-the partial record of `integrate`, --T 0.001, below dt/2, a --config file, and
-two plain Newton kinds at the stiff damping --gamma 1e7. Four cases run only
-`expdg compare`: each preset over every kind its model can step, 20 steps, and
-Burgers ek2,cimp at --newton-max-iter 1, whose cimp row fails; the cells of
-their wall_clock_seconds column are emptied before the CSVs are compared.
+--record-every 0, KdV cimp --scheme-variant printed, which has no
+as-printed variant, and grids too fine for their stencils: KdV and NLS at
+--L 1e-300, where dx**2 underflows, and KdV at --L 1e-155, where 1/dx**2
+overflows), Burgers cimp at --newton-max-iter 1, which exits 3 with
+the partial record of `integrate`, and Burgers cimp at --newton-tol 5e-324 and
+imidpoint_plain at --gamma 1e7 --newton-tol 1e308, whose tolerance times the
+state's scale under- or overflows (exit 3), --T 0.001, below dt/2, a --config
+file, and two plain Newton kinds at the stiff damping --gamma 1e7. Five cases
+run only `expdg compare`: each preset over every kind its model can step, 20
+steps, and Burgers ek2,cimp at --newton-max-iter 1 and at --newton-tol 5e-324,
+whose cimp rows fail; the cells of their wall_clock_seconds column are emptied
+before the CSVs are compared.
 Per case the table gives:
 
     states   bitwise, or the max relative difference of the recorded states and
@@ -93,6 +98,14 @@ RUN_ONLY = {
                                "--T", "0.018", "--output", "kdvprinted.csv"],
     "burgers-paper/cimp newton-max-iter 1": ["run", "--preset", "burgers-paper", "--scheme", "cimp",
                                              "--newton-max-iter", "1", "--T", "0.018", "--output", "maxiter1.csv"],
+    "kdv-paper/L 1e-300": ["run", "--preset", "kdv-paper", "--L", "1e-300", "--T", "0.018", "--output", "kdvL.csv"],
+    "nls-paper/L 1e-300": ["run", "--preset", "nls-paper", "--L", "1e-300", "--T", "0.002", "--output", "nlsL.csv"],
+    "kdv-paper/L 1e-155": ["run", "--preset", "kdv-paper", "--L", "1e-155", "--T", "0.018", "--output", "kdvL155.csv"],
+    "burgers-paper/cimp newton-tol 5e-324": ["run", "--preset", "burgers-paper", "--scheme", "cimp", "--newton-tol",
+                                             "5e-324", "--T", "0.018", "--output", "tol5e-324.csv"],
+    "burgers-paper/imidpoint_plain gamma 1e7 newton-tol 1e308": [
+        "run", "--preset", "burgers-paper", "--scheme", "imidpoint_plain", "--gamma", "1e7", "--newton-tol", "1e308",
+        "--T", "0.018", "--output", "tol1e308.csv"],
     "burgers-paper/T 0.001": ["run", "--preset", "burgers-paper", "--T", "0.001", "--output", "t0001.csv"],
     "burgers-paper/config file": ["run", "--preset", "burgers-paper", "--config", "golden.cfg", "--T", "0.09",
                                   "--output", "config.csv"],
@@ -126,6 +139,9 @@ def _compare_cases():
     cases["burgers-paper/compare newton-max-iter 1"] = [
         "compare", "--preset", "burgers-paper", "--schemes", "ek2,cimp", "--newton-max-iter", "1", "--T", "0.018",
         "--output", "compare_maxiter1.csv"]
+    cases["burgers-paper/compare newton-tol 5e-324"] = [
+        "compare", "--preset", "burgers-paper", "--schemes", "ek2,cimp", "--newton-tol", "5e-324", "--T", "0.018",
+        "--output", "compare_tol.csv"]
     return cases
 
 

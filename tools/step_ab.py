@@ -79,8 +79,8 @@ class March:
         u0 = models.initial_condition(cfg["model"], grid)
         scheme = integrators.SCHEMES[kind]
         window = (u0, integrators.bootstrap(model, u0, spec).state) if scheme.two_step else (u0,)
-        exps = scheme.exponents(model.gamma_eff, spec.dt)
-        self.advance = lambda: scheme.advance(model, spec, window, exps)
+        prefactors = integrators.bind(model, spec)  # in each tree, what its own `advance` takes
+        self.advance = lambda: scheme.advance(model, spec, window, prefactors)
         self.march = lambda steps: integrators.integrate(model, spec, u0, steps * spec.dt, record_every=1)
         self.systems = self._systems(lambda: integrators.step(model, spec, *window))
 
