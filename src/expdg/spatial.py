@@ -94,8 +94,8 @@ class PeriodicBandedMatrix:
         self.coeffs = coeffs[:, None] if coeffs.ndim == 1 else coeffs
         if self.coeffs.shape not in ((len(self.offsets), 1), (len(self.offsets), size)):
             raise ValueError(
-                f"{len(self.offsets)} offsets need coefficients of shape ({len(self.offsets)},) "
-                f"or ({len(self.offsets)}, {size}), got {coeffs.shape}"
+                f"{len(self.offsets)} offsets need coefficients of shape ({len(self.offsets)},), "
+                f"({len(self.offsets)}, 1) or ({len(self.offsets)}, {size}), got {coeffs.shape}"
             )
 
     @property

@@ -286,7 +286,7 @@ def test_apply_rejects_wrong_length():
 
 @pytest.mark.parametrize("shape", [(2,), (3, 7), (3, 8, 1)])
 def test_banded_matrix_rejects_a_bad_coefficient_shape(shape):
-    with pytest.raises(ValueError, match=r"3 offsets need coefficients of shape \(3,\) or \(3, 8\)"):
+    with pytest.raises(ValueError, match=r"3 offsets need coefficients of shape \(3,\), \(3, 1\) or \(3, 8\)"):
         PeriodicStencilOperator(8, (-1, 0, 1), np.ones(shape))
 
 
