@@ -9,7 +9,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .spatial import Grid, build_grid, derivative_operator, quadrature
-from .linalg import NonlinearSolveSettings, PeriodicBandedMatrix, newton_solve, solve_periodic_banded
+from .linalg import PeriodicBandedMatrix, newton_solve, solve_periodic_banded
 from .system import ConformalModel, Invariant, PolarizedEnergy
 from .models import PRESETS, initial_condition, make_model
 from .integrators import RunRecord, SchemeSpec, StepResult, integrate
@@ -25,7 +25,6 @@ __all__ = [
     "Grid",
     "Invariant",
     "NonConvergenceError",
-    "NonlinearSolveSettings",
     "PRESETS",
     "PeriodicBandedMatrix",
     "PolarizedEnergy",

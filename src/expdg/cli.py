@@ -5,14 +5,14 @@ Configuration is flat ``key = value`` text; ``#`` starts a comment and
 fields of `RunConfig`: every config key is also a flag, with ``_`` written
 as ``-`` (``record_every`` is ``--record-every``), and ``-o`` is short for
 ``--output``; ``expdg run --help`` lists them.  Resolution order is
-preset < config file < command-line flags.  Exit codes: 0 success,
-2 configuration problem (among them a horizon T/dt that overflows or
-exceeds int64, damping whose prefactors e^X overflow, a grid too fine or
-too coarse for its difference stencils, a kind the model cannot step and a
-printed variant the model lacks, all refused before any march, and an
-output that cannot be opened, found after the marches), 3 solver
-non-convergence (a Newton tolerance that under- or overflows at the
-state's scale too) or a singular linear system, 4 numeric blow-up.
+preset < config file < command-line flags.  Exit codes: 0 success, 2 configuration
+problem (among them a newton_tol or newton_max_iter out of range, a horizon T/dt that
+overflows or exceeds int64, damping whose prefactors e^X overflow, a grid too fine or too
+coarse for its difference stencils, a kind the model cannot step and a printed variant the
+model lacks, all refused before any march, and an output that cannot be opened, found after
+the marches), 3 solver non-convergence (a Newton tolerance that under- or overflows at the
+state's scale too) or a singular linear system, 4 numeric blow-up: a state, or a recorded
+value such as an energy, that is not finite.
 """
 
 import argparse
@@ -29,11 +29,10 @@ from . import diagnostics, integrators, models
 from .errors import (
     BlowUpError,
     ConfigError,
+    ExpdgError,
     NonConvergenceError,
     SingularMatrixError,
-    UnsupportedModelError,
 )
-from .linalg import NonlinearSolveSettings
 from .spatial import build_grid
 
 # solver failure -> (compare row status, exit code)
@@ -128,12 +127,8 @@ def _validate(cfg: RunConfig) -> None:
 def build_problem(cfg: RunConfig):
     """Model, initial state, and scheme spec for a resolved config; every library refusal comes here."""
     try:
-        solver = NonlinearSolveSettings(tolerance=cfg.newton_tol, max_iterations=cfg.newton_max_iter)
-    except ValueError as exc:  # the library names its parameters, not the settings that gave them
-        raise ConfigError(f"newton_tol={cfg.newton_tol!r}, newton_max_iter={cfg.newton_max_iter!r}: {exc}") from None
-    try:
         grid = build_grid(cfg.L, cfg.M)
-        spec = integrators.SchemeSpec(kind=cfg.scheme, dt=cfg.dt, solver=solver)
+        spec = integrators.SchemeSpec(cfg.scheme, cfg.dt, cfg.newton_tol, cfg.newton_max_iter)
         printed_for = cfg.scheme if cfg.scheme_variant == "printed" else None
         model = models.make_model(cfg.model, grid, cfg.gamma, cfg.alpha, cfg.rho, cfg.nu, cfg.theta,
                                   printed_for=printed_for)
@@ -301,12 +296,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnsupportedModelError) as exc:
+    except ExpdgError as exc:  # a refused setting, model or output exits 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except tuple(_SOLVER_FAILURES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _SOLVER_FAILURES[type(exc)][1]
+        return _SOLVER_FAILURES.get(type(exc), (None, 2))[1]
 
 
 if __name__ == "__main__":

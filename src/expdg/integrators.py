@@ -21,9 +21,9 @@ two-step rows solve for u^{n+1} + u^{n-1}, so no operator acts on u^{n-1}.  The 
 and AVF kinds share one Newton kernel for y = a + dt (F(a, y) - gamma (a + y)/2):
 the midpoint takes F = f((a + y)/2) (or the model's own midpoint pair), AVF the
 model's closed-form mean of f over the chord [a, y], `chord_average`, with
-its Jacobian `chord_jacobian`.  A Newton iterate forms its midpoint once, for
-its residual and its matrix.  Every matrix a step solves is one new coefficient
-array: the Newton matrix one scaled `shift` of the fresh Jacobian, a Kahan
+its Jacobian `chord_jacobian`.  A Newton iterate forms its midpoint once, for its residual
+and for its matrix, built only when a Newton step follows.  Every matrix a step solves is one
+new coefficient array: the Newton matrix one scaled `shift` of the fresh Jacobian, a Kahan
 matrix the fresh `quadratic_matrix` with its diagonal added in place.  A step
 writes only into the new arrays made for it.  `integrate` starts its Newton solve from
 3u^n - 3u^{n-1} + u^{n-2} after step 2; bootstraps and `step` start from u^n.  No kernel
@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
-from .linalg import NonlinearSolveSettings, newton_solve, solve_periodic_banded
+from .errors import BlowUpError, ExpdgError, UnsupportedModelError
+from .linalg import newton_solve, solve_periodic_banded
 from .system import ConformalModel, kahan_system
 
 
@@ -49,13 +49,18 @@ from .system import ConformalModel, kahan_system
 class SchemeSpec:
     kind: str
     dt: float
-    solver: NonlinearSolveSettings = field(default_factory=NonlinearSolveSettings)
+    newton_tol: float = 1e-12
+    newton_max_iter: int = 50
 
     def __post_init__(self):
         if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r} (known: {', '.join(SCHEMES)})")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
 
 class StepResult(NamedTuple):  # a tuple: built once per step
@@ -68,30 +73,26 @@ def _implicit_step(model, a, dt, gamma, spec, guess=None, *, terms):
     """Newton solve of y = a + dt (F(a, y) - gamma (a + y)/2), with (point, field, jacobian, w) = terms(model).
 
     F = field(*point(a, y)) is the kind's mean of the field f over the chord [a, y], and its Jacobian in y
-    is F_y = w jacobian(*point(a, y)).  The point is formed once per Newton iterate, by the residual, and
-    the Newton matrix (1 + dt gamma/2) I - dt w jacobian is built there: `newton_solve` asks for it only
-    at the iterate its residual last took.  `shift` builds it in one new array from the fresh Jacobian.
-    Newton starts from `guess` (default a) and stops at residual tolerance * (1 + dt gamma/2) max|a|.
+    is F_y = w jacobian(*point(a, y)).  `linearize` forms the point once per Newton iterate, for the
+    residual and for the Newton matrix (1 + dt gamma/2) I - dt w jacobian, which `newton_solve` builds only
+    when a Newton step follows.  `shift` builds it in one new array from the fresh Jacobian.
+    Newton starts from `guess` (default a) and stops at residual newton_tol * (1 + dt gamma/2) max|a|.
     """
     point, field, jacobian, weight = terms(model)
     diag = 1.0 + dt * gamma / 2.0
     # relative to the size of the terms: an absolute tolerance stalls on the Burgers decay below
     # 1e-11, and at stiff damping the rounding of dt gamma (a + y)/2 grows with diag
     scale = diag * max(float(np.abs(a).max()), 1e-30)
-    at = None  # point(a, y) at the iterate the residual last took
 
-    def residual(y):
-        nonlocal at
+    def linearize(y):
         at = point(a, y)
         rhs = field(*at)
         if gamma:
             rhs = rhs - gamma * 0.5 * (y + a)
-        return y - a - dt * rhs
+        # -dt w is exact for w = 1/2 or 1: (-dt w) J is (-dt)(w J)
+        return y - a - dt * rhs, lambda: jacobian(*at).shift(diag, -dt * weight)
 
-    def matrix(y):  # at y, the residual's last iterate; -dt w is exact for w = 1/2 or 1: (-dt w) J is (-dt)(w J)
-        return jacobian(*at).shift(diag, -dt * weight)
-
-    y, iters = newton_solve(residual, matrix, a if guess is None else guess, spec.solver, scale)
+    y, iters = newton_solve(linearize, a if guess is None else guess, spec.newton_tol, spec.newton_max_iter, scale)
     return y, iters, iters
 
 
@@ -217,8 +218,8 @@ def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
     if companion is None:
         raise ValueError(f"{spec.kind!r} is not a two-step kind")
     bind(model, spec)
-    solver = replace(spec.solver, tolerance=min(spec.solver.tolerance, 1e-13))
-    return companion.advance(model, replace(spec, solver=solver), (u0,), companion.prefactors(model.gamma_eff, spec.dt))
+    tight = replace(spec, newton_tol=min(spec.newton_tol, 1e-13))
+    return companion.advance(model, tight, (u0,), companion.prefactors(model.gamma_eff, spec.dt))
 
 
 @dataclass
@@ -283,8 +284,8 @@ def integrate(
     initial state, every record_every-th step, and the final step are
     recorded.  From step 3 on, a Newton kind starts from 3u^n - 3u^{n-1} + u^{n-2}, so a
     marched step differs from `step` on the same state by at most the Newton tolerance.
-    Solver failures, singular systems and blow-ups raise with the
-    partial record up to the last finite state attached to the exception.
+    An ExpdgError of the march raises with the partial record up to the last finite state attached.  A
+    recorded value that is not finite is a blow-up at its row's step, whose partial record ends at the row before.
     observer(step, time, state) is called per recorded state as it is recorded.  state is the
     run's own array, held by reference until the invariants and energies are evaluated on its
     batch of recorded states: the observer may keep it, but must not write into it.
@@ -320,18 +321,34 @@ def integrate(
     batch = max(1, _BATCH_BYTES // u.nbytes)
     pending: list = []  # recorded states whose series are not evaluated yet
     pairs: list = []  # (u^n, u^{n+1}) per recorded step n whose polarized value is not evaluated yet
+    good = [u]  # the state of the last row whose series and pair, if it has one, are found finite
 
     def flush():
         """Evaluate each series once on the stacked pending states and each polarized pair."""
+        states = dict(enumerate(pending, len(rows) - len(pending)))  # row -> state, of the rows evaluated here
+        nonfinite = []  # the rows given a value that is not finite
         if pending:
             stacked = np.stack(pending)
             for extend, evaluate in series:
-                extend(evaluate(stacked).tolist())
+                values = evaluate(stacked).tolist()
+                extend(values)
+                nonfinite += [len(rows) - len(pending) + i for i, v in enumerate(values) if not math.isfinite(v)]
             pending.clear()
         if pairs:
             before, after = zip(*pairs)
-            pol_rec.extend(polarized(e0 * np.stack(before), e1 * np.stack(after)).tolist())
+            states.update(enumerate(before, len(pol_rec)))
+            values = polarized(e0 * np.stack(before), e1 * np.stack(after)).tolist()
+            nonfinite += [len(pol_rec) + i for i, v in enumerate(values) if not math.isfinite(v)]
+            pol_rec.extend(values)
             pairs.clear()
+        bad = min(nonfinite, default=len(rows))
+        good[0] = states.get(min(bad, len(pol_rec) if polarized else bad) - 1, good[0])
+        if bad < len(rows):
+            n, t = rows[bad][:2]
+            for entries in (rows, *inv_rec.values(), ham_rec, pol_rec):
+                del entries[bad:]
+            partial = build_record(good[0])
+            raise BlowUpError(f"a recorded value is not finite at step {n}", step=n, time=t, partial=partial)
 
     def record(n, state):
         add_row((n, n * dt, newton_total, solves_total))
@@ -342,8 +359,7 @@ def integrate(
             flush()
 
     def build_record(final_state):
-        flush()
-        steps, times, newton, solves = zip(*rows)
+        steps, times, newton, solves = zip(*rows) if rows else ((),) * 4
         return RunRecord(
             scheme_kind=spec.kind,
             dt=dt,
@@ -393,9 +409,11 @@ def integrate(
                 pairs.append((prev, u))
             if step_index == n_steps or step_index % record_every == 0:
                 record(step_index, u)
-    except (NonConvergenceError, BlowUpError, SingularMatrixError) as exc:
+    except ExpdgError as exc:
         if exc.partial is None:
+            flush()
             exc.partial = build_record(u)
         raise
 
+    flush()
     return build_record(u)

@@ -181,44 +181,33 @@ def _shifts(x: np.ndarray) -> tuple:
     return padded[:-2], padded[2:]
 
 
-@dataclass(frozen=True)
-class NonlinearSolveSettings:
-    tolerance: float = 1e-12
-    max_iterations: int = 50
+def newton_solve(linearize, guess: np.ndarray, tol: float, max_iter: int, scale: float = 1.0):
+    """Drive the residual to max|residual| <= tol * scale by Newton steps; returns (solution, iterations).
 
-    def __post_init__(self):
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-def newton_solve(residual_fn, jacobian_fn, guess: np.ndarray, settings: NonlinearSolveSettings, scale: float = 1.0):
-    """Drive residual_fn to max|residual| <= settings.tolerance * scale by Newton steps; returns (solution, iterations).
-
-    jacobian_fn(x) returns the Newton matrix at x, the Jacobian of residual_fn there, a PeriodicBandedMatrix or a
-    TwoFieldMatrix.  It is called only with the array that residual_fn was last called with.
+    linearize(x) returns (residual, matrix) at x, where matrix() builds the Newton matrix at that same x, the
+    Jacobian of the residual there, a PeriodicBandedMatrix or a TwoFieldMatrix.  matrix() is called only when
+    a Newton step follows, so never at the accepted iterate.
     """
-    tolerance = settings.tolerance * scale
+    tolerance = tol * scale
     if not 0.0 < tolerance < math.inf:  # a scale that overflows or underflows it, or NaN: no residual can meet it
-        message = f"tolerance {settings.tolerance!r} times the state's scale {scale!r} is {tolerance!r}"
+        message = f"tolerance {tol!r} times the state's scale {scale!r} is {tolerance!r}"
         raise NonConvergenceError(message + ", not finite and positive", iterations=0)
     x = np.array(guess, dtype=float)
-    r = residual_fn(x)
-    if np.abs(r).max() <= tolerance:
+    r, matrix = linearize(x)
+    res_norm = np.abs(r).max()
+    if res_norm <= tolerance:
         return x, 0
-    for it in range(1, settings.max_iterations + 1):
-        mat = jacobian_fn(x)
+    for it in range(1, max_iter + 1):
+        mat = matrix()
         x = x - (mat.solve(r) if isinstance(mat, TwoFieldMatrix) else solve_periodic_banded(mat, r))
-        r = residual_fn(x)
+        r, matrix = linearize(x)
         res_norm = np.abs(r).max()
         if not np.isfinite(res_norm):
             raise NonConvergenceError("residual became non-finite", iterations=it, residual=float("nan"))
         if res_norm <= tolerance:
             return x, it
     raise NonConvergenceError(
-        f"no convergence after {settings.max_iterations} iterations (residual {res_norm:.3e})",
-        iterations=settings.max_iterations,
+        f"no convergence after {max_iter} iterations (residual {res_norm:.3e})",
+        iterations=max_iter,
         residual=float(res_norm),
     )
-

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import expdg.integrators as integrators
 from expdg import linalg, system
+from expdg.cli import build_problem, resolve_config
 from expdg.diagnostics import compensated_polarized_deviation
 from expdg.errors import BlowUpError, NonConvergenceError, SingularMatrixError, UnsupportedModelError
 from expdg.integrators import (
@@ -23,7 +24,7 @@ from expdg.integrators import (
     _kahan1_step,
     _kahan2_step,
 )
-from expdg.linalg import NonlinearSolveSettings, TwoFieldMatrix, newton_solve, solve_periodic_banded
+from expdg.linalg import TwoFieldMatrix, newton_solve, solve_periodic_banded
 from expdg.models import MODELS, PRESETS, initial_condition, make_model, preset_grid
 from expdg.spatial import PeriodicBandedMatrix, build_grid
 
@@ -101,6 +102,21 @@ def test_exponents_are_antisymmetric_so_the_first_factor_undoes_the_last(kind):
 def test_scheme_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SchemeSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"newton_tol": 0.0},
+        {"newton_tol": -1e-3},
+        {"newton_tol": math.nan},
+        {"newton_tol": math.inf},
+        {"newton_max_iter": 0},
+    ],
+)
+def test_solver_settings_validation(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):  # the message names the CLI's key
+        SchemeSpec("cimp", 0.01, **kwargs)
 
 
 # ------------------------------------------------------ pure-decay exactness
@@ -234,12 +250,17 @@ def test_avf_newton_matrix_needs_one_jacobian_per_iteration(kind):
         calls.append(y)
         return model.chord_jacobian(a, y)
 
-    def capture(residual, jacobian, guess, settings, scale):
+    def capture(linearize, guess, tol, max_iter, scale):
         def recorded(x):
-            built.append((x, jacobian(x)))
-            return built[-1][1]
+            residual, matrix = linearize(x)
 
-        return newton_solve(residual, recorded, guess, settings, scale)
+            def built_matrix():
+                built.append((x, matrix()))
+                return built[-1][1]
+
+            return residual, built_matrix
+
+        return newton_solve(recorded, guess, tol, max_iter, scale)
 
     spec = SchemeSpec("avf_plain", dt)
     with mock.patch.object(integrators, "newton_solve", capture):  # Newton starts from y, so its chord is [a, y]
@@ -285,12 +306,17 @@ def test_newton_matrix_is_bitwise_the_shifted_jacobian_built_in_two_scalings(nam
     model, u0, dt = NEWTON_MODELS[name]()
     built = []  # (a, iterate, Newton matrix) per matrix the kernel hands to the solve
 
-    def capture(residual, jacobian, guess, settings, scale):
+    def capture(linearize, guess, tol, max_iter, scale):
         def recorded(x):
-            built.append((guess, x, jacobian(x)))
-            return built[-1][2]
+            residual, matrix = linearize(x)
 
-        return newton_solve(residual, recorded, guess, settings, scale)
+            def built_matrix():
+                built.append((guess, x, matrix()))
+                return built[-1][2]
+
+            return residual, built_matrix
+
+        return newton_solve(recorded, guess, tol, max_iter, scale)
 
     with mock.patch.object(integrators, "newton_solve", capture):
         result = step(model, SchemeSpec(kind, dt), u0)  # no guess: Newton starts from a itself
@@ -847,9 +873,9 @@ def test_the_newton_guess_is_the_rescaled_quadratic_extrapolation(monkeypatch):
     spec = SchemeSpec("cimp", 0.009)
     guesses = []
 
-    def spy(residual, jacobian, guess, settings, scale):
+    def spy(linearize, guess, tol, max_iter, scale):
         guesses.append(guess)
-        return newton_solve(residual, jacobian, guess, settings, scale)
+        return newton_solve(linearize, guess, tol, max_iter, scale)
 
     monkeypatch.setattr(integrators, "newton_solve", spy)
     _, states = integrate_states(model, spec, u0, 6 * spec.dt)
@@ -917,7 +943,7 @@ def test_per_step_linear_invariant_ratio_is_exact(kind, model_kind):
 
 def test_nonconvergence_carries_partial_record():
     model, u0 = burgers()
-    spec = SchemeSpec("cimp", 2.5, solver=NonlinearSolveSettings(max_iterations=3))
+    spec = SchemeSpec("cimp", 2.5, newton_max_iter=3)
     with pytest.raises(NonConvergenceError) as info:
         integrate(model, spec, u0, 25.0, record_every=1)
     partial = info.value.partial
@@ -1059,6 +1085,91 @@ def test_partial_record_carries_every_recorded_row_evaluated(monkeypatch, failur
     # the last recorded state has no successor, so its polarized value stays NaN
     assert math.isnan(partial.polarized_transformed[-1])
     assert np.isfinite(partial.polarized_transformed[:-1]).all()
+
+
+def poisoned(evaluate, target):
+    """evaluate, with inf for each state (or pair) whose first stack row equals target."""
+
+    def evaluated(*stacks):
+        return np.where((stacks[0] == target).all(axis=-1), math.inf, evaluate(*stacks))
+
+    return evaluated
+
+
+def assert_finite_rows(partial, rows):
+    """Every array of the partial record has one entry per row, and every entry is finite."""
+    arrays = [partial.steps, partial.times, partial.hamiltonian_paper, partial.newton_iterations,
+              partial.linear_solves, *partial.invariant_series.values()]
+    if partial.polarized_transformed is not None:
+        arrays.append(partial.polarized_transformed)
+    assert [len(a) for a in arrays] == [rows] * len(arrays)
+    assert all(np.isfinite(a).all() for a in arrays) and np.isfinite(partial.final_state).all()
+
+
+@pytest.mark.parametrize("series", ["mass", "H_paper", "polarized"])
+@pytest.mark.parametrize("offset", [-1, 0, 5])
+@pytest.mark.parametrize("every", [1, 3])
+def test_a_recorded_value_that_is_not_finite_is_a_blow_up_at_its_row(series, offset, every):
+    # row `bad` gets inf in one series: at the last row of the first batch of states, whose polarized
+    # value is evaluated with the second batch, at the first row of the second batch, and inside it
+    model, u0 = burgers()
+    dt, batch = 0.009, integrators._BATCH_BYTES // u0.nbytes
+    n, bad = 3 * batch * every, batch + offset
+    _, states = integrate_states(model, SchemeSpec("ek2", dt), u0, n * dt)
+    target = states[bad * every]
+    if series == "mass":
+        mass = model.invariants[0]
+        traced = replace(model, invariants=(replace(mass, evaluate=poisoned(mass.evaluate, target)),))
+    elif series == "H_paper":
+        traced = replace(model, hamiltonian_paper=poisoned(model.hamiltonian_paper, target))
+    else:
+        e0 = SCHEMES["ek2"].prefactors(model.gamma_eff, dt)[0]
+        evaluate = poisoned(model.polarized.evaluate, e0 * target)
+        traced = replace(model, polarized=replace(model.polarized, evaluate=evaluate))
+    with pytest.raises(BlowUpError) as info:
+        integrate(traced, SchemeSpec("ek2", dt), u0, n * dt, record_every=every)
+    exc = info.value
+    assert (exc.step, exc.time) == (bad * every, bad * every * dt)
+    assert list(exc.partial.steps) == list(range(0, bad * every, every))
+    assert_finite_rows(exc.partial, bad)
+    expected = per_state_series(model, "ek2", dt, states, exc.partial.steps)
+    for name, values in recorded_series(exc.partial).items():
+        assert values.tobytes() == expected[name].tobytes(), name
+    assert np.array_equal(exc.partial.final_state, states[(bad - 1) * every])  # the state of the last row kept
+
+
+def test_an_energy_that_overflows_before_a_solver_failure_is_the_error_raised(monkeypatch):
+    def singular(x):
+        raise SingularMatrixError("singular to working precision")
+
+    model, u0 = burgers()
+    _, states = integrate_states(model, SchemeSpec("ek1", 0.009), u0, 0.09)
+    traced = replace(model, hamiltonian_paper=poisoned(model.hamiltonian_paper, states[3]))
+    fail_on_solve(monkeypatch, 6, singular)  # row 3 is still unevaluated when the sixth step fails
+    with pytest.raises(BlowUpError) as info:
+        integrate(traced, SchemeSpec("ek1", 0.009), u0, 0.09, record_every=1)
+    assert isinstance(info.value.__context__, SingularMatrixError)
+    assert info.value.step == 3 and list(info.value.partial.steps) == [0, 1, 2]
+    assert np.array_equal(info.value.partial.final_state, states[2])
+
+
+def test_an_initial_state_whose_energy_overflows_is_a_blow_up_at_step_0():
+    model, u0 = burgers()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        integrate(model, SchemeSpec("ek1", 0.009), 1e200 * u0, 0.09)
+    assert (info.value.step, info.value.time) == (0, 0.0)
+    assert_finite_rows(info.value.partial, 0)
+    assert np.array_equal(info.value.partial.final_state, 1e200 * u0)
+
+
+def test_an_energy_that_overflows_on_a_grid_of_width_1e_300_is_a_blow_up():
+    # D1 at dx = 8e-302 is finite, but after two ek2 steps u**3 in H_paper overflows while the state stays finite
+    model, u0, spec = build_problem(resolve_config("burgers-paper", {"L": 1e-300}, {}))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        integrate(model, spec, u0, 0.018, record_every=1)
+    assert info.value.step == 2
+    assert list(info.value.partial.steps) == [0, 1]
+    assert_finite_rows(info.value.partial, 2)
 
 
 def test_step_takes_one_state_per_level_of_the_window():

@@ -15,7 +15,6 @@ from expdg import integrators, linalg, models
 from expdg.cli import build_problem, resolve_config
 from expdg.errors import NonConvergenceError, SingularMatrixError
 from expdg.linalg import (
-    NonlinearSolveSettings,
     PeriodicBandedMatrix,
     TwoFieldMatrix,
     newton_solve,
@@ -529,12 +528,7 @@ def test_newton_linear_system_converges_in_one_iteration():
     a = PeriodicBandedMatrix(6, (-1, 0, 1), rows)
     b = rng.standard_normal(6)
 
-    x, iterations = newton_solve(
-        lambda x: a.apply(x) - b,
-        lambda x: a,
-        np.zeros(6),
-        NonlinearSolveSettings(),
-    )
+    x, iterations = newton_solve(lambda x: (a.apply(x) - b, lambda: a), np.zeros(6), 1e-12, 50)
     assert iterations == 1
     assert np.max(np.abs(a.to_dense() @ x - b)) <= 1e-12
 
@@ -542,105 +536,78 @@ def test_newton_linear_system_converges_in_one_iteration():
 def test_newton_scalar_quadratic():
     norms = []
 
-    def residual(x):
+    def linearize(x):
         r = x * x - 4.0
         norms.append(float(np.max(np.abs(r))))
-        return r
+        return r, lambda: PeriodicBandedMatrix(3, (0,), [2.0 * x])
 
-    settings = NonlinearSolveSettings(tolerance=1e-12)
-    x, iterations = newton_solve(
-        residual,
-        lambda x: PeriodicBandedMatrix(3, (0,), [2.0 * x]),
-        np.full(3, 3.0),
-        settings,
-    )
+    x, iterations = newton_solve(linearize, np.full(3, 3.0), 1e-12, 50)
     assert np.max(np.abs(x - 2.0)) <= 1e-12
     assert iterations <= 6
     assert norms == sorted(norms, reverse=True)
     assert norms[-1] <= 1e-12
 
 
-@pytest.mark.parametrize("max_iterations", [50, 2])
-def test_newton_asks_for_the_matrix_only_at_the_iterate_its_residual_last_took(max_iterations):
-    # the implicit kernels build the matrix from the point their residual formed last, so newton_solve must
-    # call jacobian_fn with the very array residual_fn last received: on every iteration, and when it gives up
-    last, matrices = [], []
+@pytest.mark.parametrize("max_iter", [50, 2])
+def test_newton_builds_the_matrix_only_when_a_newton_step_follows(max_iter):
+    # matrix() runs once per Newton step, at the iterate the step leaves, and never at the last iterate:
+    # not at the accepted one, nor where the solve gives up
+    iterates, matrices = [], []
 
-    def residual(x):
-        last.append(x)
-        return x * x - 4.0
+    def linearize(x):
+        iterates.append(x)
 
-    def jacobian(x):
-        assert x is last[-1]
-        matrices.append(x)
-        return PeriodicBandedMatrix(3, (0,), [2.0 * x])
+        def matrix():
+            matrices.append(x)
+            return PeriodicBandedMatrix(3, (0,), [2.0 * x])
 
-    settings = NonlinearSolveSettings(max_iterations=max_iterations)
-    if max_iterations == 2:  # x * x = 4 from x = 3 takes more than two iterations
+        return x * x - 4.0, matrix
+
+    if max_iter == 2:  # x * x = 4 from x = 3 takes more than two iterations
         with pytest.raises(NonConvergenceError):
-            newton_solve(residual, jacobian, np.full(3, 3.0), settings)
+            newton_solve(linearize, np.full(3, 3.0), 1e-12, max_iter)
         iterations = 2
     else:
-        iterations = newton_solve(residual, jacobian, np.full(3, 3.0), settings)[1]
-    assert len(matrices) == iterations == len(last) - 1 > 0
+        iterations = newton_solve(linearize, np.full(3, 3.0), 1e-12, max_iter)[1]
+    assert len(matrices) == iterations == len(iterates) - 1 > 0
+    assert all(m is x for m, x in zip(matrices, iterates))
 
 
 def test_newton_zero_initial_residual_returns_immediately():
     x, iterations = newton_solve(
-        lambda x: np.zeros(3),
-        lambda x: PeriodicBandedMatrix(3, (0,), [1.0]),
-        np.ones(3),
-        NonlinearSolveSettings(),
+        lambda x: (np.zeros(3), lambda: PeriodicBandedMatrix(3, (0,), [1.0])), np.ones(3), 1e-12, 50
     )
     assert iterations == 0
     assert np.array_equal(x, np.ones(3))
 
 
 def test_newton_budget_exhaustion_raises():
-    settings = NonlinearSolveSettings(max_iterations=4)
-    with pytest.raises(NonConvergenceError) as info:
-        newton_solve(
-            lambda x: np.ones(3),
-            lambda x: PeriodicBandedMatrix(3, (0,), [1.0]),
-            np.zeros(3),
-            settings,
-        )
-    assert info.value.iterations == 4
-    assert info.value.residual == pytest.approx(1.0)
+    # a cap of 0 gives up at the guess, with its residual
+    for max_iter in (4, 0):
+        with pytest.raises(NonConvergenceError) as info:
+            newton_solve(
+                lambda x: (np.ones(3), lambda: PeriodicBandedMatrix(3, (0,), [1.0])), np.zeros(3), 1e-12, max_iter
+            )
+        assert info.value.iterations == max_iter
+        assert info.value.residual == pytest.approx(1.0)
 
 
 def test_newton_nan_residual_raises():
     # healthy at the initial guess, NaN after the first update
-    def residual(x):
-        if x[0] == 0.0:
-            return np.ones(3)
-        return np.full(3, np.nan)
+    def linearize(x):
+        r = np.ones(3) if x[0] == 0.0 else np.full(3, np.nan)
+        return r, lambda: PeriodicBandedMatrix(3, (0,), [1.0])
 
     with pytest.raises(NonConvergenceError) as info:
-        newton_solve(residual, lambda x: PeriodicBandedMatrix(3, (0,), [1.0]), np.zeros(3), NonlinearSolveSettings())
+        newton_solve(linearize, np.zeros(3), 1e-12, 50)
     assert info.value.iterations == 1
     assert math.isnan(info.value.residual)
 
 
 @pytest.mark.parametrize("tolerance, scale", [(5e-324, 0.4), (1e308, 3.6e4), (1e-12, math.nan)])
 def test_newton_tolerance_that_under_or_overflows_at_the_scale_is_a_nonconvergence(tolerance, scale):
-    # settings that pass their own check, at a state whose scale takes the product to 0, inf or NaN
-    residuals = []
+    # a tolerance that SchemeSpec accepts, at a state whose scale takes the product to 0, inf or NaN
+    linearized = []
     with pytest.raises(NonConvergenceError, match="not finite and positive") as info:
-        newton_solve(residuals.append, None, np.ones(3), NonlinearSolveSettings(tolerance), scale)
-    assert (info.value.iterations, residuals) == (0, [])
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"tolerance": 0.0},
-        {"tolerance": -1e-3},
-        {"tolerance": math.nan},
-        {"tolerance": math.inf},
-        {"max_iterations": 0},
-    ],
-)
-def test_solver_settings_validation(kwargs):
-    with pytest.raises(ValueError):
-        NonlinearSolveSettings(**kwargs)
+        newton_solve(linearized.append, np.ones(3), tolerance, 50, scale)
+    assert (info.value.iterations, linearized) == (0, [])

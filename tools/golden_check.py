@@ -14,17 +14,18 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps. Seventeen cases run only `expdg run`: ten
+long horizon, not only over 20 steps. Nineteen cases run only `expdg run`: eleven
 bad inputs (an output under a missing directory, --T 1e308, whose T/dt
 overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --newton-tol -1,
---record-every 0, KdV cimp --scheme-variant printed, which has no
+--newton-max-iter 0, --record-every 0, KdV cimp --scheme-variant printed, which has no
 as-printed variant, and grids too fine for their stencils: KdV and NLS at
 --L 1e-300, where dx**2 underflows, and KdV at --L 1e-155, where 1/dx**2
 overflows), Burgers cimp at --newton-max-iter 1, which exits 3 with
 the partial record of `integrate`, and Burgers cimp at --newton-tol 5e-324 and
 imidpoint_plain at --gamma 1e7 --newton-tol 1e308, whose tolerance times the
-state's scale under- or overflows (exit 3), --T 0.001, below dt/2, a --config
-file, and two plain Newton kinds at the stiff damping --gamma 1e7. Five cases
+state's scale under- or overflows (exit 3), Burgers ek2 at --L 1e-300, whose
+H_paper overflows on a finite state at step 2 (exit 4), --T 0.001, below dt/2, a
+--config file, and two plain Newton kinds at the stiff damping --gamma 1e7. Five cases
 run only `expdg compare`: each preset over every kind its model can step, 20
 steps, and Burgers ek2,cimp at --newton-max-iter 1 and at --newton-tol 5e-324,
 whose cimp rows fail; the cells of their wall_clock_seconds column are emptied
@@ -92,6 +93,8 @@ RUN_ONLY = {
     "burgers-paper/dt 0": ["run", "--preset", "burgers-paper", "--dt", "0", "--T", "0.018", "--output", "dt0.csv"],
     "burgers-paper/newton-tol -1": ["run", "--preset", "burgers-paper", "--newton-tol", "-1", "--T", "0.018",
                                     "--output", "tol.csv"],
+    "burgers-paper/newton-max-iter 0": ["run", "--preset", "burgers-paper", "--newton-max-iter", "0", "--T", "0.018",
+                                        "--output", "maxiter0.csv"],
     "burgers-paper/record-every 0": ["run", "--preset", "burgers-paper", "--record-every", "0", "--T", "0.018",
                                      "--output", "every0.csv"],
     "kdv-paper/cimp printed": ["run", "--preset", "kdv-paper", "--scheme", "cimp", "--scheme-variant", "printed",
@@ -106,6 +109,8 @@ RUN_ONLY = {
     "burgers-paper/imidpoint_plain gamma 1e7 newton-tol 1e308": [
         "run", "--preset", "burgers-paper", "--scheme", "imidpoint_plain", "--gamma", "1e7", "--newton-tol", "1e308",
         "--T", "0.018", "--output", "tol1e308.csv"],
+    "burgers-paper/L 1e-300": ["run", "--preset", "burgers-paper", "--L", "1e-300", "--T", "0.018",
+                               "--output", "burgersL.csv"],
     "burgers-paper/T 0.001": ["run", "--preset", "burgers-paper", "--T", "0.001", "--output", "t0001.csv"],
     "burgers-paper/config file": ["run", "--preset", "burgers-paper", "--config", "golden.cfg", "--T", "0.09",
                                   "--output", "config.csv"],
