@@ -6,13 +6,14 @@ fields of `RunConfig`: every config key is also a flag, with ``_`` written
 as ``-`` (``record_every`` is ``--record-every``), and ``-o`` is short for
 ``--output``; ``expdg run --help`` lists them.  Resolution order is
 preset < config file < command-line flags.  Exit codes: 0 success, 2 configuration
-problem (among them a newton_tol or newton_max_iter out of range, a horizon T/dt that
-overflows or exceeds int64, damping whose prefactors e^X overflow, a grid too fine or too
-coarse for its difference stencils, a kind the model cannot step and a printed variant the
-model lacks, all refused before any march, and an output that cannot be opened, found after
-the marches), 3 solver non-convergence (a Newton tolerance that under- or overflows at the
-state's scale too) or a singular linear system, 4 numeric blow-up: a state, or a recorded
-value such as an energy, that is not finite.
+problem (among them a newton_tol or newton_max_iter out of range, a dt whose reciprocal
+overflows, a horizon T/dt that overflows or exceeds int64, damping whose prefactors e^X
+overflow, a grid too fine or too coarse for its difference stencils, a kind the model cannot
+step and a printed variant the model lacks, all refused before any march, and an output that
+cannot be opened, found after the marches), 3 solver non-convergence (a Newton tolerance
+that under- or overflows at the state's scale too) or a singular linear system, 4 numeric
+blow-up: a state, or a recorded value such as an energy, that is not finite.  Commands run
+with numpy's floating-point warnings off: the typed error of a failure is its one report on stderr.
 """
 
 import argparse
@@ -295,7 +296,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # every failure is reported by its typed error, not by numpy warnings
+            return args.func(args)
     except ExpdgError as exc:  # a refused setting, model or output exits 2
         print(f"error: {exc}", file=sys.stderr)
         return _SOLVER_FAILURES.get(type(exc), (None, 2))[1]

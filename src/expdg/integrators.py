@@ -57,6 +57,8 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme kind {self.kind!r} (known: {', '.join(SCHEMES)})")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(1.0 / self.dt):  # the Kahan and lie systems divide by dt
+            raise ValueError(f"dt must have a finite reciprocal, got {self.dt}")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
@@ -286,6 +288,8 @@ def integrate(
     marched step differs from `step` on the same state by at most the Newton tolerance.
     An ExpdgError of the march raises with the partial record up to the last finite state attached.  A
     recorded value that is not finite is a blow-up at its row's step, whose partial record ends at the row before.
+    The values are evaluated per batch of recorded states, when the row after the batch is recorded or
+    when the march ends or fails, so a blow-up of a value surfaces up to one batch and one row past its row.
     observer(step, time, state) is called per recorded state as it is recorded.  state is the
     run's own array, held by reference until the invariants and energies are evaluated on its
     batch of recorded states: the observer may keep it, but must not write into it.
@@ -313,50 +317,42 @@ def integrate(
     # (extend, callable) per series evaluated on the recorded states, in order
     series = [(inv_rec[inv.name].extend, inv.evaluate) for inv in model.invariants]
     series.append((ham_rec.extend, model.hamiltonian_paper))
-    add_row = rows.append
     newton_total = 0
     solves_total = 0
     wall = 0.0
     # every step returns a new array, so the recorded states are held by reference
     batch = max(1, _BATCH_BYTES // u.nbytes)
     pending: list = []  # recorded states whose series are not evaluated yet
-    pairs: list = []  # (u^n, u^{n+1}) per recorded step n whose polarized value is not evaluated yet
-    good = [u]  # the state of the last row whose series and pair, if it has one, are found finite
+    successors: list = []  # u^{n+1} of each pending state u^n that has one (two-step kinds with H~ only)
+    last = [u]  # the state of the last row evaluated, all its values finite
 
     def flush():
-        """Evaluate each series once on the stacked pending states and each polarized pair."""
-        states = dict(enumerate(pending, len(rows) - len(pending)))  # row -> state, of the rows evaluated here
-        nonfinite = []  # the rows given a value that is not finite
-        if pending:
-            stacked = np.stack(pending)
-            for extend, evaluate in series:
-                values = evaluate(stacked).tolist()
-                extend(values)
-                nonfinite += [len(rows) - len(pending) + i for i, v in enumerate(values) if not math.isfinite(v)]
-            pending.clear()
-        if pairs:
-            before, after = zip(*pairs)
-            states.update(enumerate(before, len(pol_rec)))
-            values = polarized(e0 * np.stack(before), e1 * np.stack(after)).tolist()
-            nonfinite += [len(pol_rec) + i for i, v in enumerate(values) if not math.isfinite(v)]
-            pol_rec.extend(values)
-            pairs.clear()
-        bad = min(nonfinite, default=len(rows))
-        good[0] = states.get(min(bad, len(pol_rec) if polarized else bad) - 1, good[0])
-        if bad < len(rows):
-            n, t = rows[bad][:2]
-            for entries in (rows, *inv_rec.values(), ham_rec, pol_rec):
-                del entries[bad:]
-            partial = build_record(good[0])
+        """Evaluate each series once on the stacked pending states, and H~ on those with a successor."""
+        stacked = np.stack(pending)
+        new = [(extend, evaluate(stacked).tolist()) for extend, evaluate in series]
+        if successors:
+            pairs = polarized(e0 * stacked[: len(successors)], e1 * np.stack(successors))
+            new.append((pol_rec.extend, pairs.tolist()))
+        bad = min([i for _, values in new for i, v in enumerate(values) if not math.isfinite(v)], default=len(pending))
+        for extend, values in new:
+            extend(values[:bad])
+        if bad < len(pending):
+            kept = len(rows) - len(pending) + bad
+            n, t = rows[kept][:2]
+            del rows[kept:]
+            partial = build_record(pending[bad - 1] if bad else last[0])
             raise BlowUpError(f"a recorded value is not finite at step {n}", step=n, time=t, partial=partial)
+        last[0] = pending[-1]
+        pending.clear()
+        successors.clear()
 
     def record(n, state):
-        add_row((n, n * dt, newton_total, solves_total))
+        if len(pending) == batch:  # a later row is recorded, so every pending state has its successor
+            flush()
+        rows.append((n, n * dt, newton_total, solves_total))
         pending.append(state)
         if observer is not None:
             observer(n, n * dt, state)
-        if len(pending) == batch:  # a pair follows its row, so pairs never outnumber batch either
-            flush()
 
     def build_record(final_state):
         steps, times, newton, solves = zip(*rows) if rows else ((),) * 4
@@ -385,9 +381,8 @@ def integrate(
     prev = None  # u^{n-1}; a two-step kind bootstraps while it is None
     prev2 = None  # u^{n-2}; a Newton kind predicts its step once it is set
     predicts = scheme.kernel in (_midpoint, _avf)
-    step_index = 0
     try:
-        while step_index < n_steps:
+        for step_index in range(1, n_steps + 1):
             tic = clock()
             if two_step and prev is None:
                 res = bootstrap(model, u, spec)
@@ -400,13 +395,12 @@ def integrate(
                 newton_total += res.newton_iterations
                 solves_total += res.linear_solves
             wall += clock() - tic
-            step_index += 1
             if not np.isfinite(res.state).all():
-                t = step_index * dt
-                raise BlowUpError(f"state became non-finite at step {step_index}", step=step_index, time=t)
+                raise BlowUpError(f"state became non-finite at step {step_index}",
+                                  step=step_index, time=step_index * dt)
             prev2, prev, u = prev, u, res.state
             if polarized is not None and rows[-1][0] == step_index - 1:
-                pairs.append((prev, u))
+                successors.append(u)
             if step_index == n_steps or step_index % record_every == 0:
                 record(step_index, u)
     except ExpdgError as exc:

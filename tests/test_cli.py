@@ -232,6 +232,18 @@ def test_a_grid_too_fine_for_its_stencils_exits_2_before_any_march(preset, L, me
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+@pytest.mark.parametrize("preset, scheme", [("burgers-paper", "ek2"), ("burgers-paper", "ek1"),
+                                            ("burgers-paper", "lie"), ("burgers-paper", "cimp"), ("nls-paper", "lie")])
+def test_a_step_whose_reciprocal_overflows_exits_2_before_any_march(preset, scheme, monkeypatch, capsys):
+    # 1/dt is inf at dt = 1e-320, which the Kahan and lie systems divide by; T/dt = 100 steps is finite
+    flags = {"scheme": scheme, "dt": 1e-320, "T": 1e-318}
+    with pytest.raises(ConfigError, match="dt must have a finite reciprocal, got 1e-320"):
+        build_problem(resolve_config(preset, {}, flags))
+    monkeypatch.setattr(integrators, "integrate", None)  # a march would raise TypeError
+    assert main(["run", "--preset", preset, "--scheme", scheme, "--dt", "1e-320", "--T", "1e-318"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: dt must have a finite reciprocal, got 1e-320"]
+
+
 def test_build_problem_printed_nls_swaps_polarization():
     canonical, _, canonical_spec = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
     printed, _, spec = build_problem(
@@ -571,15 +583,28 @@ OVERFLOWING_ENERGY = ["--preset", "burgers-paper", "--L", "1e-300", "--T", "0.01
 
 def test_exit_4_for_an_energy_that_overflows_while_the_state_stays_finite(tmp_path, capsys):
     out = tmp_path / "a.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", *OVERFLOWING_ENERGY, "-o", str(out)]) == 4
+    assert main(["run", *OVERFLOWING_ENERGY, "-o", str(out)]) == 4
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
     assert errors == ["error: a recorded value is not finite at step 2"]
     assert not out.exists()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["compare", *OVERFLOWING_ENERGY, "--schemes", "ek2,cimp,lie", "-o", str(out)]) == 0
+    assert main(["compare", *OVERFLOWING_ENERGY, "--schemes", "ek2,cimp,lie", "-o", str(out)]) == 0
     rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
     assert rows == [["ek2", "blowup"], ["cimp", "ok"], ["lie", "ok"]]
+
+
+def test_exit_4_prints_no_numpy_warning_ahead_of_its_error(tmp_path):
+    # in a fresh interpreter, as the installed command runs, with numpy's default warning settings:
+    # u**3 in H_paper overflows, and the typed error is the one report of it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(expdg.__file__)))
+    cmd = [sys.executable, "-m", "expdg.cli", "run", *OVERFLOWING_ENERGY, "-o", "a.csv"]
+    run = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 4
+    assert run.stderr.splitlines() == [
+        "model=burgers scheme=ek2 dt=0.009 n_steps=2",
+        "realized_T=0.018",
+        "error: a recorded value is not finite at step 2",
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def singular_kahan_solves(monkeypatch):

@@ -97,6 +97,8 @@ def test_exponents_are_antisymmetric_so_the_first_factor_undoes_the_last(kind):
         {"kind": "heun", "dt": 0.01},
         {"kind": "cimp", "dt": 0.0},
         {"kind": "cimp", "dt": -0.1},
+        {"kind": "ek2", "dt": 1e-320},  # 1/dt overflows: the Kahan and lie systems divide by dt
+        {"kind": "cimp", "dt": 5e-324},
     ],
 )
 def test_scheme_spec_validation(kwargs):
@@ -1048,19 +1050,27 @@ def test_batched_series_equal_each_state_evaluated_alone(kind, every):
 def test_no_series_callable_is_handed_more_states_than_a_batch(preset, kind, every):
     model, u0, cfg = preset_model(preset)
     batch = integrators._BATCH_BYTES // u0.nbytes
-    calls = []
+    calls = {}  # callable -> the number of states (or pairs) handed to each of its calls
     traced = replace(
         model,
-        invariants=tuple(replace(inv, evaluate=counting(calls, inv.evaluate)) for inv in model.invariants),
-        hamiltonian_paper=counting(calls, model.hamiltonian_paper),
-        polarized=replace(model.polarized, evaluate=counting(calls, model.polarized.evaluate)),
+        invariants=tuple(replace(inv, evaluate=counting(calls.setdefault(inv.name, []), inv.evaluate))
+                         for inv in model.invariants),
+        hamiltonian_paper=counting(calls.setdefault("H_paper", []), model.hamiltonian_paper),
+        polarized=replace(model.polarized, evaluate=counting(calls.setdefault("polarized", []),
+                                                              model.polarized.evaluate)),
     )
     n = (2 * batch + 3) * every  # more than two batches of recorded states
     rec = integrate(traced, SchemeSpec(kind, cfg["dt"]), u0, n * cfg["dt"], record_every=every)
-    assert max(calls) <= batch
+    every_call = [size for sizes in calls.values() for size in sizes]
+    assert max(every_call) <= batch
     # each recorded state once per series, and each recorded step but the last once as a pair
     rows = rec.steps.size
-    assert sum(calls) == (len(model.invariants) + 1) * rows + rows - 1
+    assert sum(every_call) == (len(model.invariants) + 1) * rows + rows - 1
+    # a batch is evaluated once each of its states has its successor, but the run's last state has none:
+    # every flush hands H~ as many pairs as it hands each series states, the last flush (4 states) one fewer
+    pairs, states = calls.pop("polarized"), calls["H_paper"]
+    assert all(sizes == states for sizes in calls.values())
+    assert states == [batch, batch, 4] and pairs == states[:-1] + [states[-1] - 1]
 
 
 @pytest.mark.parametrize("failure", ["blow-up", "non-convergence"])

@@ -14,9 +14,10 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps. Nineteen cases run only `expdg run`: eleven
+long horizon, not only over 20 steps. Twenty cases run only `expdg run`: twelve
 bad inputs (an output under a missing directory, --T 1e308, whose T/dt
-overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --newton-tol -1,
+overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --dt 1e-320 at
+--T 1e-318, whose 1/dt overflows, --newton-tol -1,
 --newton-max-iter 0, --record-every 0, KdV cimp --scheme-variant printed, which has no
 as-printed variant, and grids too fine for their stencils: KdV and NLS at
 --L 1e-300, where dx**2 underflows, and KdV at --L 1e-155, where 1/dx**2
@@ -91,6 +92,8 @@ RUN_ONLY = {
     "burgers-paper/gamma 1e305": ["run", "--preset", "burgers-paper", "--gamma", "1e305", "--T", "0.018",
                                   "--output", "gamma1e305.csv"],
     "burgers-paper/dt 0": ["run", "--preset", "burgers-paper", "--dt", "0", "--T", "0.018", "--output", "dt0.csv"],
+    "burgers-paper/dt 1e-320": ["run", "--preset", "burgers-paper", "--dt", "1e-320", "--T", "1e-318",
+                                "--output", "dt1e-320.csv"],
     "burgers-paper/newton-tol -1": ["run", "--preset", "burgers-paper", "--newton-tol", "-1", "--T", "0.018",
                                     "--output", "tol.csv"],
     "burgers-paper/newton-max-iter 0": ["run", "--preset", "burgers-paper", "--newton-max-iter", "0", "--T", "0.018",
