@@ -63,8 +63,8 @@ class RunConfig:
     dt: float = None
     T: float = None
     record_every: int = 10
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
+    newton_tol: float = integrators.SchemeSpec.newton_tol
+    newton_max_iter: int = integrators.SchemeSpec.newton_max_iter
     # printed: the model's as-printed variant for the scheme kind (models.MODELS lists the pairs)
     scheme_variant: str = field(default="canonical", metadata={"choices": ("canonical", "printed")})
     output: str = field(default=None, metadata={"help": "CSV destination, '-' for stdout"})
@@ -126,7 +126,7 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def build_problem(cfg: RunConfig):
-    """Model, initial state, and scheme spec for a resolved config; every library refusal comes here."""
+    """Model, initial state, spec and horizon (n_steps, T, exact) of a config; every library refusal comes here."""
     try:
         grid = build_grid(cfg.L, cfg.M)
         spec = integrators.SchemeSpec(cfg.scheme, cfg.dt, cfg.newton_tol, cfg.newton_max_iter)
@@ -134,10 +134,11 @@ def build_problem(cfg: RunConfig):
         model = models.make_model(cfg.model, grid, cfg.gamma, cfg.alpha, cfg.rho, cfg.nu, cfg.theta,
                                   printed_for=printed_for)
         integrators.bind(model, spec)  # refuses a kind the model cannot step, and prefactors that overflow
-        integrators.step_count(cfg.T, cfg.dt)  # T/dt must count its steps
+        n, exact = integrators.step_count(cfg.T, cfg.dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return model, models.initial_condition(cfg.model, grid), spec
+    horizon = (n, n * cfg.dt, exact) if n else (1, cfg.dt, False)  # the nearest nonzero multiple of dt to T
+    return model, models.initial_condition(cfg.model, grid), spec, horizon
 
 
 def _residual_columns(model, record):
@@ -182,14 +183,6 @@ def write_run_csv(handle, model, record) -> None:
     handle.write(",".join(columns) + "\n" + "\n".join(rows) + "\n")
 
 
-def _realized_horizon(cfg: RunConfig):
-    """Steps, horizon and exactness of the nearest nonzero multiple of dt to T."""
-    n, exact = integrators.step_count(cfg.T, cfg.dt)
-    if n == 0:
-        return 1, cfg.dt, False
-    return n, n * cfg.dt, exact
-
-
 def _config_file_values(args) -> dict:
     if not args.config:
         return {}
@@ -212,8 +205,7 @@ def _sink(output):
 
 def cmd_run(args) -> int:
     cfg = resolve_config(args.preset, _config_file_values(args), _flag_values(args))
-    model, u0, spec = build_problem(cfg)
-    n_steps, realized, exact = _realized_horizon(cfg)
+    model, u0, spec, (n_steps, realized, exact) = build_problem(cfg)
     print(f"model={cfg.model} scheme={cfg.scheme} dt={cfg.dt!r} n_steps={n_steps}", file=sys.stderr)
     print(f"realized_T={realized!r}" + ("" if exact else f" (requested T={cfg.T!r})"), file=sys.stderr)
     record = integrators.integrate(model, spec, u0, realized, record_every=cfg.record_every)
@@ -235,8 +227,7 @@ def cmd_compare(args) -> int:
     inv_names = [inv.name for inv in problems[0][0].invariants]
     rows = []
     failures = []
-    for cfg, (model, u0, spec) in zip(configs, problems):
-        realized = _realized_horizon(cfg)[1]
+    for cfg, (model, u0, spec, (_, realized, _)) in zip(configs, problems):
         try:
             record = integrators.integrate(model, spec, u0, realized, record_every=cfg.record_every)
         except tuple(_SOLVER_FAILURES) as exc:

@@ -86,9 +86,7 @@ def reference_solve(model: ConformalModel, u0, T: float, dt_ref: float) -> np.nd
     if not exact:
         n = max(int(math.ceil(T / dt_ref)), 1)
     h = T / max(n, 1)  # T = 0 takes no step
-    u = np.array(u0, dtype=float)
-    if u.shape != (model.dim,):
-        raise ValueError(f"initial state has shape {u.shape}, expected ({model.dim},)")
+    u = integrators.as_state(model, u0)
     field, gamma = model.conservative_field, model.gamma_eff
 
     def f(state):  # the full field S grad_H - gamma_eff u; the step checks each state it makes

@@ -61,6 +61,8 @@ class SchemeSpec:
             raise ValueError(f"dt must have a finite reciprocal, got {self.dt}")
         if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
+        if not isinstance(self.newton_max_iter, (int, np.integer)):
+            raise ValueError(f"newton_max_iter must be an integer, got {self.newton_max_iter}")
         if self.newton_max_iter < 1:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
@@ -202,12 +204,20 @@ def bind(model, spec: SchemeSpec) -> tuple:
     return scheme.prefactors(model.gamma_eff, spec.dt)
 
 
-def step(model, spec: SchemeSpec, *window, prefactors: Optional[tuple] = None) -> StepResult:
-    """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds; prefactors default to bind's."""
-    scheme, prefactors = SCHEMES[spec.kind], prefactors or bind(model, spec)
+def as_state(model, u) -> np.ndarray:
+    """u as a new float array: the state check of `step`, `bootstrap`, `integrate` and `reference_solve`."""
+    u = np.array(u, dtype=float)
+    if u.shape != (model.dim,):
+        raise ValueError(f"initial state has shape {u.shape}, expected ({model.dim},)")
+    return u
+
+
+def step(model, spec: SchemeSpec, *window) -> StepResult:
+    """One step of spec.kind from (u^n,), or (u^{n-1}, u^n) for two-step kinds."""
+    scheme, prefactors = SCHEMES[spec.kind], bind(model, spec)
     if len(window) != 1 + scheme.two_step:  # `integrate` and `bootstrap` build their windows themselves
         raise ValueError(f"{spec.kind!r} steps from {1 + scheme.two_step} states, got {len(window)}")
-    return scheme.advance(model, spec, window, prefactors)
+    return scheme.advance(model, spec, [as_state(model, u) for u in window], prefactors)
 
 
 def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
@@ -221,7 +231,7 @@ def bootstrap(model, u0, spec: SchemeSpec) -> StepResult:
         raise ValueError(f"{spec.kind!r} is not a two-step kind")
     bind(model, spec)
     tight = replace(spec, newton_tol=min(spec.newton_tol, 1e-13))
-    return companion.advance(model, tight, (u0,), companion.prefactors(model.gamma_eff, spec.dt))
+    return companion.advance(model, tight, (as_state(model, u0),), companion.prefactors(model.gamma_eff, spec.dt))
 
 
 @dataclass
@@ -298,13 +308,12 @@ def integrate(
     n_steps, exact = step_count(T, dt)
     if not exact:
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
+    if not isinstance(record_every, (int, np.integer)):
+        raise ValueError(f"record_every must be an integer, got {record_every}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    u = np.array(u0, dtype=float)
-    if u.shape != (model.dim,):
-        raise ValueError(f"initial state has shape {u.shape}, expected ({model.dim},)")
-
+    u = as_state(model, u0)
     scheme = SCHEMES[spec.kind]
     two_step = scheme.two_step
     prefactors = bind(model, spec)

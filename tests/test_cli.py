@@ -165,7 +165,7 @@ def test_printed_variant_combinations(preset, scheme, refusal):
         with pytest.raises(ConfigError, match=refusal):
             build_problem(cfg)
         return
-    model, u0, spec = build_problem(cfg)
+    model, u0, spec, _ = build_problem(cfg)
     integrators.integrate(model, spec, u0, 2 * cfg.dt, record_every=1)
 
 
@@ -244,9 +244,17 @@ def test_a_step_whose_reciprocal_overflows_exits_2_before_any_march(preset, sche
     assert capsys.readouterr().err.splitlines() == ["error: dt must have a finite reciprocal, got 1e-320"]
 
 
+@pytest.mark.parametrize(
+    "T, horizon", [(0.09, (10, 10 * 0.009, True)), (0.02, (2, 2 * 0.009, False)), (0.001, (1, 0.009, False))]
+)
+def test_build_problem_horizon_is_the_nearest_nonzero_multiple_of_dt(T, horizon):
+    # 0.09 is 10 steps of 0.009 to 1e-9; 0.02 rounds to 2 steps; 0.001 rounds to 0 and runs one step
+    assert build_problem(resolve_config("burgers-paper", {}, {"T": T}))[3] == horizon
+
+
 def test_build_problem_printed_nls_swaps_polarization():
-    canonical, _, canonical_spec = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
-    printed, _, spec = build_problem(
+    canonical, _, canonical_spec, _ = build_problem(resolve_config("nls-paper", {"M": 64}, {}))
+    printed, _, spec, _ = build_problem(
         resolve_config("nls-paper", {"M": 64, "scheme_variant": "printed"}, {})
     )
     assert spec == canonical_spec  # the lie scheme itself is unchanged
@@ -398,7 +406,7 @@ CSV_CASES = [
 @pytest.mark.parametrize("preset,kind", CSV_CASES)
 def test_run_csv_bytes_equal_the_per_cell_writer(preset, kind, tmp_path, capsys):
     horizon = 20 * PRESETS[preset]["dt"]
-    model, u0, spec = build_problem(resolve_config(preset, {}, {"scheme": kind, "T": horizon}))
+    model, u0, spec, _ = build_problem(resolve_config(preset, {}, {"scheme": kind, "T": horizon}))
     expected = io.StringIO()
     per_cell_run_csv(expected, model, integrators.integrate(model, spec, u0, horizon, record_every=1))
     argv = ["run", "--preset", preset, "--scheme", kind, "--T", repr(horizon), "--record-every", "1"]
@@ -509,9 +517,9 @@ def test_exit_2_parameter_the_model_does_not_read(flag, capsys):
 
 def test_a_preset_with_another_model_runs_that_model_at_its_defaults():
     # the presets hold no model parameters, so the kdv preset's grid and dt carry over to burgers
-    model, _, _ = build_problem(resolve_config("kdv-paper", {"model": "burgers"}, {}))
+    model = build_problem(resolve_config("kdv-paper", {"model": "burgers"}, {}))[0]
     assert model.name == "burgers"
-    model, _, _ = build_problem(resolve_config("kdv-paper", {"model": "nls", "scheme": "lie"}, {}))
+    model = build_problem(resolve_config("kdv-paper", {"model": "nls", "scheme": "lie"}, {}))[0]
     assert (model.name, model.gamma_eff) == ("nls", 0.5 * PRESETS["kdv-paper"]["gamma"])
 
 
@@ -673,7 +681,7 @@ def test_compare_cells_equal_the_per_cell_oracle(preset, schemes, capsys):
     header, *rows = (line.split(",") for line in capsys.readouterr().out.splitlines())
     for kind, row in zip(schemes.split(","), rows):
         cfg = resolve_config(preset, {}, {"scheme": kind, "T": horizon})
-        model, u0, spec = build_problem(cfg)
+        model, u0, spec, _ = build_problem(cfg)
         record = integrators.integrate(model, spec, u0, horizon, record_every=cfg.record_every)
         residuals = _residual_columns(model, record)
         expected = [kind, "ok"]

@@ -114,6 +114,9 @@ def test_scheme_spec_validation(kwargs):
         {"newton_tol": math.nan},
         {"newton_tol": math.inf},
         {"newton_max_iter": 0},
+        # range() takes no float: an unchecked float cap would fail in the first Newton step
+        {"newton_max_iter": 2.5},
+        {"newton_max_iter": np.float64(2.0)},
     ],
 )
 def test_solver_settings_validation(kwargs):
@@ -616,12 +619,11 @@ def test_two_step_kahan_keeps_the_polarized_energy_at_a_constant_step(h):
 
 def _compensated_drift_from(model, kind, u0, u1, dt, n_steps):
     """Criterion 05's compensated polarized drift of a two-step march started from the pair (u0, u1)."""
-    prefactors = SCHEMES[kind].prefactors(model.gamma_eff, dt)
-    e0, e1 = prefactors[:2]
+    e0, e1 = SCHEMES[kind].prefactors(model.gamma_eff, dt)[:2]
     spec = SchemeSpec(kind, dt)
     window, w = (u0, u1), [model.polarized.evaluate(e0 * u0, e1 * u1)]
     for _ in range(1, n_steps):
-        window = (window[1], step(model, spec, *window, prefactors=prefactors).state)
+        window = (window[1], step(model, spec, *window).state)
         w.append(model.polarized.evaluate(e0 * window[0], e1 * window[1]))
     return compensated_polarized_deviation(model, np.array(w), dt)
 
@@ -718,12 +720,12 @@ def test_halved_exponents_break_the_mass_rate():
     u1 = bootstrap(model, u0, spec).state
     rate = 2.0 * model.gamma_eff * dt
 
-    good = step(model, spec, u0, u1, prefactors=SCHEMES["ek2"].prefactors(model.gamma_eff, dt)).state
+    good = step(model, spec, u0, u1).state
     residual = math.log(np.sum(good) / np.sum(u0)) + rate
     assert abs(residual) <= 1e-12
 
     halved = tuple(map(math.exp, (-model.gamma_eff * dt / 2.0, 0.0, model.gamma_eff * dt / 2.0)))
-    bad = step(model, spec, u0, u1, prefactors=halved).state
+    bad = SCHEMES["ek2"].advance(model, spec, (u0, u1), halved).state
     residual_bad = math.log(np.sum(bad) / np.sum(u0)) + rate
     assert abs(residual_bad) > 1e-6
 
@@ -749,6 +751,17 @@ def test_integrate_rejects_bad_cadence():
     model, u0 = burgers()
     with pytest.raises(ValueError):
         integrate(model, SchemeSpec("ek2", 0.009), u0, 0.09, record_every=0)
+
+
+@pytest.mark.parametrize("record_every", [1.5, 3.0])
+def test_integrate_refuses_a_cadence_that_is_not_an_integer(record_every):
+    # unchecked, record_every=1.5 records the steps divisible by 1.5: 0, 3, 6, 9 and the final 10
+    model, u0 = burgers()
+    spec = SchemeSpec("ek2", 0.009)
+    with pytest.raises(ValueError, match=re.escape(f"record_every must be an integer, got {record_every}")):
+        integrate(model, spec, u0, 0.09, record_every=record_every, observer=lambda *state: pytest.fail("recorded"))
+    assert list(integrate(model, spec, u0, 0.09, record_every=np.int64(3)).steps) == [0, 3, 6, 9, 10]
+    assert SchemeSpec("cimp", 0.009, newton_max_iter=np.int64(2)).newton_max_iter == 2  # numpy counts are integers
 
 
 @pytest.mark.parametrize(
@@ -1174,7 +1187,7 @@ def test_an_initial_state_whose_energy_overflows_is_a_blow_up_at_step_0():
 
 def test_an_energy_that_overflows_on_a_grid_of_width_1e_300_is_a_blow_up():
     # D1 at dx = 8e-302 is finite, but after two ek2 steps u**3 in H_paper overflows while the state stays finite
-    model, u0, spec = build_problem(resolve_config("burgers-paper", {"L": 1e-300}, {}))
+    model, u0, spec, _ = build_problem(resolve_config("burgers-paper", {"L": 1e-300}, {}))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
         integrate(model, spec, u0, 0.018, record_every=1)
     assert info.value.step == 2
@@ -1188,6 +1201,23 @@ def test_step_takes_one_state_per_level_of_the_window():
         step(model, SchemeSpec("ek2", 0.009), u0)
     with pytest.raises(ValueError):
         step(model, SchemeSpec("ek1", 0.009), u0, u0)
+
+
+@pytest.mark.parametrize("kind", list(integrators.SCHEMES))
+def test_step_and_bootstrap_refuse_a_state_of_the_wrong_length(kind):
+    # unchecked, a linearly implicit kind indexes a short state by the model's size: a bare IndexError
+    model, u0 = burgers()
+    spec = SchemeSpec(kind, 0.009)
+    bind(model, spec)  # Burgers steps every kind
+    short = np.zeros(5)
+    message = re.escape("initial state has shape (5,), expected (80,)")
+    windows = [(short, short), (u0, short), (short, u0)] if SCHEMES[kind].two_step else [(short,)]
+    for window in windows:
+        with pytest.raises(ValueError, match=message):
+            step(model, spec, *window)
+    if SCHEMES[kind].two_step:
+        with pytest.raises(ValueError, match=message):
+            bootstrap(model, short, spec)
 
 
 # every preset x kind that runs: the Kahan kinds need a quadratic field, which NLS has not

@@ -147,7 +147,7 @@ def test_preset_systems_match_dense_oracle(preset, kind, size, bandwidth, dtype)
         return solve_periodic_banded(mat, rhs)
 
     cfg = resolve_config(preset, {}, {"scheme": kind})
-    model, u0, spec = build_problem(cfg)
+    model, u0, spec, _ = build_problem(cfg)
     with mock.patch.object(linalg, "solve_periodic_banded", record), mock.patch.object(
         integrators, "solve_periodic_banded", record
     ):
@@ -173,7 +173,7 @@ NEWTON_KINDS = ("cimp", "eavf", "imidpoint_plain", "avf_plain")  # with lie, eve
 def test_only_systems_wider_than_tridiagonal_reach_the_band_lu(preset, kind, folded):
     # a tridiagonal system (every Burgers one, the NLS lie one) is one gtsv and a
     # scalar Schur complement; KdV and the NLS Newton Schur complement (b = 2) take the folded gbsv
-    model, u0, spec = build_problem(resolve_config(preset, {}, {"scheme": kind}))
+    model, u0, spec, _ = build_problem(resolve_config(preset, {}, {"scheme": kind}))
     window = (u0, integrators.bootstrap(model, u0, spec).state) if integrators.SCHEMES[kind].two_step else (u0,)
     with lapack_without("gtsv" if folded else "gbsv") as lapack:
         result = integrators.step(model, spec, *window)
@@ -335,7 +335,7 @@ def test_every_step_system_lives_on_the_model_band(preset, band):
         integrators, "solve_periodic_banded", record
     ):
         for key in keys:
-            model, u0, spec = build_problem(resolve_config(preset, {}, {"scheme": key[0], "scheme_variant": key[1]}))
+            model, u0, spec, _ = build_problem(resolve_config(preset, {}, {"scheme": key[0], "scheme_variant": key[1]}))
             integrators.integrate(model, spec, u0, 3 * cfg.dt)
     assert offsets == {key: {band} for key in keys}
 

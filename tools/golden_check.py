@@ -14,7 +14,7 @@ and steps whose predecessor was not recorded. Two long cases per preset run
 the preset's own scheme and `eavf` the same way for LONG_STEPS steps: enough
 for `integrate` to evaluate its recorded series in three or more batches, and
 for a change in the rounding of the AVF chord mean to show its drift over a
-long horizon, not only over 20 steps. Twenty cases run only `expdg run`: twelve
+long horizon, not only over 20 steps. Twenty-one cases run only `expdg run`: twelve
 bad inputs (an output under a missing directory, --T 1e308, whose T/dt
 overflows, --gamma 1e305, whose prefactors overflow, --dt 0, --dt 1e-320 at
 --T 1e-318, whose 1/dt overflows, --newton-tol -1,
@@ -25,11 +25,12 @@ overflows), Burgers cimp at --newton-max-iter 1, which exits 3 with
 the partial record of `integrate`, and Burgers cimp at --newton-tol 5e-324 and
 imidpoint_plain at --gamma 1e7 --newton-tol 1e308, whose tolerance times the
 state's scale under- or overflows (exit 3), Burgers ek2 at --L 1e-300, whose
-H_paper overflows on a finite state at step 2 (exit 4), --T 0.001, below dt/2, a
---config file, and two plain Newton kinds at the stiff damping --gamma 1e7. Five cases
-run only `expdg compare`: each preset over every kind its model can step, 20
-steps, and Burgers ek2,cimp at --newton-max-iter 1 and at --newton-tol 5e-324,
-whose cimp rows fail; the cells of their wall_clock_seconds column are emptied
+H_paper overflows on a finite state at step 2 (exit 4), --T 0.001, below dt/2,
+--T 0.02, not a multiple of dt (2 steps to 0.018), a --config file, and two plain
+Newton kinds at the stiff damping --gamma 1e7. Six cases run only `expdg compare`:
+each preset over every kind its model can step, 20 steps, and Burgers ek2,cimp
+at --T 0.02, at --newton-max-iter 1 and at --newton-tol 5e-324, the last two
+with failing cimp rows; the cells of their wall_clock_seconds column are emptied
 before the CSVs are compared.
 Per case the table gives:
 
@@ -115,6 +116,7 @@ RUN_ONLY = {
     "burgers-paper/L 1e-300": ["run", "--preset", "burgers-paper", "--L", "1e-300", "--T", "0.018",
                                "--output", "burgersL.csv"],
     "burgers-paper/T 0.001": ["run", "--preset", "burgers-paper", "--T", "0.001", "--output", "t0001.csv"],
+    "burgers-paper/T 0.02": ["run", "--preset", "burgers-paper", "--T", "0.02", "--output", "t002.csv"],
     "burgers-paper/config file": ["run", "--preset", "burgers-paper", "--config", "golden.cfg", "--T", "0.09",
                                   "--output", "config.csv"],
     "burgers-paper/imidpoint_plain gamma 1e7": ["run", "--preset", "burgers-paper", "--scheme", "imidpoint_plain",
@@ -144,6 +146,8 @@ def _compare_cases():
         horizon = repr(STEPS * models.PRESETS[preset]["dt"])
         cases[f"{preset}/compare"] = ["compare", "--preset", preset, "--schemes", ",".join(kinds), "--T", horizon,
                                       "--output", f"{preset}_compare.csv"]
+    cases["burgers-paper/compare T 0.02"] = [
+        "compare", "--preset", "burgers-paper", "--schemes", "ek2,cimp", "--T", "0.02", "--output", "compare_t002.csv"]
     cases["burgers-paper/compare newton-max-iter 1"] = [
         "compare", "--preset", "burgers-paper", "--schemes", "ek2,cimp", "--newton-max-iter", "1", "--T", "0.018",
         "--output", "compare_maxiter1.csv"]
@@ -170,7 +174,9 @@ def _library_case(preset, kind, variant, steps):
     from expdg import cli, integrators
 
     try:
-        model, u0, spec = cli.build_problem(cli.resolve_config(preset, {}, {"scheme": kind, "scheme_variant": variant}))
+        # the first three of build_problem's values, so one copy of this tool runs trees of either return shape
+        model, u0, spec = cli.build_problem(
+            cli.resolve_config(preset, {}, {"scheme": kind, "scheme_variant": variant}))[:3]
         states = []
         rec = integrators.integrate(model, spec, u0, steps * spec.dt, record_every=1,
                                     observer=lambda n, t, u: states.append(u.copy()))
